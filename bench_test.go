@@ -439,9 +439,11 @@ func BenchmarkGeometricDraw(b *testing.B) {
 // BenchmarkEventSimThroughput measures wall-clock cost per simulated
 // second of the full event-driven stack at N = 40.
 func BenchmarkEventSimThroughput(b *testing.B) {
+	lab := wlan.NewLab()
+	defer lab.Close()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := wlan.Run(wlan.Config{
+		res, err := lab.Run(context.Background(), wlan.Config{
 			Topology: wlan.Connected(40),
 			Scheme:   wlan.TORACSMA,
 			Duration: 2e9, // 2 s simulated

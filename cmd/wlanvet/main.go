@@ -1,9 +1,9 @@
 // Command wlanvet is the repository's invariant checker: a multichecker
-// over the ten project-specific analyzers that make the simulator's
+// over the six project-specific analyzers that make the simulator's
 // load-bearing contracts structural instead of incidental to whichever
 // golden happened to exercise them.
 //
-// The original five are single-function and syntactic:
+// Five are single-function and syntactic:
 //
 //	determinism    — no wall clocks, global math/rand, or order-leaking
 //	                 map ranges in sim-critical packages
@@ -15,18 +15,9 @@
 //	sentinelwrap   — errors crossing the wlan facade wrap a typed
 //	                 sentinel via %w
 //
-// The v2 five are flow analyzers over the module call graph, gating
-// the concurrency the contention-domain kernel will introduce:
+// One is a flow analyzer over the module call graph:
 //
-//	goshare        — goroutine-shared variables are mutex-guarded,
-//	                 atomic, or never written after spawn
-//	atomicmix      — a variable accessed via sync/atomic is never also
-//	                 accessed plainly
-//	rngstream      — RNGs derive from the seed-substream helper and
-//	                 never cross a goroutine boundary
 //	lockorder      — lock acquisition order is acyclic module-wide
-//	envelope       — svc error sentinels ↔ wire codes ↔ HTTP statuses
-//	                 map 1:1 with no default-arm fall-through
 //
 // Usage:
 //
@@ -52,29 +43,21 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/envelope"
-	"repro/internal/analysis/goshare"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/inttime"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/observerpurity"
-	"repro/internal/analysis/rngstream"
 	"repro/internal/analysis/sentinelwrap"
 )
 
 // analyzers is the wlanvet suite, in diagnostic-prefix order.
 var analyzers = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	determinism.Analyzer,
-	envelope.Analyzer,
-	goshare.Analyzer,
 	hotpath.Analyzer,
 	inttime.Analyzer,
 	lockorder.Analyzer,
 	observerpurity.Analyzer,
-	rngstream.Analyzer,
 	sentinelwrap.Analyzer,
 }
 

@@ -106,9 +106,15 @@ func TestRunListsAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, testdataWd(t), &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"atomicmix", "determinism", "envelope", "goshare", "hotpath", "inttime", "lockorder", "observerpurity", "rngstream", "sentinelwrap"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing analyzer %q", name)
-		}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	var want []string
+	for _, a := range analyzers {
+		want = append(want, a.Name)
+	}
+	if strings.Join(listed, ",") != strings.Join(want, ",") {
+		t.Errorf("-list names %v, want exactly %v", listed, want)
 	}
 }

@@ -1,10 +1,8 @@
-// Call-graph construction: the interprocedural substrate the v2
-// analyzers (goshare, rngstream, lockorder) stand on. Until now every
-// wlanvet analyzer was single-function — fine for syntactic properties
-// (a wall-clock call IS the bug), useless for flow properties, where
-// the bug is a relationship between functions: a mutex held HERE while
-// a callee three frames down locks ANOTHER one, an RNG created here
-// and drawn from over there on a different goroutine.
+// Call-graph construction: the interprocedural substrate the lockorder
+// analyzer stands on. The other wlanvet analyzers are single-function —
+// fine for syntactic properties (a wall-clock call IS the bug) — but a
+// lock-order inversion is a relationship between functions: a mutex
+// held HERE while a callee three frames down locks ANOTHER one.
 //
 // The graph is class-hierarchy-analysis (CHA) style, built from
 // go/types alone so the framework stays std-only:
@@ -17,18 +15,11 @@
 //     deliberately over-approximate (CHA never prunes by what a value
 //     can actually be);
 //   - a call through a plain function value contributes no edge (the
-//     loader has no SSA, so func-typed dataflow is invisible); the
-//     analyzers that care treat indirect calls conservatively at the
-//     call site instead.
+//     loader has no SSA, so func-typed dataflow is invisible).
 //
 // Function literals are attributed to their enclosing declaration:
 // edges out of a closure body belong to the function that lexically
-// contains it. What IS recorded separately is which functions are
-// goroutine entry points — the callee of a `go` statement, or any
-// closure/method value shipped somewhere it may be executed
-// concurrently (sent on a channel, stored into a struct field) — and
-// reachability from those entries, which is how "may run off the
-// spawning goroutine" stops being a per-function guess.
+// contains it.
 package analysis
 
 import (
@@ -42,12 +33,6 @@ import (
 type CallGraph struct {
 	// callees maps a function to the set of functions it may call.
 	callees map[*types.Func]map[*types.Func]bool
-	// spawned is the set of goroutine entry points: functions that are
-	// the callee of a `go` statement anywhere in the loaded set, or
-	// whose closure was shipped across a concurrency boundary (channel
-	// send / struct store of a func value, the worker-pool handoff
-	// pattern).
-	spawned map[*types.Func]bool
 	// decls maps a function object to its syntax (only for functions
 	// whose source is loaded — not for dependencies seen through export
 	// data).
@@ -55,14 +40,11 @@ type CallGraph struct {
 	// pkgOf maps a loaded function to its Package, so analyzers can
 	// chase a callee into a sibling package's syntax.
 	pkgOf map[*types.Func]*Package
-
-	// concReach caches ConcurrentlyReachable.
-	concReach map[*types.Func]bool
 }
 
 // Facts is the shared, whole-module analysis state computed once per
 // driver run and handed to every Pass — the go/analysis pass.Facts
-// idea collapsed to what the v2 analyzers need.
+// idea collapsed to what lockorder needs.
 type Facts struct {
 	// CallGraph is the module-wide call graph, nil only in tests that
 	// construct a Pass by hand.
@@ -91,11 +73,9 @@ func (f *Facts) Memo(key string, build func() any) any {
 // BuildCallGraph constructs the CHA call graph for the loaded packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		callees:   map[*types.Func]map[*types.Func]bool{},
-		spawned:   map[*types.Func]bool{},
-		decls:     map[*types.Func]*ast.FuncDecl{},
-		pkgOf:     map[*types.Func]*Package{},
-		concReach: map[*types.Func]bool{},
+		callees: map[*types.Func]map[*types.Func]bool{},
+		decls:   map[*types.Func]*ast.FuncDecl{},
+		pkgOf:   map[*types.Func]*Package{},
 	}
 	methods := collectMethodSets(pkgs)
 	for _, pkg := range pkgs {
@@ -149,51 +129,17 @@ func collectMethodSets(pkgs []*Package) map[string][]concreteMethod {
 	return out
 }
 
-// addEdges walks one function body recording call edges and goroutine
-// entry points. Closures are attributed to fn.
+// addEdges walks one function body recording call edges. Closures are
+// attributed to fn.
 func (g *CallGraph) addEdges(pkg *Package, fn *types.Func, body ast.Node, methods map[string][]concreteMethod) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			for _, callee := range g.resolve(pkg, n, methods) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			for _, callee := range g.resolve(pkg, call, methods) {
 				g.addEdge(fn, callee)
-			}
-		case *ast.GoStmt:
-			// The spawned function itself is an entry point; its edges
-			// (if it is a loaded declaration or a literal attributed to
-			// fn) are recorded by the surrounding walk.
-			for _, callee := range g.resolve(pkg, n.Call, methods) {
-				g.spawned[callee] = true
-			}
-			// `go func(){...}()` has no named callee: the closure body
-			// belongs to fn, so fn's OWN accesses gain a concurrent
-			// context. Recording fn as spawned would poison every
-			// caller, so the goshare analyzer inspects GoStmt closures
-			// syntactically instead; here we only mark named callees.
-		case *ast.SendStmt:
-			// A func value sent on a channel is the worker-pool handoff:
-			// whoever receives it may run it on any goroutine. Mark the
-			// named function (method values included) if one is visible.
-			if f := g.funcValue(pkg, n.Value); f != nil {
-				g.spawned[f] = true
 			}
 		}
 		return true
 	})
-}
-
-// funcValue resolves an expression used as a func VALUE (not called) to
-// the named function it denotes, or nil for literals and locals.
-func (g *CallGraph) funcValue(pkg *Package, e ast.Expr) *types.Func {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		f, _ := pkg.TypesInfo.Uses[e].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := pkg.TypesInfo.Uses[e.Sel].(*types.Func)
-		return f
-	}
-	return nil
 }
 
 // resolve returns the possible callees of one call expression: the
@@ -251,20 +197,6 @@ func (g *CallGraph) addEdge(from, to *types.Func) {
 	set[to] = true
 }
 
-// Callees returns fn's possible callees in deterministic order.
-func (g *CallGraph) Callees(fn *types.Func) []*types.Func {
-	set := g.callees[fn]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]*types.Func, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return funcKey(out[i]) < funcKey(out[j]) })
-	return out
-}
-
 // funcKey is a stable, human-readable identity for ordering and
 // diagnostics: "pkgpath.(Recv).Name" for methods, "pkgpath.Name" for
 // functions.
@@ -290,51 +222,6 @@ func (g *CallGraph) Functions() []*types.Func {
 
 // PackageOf returns the loaded package declaring fn, or nil.
 func (g *CallGraph) PackageOf(fn *types.Func) *Package { return g.pkgOf[fn] }
-
-// Spawned reports whether fn is a direct goroutine entry point: the
-// callee of some `go` statement, or a func value shipped across a
-// channel/worker-pool boundary.
-func (g *CallGraph) Spawned(fn *types.Func) bool { return g.spawned[fn] }
-
-// ConcurrentlyReachable reports whether fn may execute off its caller's
-// goroutine: it is a goroutine entry point, or reachable from one
-// through call edges. Results are memoized; the graph must be fully
-// built before the first query.
-func (g *CallGraph) ConcurrentlyReachable(fn *types.Func) bool {
-	if v, ok := g.concReach[fn]; ok {
-		return v
-	}
-	// Compute the full reachable-from-spawned set once, on first query.
-	seen := map[*types.Func]bool{}
-	var stack []*types.Func
-	for f := range g.spawned {
-		if !seen[f] {
-			seen[f] = true
-			stack = append(stack, f)
-		}
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for callee := range g.callees[f] {
-			if !seen[callee] {
-				seen[callee] = true
-				stack = append(stack, callee)
-			}
-		}
-	}
-	for f := range g.decls {
-		g.concReach[f] = seen[f]
-	}
-	for f := range seen {
-		g.concReach[f] = true
-	}
-	if v, ok := g.concReach[fn]; ok {
-		return v
-	}
-	g.concReach[fn] = false
-	return false
-}
 
 // Reachable returns the set of functions reachable from the given
 // roots (inclusive) through call edges.

@@ -81,29 +81,15 @@ func shared() {}
 
 func drive(r runner) { r.Run() }
 
-func spawner(ch chan func()) {
-	go worker()
-	ch <- task
-}
-
 func worker() { helper() }
 func helper() {}
-func task()   {}
-func idle()   {}
 `
 
 func TestCallGraphStaticAndCHA(t *testing.T) {
 	pkg := checkSrc(t, "cg", cgSrc)
 	g := BuildCallGraph([]*Package{pkg})
 
-	hasCallee := func(from, to *types.Func) bool {
-		for _, c := range g.Callees(from) {
-			if c == to {
-				return true
-			}
-		}
-		return false
-	}
+	hasCallee := func(from, to *types.Func) bool { return g.callees[from][to] }
 
 	fastRun := method(t, pkg, "fast", "Run")
 	slowRun := method(t, pkg, "slow", "Run")
@@ -111,48 +97,17 @@ func TestCallGraphStaticAndCHA(t *testing.T) {
 	drive := pkgFunc(t, pkg, "drive")
 
 	if !hasCallee(fastRun, shared) {
-		t.Errorf("fast.Run -> shared edge missing; callees = %v", g.Callees(fastRun))
+		t.Errorf("fast.Run -> shared edge missing; callees = %v", g.callees[fastRun])
 	}
 	// CHA: the interface call in drive dispatches to every implementing
 	// type in the loaded set.
 	if !hasCallee(drive, fastRun) || !hasCallee(drive, slowRun) {
-		t.Errorf("drive's interface call should resolve to both Run methods; callees = %v", g.Callees(drive))
+		t.Errorf("drive's interface call should resolve to both Run methods; callees = %v", g.callees[drive])
 	}
 	// Reachability follows the CHA edges: shared is reachable from drive
 	// through fast.Run.
 	if !g.Reachable(drive)[shared] {
 		t.Errorf("shared should be reachable from drive through CHA dispatch")
-	}
-}
-
-func TestCallGraphSpawnedAndConcurrentReachability(t *testing.T) {
-	pkg := checkSrc(t, "cg", cgSrc)
-	g := BuildCallGraph([]*Package{pkg})
-
-	worker := pkgFunc(t, pkg, "worker")
-	task := pkgFunc(t, pkg, "task")
-	helper := pkgFunc(t, pkg, "helper")
-	idle := pkgFunc(t, pkg, "idle")
-	shared := pkgFunc(t, pkg, "shared")
-
-	if !g.Spawned(worker) {
-		t.Errorf("worker is the callee of a go statement; Spawned = false")
-	}
-	if !g.Spawned(task) {
-		t.Errorf("task is sent on a channel as a func value; Spawned = false")
-	}
-	if g.Spawned(helper) || g.Spawned(idle) {
-		t.Errorf("helper/idle are not spawn targets")
-	}
-	if !g.ConcurrentlyReachable(helper) {
-		t.Errorf("helper is called by the spawned worker; ConcurrentlyReachable = false")
-	}
-	if g.ConcurrentlyReachable(idle) {
-		t.Errorf("idle is unreachable from any spawn; ConcurrentlyReachable = true")
-	}
-	// shared is reachable only from fast.Run, which nothing spawns.
-	if g.ConcurrentlyReachable(shared) {
-		t.Errorf("shared is only sequentially reachable; ConcurrentlyReachable = true")
 	}
 }
 

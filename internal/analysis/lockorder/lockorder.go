@@ -108,7 +108,7 @@ func buildGraph(cg *analysis.CallGraph) *lockGraph {
 			acquires = map[string]bool{}
 			direct[fn] = acquires
 		}
-		analysis.WalkLocks(pkg.TypesInfo, fd.Body, keyFn, nil, func(n ast.Node, held map[string]bool) {
+		analysis.WalkLocks(pkg.TypesInfo, fd.Body, keyFn, func(n ast.Node, held map[string]bool) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return

@@ -101,3 +101,21 @@ func branchy(x *f, fail bool) int {
 	x.mu.Unlock()
 	return n
 }
+
+// localInversion takes two function-local mutexes in both orders on
+// different paths. Their order classes are keyed by the declaring
+// function, and the message must print those names balanced.
+func localInversion(fail bool) {
+	var mu, emitMu sync.Mutex
+	if fail {
+		mu.Lock()
+		emitMu.Lock() // want `lock-order cycle among \{locks\.localInversion\.emitMu, locks\.localInversion\.mu\}: `
+		emitMu.Unlock()
+		mu.Unlock()
+		return
+	}
+	emitMu.Lock()
+	mu.Lock()
+	mu.Unlock()
+	emitMu.Unlock()
+}

@@ -1,17 +1,16 @@
-// Dataflow helpers shared by the concurrency-safety analyzers: which
-// types are safe to share between goroutines, which closures cross a
-// goroutine boundary, which variables a closure captures, and which
-// mutexes are lexically held at a program point.
+// Lockset helpers for the lockorder analyzer: which mutexes are
+// lexically held at a program point, and how a mutex expression is
+// named across functions.
 //
 // Everything here is a deliberate approximation with a stated bias.
 // The lockset walker is LEXICAL: it tracks Lock/Unlock pairs in source
 // order inside one function body, treats a deferred Unlock as held
 // until function exit, and forgets a mutex at the first Unlock it sees
 // even when that Unlock sits on a conditional path. That bias
-// under-approximates the held set, so the analyzers built on it miss
-// some real violations but do not cry wolf on the dominant Go idiom
-// (lock, branch, unlock-and-return early) — the right trade for a
-// checker that gates CI on a zero-finding contract.
+// under-approximates the held set, so lockorder misses some real
+// inversions but does not cry wolf on the dominant Go idiom (lock,
+// branch, unlock-and-return early) — the right trade for a checker
+// that gates CI on a zero-finding contract.
 package analysis
 
 import (
@@ -21,117 +20,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// sharingSafePaths are the packages whose exported types are designed
-// for cross-goroutine use: values of these types are not findings when
-// they cross a goroutine boundary.
-var sharingSafePaths = map[string]bool{
-	"sync":        true,
-	"sync/atomic": true,
-	"context":     true,
-	"time":        true, // Timer/Ticker channels are the sharing point
-}
-
-// SharingSafeType reports whether t may be shared between goroutines by
-// design: sync primitives, atomics, channels, context.Context, and
-// function/interface values (whose sharing discipline belongs to their
-// referents, checked where those are captured).
-func SharingSafeType(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Chan, *types.Signature, *types.Interface:
-		return true
-	case *types.Basic:
-		_ = u
-	}
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && sharingSafePaths[pkg.Path()] {
-			return true
-		}
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		return SharingSafeType(ptr.Elem())
-	}
-	return false
-}
-
-// GoBoundary is one closure that crosses a goroutine boundary inside a
-// function: the operand of a `go` statement, or a func literal sent on
-// a channel (the worker-pool handoff — whoever receives it runs it on
-// another goroutine).
-type GoBoundary struct {
-	// Lit is the closure's syntax.
-	Lit *ast.FuncLit
-	// Pos is the boundary position (the go statement or channel send).
-	Pos token.Pos
-	// Kind is "go statement" or "channel send", for diagnostics.
-	Kind string
-}
-
-// GoBoundaries returns the goroutine-crossing closures lexically inside
-// body, outermost first. Nested boundaries (a go inside a go) are each
-// reported.
-func GoBoundaries(body ast.Node) []GoBoundary {
-	var out []GoBoundary
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				out = append(out, GoBoundary{Lit: lit, Pos: n.Pos(), Kind: "go statement"})
-			}
-		case *ast.SendStmt:
-			if lit, ok := ast.Unparen(n.Value).(*ast.FuncLit); ok {
-				out = append(out, GoBoundary{Lit: lit, Pos: n.Pos(), Kind: "channel send"})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// FreeVars returns the variables lit references that are declared
-// OUTSIDE lit but inside some enclosing function — the captured state a
-// goroutine shares with its spawner. Package-level variables and struct
-// fields are excluded (fields are reached through a captured root,
-// which is what gets reported), as are the closure's own parameters and
-// locals. The result is sorted by name for deterministic diagnostics.
-func FreeVars(info *types.Info, lit *ast.FuncLit) []*types.Var {
-	inside := map[*types.Var]bool{}
-	ast.Inspect(lit, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := info.Defs[id].(*types.Var); ok {
-			inside[v] = true
-		}
-		return true
-	})
-	seen := map[*types.Var]bool{}
-	var out []*types.Var
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || seen[v] || inside[v] || v.IsField() {
-			return true
-		}
-		// Package-level variables are shared process state, not capture;
-		// the determinism analyzer polices those separately.
-		if v.Parent() != nil && v.Parent().Parent() == types.Universe {
-			return true
-		}
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return true
-		}
-		seen[v] = true
-		out = append(out, v)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
 
 // lockMethods classifies sync.Mutex/RWMutex method names.
 var lockMethods = map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
@@ -259,23 +147,19 @@ type LockVisit func(n ast.Node, held map[string]bool)
 //   - loop bodies are walked with a copy and their changes discarded
 //     (a loop may run zero times);
 //   - a function literal's body is walked with an EMPTY held set — a
-//     closure generally outlives the critical section it was built in
-//     — unless skipLit returns true for it, in which case the literal
-//     is not entered at all (the goshare analyzer walks goroutine
-//     containers separately).
-func WalkLocks(info *types.Info, body *ast.BlockStmt, keyFn func(ast.Expr) string, skipLit func(*ast.FuncLit) bool, visit LockVisit) {
-	w := &lockWalker{info: info, keyFn: keyFn, skipLit: skipLit, visit: visit, sticky: map[string]bool{}}
+//     closure generally outlives the critical section it was built in.
+func WalkLocks(info *types.Info, body *ast.BlockStmt, keyFn func(ast.Expr) string, visit LockVisit) {
+	w := &lockWalker{info: info, keyFn: keyFn, visit: visit, sticky: map[string]bool{}}
 	if body != nil {
 		w.stmts(body.List, map[string]bool{})
 	}
 }
 
 type lockWalker struct {
-	info    *types.Info
-	keyFn   func(ast.Expr) string
-	skipLit func(*ast.FuncLit) bool
-	visit   LockVisit
-	sticky  map[string]bool // deferred unlocks: held to function end
+	info   *types.Info
+	keyFn  func(ast.Expr) string
+	visit  LockVisit
+	sticky map[string]bool // deferred unlocks: held to function end
 }
 
 func copySet(m map[string]bool) map[string]bool {
@@ -459,86 +343,20 @@ func (w *lockWalker) clauses(body *ast.BlockStmt, held map[string]bool) {
 func (w *lockWalker) expr(e ast.Expr, held map[string]bool) { w.node(e, held) }
 
 // node visits every sub-node with the current held set, entering
-// function literals with an empty set (unless skipped).
+// function literals with an empty set.
 func (w *lockWalker) node(n ast.Node, held map[string]bool) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		if x == nil {
 			return true
 		}
 		if lit, ok := x.(*ast.FuncLit); ok {
-			if w.skipLit == nil || !w.skipLit(lit) {
-				sub := &lockWalker{info: w.info, keyFn: w.keyFn, skipLit: w.skipLit, visit: w.visit, sticky: map[string]bool{}}
-				sub.stmts(lit.Body.List, map[string]bool{})
-			}
+			sub := &lockWalker{info: w.info, keyFn: w.keyFn, visit: w.visit, sticky: map[string]bool{}}
+			sub.stmts(lit.Body.List, map[string]bool{})
 			return false
 		}
 		w.visit(x, held)
 		return true
 	})
-}
-
-// AtomicTarget returns the &x argument's operand of a sync/atomic
-// package-function call (atomic.AddInt64(&s.n, 1) → s.n), or nil for
-// other calls. Method calls on atomic.Int64-style types need no
-// special-casing: those types make plain access impossible.
-func AtomicTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	f, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || f.Pkg() == nil || f.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	if f.Type().(*types.Signature).Recv() != nil {
-		return nil
-	}
-	if len(call.Args) == 0 {
-		return nil
-	}
-	if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return u.X
-	}
-	return nil
-}
-
-// FieldOf resolves a selector expression to the struct field it reads
-// or writes, or nil.
-func FieldOf(info *types.Info, e ast.Expr) *types.Var {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
-}
-
-// RootIdent returns the leftmost identifier of a selector/index chain
-// (s.a.b[i].c → s), or nil.
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // HeldKeys returns held's keys sorted, for diagnostics.
@@ -551,11 +369,17 @@ func HeldKeys(held map[string]bool) []string {
 	return out
 }
 
-// ShortMutex trims a cross-function mutex key for human messages:
-// "(repro/internal/svc.Coordinator).mu" → "Coordinator.mu".
+// ShortMutex trims the package path's directories from a cross-function
+// mutex key for human messages: "(repro/internal/svc.Coordinator).mu"
+// → "(svc.Coordinator).mu", "repro/internal/scenario.RunBatchFunc.mu" →
+// "scenario.RunBatchFunc.mu".
 func ShortMutex(key string) string {
-	if i := strings.LastIndex(key, "/"); i >= 0 {
+	i := strings.LastIndex(key, "/")
+	if i < 0 {
+		return key
+	}
+	if strings.HasPrefix(key, "(") {
 		return "(" + key[i+1:]
 	}
-	return key
+	return key[i+1:]
 }

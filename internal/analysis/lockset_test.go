@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,7 +83,7 @@ func probeHeld(t *testing.T, pkg *Package, fnName string, keyFn func(ast.Expr) s
 		t.Fatalf("no function %q", fnName)
 	}
 	out := map[string][]string{}
-	WalkLocks(pkg.TypesInfo, fd.Body, keyFn, nil, func(n ast.Node, held map[string]bool) {
+	WalkLocks(pkg.TypesInfo, fd.Body, keyFn, func(n ast.Node, held map[string]bool) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
@@ -153,115 +152,16 @@ func TestMutexKeyFieldKeyedByType(t *testing.T) {
 	}
 }
 
-const dfSrc = `package df
-
-import (
-	"sync"
-	"context"
-)
-
-var global int
-
-type carrier struct{ n int }
-
-func shapes(ctx context.Context) {
-	var mu sync.Mutex
-	local := 0
-	c := &carrier{}
-	ch := make(chan int)
-	go func(arg int) {
-		inner := arg
-		_ = inner
-		_ = local
-		_ = c
-		_ = global
-		_ = mu
-		_ = ctx
-		_ = ch
-	}(1)
-	for range []int{1} {
-		ch <- 0
-	}
-}
-
-func boundaries(jobs chan func()) {
-	go func() {}()
-	jobs <- func() {}
-	f := func() {}
-	f()
-}
-`
-
-func TestFreeVarsExcludesOwnAndPackageScope(t *testing.T) {
-	pkg := checkSrc(t, "df", dfSrc)
-	var lit *ast.FuncLit
-	ast.Inspect(pkg.Files[0], func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok && lit == nil {
-			lit, _ = g.Call.Fun.(*ast.FuncLit)
+func TestShortMutexBalanced(t *testing.T) {
+	for key, want := range map[string]string{
+		"(repro/internal/svc.Coordinator).mu":         "(svc.Coordinator).mu",
+		"repro/internal/scenario.RunBatchFunc.emitMu": "scenario.RunBatchFunc.emitMu",
+		"repro/internal/sweep.cacheMu":                "sweep.cacheMu",
+		"(locks.a).mu":                                "(locks.a).mu",
+		"locks.localInversion.mu":                     "locks.localInversion.mu",
+	} {
+		if got := ShortMutex(key); got != want {
+			t.Errorf("ShortMutex(%q) = %q, want %q", key, got, want)
 		}
-		return true
-	})
-	if lit == nil {
-		t.Fatalf("no go-statement literal found")
-	}
-	var names []string
-	for _, v := range FreeVars(pkg.TypesInfo, lit) {
-		names = append(names, v.Name())
-	}
-	// Sorted by name; excludes the literal's own param/locals (arg,
-	// inner) and package-level state (global). The sync/context/chan
-	// captures are still free variables — sharing-SAFETY is a separate
-	// judgment (SharingSafeType), not FreeVars's.
-	want := []string{"c", "ch", "ctx", "local", "mu"}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("FreeVars = %v, want %v", names, want)
-	}
-}
-
-func TestSharingSafeType(t *testing.T) {
-	pkg := checkSrc(t, "df", dfSrc)
-	scope := pkg.Types.Scope()
-	shapes := scope.Lookup("shapes").(*types.Func).Scope()
-	typeOf := func(name string) types.Type {
-		if v := shapes.Lookup(name); v != nil {
-			return v.Type()
-		}
-		t.Fatalf("no local %q", name)
-		return nil
-	}
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"mu", true},                                   // sync.Mutex
-		{"ctx", true},                                  // context.Context (interface anyway)
-		{"ch", true},                                   // channel
-		{"local", false} /* plain int */, {"c", false}, // *carrier
-	}
-	for _, c := range cases {
-		if got := SharingSafeType(typeOf(c.name)); got != c.want {
-			t.Errorf("SharingSafeType(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestGoBoundariesKinds(t *testing.T) {
-	pkg := checkSrc(t, "df", dfSrc)
-	var fd *ast.FuncDecl
-	for _, d := range pkg.Files[0].Decls {
-		if x, ok := d.(*ast.FuncDecl); ok && x.Name.Name == "boundaries" {
-			fd = x
-		}
-	}
-	bs := GoBoundaries(fd.Body)
-	var kinds []string
-	for _, b := range bs {
-		kinds = append(kinds, b.Kind)
-	}
-	// The go statement and the channel send cross a boundary; the
-	// plain local closure does not.
-	want := []string{"go statement", "channel send"}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Errorf("GoBoundaries kinds = %v, want %v", kinds, want)
 	}
 }

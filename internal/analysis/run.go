@@ -108,9 +108,8 @@ func IsHotpath(fd *ast.FuncDecl) bool {
 //
 // Before the per-package loop, Run builds the module-wide call graph
 // over ALL loaded packages and shares it with every pass through
-// Pass.Facts: the flow analyzers (goshare, rngstream, lockorder) are
-// interprocedural and would be blind past a function boundary without
-// it.
+// Pass.Facts: lockorder is interprocedural and would be blind past a
+// function boundary without it.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	facts := &Facts{CallGraph: BuildCallGraph(pkgs)}
 	var findings []Finding

@@ -319,7 +319,6 @@ func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i in
 		emitMu.Lock()
 		err = done(j.si, summarize(specs[j.si], results[j.si]))
 		emitMu.Unlock()
-		//wlanvet:allow ownership transfer: remaining[si] hit zero under mu, so no other worker touches this spec's slot again; the mu release is the happens-before edge
 		results[j.si] = nil // the summary owns the data now
 		if err != nil {
 			mu.Lock()

@@ -177,8 +177,8 @@ func (c *Client) get(ctx context.Context, path string, decode func(body []byte) 
 }
 
 // roundTrip performs one attempt and classifies the outcome:
-// (retryable, error). Transport failures and internal (5xx) answers are
-// retryable; decoded protocol errors are terminal sentinels.
+// (retryable, error). Transport failures are retryable; a decoded error
+// envelope is retryable exactly when its wireErrors row says so.
 func (c *Client) roundTrip(req *http.Request, decode func(body []byte) error) (bool, error) {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -199,10 +199,8 @@ func (c *Client) roundTrip(req *http.Request, decode func(body []byte) error) (b
 	if err := json.Unmarshal(respBody, &envelope); err != nil || envelope.Error.Code == "" {
 		return true, fmt.Errorf("svc: %s answered HTTP %d without an error envelope", req.URL.Path, resp.StatusCode)
 	}
-	serr := sentinelFor(envelope.Error.Code, envelope.Error.Message)
-	// internal is the one retryable code: the request was well-formed,
-	// the coordinator could not honor it yet.
-	return envelope.Error.Code == codeInternal, serr
+	row := wireForCode(envelope.Error.Code)
+	return row.retryable, row.clientErr(envelope.Error.Message)
 }
 
 // retry drives attempt with jittered exponential backoff until it

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -51,36 +52,75 @@ func TestClientRetriesInternalThenSucceeds(t *testing.T) {
 	}
 }
 
-// TestClientProtocolErrorsAreTerminal pins that an answered request is
-// never retried: each wire code surfaces immediately as its sentinel
-// after exactly one attempt.
+// TestClientProtocolErrorsAreTerminal pins the wireErrors table end to
+// end. For every row, writeError of the row's sentinel answers with the
+// row's status and code; the client surfaces the sentinel after exactly
+// one attempt, and retries only the retryable internal row. A code the
+// client does not know degrades to a terminal, untyped error.
 func TestClientProtocolErrorsAreTerminal(t *testing.T) {
-	cases := []struct {
-		code string
-		want error
-	}{
-		{codeLeaseExpired, ErrLeaseExpired},
-		{codeUnknownLease, ErrUnknownLease},
-		{codeDraining, ErrDraining},
-	}
-	for _, tc := range cases {
-		t.Run(tc.code, func(t *testing.T) {
+	for _, row := range wireErrors {
+		t.Run(row.code, func(t *testing.T) {
+			cause := row.sentinel
+			if cause == nil {
+				cause = errors.New("cache briefly unwritable")
+			}
+			cause = fmt.Errorf("%w: no", cause)
+			rec := httptest.NewRecorder()
+			writeError(rec, cause)
+			var env errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatalf("undecodable envelope: %v", err)
+			}
+			if rec.Code != row.status || env.Error.Code != row.code {
+				t.Fatalf("writeError answered %d %q, want %d %q", rec.Code, env.Error.Code, row.status, row.code)
+			}
+
 			var calls atomic.Int64
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				calls.Add(1)
-				w.WriteHeader(httpStatus(tc.code))
-				json.NewEncoder(w).Encode(&errorResponse{Error: apiError{Code: tc.code, Message: "no"}})
+				writeError(w, cause)
 			}))
 			defer srv.Close()
 			_, err := fastClient(srv.URL).Heartbeat(context.Background(), &HeartbeatRequest{LeaseID: "x"})
-			if !errors.Is(err, tc.want) {
-				t.Errorf("err %v, want %v", err, tc.want)
+			wantCalls := int64(1)
+			if row.retryable {
+				wantCalls = 3 // fastClient's whole budget
+				if !errors.Is(err, ErrCoordinatorUnavailable) {
+					t.Errorf("err %v, want ErrCoordinatorUnavailable after retries", err)
+				}
+			} else if !errors.Is(err, row.sentinel) {
+				t.Errorf("err %v, want %v", err, row.sentinel)
 			}
-			if calls.Load() != 1 {
-				t.Errorf("%d attempts on a terminal answer, want 1", calls.Load())
+			if calls.Load() != wantCalls {
+				t.Errorf("%d attempts, want %d", calls.Load(), wantCalls)
 			}
 		})
 	}
+	t.Run("unknown code", func(t *testing.T) {
+		const code = "from_a_newer_coordinator"
+		if got := wireForCode(code).status; got != http.StatusBadRequest {
+			t.Errorf("unknown code travels as %d, want 400", got)
+		}
+		var calls atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(&errorResponse{Error: apiError{Code: code, Message: "no"}})
+		}))
+		defer srv.Close()
+		_, err := fastClient(srv.URL).Heartbeat(context.Background(), &HeartbeatRequest{LeaseID: "x"})
+		if err == nil {
+			t.Fatal("unknown code surfaced no error")
+		}
+		for _, row := range wireErrors {
+			if row.sentinel != nil && errors.Is(err, row.sentinel) {
+				t.Errorf("unknown code surfaced as typed %v", row.sentinel)
+			}
+		}
+		if errors.Is(err, ErrCoordinatorUnavailable) || calls.Load() != 1 {
+			t.Errorf("unknown code retried: err %v after %d attempts, want terminal after 1", err, calls.Load())
+		}
+	})
 }
 
 // TestClientExhaustionIsCoordinatorUnavailable pins the budget's end:

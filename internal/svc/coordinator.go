@@ -684,8 +684,8 @@ func writeResult(w http.ResponseWriter, v any, err error) {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	code := codeFor(err)
+	row := wireForErr(err)
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(httpStatus(code))
-	json.NewEncoder(w).Encode(&errorResponse{Error: apiError{Code: code, Message: err.Error()}})
+	w.WriteHeader(row.status)
+	json.NewEncoder(w).Encode(&errorResponse{Error: apiError{Code: row.code, Message: err.Error()}})
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -167,6 +169,59 @@ func TestCoordinatorCompletionsAreIdempotent(t *testing.T) {
 	}
 	if st := c.Stats(); st.Completed != 2 || st.Duplicates != 2 || st.RowsEmitted != 2 {
 		t.Errorf("stats after replay: %+v", st)
+	}
+}
+
+// TestHandlersConcurrentLeases drives the HTTP handlers from several
+// goroutines at once, the way net/http serves a fleet: each worker holds
+// its own lease and interleaves heartbeats with status reads. Run under
+// -race it catches a handler that touches coordinator state without
+// holding c.mu — a goroutine the module's own call graph never sees,
+// because net/http spawns it.
+func TestHandlersConcurrentLeases(t *testing.T) {
+	const workers, rounds = 4, 20
+	c, err := NewCoordinator(CoordinatorConfig{Grid: testGrid("svc-handlers", 2, 3, 4, 5), MaxBatch: 1, Now: newFakeClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			cl := fastClient(srv.URL)
+			l, err := cl.Lease(ctx, &LeaseRequest{WorkerID: id})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if l.LeaseID == "" {
+				errs <- fmt.Errorf("worker %s was granted no lease", id)
+				return
+			}
+			for i := 0; i < rounds; i++ {
+				if _, err := cl.Heartbeat(ctx, &HeartbeatRequest{LeaseID: l.LeaseID}); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := cl.Status(ctx); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := c.Stats(); st.Total != workers {
+		t.Errorf("stats: %+v", st)
 	}
 }
 

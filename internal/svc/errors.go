@@ -26,14 +26,14 @@ var (
 	// ErrCoordinatorUnavailable marks client calls that exhausted their
 	// retry budget without an answer: the coordinator is unreachable,
 	// partitioned away, or persistently failing. It wraps the last
-	// transport error.
-	//wlanvet:allow client-side sentinel: it wraps retry exhaustion at the caller; the coordinator never emits it, so it has no wire code by design
+	// transport error. The coordinator never sends it, so it has no wire
+	// code.
 	ErrCoordinatorUnavailable = errors.New("svc: coordinator unavailable")
 	// ErrCampaignFailed marks a campaign the coordinator gave up on: a
 	// point exceeded MaxReissues lease reissues without ever
 	// completing, which means some input poisons every worker that
-	// touches it (or the fleet cannot hold a lease for one TTL).
-	//wlanvet:allow travels as the LeaseResponse.Failed flag, not the error envelope; the client reconstructs it from the flag so drained workers exit cleanly
+	// touches it (or the fleet cannot hold a lease for one TTL). It
+	// travels as the LeaseResponse.Failed flag, not as a wire code.
 	ErrCampaignFailed = errors.New("svc: campaign failed")
 )
 

@@ -22,7 +22,8 @@ import (
 //	GET  /metrics                         -> Prometheus text format
 //
 // Errors travel as an errorResponse envelope with a machine-readable
-// code; the client maps codes back onto the package's typed sentinels.
+// code. One table, wireErrors, fixes each code's sentinel, HTTP status
+// and retryability for both the coordinator and the client.
 
 // LeaseRequest asks the coordinator for a batch of points to simulate.
 type LeaseRequest struct {
@@ -130,24 +131,6 @@ type StatusResponse struct {
 	Failed      bool   `json:"failed,omitempty"`
 }
 
-// Wire error codes. Each maps 1:1 onto a typed sentinel so errors.Is
-// works on both sides of the network.
-const (
-	codeLeaseExpired = "lease_expired"
-	codeUnknownLease = "unknown_lease"
-	codeDraining     = "draining"
-	// codeBadRequest is terminal and deliberately anonymous on the
-	// client: retrying the same bytes cannot succeed, and callers act on
-	// the message, not a typed identity.
-	//wlanvet:allow deliberately opaque to sentinelFor: bad_request is terminal-by-status; exposing a typed identity would invite clients to branch on a server-validation detail
-	codeBadRequest = "bad_request"
-	// codeInternal marks coordinator-side failures (for example the
-	// cache refusing a write). It is the only retryable code: the
-	// request was fine, the coordinator could not honor it yet.
-	//wlanvet:allow deliberately opaque to sentinelFor: internal is retryable-by-code, never a typed identity clients branch on; a sentinel here would freeze coordinator internals into the contract
-	codeInternal = "internal"
-)
-
 // errorResponse is the JSON envelope every non-2xx response carries.
 type errorResponse struct {
 	Error apiError `json:"error"`
@@ -158,56 +141,68 @@ type apiError struct {
 	Message string `json:"message"`
 }
 
-// httpStatus maps an error code to its transport status.
-func httpStatus(code string) int {
-	switch code {
-	case codeLeaseExpired:
-		return http.StatusGone
-	case codeUnknownLease:
-		return http.StatusNotFound
-	case codeDraining:
-		return http.StatusServiceUnavailable
-	case codeBadRequest:
-		return http.StatusBadRequest
-	case codeInternal:
-		return http.StatusInternalServerError
-	default:
-		// Unknown codes (a newer coordinator talking to an older
-		// worker's vocabulary) degrade to 400: terminal, don't retry.
-		return http.StatusBadRequest
-	}
+// wireError is one row of the error envelope's vocabulary: everything
+// the coordinator and the client must agree on about one wire code.
+type wireError struct {
+	code string
+	// sentinel is the coordinator-side error the code stands for, and
+	// the one the client rebuilds so errors.Is works across the network.
+	// Nil only for wireInternal, the fallback.
+	sentinel error
+	// status is the HTTP status the code travels with.
+	status int
+	// retryable marks codes the client retries; every other answered
+	// request is terminal, because retrying only re-asks a question the
+	// coordinator already settled.
+	retryable bool
 }
 
-// sentinelFor maps a wire code back onto the typed sentinel the client
-// surfaces. Unknown codes map to a plain error so a newer coordinator
-// cannot crash an older worker.
-func sentinelFor(code, message string) error {
-	switch code {
-	case codeLeaseExpired:
-		return fmt.Errorf("%w: %s", ErrLeaseExpired, message)
-	case codeUnknownLease:
-		return fmt.Errorf("%w: %s", ErrUnknownLease, message)
-	case codeDraining:
-		return fmt.Errorf("%w: %s", ErrDraining, message)
-	default:
-		return errors.New("svc: " + code + ": " + message)
-	}
+// wireInternal carries every coordinator-side failure no typed row
+// claims (for example the cache refusing a write). It is the only
+// retryable code: the request was fine, the coordinator could not honor
+// it yet.
+var wireInternal = wireError{code: "internal", status: http.StatusInternalServerError, retryable: true}
+
+// wireErrors is the whole envelope vocabulary; adding a wire code means
+// adding a row. Client-side sentinels (ErrCoordinatorUnavailable) and
+// ErrCampaignFailed, which travels as LeaseResponse.Failed, have none.
+var wireErrors = []wireError{
+	{"lease_expired", ErrLeaseExpired, http.StatusGone, false},
+	{"unknown_lease", ErrUnknownLease, http.StatusNotFound, false},
+	{"draining", ErrDraining, http.StatusServiceUnavailable, false},
+	{"bad_request", errBadRequest, http.StatusBadRequest, false},
+	wireInternal,
 }
 
-// codeFor maps a coordinator-side error to its wire code. Anything that
-// is neither a protocol sentinel nor a rejected request is an internal
-// failure, which clients treat as retryable.
-func codeFor(err error) string {
-	switch {
-	case errors.Is(err, ErrLeaseExpired):
-		return codeLeaseExpired
-	case errors.Is(err, ErrUnknownLease):
-		return codeUnknownLease
-	case errors.Is(err, ErrDraining):
-		return codeDraining
-	case errors.Is(err, errBadRequest):
-		return codeBadRequest
-	default:
-		return codeInternal
+// wireForErr maps a coordinator-side error to the first typed row whose
+// sentinel it wraps, or to wireInternal.
+func wireForErr(err error) wireError {
+	for _, w := range wireErrors {
+		if w.sentinel != nil && errors.Is(err, w.sentinel) {
+			return w
+		}
 	}
+	return wireInternal
+}
+
+// wireForCode maps a wire code back to its row. A code this build does
+// not know (a newer coordinator's vocabulary) degrades to an untyped,
+// terminal 400 so it can neither crash nor stall an older worker.
+func wireForCode(code string) wireError {
+	for _, w := range wireErrors {
+		if w.code == code {
+			return w
+		}
+	}
+	return wireError{code: code, status: http.StatusBadRequest}
+}
+
+// clientErr is the error the client surfaces for an answer carrying
+// this row's code: the sentinel wrapped around the coordinator's
+// message, or a plain error for untyped codes.
+func (w wireError) clientErr(message string) error {
+	if w.sentinel == nil {
+		return errors.New("svc: " + w.code + ": " + message)
+	}
+	return fmt.Errorf("%w: %s", w.sentinel, message)
 }

@@ -14,9 +14,7 @@ import (
 // errWorkerKilled marks a worker stopped by Kill — the chaos harness's
 // crash switch. A killed worker never completes its in-flight lease and
 // never heartbeats again, which is exactly what a SIGKILLed process
-// looks like from the coordinator's side.
-//
-//wlanvet:allow process-local sentinel: Kill terminates the worker loop in-process; it never crosses the wire, so it has no code in the error envelope
+// looks like from the coordinator's side. It never crosses the wire.
 var errWorkerKilled = errors.New("svc: worker killed")
 
 // WorkerConfig configures a sweep worker.

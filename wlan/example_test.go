@@ -64,8 +64,10 @@ func Example_lab() {
 }
 
 // The smallest possible run: standard 802.11 in a connected network.
-func ExampleRun() {
-	res, err := wlan.Run(wlan.Config{
+func ExampleLab_Run() {
+	lab := wlan.NewLab()
+	defer lab.Close()
+	res, err := lab.Run(context.Background(), wlan.Config{
 		Topology: wlan.Connected(10),
 		Scheme:   wlan.DCF,
 		Duration: 5 * time.Second,
@@ -82,8 +84,10 @@ func ExampleRun() {
 // Weighted fairness: stations derive their attempt probabilities from
 // the broadcast control variable and their own weights (Lemma 1); the AP
 // never learns the weights.
-func ExampleRun_weighted() {
-	res, err := wlan.Run(wlan.Config{
+func ExampleLab_Run_weighted() {
+	lab := wlan.NewLab()
+	defer lab.Close()
+	res, err := lab.Run(context.Background(), wlan.Config{
 		Topology: wlan.Connected(4),
 		Scheme:   wlan.WTOPCSMA,
 		Weights:  []float64{1, 1, 2, 2},

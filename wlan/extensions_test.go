@@ -12,11 +12,11 @@ func TestRTSCTSThroughFacade(t *testing.T) {
 	if len(tp.HiddenPairs()) == 0 {
 		t.Fatal("expected hidden pairs")
 	}
-	basic, err := Run(Config{Topology: tp, Duration: 8 * time.Second})
+	basic, err := run(Config{Topology: tp, Duration: 8 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := Run(Config{Topology: tp, Duration: 8 * time.Second, RTSCTS: true})
+	prot, err := run(Config{Topology: tp, Duration: 8 * time.Second, RTSCTS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRTSCTSThroughFacade(t *testing.T) {
 }
 
 func TestFrameErrorsThroughFacade(t *testing.T) {
-	res, err := Run(Config{
+	res, err := run(Config{
 		Topology:       Connected(4),
 		Duration:       5 * time.Second,
 		FrameErrorRate: 0.2,
@@ -38,7 +38,7 @@ func TestFrameErrorsThroughFacade(t *testing.T) {
 	if res.FrameErrors == 0 {
 		t.Error("no frame errors recorded")
 	}
-	if _, err := Run(Config{Topology: Connected(2), FrameErrorRate: 1}); err == nil {
+	if _, err := run(Config{Topology: Connected(2), FrameErrorRate: 1}); err == nil {
 		t.Error("FrameErrorRate = 1 accepted")
 	}
 }
@@ -46,7 +46,7 @@ func TestFrameErrorsThroughFacade(t *testing.T) {
 func TestTraceCaptureThroughFacade(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf)
-	res, err := Run(Config{
+	res, err := run(Config{
 		Topology: Connected(4),
 		Duration: 3 * time.Second,
 		Trace:    w,

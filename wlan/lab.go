@@ -99,12 +99,6 @@ func (l *Lab) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := l.guard(); err != nil {
 		return nil, err
 	}
-	return runConfig(ctx, cfg)
-}
-
-// runConfig is the single single-run path shared by Lab.Run and the
-// package-level Run shim.
-func runConfig(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Engine {
 	case EngineEvent:

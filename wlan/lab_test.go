@@ -38,9 +38,9 @@ func testGrid() *Grid {
 	}
 }
 
-// Lab.Run must be bit-identical to the package-level Run shim and to a
-// single uninterrupted Simulation.Run call: the context-polling chunked
-// stepping is invisible in the Result.
+// Lab.Run must be bit-identical to a single uninterrupted
+// Simulation.Run call: the context-polling chunked stepping is
+// invisible in the Result.
 func TestLabRunMatchesOneShot(t *testing.T) {
 	cfg := Config{
 		Topology: Connected(8),
@@ -54,10 +54,6 @@ func TestLabRunMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaShim, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oneShot, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +61,6 @@ func TestLabRunMatchesOneShot(t *testing.T) {
 	direct := oneShot.Run(cfg.Duration)
 	if !reflect.DeepEqual(viaLab, direct) {
 		t.Errorf("Lab.Run diverged from one-shot Simulation.Run:\n%+v\nvs\n%+v", viaLab, direct)
-	}
-	if !reflect.DeepEqual(viaLab, viaShim) {
-		t.Errorf("Lab.Run diverged from the Run shim")
 	}
 }
 

@@ -39,16 +39,14 @@
 // bit-identical outcomes whatever the parallelism, and a Lab reused
 // across calls returns exactly what one-shot calls would.
 //
-// wlan.Run, wlan.New and the other package-level helpers remain as
-// thin shims over the same construction/validation path for callers
-// that do not need a context or a shared pool.
+// wlan.New builds a Simulation for manual stepping (scheduled churn,
+// repeated Run calls) over the same construction/validation path.
 //
 // See examples/ for weighted fairness, hidden-node comparisons and
 // dynamic node churn, and examples/sweeps/ for grid files.
 package wlan
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -335,12 +333,6 @@ func (s *Simulation) Run(d time.Duration) *Result {
 
 // Warmup returns the configured warmup used by converged averages.
 func (s *Simulation) Warmup() time.Duration { return time.Duration(s.warmup) }
-
-// Run assembles and executes one simulation in a single call: a shim
-// over the same path as Lab.Run, without cancellation.
-func Run(cfg Config) (*Result, error) {
-	return runConfig(context.Background(), cfg)
-}
 
 // OptimalAttemptProbability returns the analytic optimum p* of the
 // p-persistent throughput function (Theorem 2) for n equal-weight

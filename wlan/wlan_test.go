@@ -1,12 +1,20 @@
 package wlan
 
 import (
+	"context"
 	"testing"
 	"time"
 )
 
+// run executes cfg on a throwaway Lab.
+func run(cfg Config) (*Result, error) {
+	lab := NewLab()
+	defer lab.Close()
+	return lab.Run(context.Background(), cfg)
+}
+
 func TestRunDefaults(t *testing.T) {
-	res, err := Run(Config{Topology: Connected(5), Duration: 3 * time.Second})
+	res, err := run(Config{Topology: Connected(5), Duration: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +28,7 @@ func TestRunDefaults(t *testing.T) {
 
 func TestAllSchemesRun(t *testing.T) {
 	for _, sch := range []Scheme{DCF, IdleSense, WTOPCSMA, TORACSMA} {
-		res, err := Run(Config{Topology: Connected(6), Scheme: sch, Duration: 3 * time.Second})
+		res, err := run(Config{Topology: Connected(6), Scheme: sch, Duration: 3 * time.Second})
 		if err != nil {
 			t.Fatalf("%s: %v", sch, err)
 		}
@@ -31,16 +39,16 @@ func TestAllSchemesRun(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := run(Config{}); err == nil {
 		t.Error("missing topology accepted")
 	}
-	if _, err := Run(Config{Topology: Connected(3), Scheme: "bogus"}); err == nil {
+	if _, err := run(Config{Topology: Connected(3), Scheme: "bogus"}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := Run(Config{Topology: Connected(3), Scheme: WTOPCSMA, Weights: []float64{1}}); err == nil {
+	if _, err := run(Config{Topology: Connected(3), Scheme: WTOPCSMA, Weights: []float64{1}}); err == nil {
 		t.Error("weight length mismatch accepted")
 	}
-	if _, err := Run(Config{Topology: Connected(3), Scheme: DCF, Weights: []float64{1, 1, 1}}); err == nil {
+	if _, err := run(Config{Topology: Connected(3), Scheme: DCF, Weights: []float64{1, 1, 1}}); err == nil {
 		t.Error("weights with non-wTOP scheme accepted")
 	}
 }
