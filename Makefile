@@ -1,7 +1,7 @@
 # Development entry points. CI runs the same commands; see
 # .github/workflows/ci.yml.
 
-.PHONY: test verify lint lint-json bench bench-compare bench-gate bench-smoke api api-check
+.PHONY: test verify lint lint-json bench bench-compare bench-gate bench-smoke api api-check golden
 
 # Tier-1 verification: everything must build and every test must pass.
 verify:
@@ -24,6 +24,16 @@ lint:
 # consume it the same way. Exit status matches `lint`.
 lint-json:
 	go run ./cmd/wlanvet -json ./...
+
+# Regenerate every committed output fixture after an intentional
+# behaviour change (bump sweep.EngineVersion in the same change): the
+# eventsim and slotsim engine fingerprints, the scenario example
+# summaries (examples/golden) and the sweep JSONL goldens
+# (examples/sweeps/golden). A second run leaves no diff.
+golden:
+	go test -count=1 ./internal/eventsim ./internal/slotsim -run '^TestEngineFingerprints$$' -update
+	go test -count=1 ./internal/scenario -run '^TestExampleGoldens$$' -update
+	go test -count=1 ./internal/sweep -run '^TestSmokeSweepGolden$$' -update
 
 # Regenerate the committed public-API snapshot after an intentional
 # surface change (CI diffs it; see cmd/apisnapshot).

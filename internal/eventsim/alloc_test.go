@@ -45,9 +45,8 @@ func TestPerFramePathZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// The p-persistent path additionally exercises the batched geometric
-// draw; it must be allocation-free too (the FloatBatch buffer lives
-// inside the policy value).
+// The p-persistent path additionally exercises the geometric backoff
+// draw with its cached ln(1-p); it must be allocation-free too.
 func TestPerFramePathZeroAllocPPersistent(t *testing.T) {
 	const n = 20
 	policies := make([]mac.Policy, n)

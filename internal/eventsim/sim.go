@@ -52,7 +52,7 @@ type Simulator struct {
 	apIdle      *stats.IdleSlotTracker
 	windowMeter *stats.ThroughputMeter
 	totalBits   int64
-	rootRNG     *sim.RNG
+	channelRNG  *sim.RNG // frame-error draws (sim.ChannelStream)
 	frameErrors int64
 
 	control    frame.Control
@@ -167,8 +167,8 @@ func New(cfg Config) (*Simulator, error) {
 
 // Reset reinitialises the simulator in place for a fresh run of cfg,
 // reusing every warmed arena — the scheduler's event pool, station
-// objects and their RNG state arrays, the transmission pool, series and
-// queue storage — so a pooled simulator can replay replication after
+// objects and their RNGs, the transmission pool, series and queue
+// storage — so a pooled simulator can replay replication after
 // replication without the per-run allocation storm of building a new
 // one. The reset simulator is bit-identical to a fresh New(cfg):
 // TestResetMatchesNew pins Result equality byte for byte.
@@ -193,19 +193,13 @@ func (s *Simulator) init(cfg Config) {
 	tSeries.Reset("throughput")
 	cSeries.Reset("control")
 	aSeries.Reset("active")
-	root := s.rootRNG
-	if root == nil {
-		root = sim.NewRNG(cfg.Seed)
-	} else {
-		root.Reseed(cfg.Seed)
-	}
 	stations, sensedBy := s.stations, s.sensedBy
 	*s = Simulator{
 		cfg:              cfg,
 		sched:            s.sched,
 		apIdle:           s.apIdle,
 		windowMeter:      s.windowMeter,
-		rootRNG:          root,
+		channelRNG:       sim.Reuse(s.channelRNG, cfg.Seed, sim.ChannelStream),
 		active:           s.active[:0],
 		txPool:           s.txPool,
 		ready:            s.ready,
@@ -271,12 +265,7 @@ func (s *Simulator) init(cfg Config) {
 			st.memoryless = m.BackoffMemoryless()
 		}
 		st.queue.buf = qbuf
-		if rng == nil {
-			rng = root.Split(int64(i))
-		} else {
-			root.SplitInto(int64(i), rng)
-		}
-		st.rng = rng
+		st.rng = sim.Reuse(rng, cfg.Seed, int64(i))
 		sensedBy[i] = cfg.Topology.SensedBy(i)
 	}
 	s.stations, s.sensedBy = stations, sensedBy
@@ -291,19 +280,7 @@ func (s *Simulator) init(cfg Config) {
 			st.arr = cfg.Arrivals[i]
 			if st.arr.Unsaturated() {
 				s.unsaturated = true
-			}
-		}
-		// Arrival processes get dedicated substreams, split only when an
-		// unsaturated source exists: an all-saturated configuration must
-		// leave the root stream untouched and stay bit-identical to a
-		// nil-Arrivals run.
-		if s.unsaturated {
-			for i, st := range s.stations {
-				if st.arrivalRNG == nil {
-					st.arrivalRNG = root.Split(int64(n + i))
-				} else {
-					root.SplitInto(int64(n+i), st.arrivalRNG)
-				}
+				st.arrivalRNG = sim.Reuse(st.arrivalRNG, cfg.Seed, sim.ArrivalStream(i))
 			}
 		}
 	}
@@ -764,7 +741,7 @@ func (s *Simulator) txComplete(rec *transmission) {
 	// Footnote 1: i.i.d. channel errors on data frames. The frame is
 	// simply never acknowledged; the transmitter cannot distinguish the
 	// loss from a collision and takes the same failure path.
-	if s.cfg.FrameErrorRate > 0 && s.rootRNG.Bernoulli(s.cfg.FrameErrorRate) {
+	if s.cfg.FrameErrorRate > 0 && s.channelRNG.Bernoulli(s.cfg.FrameErrorRate) {
 		s.frameErrors++
 		s.sched.AfterArg(s.tACKTimeout, s.failTimeoutFn, st)
 		return

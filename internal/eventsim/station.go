@@ -106,8 +106,8 @@ type station struct {
 	retries uint8
 
 	// Traffic source state. arr describes the arrival process (zero
-	// value: saturated); arrivalRNG is a dedicated substream so arrival
-	// draws never perturb backoff draws; queue holds the arrival stamps
+	// value: saturated); arrivalRNG is a dedicated stream (sim.ArrivalStream)
+	// so arrival draws never perturb backoff draws; queue holds the arrival stamps
 	// of waiting packets (unsaturated only — a saturated backlog is
 	// conceptually infinite and tracks only holSince).
 	arr         traffic.Spec

@@ -110,10 +110,9 @@ func TestQueueCapDropsUnderOverload(t *testing.T) {
 // OnOff sources must deliver the duty-cycle-weighted mean load.
 func TestOnOffDutyCycleLoad(t *testing.T) {
 	const n = 6
+	// No -short reduction: at 12 s each station sees ~15 cycles and the
+	// relative spread across seeds is ~11%, so 15% would be a 1.4σ bound.
 	duration := 30 * sim.Second
-	if testing.Short() {
-		duration = 12 * sim.Second
-	}
 	spec := traffic.Spec{
 		Kind:    traffic.OnOff,
 		Rate:    400,

@@ -133,12 +133,6 @@ type PPersistent struct {
 	// logQFor records the p it was computed for.
 	logQ    float64
 	logQFor float64
-
-	// batch prefetches uniform draws for the geometric backoff. Safe
-	// because a station's policy is the only consumer of its RNG stream
-	// (p-persistent draws nothing on success/failure), so batching
-	// preserves the exact variate sequence of unbatched draws.
-	batch sim.FloatBatch
 }
 
 // NewPPersistent returns a p-persistent policy with the given weight and
@@ -158,19 +152,16 @@ func (p *PPersistent) SetAttemptProbability(v float64) { p.p = clampProb(v, p.Mi
 // AttemptProbability implements AttemptReporter.
 func (p *PPersistent) AttemptProbability() float64 { return p.p }
 
-// NextBackoff implements Policy: geometric with parameter p, drawn
-// through a prefetch batch (p is clamped to (0,1) so every draw consumes
-// exactly one uniform, batched or not). The constant ln(1-p) term of the
-// inverse transform is cached until p changes; the cached value is the
-// exact math.Log1p(-p) double, so draws are bit-identical to the
-// uncached form.
+// NextBackoff implements Policy: geometric with parameter p by inverse
+// transform of one uniform (p is clamped to (0,1)). The constant ln(1-p)
+// term is cached until p changes; the cached value is the exact
+// math.Log1p(-p) double, so draws are bit-identical to rng.Geometric(p).
 func (p *PPersistent) NextBackoff(rng *sim.RNG) int {
-	p.batch.Bind(rng)
 	if p.p != p.logQFor {
 		p.logQFor = p.p
 		p.logQ = math.Log1p(-p.p)
 	}
-	return sim.GeometricFromUniformLogQ(p.batch.Next(), p.logQ)
+	return sim.GeometricFromUniformLogQ(rng.Float64(), p.logQ)
 }
 
 // OnSuccess implements Policy; p-persistent state is outcome-independent.

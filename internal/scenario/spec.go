@@ -183,15 +183,17 @@ type Suite struct {
 // fuzzing), so validation bounds every dimension that controls memory or
 // CPU rather than trusting the caller.
 const (
-	// MaxStations bounds the station count. The ceiling is derived from
-	// per-station capacity, not connectivity storage: topologies are
-	// grid-indexed (O(n) to build, no n×n matrices), so the binding cost
-	// is the engines' per-station state — station structs plus one
-	// ~4.9 KB lagged-Fibonacci RNG each, ≈ 5 KB/station, ≈ 0.5 GB at the
-	// cap. Dense layouts that would need more than
+	// MaxStations bounds the station count. Per-station state no longer
+	// binds: topologies are grid-indexed (O(n) to build, no n×n
+	// matrices) and a slotted station costs ≈ 230 B — its struct, index
+	// entries and a 64-byte PCG stream — so ≈ 23 MB at the cap. Two
+	// constraints bind instead. Dense layouts that would need more than
 	// topo.DefaultAdjacencyBudget materialised neighbour entries are
-	// additionally refused by the event engine at build time, so a
-	// hostile spec stays memory-bounded end to end.
+	// refused by the event engine at build time, so a hostile spec stays
+	// memory-bounded end to end; and slotted run time grows with the
+	// simulated duration a large population needs to mix. The cap stays
+	// at 100 000, the largest tier the test suite validates against the
+	// closed form (slotsim.TestBianchiAgreementLargeN).
 	MaxStations = 100_000
 	// MaxSeeds bounds replications per scenario. Generous enough for
 	// trusted paper-scale sweeps routed through the runner (the

@@ -62,3 +62,12 @@ func TestSchedulerCancelZeroAlloc(t *testing.T) {
 		t.Errorf("schedule+cancel+collect allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// Arenas reseed every station's generator on each Reset, so reseeding
+// must not allocate.
+func TestRNGReseedZeroAlloc(t *testing.T) {
+	g := NewRNG(1)
+	if avg := testing.AllocsPerRun(1000, func() { g.Reseed(2, 3) }); avg != 0 {
+		t.Errorf("Reseed allocates %.2f allocs/op, want 0", avg)
+	}
+}

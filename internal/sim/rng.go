@@ -2,64 +2,97 @@ package sim
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
-// RNG wraps math/rand with the variate helpers the MAC layer needs. Every
-// simulation owns one RNG seeded explicitly, so runs are reproducible and
-// independent runs can use distinct seeds.
+// RNG is a seeded PCG-DXSM generator (math/rand/v2's PCG: a 128-bit LCG
+// with a DXSM output permutation) plus the variate helpers the MAC layer
+// needs. Every generator is a pure function of a (seed, stream) pair, so
+// runs are reproducible, every consumer of a simulation owns a stream
+// that no other consumer's draws can perturb, and a generator is one
+// 64-byte allocation however it was derived.
+//
+// An RNG must not be copied: its rand.Rand refers to its own PCG.
 type RNG struct {
-	r *rand.Rand
+	src rand.PCG
+	r   rand.Rand
+	// The padding fills a 64-byte allocation, which the runtime aligns to
+	// a cache line: every draw writes src, and simulations running on
+	// different cores must not share a line between their generators.
+	_ [32]byte
 }
 
-// NewRNG returns a generator seeded with seed. The underlying source is
-// the repository's fast-seeding reimplementation of math/rand's
-// generator (see lfg.go); its draw sequence is bit-identical to
-// rand.New(rand.NewSource(seed)).
-func NewRNG(seed int64) *RNG {
-	src := &lfgSource{}
-	src.Seed(seed)
-	return &RNG{r: rand.New(src)}
+// Stream identifiers partition the stream space of one seed among a
+// simulation's consumers. Station i's MAC draws use stream i; every other
+// consumer sits outside [0, 2³²), so no two generators derived from one
+// seed coincide whatever the station count.
+const (
+	// rootStream is the stream NewRNG draws from.
+	rootStream int64 = -1
+	// ChannelStream drives the channel's frame-error draws.
+	ChannelStream int64 = -2
+	// arrivalStreams is the first stream of the arrival-process domain.
+	arrivalStreams int64 = 1 << 32
+)
+
+// ArrivalStream is station i's arrival-process stream. It depends only
+// on i, never on the station count.
+func ArrivalStream(i int) int64 { return arrivalStreams + int64(i) }
+
+// NewRNG returns a generator seeded with seed, for consumers outside the
+// simulators' per-station streams (topology draws, tests).
+func NewRNG(seed int64) *RNG { return NewStream(seed, rootStream) }
+
+// NewStream returns the generator for (seed, stream).
+func NewStream(seed, stream int64) *RNG {
+	g := &RNG{}
+	g.Reseed(seed, stream)
+	return g
 }
 
-// Reseed reinitialises the generator in place, producing exactly the
-// stream NewRNG(seed) would — but reusing the internal source's state
-// arrays, which are the dominant per-simulator allocation. Pooled
-// simulator arenas reseed instead of reallocating.
-func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+// Reuse reseeds g to (seed, stream) and returns it, or returns a new
+// generator when g is nil: the arena idiom of the simulators' Reset,
+// which keeps reseeding allocation-free once the arena is warm.
+func Reuse(g *RNG, seed, stream int64) *RNG {
+	if g == nil {
+		return NewStream(seed, stream)
+	}
+	g.Reseed(seed, stream)
+	return g
+}
 
-// splitSeed derives the child seed for a sub-stream, consuming one draw
-// from the parent. SplitMix-style avalanche of (draw, stream).
-func (g *RNG) splitSeed(stream int64) int64 {
-	z := uint64(g.r.Int63()) ^ (uint64(stream) * 0x9e3779b97f4a7c15)
+// golden is the SplitMix64 increment, 2⁶⁴/φ rounded to odd.
+const golden uint64 = 0x9e3779b97f4a7c15
+
+// mix64 is the SplitMix64 finaliser, a bijection with full avalanche.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
+	return z ^ (z >> 31)
 }
 
-// Split derives an independent generator for a sub-component. The stream
-// index keeps components (e.g. per-node backoff draws) decoupled so that
-// adding a node does not perturb the draws of existing nodes.
-func (g *RNG) Split(stream int64) *RNG {
-	return NewRNG(g.splitSeed(stream))
-}
-
-// SplitInto reseeds dst with the stream Split would have created,
-// consuming the identical parent draw — the reallocation-free variant
-// for simulator arenas. dst must not be nil.
-func (g *RNG) SplitInto(stream int64, dst *RNG) {
-	dst.Reseed(g.splitSeed(stream))
+// Reseed reinitialises g in place to the stream NewStream(seed, stream)
+// returns. It allocates nothing.
+//
+// The two PCG state words are consecutive outputs of a SplitMix64
+// sequence whose start is the finalised seed, advanced two steps per
+// stream: distinct streams of one seed use disjoint sequence positions,
+// and the finaliser decorrelates adjacent seeds and streams, so no two
+// generators start on related LCG states.
+func (g *RNG) Reseed(seed, stream int64) {
+	x := mix64(uint64(seed)) + uint64(stream)*2*golden + golden
+	g.src.Seed(mix64(x), mix64(x+golden))
+	g.r = *rand.New(&g.src)
 }
 
 // Float64 returns a uniform draw in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform draw in [0,n). n must be positive.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
+func (g *RNG) Int63() int64 { return g.r.Int64() }
 
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool {
@@ -92,9 +125,8 @@ func (g *RNG) Geometric(p float64) int {
 // GeometricFromUniform maps one uniform draw u ∈ [0,1) to a Geometric(p)
 // variate by inverse transform: k = floor(ln(1-u) / ln(1-p)). 1-u is
 // uniform on (0,1], so the argument of log is never zero. It consumes
-// exactly the one uniform it is given, so feeding it draws from a
-// FloatBatch yields the identical variate sequence as calling Geometric
-// on the underlying RNG directly.
+// exactly the one uniform it is given, so Geometric(p) is
+// GeometricFromUniform(Float64(), p) draw for draw.
 func GeometricFromUniform(u, p float64) int {
 	if p >= 1 {
 		return 0
@@ -123,55 +155,13 @@ func GeometricFromUniformLogQ(u, logQ float64) int {
 	return int(k)
 }
 
-// floatBatchSize is the FloatBatch prefetch block. 64 draws keep the
-// buffer inside one page and amortise the per-call overhead of the
-// underlying generator without holding a meaningful stake of the stream.
-const floatBatchSize = 64
-
-// FloatBatch prefetches uniform draws from an RNG in blocks, amortising
-// the per-draw call overhead on hot paths that consume one uniform per
-// decision (the backoff draw of p-persistent CSMA). Draws are delivered
-// in exactly the order the RNG would have produced them one at a time, so
-// a consumer that owns its RNG stream gets bit-identical variates whether
-// or not it batches. The zero value is empty and must be Bound before use.
-type FloatBatch struct {
-	rng  *RNG
-	i, n int
-	buf  [floatBatchSize]float64
-}
-
-// Bind attaches the batch to rng, discarding any prefetched draws from a
-// previously bound generator. Binding the already-bound generator is a
-// cheap no-op, so callers may Bind defensively on every draw.
-func (b *FloatBatch) Bind(rng *RNG) {
-	if b.rng != rng {
-		b.rng = rng
-		b.i, b.n = 0, 0
-	}
-}
-
-// Next returns the next uniform draw in [0,1), refilling the prefetch
-// buffer from the bound RNG when it runs dry.
-func (b *FloatBatch) Next() float64 {
-	if b.i == b.n {
-		r := b.rng.r
-		for i := range b.buf {
-			b.buf[i] = r.Float64()
-		}
-		b.i, b.n = 0, len(b.buf)
-	}
-	u := b.buf[b.i]
-	b.i++
-	return u
-}
-
 // UniformWindow returns a uniform draw from [0, cw-1], the standard 802.11
 // backoff draw for contention window cw. cw must be ≥ 1.
 func (g *RNG) UniformWindow(cw int) int {
 	if cw <= 1 {
 		return 0
 	}
-	return g.r.Intn(cw)
+	return g.r.IntN(cw)
 }
 
 // Shuffle pseudo-randomly permutes n elements using swap.

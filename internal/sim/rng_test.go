@@ -107,48 +107,36 @@ func TestRNGReproducible(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	g := NewRNG(77)
-	a := g.Split(1)
-	g2 := NewRNG(77)
-	b := g2.Split(2)
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Intn(1000) == b.Intn(1000) {
-			same++
+// Reseeding in place must reproduce the fresh-construction stream
+// exactly — the arena-reuse contract — including when the generator is
+// mid-stream.
+func TestReseedMatchesFresh(t *testing.T) {
+	g := NewRNG(11)
+	for i := 0; i < 123; i++ {
+		g.Float64() // advance mid-stream
+	}
+	g.Reseed(77, 5)
+	fresh := NewStream(77, 5)
+	for i := 0; i < 2000; i++ {
+		if a, b := g.Float64(), fresh.Float64(); a != b {
+			t.Fatalf("draw %d after reseed: %v vs %v", i, a, b)
 		}
 	}
-	if same > 16 {
-		t.Errorf("streams for different indices look correlated: %d/64 equal draws", same)
+	if got := Reuse(g, 3, 4); got != g {
+		t.Fatal("Reuse replaced a non-nil generator")
 	}
 }
 
-// Batching must be invisible: a FloatBatch delivers the exact uniform
-// stream of the underlying generator, just prefetched in blocks.
-func TestFloatBatchDeliversRNGStream(t *testing.T) {
-	direct := NewRNG(99)
-	batched := NewRNG(99)
-	var b FloatBatch
-	b.Bind(batched)
-	for i := 0; i < 3*floatBatchSize+7; i++ {
-		if got, want := b.Next(), direct.Float64(); got != want {
-			t.Fatalf("draw %d: batched %v ≠ direct %v", i, got, want)
-		}
-	}
-}
-
-// Geometric draws through a batch must be bit-identical to unbatched
-// Geometric calls — the property that lets PPersistent batch without
-// perturbing simulation results.
+// Geometric must consume exactly one uniform per draw and map it through
+// GeometricFromUniform — the property that lets PPersistent draw through
+// the cached-denominator form without perturbing simulation results.
 func TestGeometricFromUniformMatchesGeometric(t *testing.T) {
 	for _, p := range []float64{0.001, 0.02, 0.3, 0.999} {
 		direct := NewRNG(5)
-		batched := NewRNG(5)
-		var b FloatBatch
-		b.Bind(batched)
-		for i := 0; i < 2*floatBatchSize; i++ {
-			if got, want := GeometricFromUniform(b.Next(), p), direct.Geometric(p); got != want {
-				t.Fatalf("p=%v draw %d: batched %d ≠ direct %d", p, i, got, want)
+		uniforms := NewRNG(5)
+		for i := 0; i < 128; i++ {
+			if got, want := GeometricFromUniform(uniforms.Float64(), p), direct.Geometric(p); got != want {
+				t.Fatalf("p=%v draw %d: from uniform %d ≠ direct %d", p, i, got, want)
 			}
 		}
 	}
@@ -169,21 +157,12 @@ func TestGeometricFromUniformEdgeCases(t *testing.T) {
 	}
 }
 
-// Rebinding a batch to a different generator must discard the stale
-// prefetch; rebinding the same generator must keep it.
-func TestFloatBatchRebind(t *testing.T) {
-	var b FloatBatch
-	first := NewRNG(1)
-	b.Bind(first)
-	b.Next()
-	b.Bind(first) // no-op
-	if b.i == 0 && b.n == 0 {
-		t.Fatal("rebinding the same RNG discarded the prefetch")
-	}
-	second := NewRNG(2)
-	b.Bind(second)
-	want := NewRNG(2)
-	if got := b.Next(); got != want.Float64() {
-		t.Errorf("after rebind, first draw %v does not start second's stream", got)
+// BenchmarkRNGSeed measures the in-place PCG reseed the simulator arenas
+// run once per station per replication.
+func BenchmarkRNGSeed(b *testing.B) {
+	g := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Reseed(int64(i), 7)
 	}
 }

@@ -59,8 +59,8 @@ func TestBianchiAgreementLargeN(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if testing.Short() && tc.n > 4096 {
-			// The 100k tier alone allocates ~0.5 GB of per-station RNG
-			// state; the full (non-short) suite still covers it.
+			// The larger tiers simulate 240–300 s each, the bulk of this
+			// test's run time; the full (non-short) suite still covers them.
 			continue
 		}
 		cwMax := tc.cwMin << uint(tc.stages)

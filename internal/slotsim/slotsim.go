@@ -78,7 +78,6 @@ func (r *Result) ThroughputMbps() float64 { return r.Throughput / 1e6 }
 // Simulator is the slot-synchronous engine.
 type Simulator struct {
 	cfg      Config
-	rng      *sim.RNG
 	stations []slotStation
 	now      sim.Time
 
@@ -140,8 +139,9 @@ type slotStation struct {
 	bits   int64
 
 	// Unsaturated-source state: the arrival spec, its dedicated RNG
-	// substream, the (continuous) instant of the next arrival, and the
-	// current queue length. A station contends only while backlogged.
+	// stream (sim.ArrivalStream), the (continuous) instant of the next
+	// arrival, and the current queue length. A station contends only
+	// while backlogged.
 	arr    traffic.Spec
 	arrRNG *sim.RNG
 	next   sim.Time
@@ -203,7 +203,7 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // Reset reinitialises the simulator in place for a fresh run of cfg,
-// reusing the warmed arenas — station storage, RNG state arrays, result
+// reusing the warmed arenas — station storage, station RNGs, result
 // slices and scratch buffers — so a pooled simulator replays runs
 // without per-run allocation. Bit-identical to a fresh New(cfg);
 // TestResetMatchesNew pins it. Reset reuses the Result's storage, so a
@@ -222,12 +222,6 @@ func (s *Simulator) Reset(cfg Config) error {
 // wholesale struct assignment returns every non-arena field to its zero
 // value; arenas are carried explicitly.
 func (s *Simulator) init(cfg Config) {
-	root := s.rng
-	if root == nil {
-		root = sim.NewRNG(cfg.Seed)
-	} else {
-		root.Reseed(cfg.Seed)
-	}
 	stations := s.stations
 	per := s.res.PerStation
 	tracker := s.tracker
@@ -239,7 +233,7 @@ func (s *Simulator) init(cfg Config) {
 	// empty slices differently, and a reused-but-empty series would make
 	// a Reset run's encoding observably differ from a fresh New run. The
 	// few per-window appends are noise next to the RNG/station arenas.
-	*s = Simulator{cfg: cfg, rng: root, attackerIdx: s.attackerIdx[:0], tracker: tracker}
+	*s = Simulator{cfg: cfg, attackerIdx: s.attackerIdx[:0], tracker: tracker}
 	n := len(cfg.Policies)
 	if cap(stations) < n {
 		stations = make([]slotStation, n)
@@ -260,12 +254,7 @@ func (s *Simulator) init(cfg Config) {
 		if st.memoryless {
 			memIdx = append(memIdx, int32(i))
 		}
-		if rng == nil {
-			rng = root.Split(int64(i))
-		} else {
-			root.SplitInto(int64(i), rng)
-		}
-		st.rng = rng
+		st.rng = sim.Reuse(rng, cfg.Seed, int64(i))
 		st.counter = st.policy.NextBackoff(st.rng)
 	}
 	s.stations = stations
@@ -273,27 +262,13 @@ func (s *Simulator) init(cfg Config) {
 	s.observerIdx = obsIdx
 	if cfg.Arrivals != nil {
 		for i := range s.stations {
-			if cfg.Arrivals[i].Unsaturated() {
+			st := &s.stations[i]
+			st.arr = cfg.Arrivals[i]
+			if st.arr.Unsaturated() {
 				s.unsat = true
-				break
-			}
-		}
-		// Arrival substreams are split only when an unsaturated source
-		// exists, so all-saturated configs stay bit-identical to a
-		// nil-Arrivals run (same root-RNG consumption).
-		if s.unsat {
-			for i := range s.stations {
-				st := &s.stations[i]
-				st.arr = cfg.Arrivals[i]
-				if st.arrRNG == nil {
-					st.arrRNG = root.Split(int64(n + i))
-				} else {
-					root.SplitInto(int64(n+i), st.arrRNG)
-				}
-				if st.arr.Unsaturated() {
-					st.next = sim.Time(st.arr.NextInterArrival(st.arrRNG))
-					unsatIdx = append(unsatIdx, int32(i))
-				}
+				st.arrRNG = sim.Reuse(st.arrRNG, cfg.Seed, sim.ArrivalStream(i))
+				st.next = sim.Time(st.arr.NextInterArrival(st.arrRNG))
+				unsatIdx = append(unsatIdx, int32(i))
 			}
 		}
 	}

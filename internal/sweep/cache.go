@@ -17,7 +17,7 @@ import (
 // results can never be replayed as current ones. The cache itself needs
 // no migration: entries under an old version simply stop being
 // addressed and can be evicted by deleting the cache directory.
-const EngineVersion = "wlansim-engine/3"
+const EngineVersion = "wlansim-engine/4"
 
 // SpecKey is the content address of a point: a SHA-256 over the
 // canonical JSON of the defaulted spec — with the name and description
