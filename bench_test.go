@@ -473,7 +473,22 @@ func BenchmarkSweepSmoke(b *testing.B) {
 // overhead rather than simulation, which is exactly what arena reuse
 // and barrier-free scheduling target.
 func BenchmarkSweep120(b *testing.B) {
-	g := &sweep.Grid{
+	g := sweep120Grid()
+	for i := 0; i < b.N; i++ {
+		st, err := (&sweep.Runner{}).Stream(context.Background(), g, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Simulated != 120 {
+			b.Fatalf("expected 120 simulated points, got %+v", st)
+		}
+	}
+}
+
+// sweep120Grid is BenchmarkSweep120's grid: 4 schemes × 5 node counts
+// × 3 frame-error rates × RTS/CTS on and off.
+func sweep120Grid() *sweep.Grid {
+	return &sweep.Grid{
 		Name: "bench120",
 		Base: scenario.Spec{
 			Topology: scenario.TopologySpec{Kind: scenario.TopoConnected},
@@ -487,13 +502,30 @@ func BenchmarkSweep120(b *testing.B) {
 			{Field: sweep.FieldRTSCTS, Values: sweep.Bools(false, true)},
 		},
 	}
+}
+
+// BenchmarkSweepResume streams the Sweep120 grid from a warm cache,
+// filled before the timer starts: the resume path, which reads and
+// checks each entry and splices its summary bytes into the row.
+func BenchmarkSweepResume(b *testing.B) {
+	g := sweep120Grid()
+	cache, err := sweep.OpenCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := &sweep.Runner{Cache: cache}
+	if _, err := r.Stream(context.Background(), g, io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := (&sweep.Runner{}).Stream(context.Background(), g, io.Discard)
+		st, err := r.Stream(context.Background(), g, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.Simulated != 120 {
-			b.Fatalf("expected 120 simulated points, got %+v", st)
+		if st.Cached != st.Total {
+			b.Fatalf("expected all %d points cached, got %+v", st.Total, st)
 		}
 	}
 }

@@ -253,15 +253,17 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // advanceLocked emits the canonical rows of the contiguous done prefix
-// into the in-memory stream and, when configured, the Out writer.
+// into the in-memory stream and, when configured, the Out writer. Each
+// row is encoded once: Out receives the bytes just appended to rows.
 func (c *Coordinator) advanceLocked() error {
 	for c.cursor < len(c.points) && c.done[c.cursor] {
 		pr := &sweep.PointResult{Point: c.points[c.cursor], Summary: c.sums[c.cursor]}
+		n := c.rows.Len()
 		if err := sweep.WriteRow(&c.rows, pr); err != nil {
 			return err
 		}
 		if c.cfg.Out != nil {
-			if err := sweep.WriteRow(c.cfg.Out, pr); err != nil {
+			if _, err := c.cfg.Out.Write(c.rows.Bytes()[n:]); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -90,6 +91,12 @@ func (st Stats) String() string {
 type PointResult struct {
 	*Point
 	Summary *scenario.Summary
+
+	// summaryJSON, when non-nil, is the summary's canonical json.Marshal
+	// encoding, and WriteRow splices it into the row instead of encoding
+	// Summary (which may then be nil). Its stored name is replaced by
+	// the point's, as a decoded cache hit's is.
+	summaryJSON []byte
 }
 
 // Row is the JSONL record streamed per point. Its byte encoding is
@@ -128,7 +135,7 @@ type Runner struct {
 // order, plus the run statistics.
 func (r *Runner) Run(ctx context.Context, g *Grid) ([]*PointResult, Stats, error) {
 	var out []*PointResult
-	st, err := r.run(ctx, g, func(pr *PointResult) error {
+	st, err := r.run(ctx, g, false, func(pr *PointResult) error {
 		out = append(out, pr)
 		return nil
 	}, nil)
@@ -143,17 +150,19 @@ func (r *Runner) Run(ctx context.Context, g *Grid) ([]*PointResult, Stats, error
 // still emitted, while completed points buffered behind an unfinished
 // one are discarded with the rest.
 func (r *Runner) Each(ctx context.Context, g *Grid, emit func(*PointResult) error) (Stats, error) {
-	return r.run(ctx, g, emit, nil)
+	return r.run(ctx, g, false, emit, nil)
 }
 
 // Stream executes the grid and writes one JSONL row per owned point,
 // in point order, to w. Rows are buffered and flushed at cache-commit
 // boundaries — each time a contiguous run of completed points is
 // emitted — so an interrupted run leaves whole rows behind without
-// paying one small write syscall per point.
+// paying one small write syscall per point. Cache hits are served as
+// their checksummed summary bytes, spliced into the row without being
+// decoded or re-encoded.
 func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error) {
 	bw := bufio.NewWriter(w)
-	st, err := r.run(ctx, g, func(pr *PointResult) error {
+	st, err := r.run(ctx, g, true, func(pr *PointResult) error {
 		return WriteRow(bw, pr)
 	}, bw.Flush)
 	if err != nil {
@@ -177,6 +186,9 @@ func WriteRow(w io.Writer, pr *PointResult) error {
 		}
 		axes[av.Field] = v
 	}
+	if pr.summaryJSON != nil {
+		return writeSplicedRow(w, pr, axes)
+	}
 	data, err := json.Marshal(&Row{
 		Index:   pr.Index,
 		Name:    pr.Name,
@@ -191,6 +203,51 @@ func WriteRow(w io.Writer, pr *PointResult) error {
 	return err
 }
 
+// writeSplicedRow writes the bytes json.Marshal(&Row{...}) would, in
+// one Write, around pr.summaryJSON: the head is the Row encoding with a
+// null summary, and the summary bytes follow the point's name, which
+// replaces the stored one.
+func writeSplicedRow(w io.Writer, pr *PointResult, axes map[string]any) error {
+	tail, ok := summaryTail(pr.summaryJSON)
+	if !ok {
+		return fmt.Errorf("sweep: point %d: summary bytes do not open with a name", pr.Index)
+	}
+	head, err := json.Marshal(&Row{Index: pr.Index, Name: pr.Name, Axes: axes, Key: pr.Key})
+	if err != nil {
+		return fmt.Errorf("sweep: marshal row: %w", err)
+	}
+	name, err := json.Marshal(pr.Name)
+	if err != nil {
+		return fmt.Errorf("sweep: marshal row: %w", err)
+	}
+	row := append(bytes.TrimSuffix(head, []byte("null}")), `{"name":`...)
+	row = append(append(append(row, name...), tail...), "}\n"...)
+	_, err = w.Write(row)
+	return err
+}
+
+// summaryNamePrefix opens every canonical summary encoding: Name is
+// Summary's first field and has no omitempty.
+const summaryNamePrefix = `{"name":"`
+
+// summaryTail returns what follows the name string in a canonical
+// summary encoding, which starts with summaryNamePrefix; ok is false if
+// it does not, or if the string never closes.
+func summaryTail(sum []byte) (tail []byte, ok bool) {
+	if !bytes.HasPrefix(sum, []byte(summaryNamePrefix)) {
+		return nil, false
+	}
+	for i := len(summaryNamePrefix); i < len(sum); i++ {
+		switch sum[i] {
+		case '\\':
+			i++ // skip the escaped byte; \uXXXX digits need no care
+		case '"':
+			return sum[i+1:], true
+		}
+	}
+	return nil, false
+}
+
 // run is the pipelined execution core: expand, filter to the shard,
 // serve cache hits, and feed every remaining point's replications into
 // one shared scenario worker pool (the repository's single fan-out
@@ -201,9 +258,13 @@ func WriteRow(w io.Writer, pr *PointResult) error {
 // result to the cache the moment it lands. flush, when non-nil, runs
 // after each drained prefix — the cache-commit boundary — so streamed
 // output survives interruption in whole rows without a write syscall
-// per point.
-func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error, flush func() error) (Stats, error) {
-	st, err := r.runPoints(ctx, g, emit, flush)
+// per point. encoded selects what emit receives: with it, cache hits
+// carry only their verified summary bytes (PointResult.summaryJSON)
+// and cached simulated points the bytes they were put with, for
+// WriteRow to splice; without it, every result carries a decoded
+// Summary.
+func (r *Runner) run(ctx context.Context, g *Grid, encoded bool, emit func(*PointResult) error, flush func() error) (Stats, error) {
+	st, err := r.runPoints(ctx, g, encoded, emit, flush)
 	// Owned points a failed run never satisfied — the erroring point
 	// plus everything drained behind it — are counted as failed, so the
 	// metric totals always obey Owned = Simulated + Cached + Failed.
@@ -215,7 +276,7 @@ func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error
 	return st, err
 }
 
-func (r *Runner) runPoints(ctx context.Context, g *Grid, emit func(*PointResult) error, flush func() error) (Stats, error) {
+func (r *Runner) runPoints(ctx context.Context, g *Grid, encoded bool, emit func(*PointResult) error, flush func() error) (Stats, error) {
 	var st Stats
 	// Observe cancellation up front so an already-cancelled context
 	// reports ctx.Err() whatever the cache temperature: without this, a
@@ -243,21 +304,20 @@ func (r *Runner) runPoints(ctx context.Context, g *Grid, emit func(*PointResult)
 		r.Metrics.PointsOwned.Add(uint64(st.Owned))
 	}
 
-	// Emission cursor: rows leave strictly in point order; summaries
-	// landing out of order wait in sums until the prefix completes.
+	// Emission cursor: rows leave strictly in point order; results
+	// landing out of order wait in done until the prefix completes.
 	// Flushing is decoupled from emission so the warm cached path still
 	// batches writes: flushDirty runs at cache-commit boundaries (after
 	// each simulated completion's drain and after the cache pass), never
 	// per cached row.
-	sums := make([]*scenario.Summary, len(owned))
+	done := make([]*PointResult, len(owned))
 	cursor := 0
 	dirty := false
 	advance := func() error {
-		for cursor < len(owned) && sums[cursor] != nil {
-			pt := owned[cursor]
-			sum := sums[cursor]
-			sums[cursor] = nil // release the buffered summary
-			if err := emit(&PointResult{Point: pt, Summary: sum}); err != nil {
+		for cursor < len(owned) && done[cursor] != nil {
+			pr := done[cursor]
+			done[cursor] = nil // release the buffered result
+			if err := emit(pr); err != nil {
 				return err
 			}
 			if r.Metrics != nil {
@@ -290,11 +350,8 @@ func (r *Runner) runPoints(ctx context.Context, g *Grid, emit func(*PointResult)
 	}
 	for i, pt := range owned {
 		if r.Cache != nil {
-			if sum, ok := r.Cache.Get(pt.Key); ok {
-				// The cached name is whatever sweep stored it first;
-				// report under this grid's canonical point name.
-				sum.Name = pt.Name
-				sums[i] = sum
+			if pr, ok := r.cached(pt, encoded); ok {
+				done[i] = pr
 				st.Cached++
 				if r.Metrics != nil {
 					r.Metrics.PointsCached.Inc()
@@ -334,12 +391,21 @@ func (r *Runner) runPoints(ctx context.Context, g *Grid, emit func(*PointResult)
 		// read.
 		runErr := sr.RunBatchFunc(ctx, missSpecs, func(k int, sum *scenario.Summary) error {
 			i := missIdx[k]
+			pr := &PointResult{Point: owned[i], Summary: sum}
 			if r.Cache != nil {
-				if err := r.Cache.Put(owned[i].Key, &owned[i].Spec, sum); err != nil {
+				// One encoding serves both the cache entry and the row.
+				data, err := json.Marshal(sum)
+				if err != nil {
+					return fmt.Errorf("sweep: marshal summary: %w", err)
+				}
+				if err := r.Cache.put(owned[i].Key, &owned[i].Spec, data); err != nil {
 					return err
 				}
+				if encoded {
+					pr.summaryJSON = data
+				}
 			}
-			sums[i] = sum
+			done[i] = pr
 			st.Simulated++
 			if r.Metrics != nil {
 				r.Metrics.PointsSimulated.Inc()
@@ -356,6 +422,21 @@ func (r *Runner) runPoints(ctx context.Context, g *Grid, emit func(*PointResult)
 	// Drain the tail (all-cached grids, or cached points after the last
 	// simulated one).
 	return st, advance()
+}
+
+// cached serves a point from the cache. The stored name is whatever
+// sweep put the entry first, so the result reports under this grid's
+// canonical point name: a decoded summary is renamed, and encoded bytes
+// get the name spliced in by WriteRow.
+func (r *Runner) cached(pt *Point, encoded bool) (*PointResult, bool) {
+	pr := &PointResult{Point: pt}
+	var ok bool
+	if encoded {
+		pr.summaryJSON, ok = r.Cache.lookup(pt.Key)
+	} else if pr.Summary, ok = r.Cache.Get(pt.Key); ok {
+		pr.Summary.Name = pt.Name
+	}
+	return pr, ok
 }
 
 // Merge combines shard JSONL outputs into the byte-exact unsharded

@@ -238,3 +238,124 @@ func TestRunCancelledContextConsistentAcrossCache(t *testing.T) {
 		t.Errorf("cold run under cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
+
+// trickyNames need escaping in JSON: HTML characters, quotes and
+// backslashes, control bytes, non-ASCII, U+2028/U+2029 and invalid
+// UTF-8 (which json.Marshal replaces by U+FFFD).
+var trickyNames = []string{
+	`tags<b>&amp;</b>`,
+	`say "hi" \ back\slash`,
+	"tab\tnewline\ncr\r",
+	"ünïcödé/日本語",
+	"line\u2028sep\u2029end",
+	"bad\xffutf8",
+}
+
+// A spliced row — a cache hit's stored summary bytes with the point's
+// name in place of the stored one — must be byte-equal to the row
+// json.Marshal encodes from the decoded summary, for any names. The
+// entries are stored under one tricky grid name and served under
+// another: keys ignore names, so the stored name always differs.
+func TestSplicedRowMatchesMarshal(t *testing.T) {
+	grid := func(name string) *Grid {
+		return &Grid{
+			Name: name,
+			Base: scenario.Spec{
+				Topology: scenario.TopologySpec{Kind: scenario.TopoConnected},
+				Duration: scenario.Duration(100e6),
+			},
+			Axes: []Axis{
+				{Field: FieldNodes, Values: Ints(2, 3)},
+				{Field: FieldFrameErrorRate, Values: Floats(0, 1e-7)},
+				{Field: FieldDuration, Values: Durations(100e6)},
+			},
+		}
+	}
+	for i, name := range trickyNames {
+		c, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := trickyNames[(i+1)%len(trickyNames)]
+		if _, err := (&Runner{Cache: c}).Stream(context.Background(), grid(stored), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		g := grid(name)
+		var warm bytes.Buffer
+		st, err := (&Runner{Cache: c}).Stream(context.Background(), g, &warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cached != st.Total {
+			t.Fatalf("%q: warm stats %+v", name, st)
+		}
+		pts, err := Expand(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		for _, pt := range pts {
+			sum, ok := c.Get(pt.Key)
+			if !ok {
+				t.Fatalf("%q: point %d missed", name, pt.Index)
+			}
+			if sum.Name == pt.Name {
+				t.Fatalf("%q: stored name equals the served one; the splice is untested", name)
+			}
+			sum.Name = pt.Name
+			// Without summary bytes, WriteRow is json.Marshal(&Row{...}).
+			if err := WriteRow(&want, &PointResult{Point: pt, Summary: sum}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(warm.Bytes(), want.Bytes()) {
+			t.Errorf("%q: spliced rows differ from json.Marshal(Row):\n%s\nvs\n%s", name, warm.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// Each (decoded summaries) and Stream (spliced bytes) over a warm cache
+// must both reproduce a cold, uncached Stream byte for byte.
+func TestWarmEachAndStreamMatchColdStream(t *testing.T) {
+	g := acceptanceGrid()
+	g.Name = trickyNames[0]
+	g.Axes = g.Axes[:2]
+	var cold bytes.Buffer
+	if _, err := (&Runner{}).Stream(context.Background(), g, &cold); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fill bytes.Buffer
+	if _, err := (&Runner{Cache: c}).Each(context.Background(), g, func(pr *PointResult) error {
+		return WriteRow(&fill, pr)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var each, stream bytes.Buffer
+	st, err := (&Runner{Cache: c}).Each(context.Background(), g, func(pr *PointResult) error {
+		if pr.Summary == nil || pr.Summary.Name != pr.Name {
+			t.Errorf("Each yielded point %d without its decoded, renamed summary", pr.Index)
+		}
+		return WriteRow(&each, pr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cached != st.Total {
+		t.Fatalf("warm Each stats: %+v", st)
+	}
+	if st, err = (&Runner{Cache: c}).Stream(context.Background(), g, &stream); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cached != st.Total {
+		t.Fatalf("warm Stream stats: %+v", st)
+	}
+	for name, got := range map[string][]byte{"cold Each with cache": fill.Bytes(), "warm Each": each.Bytes(), "warm Stream": stream.Bytes()} {
+		if !bytes.Equal(got, cold.Bytes()) {
+			t.Errorf("%s differs from a cold uncached Stream", name)
+		}
+	}
+}
