@@ -87,23 +87,21 @@ type CoordinatorConfig struct {
 	Now func() time.Time
 }
 
-// Coordinator owns one campaign: the expanded points, the lease table,
-// the completion record and the canonical output stream.
+// Coordinator owns one campaign: the lease table around a
+// sweep.Ledger, which holds the expanded points, commits completions
+// and emits the canonical output stream.
 type Coordinator struct {
 	cfg         CoordinatorConfig
 	fingerprint string
-	points      []*sweep.Point
 	specJSON    [][]byte // pre-marshaled lease payload per point
 
 	mu         sync.Mutex
-	done       []bool
-	sums       []*scenario.Summary
+	ledger     *sweep.Ledger
 	leasedBy   []string // active lease ID per point ("" = not leased)
 	reissues   []int    // lease reissue count per point
 	leasedEver []bool   // whether the point was ever part of any lease
 	pending    []int    // queued point indexes, ascending
 	leases     *leaseTable
-	cursor     int          // emit cursor: rows [0, cursor) are out
 	rows       bytes.Buffer // canonical JSONL prefix
 	stats      CampaignStats
 	draining   bool
@@ -191,10 +189,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		fingerprint: sweep.GridFingerprint(cfg.Grid),
-		points:      pts,
 		specJSON:    make([][]byte, len(pts)),
-		done:        make([]bool, len(pts)),
-		sums:        make([]*scenario.Summary, len(pts)),
+		ledger:      sweep.NewLedger(pts, cfg.Cache),
 		leasedBy:    make([]string, len(pts)),
 		reissues:    make([]int, len(pts)),
 		leasedEver:  make([]bool, len(pts)),
@@ -211,33 +207,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 
 	// Cache replay: the resume path. Every hit is a point no worker
-	// will ever see; every quarantine is counted and re-queued.
-	q0 := 0
-	if cfg.Cache != nil {
-		q0 = cfg.Cache.Quarantined()
-	}
-	for i, pt := range pts {
-		if cfg.Cache != nil {
-			if sum, ok := cfg.Cache.Get(pt.Key); ok {
-				sum.Name = pt.Name
-				c.done[i] = true
-				c.sums[i] = sum
-				c.stats.Cached++
-				continue
-			}
-		}
-		c.pending = append(c.pending, i)
-	}
-	if cfg.Cache != nil {
-		c.stats.Quarantined = cfg.Cache.Quarantined() - q0
-		if c.metrics() != nil {
-			c.metrics().PointsCached.Add(uint64(c.stats.Cached))
-		}
-	}
+	// will ever see; every miss, quarantined entries included, queues.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.advanceLocked(); err != nil {
+	if c.pending, err = c.ledger.Replay(c.emitLocked); err != nil {
 		return nil, err
+	}
+	c.stats.Cached, c.stats.Quarantined = c.ledger.Cached(), c.ledger.Quarantined()
+	if m := c.metrics(); m != nil {
+		m.PointsCached.Add(uint64(c.stats.Cached))
 	}
 	c.updateGaugesLocked()
 	c.checkDoneLocked()
@@ -252,26 +230,22 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// advanceLocked emits the canonical rows of the contiguous done prefix
-// into the in-memory stream and, when configured, the Out writer. Each
-// row is encoded once: Out receives the bytes just appended to rows.
-func (c *Coordinator) advanceLocked() error {
-	for c.cursor < len(c.points) && c.done[c.cursor] {
-		pr := &sweep.PointResult{Point: c.points[c.cursor], Summary: c.sums[c.cursor]}
-		n := c.rows.Len()
-		if err := sweep.WriteRow(&c.rows, pr); err != nil {
-			return err
-		}
-		if c.cfg.Out != nil {
-			if _, err := c.cfg.Out.Write(c.rows.Bytes()[n:]); err != nil {
-				return err
-			}
-		}
-		c.cursor++
-		c.stats.RowsEmitted++
-		if m := c.metrics(); m != nil {
-			m.RowsEmitted.Inc()
-		}
+// emitLocked is the ledger's emit: one row to the in-memory stream and
+// the same bytes to Out. A row Out refuses is taken back out, and the
+// ledger retries it at the next advance.
+func (c *Coordinator) emitLocked(pr *sweep.PointResult) error {
+	n := c.rows.Len()
+	err := sweep.WriteRow(&c.rows, pr)
+	if err == nil && c.cfg.Out != nil {
+		_, err = c.cfg.Out.Write(c.rows.Bytes()[n:])
+	}
+	if err != nil {
+		c.rows.Truncate(n)
+		return err
+	}
+	c.stats.RowsEmitted++
+	if m := c.metrics(); m != nil {
+		m.RowsEmitted.Inc()
 	}
 	return nil
 }
@@ -338,7 +312,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		}
 		reclaimed := 0
 		for _, idx := range l.points {
-			if c.done[idx] || c.leasedBy[idx] != l.id {
+			if c.ledger.Done(idx) || c.leasedBy[idx] != l.id {
 				continue
 			}
 			c.leasedBy[idx] = ""
@@ -351,7 +325,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			}
 			if c.reissues[idx] > c.cfg.MaxReissues && c.failure == nil {
 				c.failure = fmt.Errorf("%w: point %d (%s) reissued %d times without completing",
-					ErrCampaignFailed, idx, c.points[idx].Name, c.reissues[idx])
+					ErrCampaignFailed, idx, c.ledger.Points()[idx].Name, c.reissues[idx])
 				c.logf("wlansvc: %v", c.failure)
 				c.checkDoneLocked()
 			}
@@ -484,10 +458,11 @@ func (c *Coordinator) lease(req *LeaseRequest) (*LeaseResponse, error) {
 	for _, idx := range batch {
 		c.leasedBy[idx] = l.id
 		c.leasedEver[idx] = true
+		pt := c.ledger.Points()[idx]
 		resp.Points = append(resp.Points, LeasePoint{
 			Index: idx,
-			Name:  c.points[idx].Name,
-			Key:   c.points[idx].Key,
+			Name:  pt.Name,
+			Key:   pt.Key,
 			Spec:  c.specJSON[idx],
 		})
 	}
@@ -511,27 +486,42 @@ func (c *Coordinator) heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, erro
 	return &HeartbeatResponse{TTLMS: c.cfg.LeaseTTL.Milliseconds()}, nil
 }
 
-// complete records a batch of finished points idempotently: the cache
-// is written before the point is marked done, a duplicate (late
-// completion after reissue, or a retransmit after a lost response) is
-// acknowledged without being re-recorded, and a key mismatch — a
-// completion that does not describe the point it names — is rejected
-// outright.
+// complete records a batch of finished points idempotently. The batch
+// is validated whole first, so a bad request leaves no trace: each entry
+// must address its point by key and carry a summary of the point's
+// scheme and replication count. New points are committed through the
+// ledger; a duplicate (late or retransmitted) is acknowledged only.
 func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	resp := &CompleteResponse{}
-	for _, cp := range req.Points {
-		if cp.Index < 0 || cp.Index >= len(c.points) {
-			return nil, fmt.Errorf("%w: completion for point %d outside the %d-point campaign", errBadRequest, cp.Index, len(c.points))
+	pts := c.ledger.Points()
+	sums := make([]*scenario.Summary, len(req.Points))
+	for k, cp := range req.Points {
+		if cp.Index < 0 || cp.Index >= len(pts) {
+			return nil, fmt.Errorf("%w: completion for point %d outside the %d-point campaign", errBadRequest, cp.Index, len(pts))
 		}
-		pt := c.points[cp.Index]
+		pt := pts[cp.Index]
 		if cp.Key != pt.Key {
 			return nil, fmt.Errorf("%w: completion key %.12s does not address point %d (%.12s): stale manifest or corrupted result", errBadRequest, cp.Key, cp.Index, pt.Key)
 		}
-		if c.done[cp.Index] {
+		if c.ledger.Done(cp.Index) {
+			continue
+		}
+		sum := &scenario.Summary{}
+		if err := json.Unmarshal(cp.Summary, sum); err != nil {
+			return nil, fmt.Errorf("%w: point %d summary: %v", errBadRequest, cp.Index, err)
+		}
+		if sum.Scheme != pt.Spec.Scheme || sum.Replications != pt.Spec.Seeds {
+			return nil, fmt.Errorf("%w: point %d summary reports %d %q replication(s), want %d %q",
+				errBadRequest, cp.Index, sum.Replications, sum.Scheme, pt.Spec.Seeds, pt.Spec.Scheme)
+		}
+		sums[k] = sum
+	}
+	resp := &CompleteResponse{}
+	for k, cp := range req.Points {
+		if c.ledger.Done(cp.Index) {
 			resp.Duplicates++
 			c.stats.Duplicates++
 			if m := c.metrics(); m != nil {
@@ -539,21 +529,12 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 			}
 			continue
 		}
-		sum := &scenario.Summary{}
-		if err := json.Unmarshal(cp.Summary, sum); err != nil {
-			return nil, fmt.Errorf("%w: point %d summary: %v", errBadRequest, cp.Index, err)
+		if err := c.ledger.Commit(cp.Index, sums[k]); err != nil {
+			// Durability first: if the truth store refuses the result,
+			// the point is NOT done. The worker's retry (or a reissue)
+			// will try again.
+			return nil, err
 		}
-		sum.Name = pt.Name
-		if c.cfg.Cache != nil {
-			if err := c.cfg.Cache.Put(pt.Key, &pt.Spec, sum); err != nil {
-				// Durability first: if the truth store refuses the
-				// result, the point is NOT done. The worker's retry (or
-				// a reissue) will try again.
-				return nil, err
-			}
-		}
-		c.done[cp.Index] = true
-		c.sums[cp.Index] = sum
 		if c.leasedBy[cp.Index] != "" {
 			c.leasedBy[cp.Index] = ""
 		} else {
@@ -574,13 +555,13 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 	// go back to the queue rather than dangling until TTL expiry.
 	if l, wasActive := c.leases.complete(req.LeaseID); wasActive {
 		for _, idx := range l.points {
-			if !c.done[idx] && c.leasedBy[idx] == l.id {
+			if !c.ledger.Done(idx) && c.leasedBy[idx] == l.id {
 				c.leasedBy[idx] = ""
 				c.requeueLocked(idx)
 			}
 		}
 	}
-	if err := c.advanceLocked(); err != nil {
+	if err := c.ledger.Advance(c.emitLocked); err != nil {
 		return nil, err
 	}
 	c.logf("wlansvc: lease %s (worker %s): %d completion(s) accepted, %d duplicate(s)",

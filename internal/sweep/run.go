@@ -92,10 +92,10 @@ type PointResult struct {
 	*Point
 	Summary *scenario.Summary
 
-	// summaryJSON, when non-nil, is the summary's canonical json.Marshal
-	// encoding, and WriteRow splices it into the row instead of encoding
-	// Summary (which may then be nil). Its stored name is replaced by
-	// the point's, as a decoded cache hit's is.
+	// summaryJSON is the summary's canonical json.Marshal encoding,
+	// which WriteRow splices into the row; a cache hit carries only
+	// these bytes until Each decodes them. Its stored name is replaced
+	// by the point's.
 	summaryJSON []byte
 }
 
@@ -135,22 +135,32 @@ type Runner struct {
 // order, plus the run statistics.
 func (r *Runner) Run(ctx context.Context, g *Grid) ([]*PointResult, Stats, error) {
 	var out []*PointResult
-	st, err := r.run(ctx, g, false, func(pr *PointResult) error {
+	st, err := r.Each(ctx, g, func(pr *PointResult) error {
 		out = append(out, pr)
 		return nil
-	}, nil)
+	})
 	return out, st, err
 }
 
 // Each executes the grid and invokes emit once per owned point, in
-// point order. A non-nil emit error aborts the sweep (remaining points
-// drain unsimulated) and is returned. Cancelling ctx aborts at
-// replication granularity and returns ctx.Err(); because emission is
-// strictly in point order, the contiguous prefix of completed points is
-// still emitted, while completed points buffered behind an unfinished
-// one are discarded with the rest.
+// point order, with its decoded summary. A non-nil emit error aborts
+// the sweep (remaining points drain unsimulated) and is returned.
+// Cancelling ctx aborts at replication granularity and returns
+// ctx.Err(); because emission is strictly in point order, the
+// contiguous prefix of completed points is still emitted, while
+// completed points buffered behind an unfinished one are discarded with
+// the rest.
 func (r *Runner) Each(ctx context.Context, g *Grid, emit func(*PointResult) error) (Stats, error) {
-	return r.run(ctx, g, false, emit, nil)
+	return r.run(ctx, g, func(pr *PointResult) error {
+		if pr.Summary == nil { // a cache hit: decode it under this grid's point name
+			pr.Summary = &scenario.Summary{}
+			if err := json.Unmarshal(pr.summaryJSON, pr.Summary); err != nil {
+				return fmt.Errorf("sweep: point %d: decode cached summary: %w", pr.Index, err)
+			}
+			pr.Summary.Name = pr.Name
+		}
+		return emit(pr)
+	}, nil)
 }
 
 // Stream executes the grid and writes one JSONL row per owned point,
@@ -162,7 +172,7 @@ func (r *Runner) Each(ctx context.Context, g *Grid, emit func(*PointResult) erro
 // decoded or re-encoded.
 func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error) {
 	bw := bufio.NewWriter(w)
-	st, err := r.run(ctx, g, true, func(pr *PointResult) error {
+	st, err := r.run(ctx, g, func(pr *PointResult) error {
 		return WriteRow(bw, pr)
 	}, bw.Flush)
 	if err != nil {
@@ -172,12 +182,23 @@ func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error
 	return st, bw.Flush()
 }
 
-// WriteRow encodes one point result as its canonical JSONL row. The
-// byte encoding is the deterministic one Row promises, so any emitter
-// that writes completed points in index order through WriteRow — the
-// in-process Runner and the distributed coordinator alike — produces
-// identical streams.
+// WriteRow writes one point result's canonical JSONL row in one Write:
+// the bytes json.Marshal(&Row{...}) gives, with the summary under the
+// point's name. It splices the summary's canonical bytes (marshalled
+// first for a bare Summary) after the Row head, so every emitter — the
+// Runner and the svc coordinator alike — writes identical streams.
 func WriteRow(w io.Writer, pr *PointResult) error {
+	sum := pr.summaryJSON
+	if sum == nil {
+		var err error
+		if sum, err = json.Marshal(pr.Summary); err != nil {
+			return fmt.Errorf("sweep: marshal row: %w", err)
+		}
+	}
+	tail, ok := summaryTail(sum)
+	if !ok {
+		return fmt.Errorf("sweep: point %d: summary bytes do not open with a name", pr.Index)
+	}
 	axes := make(map[string]any, len(pr.Axes))
 	for _, av := range pr.Axes {
 		v := av.Value
@@ -185,32 +206,6 @@ func WriteRow(w io.Writer, pr *PointResult) error {
 			v = renderValue(d) // durations as strings, like everywhere else
 		}
 		axes[av.Field] = v
-	}
-	if pr.summaryJSON != nil {
-		return writeSplicedRow(w, pr, axes)
-	}
-	data, err := json.Marshal(&Row{
-		Index:   pr.Index,
-		Name:    pr.Name,
-		Axes:    axes,
-		Key:     pr.Key,
-		Summary: pr.Summary,
-	})
-	if err != nil {
-		return fmt.Errorf("sweep: marshal row: %w", err)
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
-
-// writeSplicedRow writes the bytes json.Marshal(&Row{...}) would, in
-// one Write, around pr.summaryJSON: the head is the Row encoding with a
-// null summary, and the summary bytes follow the point's name, which
-// replaces the stored one.
-func writeSplicedRow(w io.Writer, pr *PointResult, axes map[string]any) error {
-	tail, ok := summaryTail(pr.summaryJSON)
-	if !ok {
-		return fmt.Errorf("sweep: point %d: summary bytes do not open with a name", pr.Index)
 	}
 	head, err := json.Marshal(&Row{Index: pr.Index, Name: pr.Name, Axes: axes, Key: pr.Key})
 	if err != nil {
@@ -249,39 +244,25 @@ func summaryTail(sum []byte) (tail []byte, ok bool) {
 }
 
 // run is the pipelined execution core: expand, filter to the shard,
-// serve cache hits, and feed every remaining point's replications into
-// one shared scenario worker pool (the repository's single fan-out
-// path). Points complete out of order — small points no longer
-// serialise behind chunk barriers — but rows are emitted strictly in
-// point order: a completion cursor buffers out-of-order summaries and
-// drains every contiguous completed prefix, persisting each fresh
-// result to the cache the moment it lands. flush, when non-nil, runs
-// after each drained prefix — the cache-commit boundary — so streamed
-// output survives interruption in whole rows without a write syscall
-// per point. encoded selects what emit receives: with it, cache hits
-// carry only their verified summary bytes (PointResult.summaryJSON)
-// and cached simulated points the bytes they were put with, for
-// WriteRow to splice; without it, every result carries a decoded
-// Summary.
-func (r *Runner) run(ctx context.Context, g *Grid, encoded bool, emit func(*PointResult) error, flush func() error) (Stats, error) {
-	st, err := r.runPoints(ctx, g, encoded, emit, flush)
+// replay the cache, and feed every remaining point's replications into
+// one shared scenario worker pool. Points complete out of order, and a
+// Ledger commits each the moment it lands and emits rows in point
+// order. flush, when non-nil, runs at the cache-commit boundaries (after
+// the replay and after each simulated completion), so streamed output
+// survives interruption in whole rows without a write syscall per point.
+func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error, flush func() error) (st Stats, err error) {
 	// Owned points a failed run never satisfied — the erroring point
 	// plus everything drained behind it — are counted as failed, so the
 	// metric totals always obey Owned = Simulated + Cached + Failed.
-	if err != nil && r.Metrics != nil {
-		if unsat := st.Owned - st.Simulated - st.Cached; unsat > 0 {
+	defer func() {
+		if unsat := st.Owned - st.Simulated - st.Cached; err != nil && r.Metrics != nil && unsat > 0 {
 			r.Metrics.PointsFailed.Add(uint64(unsat))
 		}
-	}
-	return st, err
-}
-
-func (r *Runner) runPoints(ctx context.Context, g *Grid, encoded bool, emit func(*PointResult) error, flush func() error) (Stats, error) {
-	var st Stats
+	}()
 	// Observe cancellation up front so an already-cancelled context
 	// reports ctx.Err() whatever the cache temperature: without this, a
-	// fully cached grid would succeed (the cache pass never simulates,
-	// so the pool never sees ctx) while the same cold grid would fail.
+	// fully cached grid would succeed (the replay never simulates, so
+	// the pool never sees ctx) while the same cold grid would fail.
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
@@ -304,139 +285,63 @@ func (r *Runner) runPoints(ctx context.Context, g *Grid, encoded bool, emit func
 		r.Metrics.PointsOwned.Add(uint64(st.Owned))
 	}
 
-	// Emission cursor: rows leave strictly in point order; results
-	// landing out of order wait in done until the prefix completes.
-	// Flushing is decoupled from emission so the warm cached path still
-	// batches writes: flushDirty runs at cache-commit boundaries (after
-	// each simulated completion's drain and after the cache pass), never
-	// per cached row.
-	done := make([]*PointResult, len(owned))
-	cursor := 0
-	dirty := false
-	advance := func() error {
-		for cursor < len(owned) && done[cursor] != nil {
-			pr := done[cursor]
-			done[cursor] = nil // release the buffered result
-			if err := emit(pr); err != nil {
-				return err
-			}
-			if r.Metrics != nil {
-				r.Metrics.RowsEmitted.Inc()
-			}
-			cursor++
-			dirty = true
+	// The first emit error aborts the run, and it sticks: points already
+	// in flight still complete into the cache, but their rows must not
+	// reach emit again.
+	l := NewLedger(owned, r.Cache)
+	var emitErr error
+	emitRow := func(pr *PointResult) error {
+		if emitErr != nil {
+			return emitErr
+		}
+		if emitErr = emit(pr); emitErr != nil {
+			return emitErr
+		}
+		if r.Metrics != nil {
+			r.Metrics.RowsEmitted.Inc()
 		}
 		return nil
 	}
-	flushDirty := func() error {
-		if !dirty || flush == nil {
-			return nil
-		}
-		dirty = false
-		return flush()
-	}
 
-	// Cache pass: satisfied points get their summary up front; misses
-	// go to the pool. The contiguous cached prefix is drained as it is
-	// discovered, so a warm re-run or resume streams rows with O(1)
-	// buffered summaries; only cache hits stuck behind an in-flight
-	// simulated point buffer, which the in-order job hand-out bounds by
-	// the pool's completion skew.
-	var missIdx []int
-	var missSpecs []*scenario.Spec
-	q0 := 0
-	if r.Cache != nil {
-		q0 = r.Cache.Quarantined()
+	missing, err := l.Replay(emitRow)
+	st.Cached, st.Quarantined = l.Cached(), l.Quarantined()
+	if r.Metrics != nil {
+		r.Metrics.PointsCached.Add(uint64(st.Cached))
 	}
-	for i, pt := range owned {
-		if r.Cache != nil {
-			if pr, ok := r.cached(pt, encoded); ok {
-				done[i] = pr
-				st.Cached++
-				if r.Metrics != nil {
-					r.Metrics.PointsCached.Inc()
-				}
-				// While no miss precedes it, the hit is part of the
-				// contiguous prefix: emit immediately so a warm re-run
-				// streams with O(1) buffered summaries (flushed once
-				// after the pass).
-				if len(missIdx) == 0 {
-					if err := advance(); err != nil {
-						return st, err
-					}
-				}
-				continue
-			}
-		}
-		missIdx = append(missIdx, i)
-		missSpecs = append(missSpecs, &owned[i].Spec)
+	if err == nil && flush != nil {
+		err = flush()
 	}
-	if r.Cache != nil {
-		st.Quarantined = r.Cache.Quarantined() - q0
-	}
-	if err := flushDirty(); err != nil {
+	if err != nil || len(missing) == 0 {
 		return st, err
 	}
 
-	if len(missSpecs) > 0 {
-		sr := r.Scenarios
-		if sr == nil {
-			private := &scenario.Runner{Parallelism: r.Parallelism}
-			defer private.Close()
-			sr = private
-		}
-		// Cache-put, emit and flush failures abort the batch through the
-		// callback's error: the pool drains the remaining points
-		// unsimulated instead of burning CPU on results nobody will
-		// read.
-		runErr := sr.RunBatchFunc(ctx, missSpecs, func(k int, sum *scenario.Summary) error {
-			i := missIdx[k]
-			pr := &PointResult{Point: owned[i], Summary: sum}
-			if r.Cache != nil {
-				// One encoding serves both the cache entry and the row.
-				data, err := json.Marshal(sum)
-				if err != nil {
-					return fmt.Errorf("sweep: marshal summary: %w", err)
-				}
-				if err := r.Cache.put(owned[i].Key, &owned[i].Spec, data); err != nil {
-					return err
-				}
-				if encoded {
-					pr.summaryJSON = data
-				}
-			}
-			done[i] = pr
-			st.Simulated++
-			if r.Metrics != nil {
-				r.Metrics.PointsSimulated.Inc()
-			}
-			if err := advance(); err != nil {
-				return err
-			}
-			return flushDirty()
-		})
-		if runErr != nil {
-			return st, runErr
-		}
+	sr := r.Scenarios
+	if sr == nil {
+		private := &scenario.Runner{Parallelism: r.Parallelism}
+		defer private.Close()
+		sr = private
 	}
-	// Drain the tail (all-cached grids, or cached points after the last
-	// simulated one).
-	return st, advance()
-}
-
-// cached serves a point from the cache. The stored name is whatever
-// sweep put the entry first, so the result reports under this grid's
-// canonical point name: a decoded summary is renamed, and encoded bytes
-// get the name spliced in by WriteRow.
-func (r *Runner) cached(pt *Point, encoded bool) (*PointResult, bool) {
-	pr := &PointResult{Point: pt}
-	var ok bool
-	if encoded {
-		pr.summaryJSON, ok = r.Cache.lookup(pt.Key)
-	} else if pr.Summary, ok = r.Cache.Get(pt.Key); ok {
-		pr.Summary.Name = pt.Name
+	specs := make([]*scenario.Spec, len(missing))
+	for k, i := range missing {
+		specs[k] = &owned[i].Spec
 	}
-	return pr, ok
+	// Cache-put, emit and flush failures abort the batch through the
+	// callback's error: the pool drains the remaining points unsimulated
+	// instead of burning CPU on results nobody will read.
+	err = sr.RunBatchFunc(ctx, specs, func(k int, sum *scenario.Summary) error {
+		if err := l.Commit(missing[k], sum); err != nil {
+			return err
+		}
+		st.Simulated++
+		if r.Metrics != nil {
+			r.Metrics.PointsSimulated.Inc()
+		}
+		if err := l.Advance(emitRow); err != nil || flush == nil {
+			return err
+		}
+		return flush()
+	})
+	return st, err
 }
 
 // Merge combines shard JSONL outputs into the byte-exact unsharded

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"path/filepath"
@@ -303,10 +304,19 @@ func TestSplicedRowMatchesMarshal(t *testing.T) {
 				t.Fatalf("%q: stored name equals the served one; the splice is untested", name)
 			}
 			sum.Name = pt.Name
-			// Without summary bytes, WriteRow is json.Marshal(&Row{...}).
-			if err := WriteRow(&want, &PointResult{Point: pt, Summary: sum}); err != nil {
+			axes := map[string]any{}
+			for _, av := range pt.Axes {
+				v := av.Value
+				if d, ok := v.(scenario.Duration); ok {
+					v = renderValue(d)
+				}
+				axes[av.Field] = v
+			}
+			row, err := json.Marshal(&Row{Index: pt.Index, Name: pt.Name, Axes: axes, Key: pt.Key, Summary: sum})
+			if err != nil {
 				t.Fatal(err)
 			}
+			want.Write(append(row, '\n'))
 		}
 		if !bytes.Equal(warm.Bytes(), want.Bytes()) {
 			t.Errorf("%q: spliced rows differ from json.Marshal(Row):\n%s\nvs\n%s", name, warm.Bytes(), want.Bytes())
