@@ -26,6 +26,12 @@ import (
 // station must observe before attempting. OnSuccess/OnFailure report
 // attempt outcomes. OnControl delivers the AP's broadcast control block
 // from a decoded ACK or beacon.
+//
+// A policy must not retain the *sim.RNG it is handed beyond the call.
+// The engines reuse station generators across runs, and slotsim keeps
+// them in one arena whose backing array is replaced when a Reset grows
+// the station count, so a retained pointer ends up on a reseeded or
+// abandoned generator.
 type Policy interface {
 	// NextBackoff draws the number of idle slots to wait before the next
 	// transmission attempt.

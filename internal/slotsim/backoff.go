@@ -94,14 +94,7 @@ func (t *backoffTracker) reset(n int) {
 			t.occupied[w] = 0
 		}
 	}
-	if cap(t.next) < n {
-		t.next = make([]int32, n)
-		t.prev = make([]int32, n)
-		t.overflowPos = make([]int32, n)
-	} else {
-		t.next, t.prev = t.next[:n], t.prev[:n]
-		t.overflowPos = t.overflowPos[:n]
-	}
+	t.next, t.prev, t.overflowPos = resize(t.next, n), resize(t.prev, n), resize(t.overflowPos, n)
 	for i := range t.overflowPos {
 		t.overflowPos[i] = -1
 	}

@@ -28,7 +28,9 @@ import (
 type Config struct {
 	// PHY supplies timing (zero value: model.PaperPHY()).
 	PHY model.PHY
-	// Policies holds one contention policy per station.
+	// Policies holds one contention policy per station. The simulator
+	// reads the slice for the whole run instead of copying it, so the
+	// caller must not modify it until the next Reset.
 	Policies []mac.Policy
 	// Controller optionally runs at the AP, exactly as in eventsim.
 	Controller core.Controller
@@ -78,8 +80,18 @@ func (r *Result) ThroughputMbps() float64 { return r.Throughput / 1e6 }
 // Simulator is the slot-synchronous engine.
 type Simulator struct {
 	cfg      Config
-	stations []slotStation
-	now      sim.Time
+	stations []station
+	// rngs is the station-generator arena: station i draws from
+	// &rngs[i], reseeded in place by every init, so the 100k tier's
+	// generators are one allocation instead of one each.
+	rngs []sim.RNG
+	// sources holds the finite-load stations' arrival state in ascending
+	// station order; a station's src field indexes it. Arrival admission
+	// walks it alone, skipping the saturated stations that are almost
+	// everyone at the 100k tier, and the saturated hot loop skips every
+	// arrival check when it is empty.
+	sources []source
+	now     sim.Time
 
 	windowBits  int64
 	windowStart sim.Time
@@ -98,10 +110,6 @@ type Simulator struct {
 	// cancellation between chunks.
 	idleRun int64
 
-	// unsat is true when any station has a finite-load source; the
-	// saturated hot loop skips every arrival check when false.
-	unsat bool
-
 	// tracker holds every backlogged station keyed by absolute backoff
 	// expiry (see backoff.go): expired-counter collection and the
 	// minimum-counter idle jump are bucket operations instead of O(N)
@@ -109,48 +117,40 @@ type Simulator struct {
 	// decrement of every counter.
 	tracker backoffTracker
 
-	// The per-busy-period and per-iteration passes never scan all N
-	// stations: each pass walks a flat index array (the SoA idiom the
-	// calendar queue's bitmap established) listing exactly the stations
-	// it concerns, all fixed at init and ascending. memorylessIdx holds
-	// the policies that redraw at every busy-period boundary (the resume
-	// pass is free for DCF), observerIdx the MediumObserver policies
-	// (IdleSense), and unsatIdx the finite-load sources (arrival
-	// admission skips saturated stations, which at the 100k tier is
-	// almost everyone).
+	// The per-busy-period passes never scan all N stations: each walks a
+	// flat array (the SoA idiom the calendar queue's bitmap established)
+	// listing exactly the stations it concerns, all fixed at init and
+	// ascending. memorylessIdx holds the policies that redraw at every
+	// busy-period boundary (the resume pass is free for DCF), observers
+	// the MediumObserver policies (IdleSense).
 	memorylessIdx []int32
-	observerIdx   []int32
-	unsatIdx      []int32
+	observers     []mac.MediumObserver
 
 	res Result
 }
 
-type slotStation struct {
-	policy mac.Policy
-	// observer and memoryless cache the policy's optional-interface
-	// shape (fixed per run).
-	observer   mac.MediumObserver
-	memoryless bool
-	rng        *sim.RNG
-	counter    int
-	// expiry is the absolute slot index at which counter reaches zero,
-	// valid while the station is tracked (backlogged).
+// station is the per-station hot record. Everything else a station owns
+// lives in a parallel table: its policy in cfg.Policies, its generator
+// in rngs, its delivered bits in res.PerStation and, for a finite-load
+// station, its arrival state in sources.
+type station struct {
+	// expiry is the absolute slot index at which the backoff counter
+	// reaches zero, valid while the station is tracked (backlogged).
 	expiry int64
-	bits   int64
-
-	// Unsaturated-source state: the arrival spec, its dedicated RNG
-	// stream (sim.ArrivalStream), the (continuous) instant of the next
-	// arrival, and the current queue length. A station contends only
-	// while backlogged.
-	arr    traffic.Spec
-	arrRNG *sim.RNG
-	next   sim.Time
-	qlen   int
+	// src indexes sources, or is -1 for a saturated station.
+	src int32
 }
 
-// backlogged reports whether the station has a frame to contend for.
-func (st *slotStation) backlogged() bool {
-	return !st.arr.Unsaturated() || st.qlen > 0
+// source is an unsaturated station's arrival state: the station, its
+// spec, its dedicated RNG stream (sim.ArrivalStream), the (continuous)
+// instant of the next arrival, and the current queue length. The station
+// contends only while backlogged.
+type source struct {
+	station int
+	arr     traffic.Spec
+	rng     *sim.RNG
+	next    sim.Time
+	qlen    int
 }
 
 // withDefaults validates the configuration and fills defaults.
@@ -222,73 +222,48 @@ func (s *Simulator) Reset(cfg Config) error {
 // wholesale struct assignment returns every non-arena field to its zero
 // value; arenas are carried explicitly.
 func (s *Simulator) init(cfg Config) {
-	stations := s.stations
-	per := s.res.PerStation
+	n := len(cfg.Policies)
 	tracker := s.tracker
-	tracker.reset(len(cfg.Policies))
-	memIdx := s.memorylessIdx[:0]
-	obsIdx := s.observerIdx[:0]
-	unsatIdx := s.unsatIdx[:0]
+	tracker.reset(n)
+	per := resize(s.res.PerStation, n)
+	clear(per)
 	// Series storage is deliberately NOT reused: Result marshals nil and
 	// empty slices differently, and a reused-but-empty series would make
 	// a Reset run's encoding observably differ from a fresh New run. The
 	// few per-window appends are noise next to the RNG/station arenas.
-	*s = Simulator{cfg: cfg, attackerIdx: s.attackerIdx[:0], tracker: tracker}
-	n := len(cfg.Policies)
-	if cap(stations) < n {
-		stations = make([]slotStation, n)
-	} else {
-		stations = stations[:n]
+	*s = Simulator{
+		cfg:           cfg,
+		stations:      resize(s.stations, n),
+		rngs:          resize(s.rngs, n),
+		sources:       s.sources[:0],
+		attackerIdx:   s.attackerIdx[:0],
+		tracker:       tracker,
+		memorylessIdx: s.memorylessIdx[:0],
+		observers:     s.observers[:0],
+		res:           Result{PerStation: per},
 	}
-	for i := range stations {
-		st := &stations[i]
-		rng, arrRNG := st.rng, st.arrRNG
-		*st = slotStation{policy: cfg.Policies[i], arrRNG: arrRNG}
-		st.observer, _ = st.policy.(mac.MediumObserver)
-		if m, ok := st.policy.(mac.Memoryless); ok {
-			st.memoryless = m.BackoffMemoryless()
+	// One ascending pass: draw the initial counter, set up the arrival
+	// source, and register backlogged stations with the tracker.
+	// Saturated stations are always backlogged. An unsaturated station
+	// joins when its first packet arrives, with a fresh draw; its initial
+	// draw is still consumed, because every draw is pinned.
+	for i, p := range cfg.Policies {
+		rng := &s.rngs[i]
+		rng.Reseed(cfg.Seed, int64(i))
+		counter := p.NextBackoff(rng)
+		if o, ok := p.(mac.MediumObserver); ok {
+			s.observers = append(s.observers, o)
 		}
-		if st.observer != nil {
-			obsIdx = append(obsIdx, int32(i))
+		if m, ok := p.(mac.Memoryless); ok && m.BackoffMemoryless() {
+			s.memorylessIdx = append(s.memorylessIdx, int32(i))
 		}
-		if st.memoryless {
-			memIdx = append(memIdx, int32(i))
+		s.stations[i].src = -1
+		if cfg.Arrivals != nil && cfg.Arrivals[i].Unsaturated() {
+			s.stations[i].src = int32(len(s.sources))
+			s.addSource(i, cfg.Arrivals[i])
+			continue
 		}
-		st.rng = sim.Reuse(rng, cfg.Seed, int64(i))
-		st.counter = st.policy.NextBackoff(st.rng)
-	}
-	s.stations = stations
-	s.memorylessIdx = memIdx
-	s.observerIdx = obsIdx
-	if cfg.Arrivals != nil {
-		for i := range s.stations {
-			st := &s.stations[i]
-			st.arr = cfg.Arrivals[i]
-			if st.arr.Unsaturated() {
-				s.unsat = true
-				st.arrRNG = sim.Reuse(st.arrRNG, cfg.Seed, sim.ArrivalStream(i))
-				st.next = sim.Time(st.arr.NextInterArrival(st.arrRNG))
-				unsatIdx = append(unsatIdx, int32(i))
-			}
-		}
-	}
-	s.unsatIdx = unsatIdx
-	if cap(per) < n {
-		per = make([]int64, n)
-	} else {
-		per = per[:n]
-		for i := range per {
-			per[i] = 0
-		}
-	}
-	s.res.PerStation = per
-	// Register every backlogged station's initial counter with the
-	// tracker (saturated stations always; unsaturated ones join when
-	// their first packet arrives).
-	for i := range s.stations {
-		if s.stations[i].backlogged() {
-			s.track(i, s.stations[i].counter)
-		}
+		s.track(i, counter)
 	}
 	s.nextWindow = sim.Time(cfg.UpdatePeriod)
 	if cfg.Controller != nil {
@@ -296,12 +271,32 @@ func (s *Simulator) init(cfg Config) {
 	}
 }
 
+// addSource appends station i's source for arr, reseeding the generator
+// the arena slot already points at when there is one.
+func (s *Simulator) addSource(i int, arr traffic.Spec) {
+	var rng *sim.RNG
+	if k := len(s.sources); k < cap(s.sources) {
+		rng = s.sources[:k+1][k].rng
+	}
+	rng = sim.Reuse(rng, s.cfg.Seed, sim.ArrivalStream(i))
+	s.sources = append(s.sources, source{station: i, arr: arr, rng: rng, next: sim.Time(arr.NextInterArrival(rng))})
+}
+
+// resize returns a length-n slice, reusing b's storage when it is large
+// enough. Reused elements keep their old values.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
 // Run advances the simulation until at least the given simulated duration
 // has elapsed and returns the results.
 func (s *Simulator) Run(duration sim.Duration) *Result {
 	end := sim.Time(duration)
 	for s.now.Before(end) {
-		if s.unsat {
+		if len(s.sources) > 0 {
 			s.admitArrivals()
 		}
 		// Backlogged stations whose counters expired sit in the
@@ -333,7 +328,7 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 			// An arrival can make an idle station backlogged mid-run;
 			// stop the jump at the first upcoming arrival's slot boundary
 			// so its backoff starts on time.
-			if s.unsat {
+			if len(s.sources) > 0 {
 				if slots := s.slotsUntilArrival(); slots >= 1 && slots < jump {
 					jump = slots
 				}
@@ -344,19 +339,17 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 			s.tracker.advance(jump)
 		case attackers == 1:
 			winner := s.attackerIdx[0]
-			st := &s.stations[winner]
 			s.observe(s.idleRun)
 			s.idleRun = 0
 			s.now = s.now.Add(s.cfg.PHY.Ts())
 			s.res.Successes++
 			payload := int64(s.cfg.PHY.Payload)
-			st.bits += payload
 			s.res.PerStation[winner] += payload
 			s.windowBits += payload
-			if st.arr.Unsaturated() {
-				st.qlen--
+			if src := s.stations[winner].src; src >= 0 {
+				s.sources[src].qlen--
 			}
-			st.policy.OnSuccess(st.rng)
+			s.cfg.Policies[winner].OnSuccess(&s.rngs[winner])
 			s.broadcast()
 			s.redraw(winner)
 			s.resume(s.attackerIdx)
@@ -371,8 +364,7 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 			// double-draws attackers whose fresh counter came up ≥ 1,
 			// inflating their attempt probability from p to p+(1−p)p.
 			for _, i := range s.attackerIdx {
-				st := &s.stations[i]
-				st.policy.OnFailure(st.rng)
+				s.cfg.Policies[i].OnFailure(&s.rngs[i])
 				s.redraw(i)
 			}
 			s.resume(s.attackerIdx)
@@ -398,9 +390,7 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 //
 //wlanvet:hotpath
 func (s *Simulator) track(i, counter int) {
-	st := &s.stations[i]
-	st.counter = counter
-	st.expiry = s.tracker.base + int64(counter)
+	s.stations[i].expiry = s.tracker.base + int64(counter)
 	s.tracker.insert(i, counter)
 }
 
@@ -408,8 +398,13 @@ func (s *Simulator) track(i, counter int) {
 //
 //wlanvet:hotpath
 func (s *Simulator) untrack(i int) {
-	st := &s.stations[i]
-	s.tracker.remove(i, st.expiry-s.tracker.base)
+	s.tracker.remove(i, s.stations[i].expiry-s.tracker.base)
+}
+
+// backlogged reports whether station i has a frame to contend for.
+func (s *Simulator) backlogged(i int) bool {
+	src := s.stations[i].src
+	return src < 0 || s.sources[src].qlen > 0
 }
 
 // observe feeds medium-observing policies (IdleSense) the idle run that
@@ -419,8 +414,8 @@ func (s *Simulator) untrack(i int) {
 //
 //wlanvet:hotpath
 func (s *Simulator) observe(idleRun int64) {
-	for _, i := range s.observerIdx {
-		s.stations[i].observer.ObserveTransmission(float64(idleRun))
+	for _, o := range s.observers {
+		o.ObserveTransmission(float64(idleRun))
 	}
 }
 
@@ -431,12 +426,9 @@ func (s *Simulator) observe(idleRun int64) {
 //
 //wlanvet:hotpath
 func (s *Simulator) redraw(i int) {
-	st := &s.stations[i]
-	c := st.policy.NextBackoff(st.rng)
-	if st.backlogged() {
+	c := s.cfg.Policies[i].NextBackoff(&s.rngs[i])
+	if s.backlogged(i) {
 		s.track(i, c)
-	} else {
-		st.counter = c
 	}
 }
 
@@ -459,12 +451,11 @@ func (s *Simulator) resume(attackers []int) {
 			k++
 			continue
 		}
-		st := &s.stations[i]
-		if !st.backlogged() {
+		if !s.backlogged(i) {
 			continue // no frame, no counter to maintain
 		}
 		s.untrack(i)
-		s.track(i, st.policy.NextBackoff(st.rng))
+		s.track(i, s.cfg.Policies[i].NextBackoff(&s.rngs[i]))
 	}
 }
 
@@ -477,23 +468,23 @@ func (s *Simulator) resume(attackers []int) {
 //
 //wlanvet:hotpath
 func (s *Simulator) admitArrivals() {
-	for _, i32 := range s.unsatIdx {
-		i := int(i32)
-		st := &s.stations[i]
-		for !st.next.After(s.now) {
+	for k := range s.sources {
+		src := &s.sources[k]
+		for !src.next.After(s.now) {
 			s.res.PacketsArrived++
-			if st.qlen >= st.arr.EffectiveQueueCap() {
+			if src.qlen >= src.arr.EffectiveQueueCap() {
 				s.res.PacketsDropped++
 			} else {
-				st.qlen++
-				if st.qlen == 1 {
+				src.qlen++
+				if src.qlen == 1 {
 					// A fresh head-of-line frame draws a fresh backoff
 					// from the policy's current state and (re)joins the
 					// tracker.
-					s.track(i, st.policy.NextBackoff(st.rng))
+					i := src.station
+					s.track(i, s.cfg.Policies[i].NextBackoff(&s.rngs[i]))
 				}
 			}
-			st.next = st.next.Add(st.arr.NextInterArrival(st.arrRNG))
+			src.next = src.next.Add(src.arr.NextInterArrival(src.rng))
 		}
 	}
 }
@@ -505,10 +496,9 @@ func (s *Simulator) admitArrivals() {
 func (s *Simulator) slotsUntilArrival() int {
 	earliest := sim.Time(int64(^uint64(0) >> 1))
 	found := false
-	for _, i := range s.unsatIdx {
-		st := &s.stations[i]
-		if st.next.Before(earliest) {
-			earliest = st.next
+	for k := range s.sources {
+		if next := s.sources[k].next; next.Before(earliest) {
+			earliest = next
 			found = true
 		}
 	}
@@ -537,8 +527,8 @@ func (s *Simulator) broadcast() {
 	if s.cfg.Controller == nil {
 		return
 	}
-	for i := range s.stations {
-		s.stations[i].policy.OnControl(s.control)
+	for _, p := range s.cfg.Policies {
+		p.OnControl(s.control)
 	}
 }
 
