@@ -11,9 +11,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -22,33 +24,39 @@ import (
 )
 
 func main() {
-	var (
-		run      = flag.String("run", "", "experiment id (fig1..fig13, tab2, tab3) or 'all'")
-		list     = flag.Bool("list", false, "list available experiments")
-		tsv      = flag.Bool("tsv", false, "emit tab-separated values instead of aligned tables")
-		outDir   = flag.String("out", "", "also write each table to <out>/<id>.tsv")
-		paper    = flag.Bool("paper", false, "paper-scale durations and seed counts (hours)")
-		duration = flag.Duration("duration", 0, "override simulated duration per run")
-		seeds    = flag.Int("seeds", 0, "override seeds per data point")
-		cacheDir = flag.String("cache", "", "back figure sweeps with the content-addressed sweep cache at this directory")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// SIGINT/SIGTERM cancel the context: the running figure aborts at
-	// its next cell/replication boundary.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+// run is the whole command: it parses args, writes tables to stdout and
+// diagnostics to stderr, and returns the exit status (2 for usage
+// errors, 1 for failed runs).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		runID    = fs.String("run", "", "experiment id (fig1..fig13, tab2, tab3) or 'all'")
+		list     = fs.Bool("list", false, "list available experiments")
+		tsv      = fs.Bool("tsv", false, "emit tab-separated values instead of aligned tables")
+		outDir   = fs.String("out", "", "also write each table to <out>/<id>.tsv")
+		paper    = fs.Bool("paper", false, "paper-scale durations and seed counts (hours)")
+		duration = fs.Duration("duration", 0, "override simulated duration per run")
+		seeds    = fs.Int("seeds", 0, "override seeds per data point")
+		cacheDir = fs.String("cache", "", "back figure sweeps with the content-addressed sweep cache at this directory")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("available experiments:")
-		for _, id := range experiment.IDs() {
-			fmt.Printf("  %s\n", id)
+		fmt.Fprintln(stdout, "available experiments:")
+		for _, e := range experiment.Experiments() {
+			fmt.Fprintf(stdout, "  %s\n", strings.Join(append([]string{e.ID}, e.Aliases...), ", "))
 		}
-		return
+		return 0
 	}
-	if *run == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -run <id> or -list required")
-		os.Exit(2)
+	if *runID == "" {
+		fmt.Fprintln(stderr, "experiments: -run <id> or -list required")
+		return 2
 	}
 
 	opts := experiment.Quick()
@@ -67,43 +75,49 @@ func main() {
 	// figure starts simulating, so a typo like `-duration 1ns` exits
 	// with one clear message instead of failing deep inside a run.
 	if err := opts.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
 	}
 
-	ids := []string{*run}
-	if *run == "all" {
-		ids = experiment.IDs()
-	}
-	registry := experiment.Registry()
-	for _, id := range ids {
-		runner, ok := registry[id]
+	todo := experiment.Experiments()
+	if *runID != "all" {
+		e, ok := experiment.Lookup(*runID)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown id %q (try -list)\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "experiments: unknown id %q (try -list)\n", *runID)
+			return 2
 		}
+		todo = []experiment.Experiment{e}
+	}
+
+	// SIGINT/SIGTERM cancel the context: the running figure aborts at
+	// its next cell/replication boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	for _, e := range todo {
 		start := time.Now()
-		table, err := runner(ctx, opts)
+		table, err := e.Run(ctx, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", e.ID, err)
+			return 1
 		}
 		if *tsv {
-			fmt.Print(table.TSV())
+			fmt.Fprint(stdout, table.TSV())
 		} else {
-			fmt.Print(table.String())
+			fmt.Fprint(stdout, table.String())
 		}
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
+				return 1
 			}
 			path := filepath.Join(*outDir, table.ID+".tsv")
 			if err := os.WriteFile(path, []byte(table.TSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
+				return 1
 			}
 		}
 	}
+	return 0
 }

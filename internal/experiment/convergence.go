@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/eventsim"
 	"repro/internal/model"
-	"repro/internal/scenario"
+	"repro/internal/scheme"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
@@ -20,28 +21,20 @@ import (
 //
 // The (nodes × scheme) cells are enumerated through the declarative
 // sweep grid — the same expansion, ordering and naming as every figure
-// sweep — but each cell executes directly against the event simulator
-// because the analysis consumes the windowed throughput series, which
-// the aggregate scenario summary deliberately does not carry.
+// sweep — but each cell runs through replicate, because the analysis
+// consumes the windowed throughput series, which the aggregate scenario
+// summary deliberately does not carry.
 func Convergence(ctx context.Context, o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	phy := model.PaperPHY()
-	mdl := model.PPersistent{PHY: phy}
-	warmup := scenario.Duration(o.Warmup)
+	mdl := model.PPersistent{PHY: model.PaperPHY()}
 	g := &sweep.Grid{
 		Name: "convergence",
-		Base: scenario.Spec{
-			Topology: scenario.TopologySpec{Kind: scenario.TopoConnected, Radius: 8},
-			Duration: scenario.Duration(o.Duration),
-			Warmup:   &warmup,
-			Seeds:    o.Seeds,
-			Seed:     1,
-		},
+		Base: baseSpec(o, connected),
 		Axes: []sweep.Axis{
 			{Field: sweep.FieldNodes, Values: sweep.Ints(o.Nodes...)},
-			{Field: sweep.FieldScheme, Values: sweep.Strings(string(SchemeWTOP), string(SchemeTORA))},
+			{Field: sweep.FieldScheme, Values: sweep.Strings(scheme.WTOP, scheme.TORA)},
 		},
 	}
 	pts, err := sweep.Expand(g)
@@ -56,24 +49,10 @@ func Convergence(ctx context.Context, o Options) (*Table, error) {
 	}
 	for _, pt := range pts {
 		n := pt.Spec.Topology.N
-		sch := Scheme(pt.Spec.Scheme)
 		target := mdl.MaxThroughput(model.UnitWeights(n))
 		var t90, eff, steady, sigma stats.Welford
 		converged := 0
-		for r := 0; r < pt.Spec.Seeds; r++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			seed := pt.Spec.Seed + int64(r)
-			tp, err := scenario.BuildTopology(&pt.Spec.Topology, seed)
-			if err != nil {
-				return nil, err
-			}
-			s, err := buildSim(sch, tp, seed)
-			if err != nil {
-				return nil, err
-			}
-			res := s.Run(o.Duration)
+		err := replicate(ctx, pt.Spec, nil, func(res *eventsim.Result) {
 			rep := stats.AnalyzeConvergence(&res.ThroughputSeries, target, stats.ConvergenceOptions{})
 			if rep.Converged {
 				converged++
@@ -82,6 +61,9 @@ func Convergence(ctx context.Context, o Options) (*Table, error) {
 			eff.Add(rep.Efficiency)
 			steady.Add(rep.SteadyMean)
 			sigma.Add(rep.SteadyStdDev)
+		})
+		if err != nil {
+			return nil, err
 		}
 		t90Cell := "-"
 		if t90.N() > 0 {
@@ -89,7 +71,7 @@ func Convergence(ctx context.Context, o Options) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
-			string(sch),
+			pt.Spec.Scheme,
 			fmt.Sprintf("%d/%d", converged, pt.Spec.Seeds),
 			t90Cell,
 			fmt.Sprintf("%.3f", steady.Mean()/1e6),

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/eventsim"
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -19,80 +19,42 @@ var churnPhases = []int{10, 30, 60, 20, 40}
 
 // churnGrid states the dynamic-N scenario declaratively: the churn
 // schedule as a base spec, with the topology family (connected vs the
-// 16 m hidden-node disc — the radii are the families' defaults) as the
-// swept axis.
-func churnGrid(o Options, sch Scheme) *sweep.Grid {
-	maxN := 0
-	for _, n := range churnPhases {
-		if n > maxN {
-			maxN = n
-		}
-	}
+// 16 m hidden-node disc) as the swept axis.
+func churnGrid(o Options, sch string) *sweep.Grid {
 	churn := make([]scenario.ChurnStep, len(churnPhases))
 	for i, n := range churnPhases {
 		churn[i] = scenario.ChurnStep{At: scenario.Duration(o.Duration) * scenario.Duration(i), Active: n}
 	}
 	return &sweep.Grid{
-		Name: "churn-" + string(sch),
+		Name: "churn-" + sch,
 		Base: scenario.Spec{
-			Scheme:   string(sch),
-			Topology: scenario.TopologySpec{N: maxN},
+			Scheme:   sch,
+			Topology: scenario.TopologySpec{N: slices.Max(churnPhases)},
 			Churn:    churn,
 			Duration: scenario.Duration(o.Duration) * scenario.Duration(len(churnPhases)),
 			Seeds:    1,
 			Seed:     1,
 		},
-		Axes: []sweep.Axis{
-			{Field: sweep.FieldTopology, Values: sweep.Strings(scenario.TopoConnected, scenario.TopoDisc)},
-		},
+		Axes: []sweep.Axis{topologyAxis},
 	}
 }
 
-// runChurn executes one expanded churn point against the event
-// simulator directly: the figure consumes the windowed throughput,
-// control and active-station series, which the aggregate scenario
-// summary does not carry. The churn step at t=0 becomes the initial
-// active count; later steps schedule SetActiveAt.
-func runChurn(sp *scenario.Spec) (*eventsim.Result, error) {
-	tp, err := scenario.BuildTopology(&sp.Topology, sp.Seed)
-	if err != nil {
-		return nil, err
-	}
-	policies, controller, err := scheme.Build(sp.Scheme, nil, tp.N())
-	if err != nil {
-		return nil, err
-	}
-	if controller == nil {
+// runChurn runs one expanded churn point through replicate: the figure
+// consumes the windowed throughput, control and active-station series,
+// which the aggregate scenario summary does not carry.
+func runChurn(ctx context.Context, sp *scenario.Spec) (*eventsim.Result, error) {
+	if sp.Scheme != scheme.WTOP && sp.Scheme != scheme.TORA {
 		return nil, fmt.Errorf("experiment: churn scenario supports wTOP/TORA, not %q", sp.Scheme)
 	}
-	cfg := eventsim.Config{
-		PHY:        model.PaperPHY(),
-		Topology:   tp,
-		Policies:   policies,
-		Controller: controller,
-		Seed:       sp.Seed,
-	}
-	steps := sp.Churn
-	if len(steps) > 0 && steps[0].At == 0 {
-		cfg.InitialActive = steps[0].Active
-		steps = steps[1:]
-	}
-	s, err := eventsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, step := range steps {
-		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
-			return nil, err
-		}
-	}
-	return s.Run(sim.Duration(sp.Duration)), nil
+	var res *eventsim.Result
+	err := replicate(ctx, *sp, nil, func(r *eventsim.Result) { res = r })
+	return res, err
 }
 
 // churnTable renders the throughput/control/active time series of a
 // churn run — one table covering both of the paper's paired figures
 // (throughput vs. time and control variable vs. time).
-func churnTable(ctx context.Context, o Options, id, title string, sch Scheme) (*Table, error) {
+func churnTable(ctx context.Context, o Options, id, title, sch string) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
@@ -100,23 +62,17 @@ func churnTable(ctx context.Context, o Options, id, title string, sch Scheme) (*
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	// Expansion order follows the topology axis: connected then disc.
-	connected, err := runChurn(&pts[0].Spec)
+	conn, err := runChurn(ctx, &pts[0].Spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	hidden, err := runChurn(&pts[1].Spec)
+	hidden, err := runChurn(ctx, &pts[1].Spec)
 	if err != nil {
 		return nil, err
 	}
 	control := "p"
-	if sch == SchemeTORA {
+	if sch == scheme.TORA {
 		control = "p0"
 	}
 	t := &Table{
@@ -128,18 +84,18 @@ func churnTable(ctx context.Context, o Options, id, title string, sch Scheme) (*
 	}
 	// The three series share window boundaries; sample every k-th point
 	// to keep the table readable.
-	nSamples := connected.ThroughputSeries.Len()
+	nSamples := conn.ThroughputSeries.Len()
 	stride := nSamples / 50
 	if stride < 1 {
 		stride = 1
 	}
 	for i := 0; i < nSamples; i += stride {
-		at := connected.ThroughputSeries.Times[i]
+		at := conn.ThroughputSeries.Times[i]
 		row := []string{
 			fmt.Sprintf("%.1f", at.Seconds()),
-			fmt.Sprintf("%.0f", connected.ActiveSeries.Values[i]),
-			fmt.Sprintf("%.3f", connected.ThroughputSeries.Values[i]/1e6),
-			controlAt(connected, i),
+			fmt.Sprintf("%.0f", conn.ActiveSeries.Values[i]),
+			fmt.Sprintf("%.3f", conn.ThroughputSeries.Values[i]/1e6),
+			controlAt(conn, i),
 			mbpsAt(hidden, i),
 			controlAt(hidden, i),
 		}
@@ -169,7 +125,7 @@ func controlAt(r *eventsim.Result, i int) string {
 func Fig8and9(ctx context.Context, o Options) (*Table, error) {
 	return churnTable(ctx, o, "fig8",
 		"wTOP-CSMA under node churn: throughput (Fig. 8) and p (Fig. 9)",
-		SchemeWTOP)
+		scheme.WTOP)
 }
 
 // Fig10and11 reproduces Figures 10 and 11: the same scenario for
@@ -177,7 +133,7 @@ func Fig8and9(ctx context.Context, o Options) (*Table, error) {
 func Fig10and11(ctx context.Context, o Options) (*Table, error) {
 	return churnTable(ctx, o, "fig10",
 		"TORA-CSMA under node churn: throughput (Fig. 10) and p0 (Fig. 11)",
-		SchemeTORA)
+		scheme.TORA)
 }
 
 // Fig12 reproduces Figure 12: the fixed-point geometry of the

@@ -11,17 +11,16 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/eventsim"
-	"repro/internal/model"
+	"repro/internal/mac"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/topo"
 )
 
 // Options scales every experiment. The zero value is unusable; start
@@ -155,111 +154,51 @@ func (t *Table) TSV() string {
 	return b.String()
 }
 
-// Scheme identifies a channel-access scheme under test.
-type Scheme string
-
-// The schemes the paper compares.
-const (
-	SchemeDCF       Scheme = "802.11"
-	SchemeIdleSense Scheme = "IdleSense"
-	SchemeWTOP      Scheme = "wTOP-CSMA"
-	SchemeTORA      Scheme = "TORA-CSMA"
+// The evaluation's topology families: a connected circle of radius 8 m
+// and the two hidden-node disc radii of Figs. 6–7. Cells set N. The disc
+// seeds stay 0, so every replication redraws its placement from its own
+// seed — the convention of the paper's hidden-node sweeps.
+var (
+	connected = scenario.TopologySpec{Kind: scenario.TopoConnected, Radius: 8}
+	disc16    = scenario.TopologySpec{Kind: scenario.TopoDisc, Radius: 16}
+	disc20    = scenario.TopologySpec{Kind: scenario.TopoDisc, Radius: 20}
 )
 
-// Topo identifies the topology families of the evaluation.
-type Topo string
-
-// Topology families: connected (circle radius 8) and the two hidden-node
-// disc radii of Figs. 6–7.
-const (
-	TopoConnected Topo = "connected"
-	TopoDisc16    Topo = "disc16"
-	TopoDisc20    Topo = "disc20"
-)
-
-// buildTopology realises a topology family for n stations and a seed by
-// delegating to scenario.BuildTopology — one copy of the disc draw and
-// rim projection, so the figure runners that call this directly and the
-// sweeps that go through scenario.Runner stay bit-identical by
-// construction. (The disc families pass topology seed 0 so the draw
-// derives from the per-repetition seed, matching the paper's convention
-// of a fresh placement per repetition.)
-func buildTopology(kind Topo, n int, seed int64) *topo.Topology {
-	ts, err := topologySpec(kind, n)
-	if err != nil {
-		panic(err.Error())
-	}
-	tp, err := scenario.BuildTopology(&ts, seed)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %s n=%d: %v", kind, n, err))
-	}
-	return tp
+// withN returns the topology family ts with n stations.
+func withN(ts scenario.TopologySpec, n int) scenario.TopologySpec {
+	ts.N = n
+	return ts
 }
 
-// buildSim assembles a simulator for one (scheme, topology, seed) cell.
-// The scheme→policy mapping is scheme.Build — the single such mapping in
-// the repository.
-func buildSim(sch Scheme, tp *topo.Topology, seed int64) (*eventsim.Simulator, error) {
-	policies, controller, err := scheme.Build(string(sch), nil, tp.N())
-	if err != nil {
-		return nil, err
-	}
-	return eventsim.New(eventsim.Config{
-		PHY:        model.PaperPHY(),
-		Topology:   tp,
-		Policies:   policies,
-		Controller: controller,
-		Seed:       seed,
-	})
-}
-
-// topologySpec translates an experiment topology family to the scenario
-// layer's declarative form. Disc families leave the topology seed at 0,
-// so every replication redraws its placement from the replication seed —
-// the convention of the paper's hidden-node sweeps (and bit-identical to
-// the pre-scenario harness, which drew from seed^0x5eed per repetition).
-func topologySpec(kind Topo, n int) (scenario.TopologySpec, error) {
-	switch kind {
-	case TopoConnected:
-		return scenario.TopologySpec{Kind: scenario.TopoConnected, N: n, Radius: 8}, nil
-	case TopoDisc16:
-		return scenario.TopologySpec{Kind: scenario.TopoDisc, N: n, Radius: 16}, nil
-	case TopoDisc20:
-		return scenario.TopologySpec{Kind: scenario.TopoDisc, N: n, Radius: 20}, nil
-	default:
-		return scenario.TopologySpec{}, fmt.Errorf("experiment: unknown topology %q", kind)
-	}
-}
-
-// grid translates (Options, topology family, schemes) into the
-// declarative sweep form: a base spec plus scheme × nodes axes. Every
-// figure sweep is expressed this way, so the figure pipeline, the
-// sweep CLI and sharded CI runs share one expansion, one naming scheme
-// and one cache key per (spec, engine) cell.
-func grid(o Options, name string, kind Topo, schemes []Scheme) (*sweep.Grid, error) {
-	ts, err := topologySpec(kind, 0) // the nodes axis supplies N
-	if err != nil {
-		return nil, err
-	}
+// baseSpec is the scenario every cell starts from: topology ts, o's
+// duration and warmup, and o.Seeds replications, replication r running
+// with seed 1+r.
+func baseSpec(o Options, ts scenario.TopologySpec) scenario.Spec {
 	warmup := scenario.Duration(o.Warmup)
-	return &sweep.Grid{
-		Name: name,
-		Base: scenario.Spec{
-			Topology: ts,
-			Duration: scenario.Duration(o.Duration),
-			Warmup:   &warmup,
-			Seeds:    o.Seeds,
-			Seed:     1, // replication r runs with seed 1+r, as before
-		},
-		Axes: []sweep.Axis{
-			{Field: sweep.FieldScheme, Values: sweep.Strings(schemeNames(schemes)...)},
-			{Field: sweep.FieldNodes, Values: sweep.Ints(o.Nodes...)},
-		},
-	}, nil
+	return scenario.Spec{
+		Topology: ts,
+		Duration: scenario.Duration(o.Duration),
+		Warmup:   &warmup,
+		Seeds:    o.Seeds,
+		Seed:     1,
+	}
 }
 
-// sweepRunner builds the grid executor for these options.
-func (o Options) sweepRunner() (*sweep.Runner, error) {
+// openLoopSpec is baseSpec for the open-loop cells, which run for half
+// of o.Duration: with no controller there is no transient to wait out.
+func openLoopSpec(o Options, ts scenario.TopologySpec) scenario.Spec {
+	sp := baseSpec(o, ts)
+	sp.Duration /= 2
+	sp.Warmup = nil
+	return sp
+}
+
+// runGrid is the sweep path: g expands through internal/sweep and its
+// points fan out in parallel through scenario.Runner, backed by the sweep
+// cache when o.CacheDir is set. The summaries come back in point order,
+// cut into rows of width consecutive points (the last axis varies
+// fastest, so a row holds every combination of the trailing axes).
+func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*scenario.Summary, error) {
 	r := &sweep.Runner{Parallelism: o.Parallelism}
 	if o.CacheDir != "" {
 		c, err := sweep.OpenCache(o.CacheDir)
@@ -268,106 +207,115 @@ func (o Options) sweepRunner() (*sweep.Runner, error) {
 		}
 		r.Cache = c
 	}
-	return r, nil
-}
-
-// runSweep evaluates mean converged throughput for each (scheme, n)
-// over o.Seeds seeds. The grid expands through internal/sweep and every
-// point fans out through scenario.Runner.RunBatch — the repository's
-// single simulation fan-out path — with optional result caching.
-func runSweep(ctx context.Context, o Options, name string, kind Topo, schemes []Scheme) (map[Scheme]map[int]float64, error) {
-	g, err := grid(o, name, kind, schemes)
-	if err != nil {
-		return nil, err
-	}
-	r, err := o.sweepRunner()
-	if err != nil {
-		return nil, err
-	}
 	results, _, err := r.Run(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[Scheme]map[int]float64)
-	for _, pr := range results {
-		sch := Scheme(pr.Spec.Scheme)
-		if out[sch] == nil {
-			out[sch] = make(map[int]float64)
+	var rows [][]*scenario.Summary
+	for row := range slices.Chunk(results, width) {
+		sums := make([]*scenario.Summary, len(row))
+		for i, pr := range row {
+			sums[i] = pr.Summary
 		}
-		out[sch][pr.Spec.Topology.N] = pr.Summary.ConvergedMbps.Mean * 1e6
+		rows = append(rows, sums)
 	}
-	return out, nil
+	return rows, nil
 }
 
-// sweepTable renders a sweep as a throughput-vs-N table.
-func sweepTable(ctx context.Context, o Options, id, title string, kind Topo, schemes []Scheme) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
+// replicate is the serial path, for cells that need more than a
+// scenario.Summary carries (windowed series, per-station results) or run
+// a policy scheme.Build does not name. It runs sp's replications in seed
+// order — replication r with seed sp.Seed+r on its own topology and
+// simulator — and hands each result to each. Every station gets
+// newPolicy() and no controller; a nil newPolicy builds sp.Scheme with
+// sp.Weights through scheme.Build. A churn step at t=0 sets the initial
+// active count. Cancellation is observed between replications.
+func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Policy, each func(*eventsim.Result)) error {
+	if err := sp.Validate(); err != nil {
+		return err
 	}
-	data, err := runSweep(ctx, o, id, kind, schemes)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Columns: append([]string{"nodes"}, schemeNames(schemes)...),
-	}
-	nodes := append([]int(nil), o.Nodes...)
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, sch := range schemes {
-			row = append(row, fmt.Sprintf("%.3f", data[sch][n]/1e6))
+	for r := 0; r < sp.Seeds; r++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		t.Rows = append(t.Rows, row)
+		seed := sp.Seed + int64(r)
+		tp, err := scenario.BuildTopology(&sp.Topology, seed)
+		if err != nil {
+			return err
+		}
+		cfg := eventsim.Config{Topology: tp, Seed: seed}
+		if newPolicy == nil {
+			cfg.Policies, cfg.Controller, err = scheme.Build(sp.Scheme, sp.Weights, tp.N())
+			if err != nil {
+				return err
+			}
+		} else {
+			cfg.Policies = make([]mac.Policy, tp.N())
+			for i := range cfg.Policies {
+				cfg.Policies[i] = newPolicy()
+			}
+		}
+		churn := sp.Churn
+		if len(churn) > 0 && churn[0].At == 0 {
+			cfg.InitialActive = churn[0].Active
+			churn = churn[1:]
+		}
+		s, err := eventsim.New(cfg)
+		if err != nil {
+			return err
+		}
+		for _, step := range churn {
+			if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
+				return err
+			}
+		}
+		each(s.Run(sim.Duration(sp.Duration)))
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("throughput in Mbps; mean of %d seeds, %v runs, %v warmup",
-		o.Seeds, o.Duration, o.Warmup))
-	return t, nil
-}
-
-func schemeNames(schemes []Scheme) []string {
-	out := make([]string, len(schemes))
-	for i, s := range schemes {
-		out[i] = string(s)
-	}
-	return out
+	return nil
 }
 
 // Runner produces one paper artefact. Cancelling ctx aborts the run —
 // at cell/replication granularity — and returns ctx.Err().
 type Runner func(ctx context.Context, o Options) (*Table, error)
 
-// Registry maps experiment ids to runners. Ids follow the paper's
-// numbering (fig1…fig13, tab2, tab3).
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig1":        Fig1,
-		"fig2":        Fig2,
-		"tab2":        Table2,
-		"fig3":        Fig3,
-		"fig4":        Fig4,
-		"fig5":        Fig5,
-		"fig6":        Fig6,
-		"fig7":        Fig7,
-		"tab3":        Table3,
-		"fig8":        Fig8and9,
-		"fig9":        Fig8and9,
-		"fig10":       Fig10and11,
-		"fig11":       Fig10and11,
-		"fig12":       Fig12,
-		"fig13":       Fig13,
-		"rtscts":      RTSCTSComparison,
-		"ladder":      BaselineLadder,
-		"convergence": Convergence,
+// Experiment is one registered artefact: its id, the ids of paired
+// figures the same table renders, and its runner.
+type Experiment struct {
+	ID      string
+	Aliases []string
+	Run     Runner
+}
+
+// Experiments lists every artefact in run order. Ids follow the paper's
+// numbering (fig1…fig13, tab2, tab3) and come first; "rtscts", "ladder"
+// and "convergence" are extensions.
+func Experiments() []Experiment {
+	return []Experiment{
+		{ID: "fig1", Run: Fig1},
+		{ID: "fig2", Run: Fig2},
+		{ID: "tab2", Run: Table2},
+		{ID: "fig3", Run: Fig3},
+		{ID: "fig4", Run: Fig4},
+		{ID: "fig5", Run: Fig5},
+		{ID: "fig6", Run: Fig6},
+		{ID: "fig7", Run: Fig7},
+		{ID: "tab3", Run: Table3},
+		{ID: "fig8", Aliases: []string{"fig9"}, Run: Fig8and9},
+		{ID: "fig10", Aliases: []string{"fig11"}, Run: Fig10and11},
+		{ID: "fig12", Run: Fig12},
+		{ID: "fig13", Run: Fig13},
+		{ID: "rtscts", Run: RTSCTSComparison},
+		{ID: "ladder", Run: BaselineLadder},
+		{ID: "convergence", Run: Convergence},
 	}
 }
 
-// IDs returns the distinct experiment ids in run order. The paper's
-// artefacts come first; "rtscts", "ladder" and "convergence" are
-// extensions.
-func IDs() []string {
-	return []string{"fig1", "fig2", "tab2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"tab3", "fig8", "fig10", "fig12", "fig13", "rtscts", "ladder", "convergence"}
+// Lookup returns the experiment with the given id or alias.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.ID == id || slices.Contains(e.Aliases, id) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }

@@ -6,8 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/eventsim"
+	"repro/internal/scenario"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/topo"
 )
 
 // tinyOptions keeps experiment tests fast: the goal here is correctness
@@ -55,22 +59,26 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestBuildTopologyFamilies(t *testing.T) {
-	conn := buildTopology(TopoConnected, 20, 1)
-	if !conn.FullyConnected() {
-		t.Error("connected family has hidden pairs")
-	}
-	for _, kind := range []Topo{TopoDisc16, TopoDisc20} {
-		tp := buildTopology(kind, 40, 1)
-		if err := tp.Validate(); err != nil {
-			t.Errorf("%s: %v", kind, err)
+	build := func(ts scenario.TopologySpec, n int, seed int64) *topo.Topology {
+		t.Helper()
+		tp, err := scenario.BuildTopology(&ts, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if tp.N() != n {
+			t.Fatalf("%+v: %d stations, want %d", ts, tp.N(), n)
+		}
+		return tp
+	}
+	if !build(withN(connected, 20), 20, 1).FullyConnected() {
+		t.Error("connected family has hidden pairs")
 	}
 	// disc20 projection should produce at least as many hidden pairs as
 	// disc16 on average (checked across seeds).
 	p16, p20 := 0, 0
 	for seed := int64(1); seed <= 10; seed++ {
-		p16 += len(buildTopology(TopoDisc16, 40, seed).HiddenPairs())
-		p20 += len(buildTopology(TopoDisc20, 40, seed).HiddenPairs())
+		p16 += len(build(withN(disc16, 40), 40, seed).HiddenPairs())
+		p20 += len(build(withN(disc20, 40), 40, seed).HiddenPairs())
 	}
 	if p20 <= p16 {
 		t.Errorf("disc20 hidden pairs (%d) not above disc16 (%d)", p20, p16)
@@ -81,23 +89,24 @@ func TestBuildTopologyFamilies(t *testing.T) {
 }
 
 func TestBuildSimAllSchemes(t *testing.T) {
-	tp := buildTopology(TopoConnected, 4, 1)
-	for _, sch := range []Scheme{SchemeDCF, SchemeIdleSense, SchemeWTOP, SchemeTORA} {
-		s, err := buildSim(sch, tp, 1)
-		if err != nil {
+	o := Options{Duration: 2 * sim.Second, Seeds: 1}
+	for _, sch := range []string{scheme.DCF, scheme.IdleSense, scheme.WTOP, scheme.TORA} {
+		sp := baseSpec(o, withN(connected, 4))
+		sp.Scheme = sch
+		var successes int64
+		if err := replicate(context.Background(), sp, nil, func(res *eventsim.Result) { successes = res.Successes }); err != nil {
 			t.Fatalf("%s: %v", sch, err)
 		}
-		res := s.Run(time2s())
-		if res.Successes == 0 {
+		if successes == 0 {
 			t.Errorf("%s: no successes in 2s", sch)
 		}
 	}
-	if _, err := buildSim(Scheme("bogus"), tp, 1); err == nil {
+	sp := baseSpec(o, withN(connected, 4))
+	sp.Scheme = "bogus"
+	if err := replicate(context.Background(), sp, nil, func(*eventsim.Result) {}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
-
-func time2s() sim.Duration { return 2 * sim.Second }
 
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{
@@ -122,18 +131,26 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestRegistryCoversAllIDs(t *testing.T) {
-	reg := Registry()
-	for _, id := range IDs() {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("id %q missing from registry", id)
+	seen := map[string]bool{}
+	for _, e := range Experiments() {
+		for _, id := range append([]string{e.ID}, e.Aliases...) {
+			if seen[id] {
+				t.Errorf("id %q registered twice", id)
+			}
+			seen[id] = true
+			if got, ok := Lookup(id); !ok || got.ID != e.ID {
+				t.Errorf("Lookup(%q) = %q, %v; want %q", id, got.ID, ok, e.ID)
+			}
 		}
 	}
 	// fig9/fig11 alias their paired runners.
-	if _, ok := reg["fig9"]; !ok {
-		t.Error("fig9 alias missing")
+	for alias, id := range map[string]string{"fig9": "fig8", "fig11": "fig10"} {
+		if got, ok := Lookup(alias); !ok || got.ID != id {
+			t.Errorf("alias %s resolves to %q, want %s", alias, got.ID, id)
+		}
 	}
-	if _, ok := reg["fig11"]; !ok {
-		t.Error("fig11 alias missing")
+	if _, ok := Lookup("fig14"); ok {
+		t.Error("unknown id resolved")
 	}
 }
 
@@ -167,7 +184,7 @@ func TestSweepStructure(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	o := tinyOptions()
-	tbl, err := sweepTable(context.Background(), o, "t", "demo", TopoConnected, []Scheme{SchemeDCF})
+	tbl, err := sweepTable(context.Background(), o, "t", "demo", connected, scheme.DCF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +230,14 @@ func TestChurnRunsAndTracksN(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	o := tinyOptions()
-	pts, err := sweep.Expand(churnGrid(o, SchemeWTOP))
+	pts, err := sweep.Expand(churnGrid(o, scheme.WTOP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 {
 		t.Fatalf("churn grid expanded to %d points, want 2 topologies", len(pts))
 	}
-	res, err := runChurn(&pts[0].Spec)
+	res, err := runChurn(context.Background(), &pts[0].Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +251,30 @@ func TestChurnRunsAndTracksN(t *testing.T) {
 			t.Errorf("active series never showed %d stations", n)
 		}
 	}
-	dcf, err := sweep.Expand(churnGrid(o, SchemeDCF))
+	dcf, err := sweep.Expand(churnGrid(o, scheme.DCF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runChurn(&dcf[0].Spec); err == nil {
+	if _, err := runChurn(context.Background(), &dcf[0].Spec); err == nil {
 		t.Error("churn accepted a non-adaptive scheme")
+	}
+}
+
+// Node counts that pass Validate but whose neighbour lists exceed the
+// event engine's adjacency budget (n(n−1) > 134,217,728 entries) must
+// fail with an error, never a panic — on the sweep path (rtscts) and on
+// the replicate path (convergence) alike.
+func TestOverBudgetNodesReturnError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the engine counts 12000² neighbour candidates before refusing")
+	}
+	o := Options{Duration: sim.Second, Warmup: sim.Second / 2, Seeds: 1, Nodes: []int{12000}}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("options must pass Validate: %v", err)
+	}
+	for _, run := range []Runner{RTSCTSComparison, Convergence} {
+		if _, err := run(context.Background(), o); err == nil {
+			t.Errorf("%d stations accepted", o.Nodes[0])
+		}
 	}
 }

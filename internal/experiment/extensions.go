@@ -7,7 +7,10 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/mac"
 	"repro/internal/model"
+	"repro/internal/scenario"
+	"repro/internal/scheme"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // RTSCTSComparison is an extension experiment beyond the paper's figures:
@@ -20,48 +23,30 @@ func RTSCTSComparison(ctx context.Context, o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
+	base := openLoopSpec(o, scenario.TopologySpec{})
+	base.Scheme = scheme.DCF
+	rows, err := runGrid(ctx, o, &sweep.Grid{
+		Name: "rtscts",
+		Base: base,
+		Axes: []sweep.Axis{
+			{Field: sweep.FieldNodes, Values: sweep.Ints(o.Nodes...)},
+			topologyAxis,
+			{Field: sweep.FieldRTSCTS, Values: sweep.Bools(false, true)},
+		},
+	}, 4)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:    "rtscts",
 		Title: "standard 802.11 basic access vs RTS/CTS (Mbps)",
 		Columns: []string{"nodes", "basic (no hidden)", "RTS/CTS (no hidden)",
 			"basic (hidden)", "RTS/CTS (hidden)"},
 	}
-	back := model.PaperBackoff()
-	measure := func(kind Topo, n int, rtscts bool) (float64, error) {
-		var w stats.Welford
-		for seed := 1; seed <= o.Seeds; seed++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			tp := buildTopology(kind, n, int64(seed))
-			policies := make([]mac.Policy, n)
-			for i := range policies {
-				policies[i] = mac.NewStandardDCF(back.CWMin, back.CWMax())
-			}
-			s, err := eventsim.New(eventsim.Config{
-				Topology: tp,
-				Policies: policies,
-				Seed:     int64(seed),
-				RTSCTS:   rtscts,
-			})
-			if err != nil {
-				panic(err)
-			}
-			w.Add(s.Run(o.Duration / 2).Throughput)
-		}
-		return w.Mean(), nil
-	}
-	for _, n := range o.Nodes {
+	for i, n := range o.Nodes {
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, cell := range []struct {
-			kind   Topo
-			rtscts bool
-		}{{TopoConnected, false}, {TopoConnected, true}, {TopoDisc16, false}, {TopoDisc16, true}} {
-			mbps, err := measure(cell.kind, n, cell.rtscts)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", mbps/1e6))
+		for _, sum := range rows[i] {
+			row = append(row, fmt.Sprintf("%.3f", sum.ThroughputMbps.Mean))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -81,43 +66,33 @@ func BaselineLadder(ctx context.Context, o Options) (*Table, error) {
 	const n = 30
 	phy := model.PaperPHY()
 	back := model.PaperBackoff()
-	build := map[string]func() mac.Policy{
-		"802.11 DCF":   func() mac.Policy { return mac.NewStandardDCF(back.CWMin, back.CWMax()) },
-		"SlowDecrease": func() mac.Policy { return mac.NewSlowDecrease(back.CWMin, back.CWMax(), 0.5) },
-		"EstimateN":    func() mac.Policy { return mac.NewEstimateN(phy.TcSlots(), 10) },
-		"IdleSense":    func() mac.Policy { return mac.NewIdleSense(mac.IdleSenseConfig{}) },
-		"optimal fixed p": func() mac.Policy {
-			p := model.PPersistent{PHY: phy}.OptimalP(model.UnitWeights(n))
-			return mac.NewPPersistent(1, p)
-		},
+	pStar := model.PPersistent{PHY: phy}.OptimalP(model.UnitWeights(n))
+	ladder := []struct {
+		name      string
+		newPolicy func() mac.Policy
+	}{
+		{"802.11 DCF", func() mac.Policy { return mac.NewStandardDCF(back.CWMin, back.CWMax()) }},
+		{"SlowDecrease", func() mac.Policy { return mac.NewSlowDecrease(back.CWMin, back.CWMax(), 0.5) }},
+		{"EstimateN", func() mac.Policy { return mac.NewEstimateN(phy.TcSlots(), 10) }},
+		{"IdleSense", func() mac.Policy { return mac.NewIdleSense(mac.IdleSenseConfig{}) }},
+		{"optimal fixed p", pPersistent(pStar)},
 	}
 	t := &Table{
 		ID:      "ladder",
 		Title:   fmt.Sprintf("baseline policies, %d stations, fully connected (Mbps)", n),
 		Columns: []string{"policy", "Mbps", "collision rate"},
 	}
-	names := []string{"802.11 DCF", "SlowDecrease", "EstimateN", "IdleSense", "optimal fixed p"}
-	for _, name := range names {
+	for _, rung := range ladder {
 		var w, cr stats.Welford
-		for seed := 1; seed <= o.Seeds; seed++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			tp := buildTopology(TopoConnected, n, int64(seed))
-			policies := make([]mac.Policy, n)
-			for i := range policies {
-				policies[i] = build[name]()
-			}
-			s, err := eventsim.New(eventsim.Config{Topology: tp, Policies: policies, Seed: int64(seed)})
-			if err != nil {
-				return nil, err
-			}
-			res := s.Run(o.Duration / 2)
+		err := replicate(ctx, openLoopSpec(o, withN(connected, n)), rung.newPolicy, func(res *eventsim.Result) {
 			w.Add(res.Throughput)
 			cr.Add(res.CollisionRate())
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			name,
+			rung.name,
 			fmt.Sprintf("%.3f", w.Mean()/1e6),
 			fmt.Sprintf("%.3f", cr.Mean()),
 		})

@@ -4,13 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/eventsim"
 	"repro/internal/mac"
 	"repro/internal/model"
+	"repro/internal/scenario"
+	"repro/internal/scheme"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
+
+// topologyAxis sweeps the connected family and the 16 m hidden-node disc.
+// The grid's base leaves the radius unset, so each kind takes its
+// scenario default — the 8 m circle and the 16 m disc.
+var topologyAxis = sweep.Axis{Field: sweep.FieldTopology, Values: sweep.Strings(scenario.TopoConnected, scenario.TopoDisc)}
 
 // Fig1 reproduces Figure 1: IdleSense vs. standard 802.11, with and
 // without hidden nodes, as the number of stations grows. It is the
@@ -20,12 +28,15 @@ func Fig1(ctx context.Context, o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	schemes := []Scheme{SchemeIdleSense, SchemeDCF}
-	conn, err := runSweep(ctx, o, "fig1-connected", TopoConnected, schemes)
-	if err != nil {
-		return nil, err
-	}
-	hid, err := runSweep(ctx, o, "fig1-hidden", TopoDisc16, schemes)
+	rows, err := runGrid(ctx, o, &sweep.Grid{
+		Name: "fig1",
+		Base: baseSpec(o, scenario.TopologySpec{}),
+		Axes: []sweep.Axis{
+			{Field: sweep.FieldNodes, Values: sweep.Ints(o.Nodes...)},
+			topologyAxis,
+			{Field: sweep.FieldScheme, Values: sweep.Strings(scheme.IdleSense, scheme.DCF)},
+		},
+	}, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -35,19 +46,106 @@ func Fig1(ctx context.Context, o Options) (*Table, error) {
 		Columns: []string{"nodes", "IdleSense (no hidden)", "802.11 (no hidden)",
 			"802.11 (hidden)", "IdleSense (hidden)"},
 	}
-	for _, n := range o.Nodes {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.3f", conn[SchemeIdleSense][n]/1e6),
-			fmt.Sprintf("%.3f", conn[SchemeDCF][n]/1e6),
-			fmt.Sprintf("%.3f", hid[SchemeDCF][n]/1e6),
-			fmt.Sprintf("%.3f", hid[SchemeIdleSense][n]/1e6),
-		})
+	for i, n := range o.Nodes {
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, sum := range rows[i] {
+			row = append(row, fmt.Sprintf("%.3f", sum.ConvergedMbps.Mean))
+		}
+		row[3], row[4] = row[4], row[3] // hidden columns list 802.11 first
+		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"hidden topologies: stations uniform in disc radius 16 m, sensing radius 24 m",
 		fmt.Sprintf("mean of %d seeds, %v per run", o.Seeds, o.Duration))
 	return t, nil
+}
+
+// sweepTable renders mean converged throughput vs. N for each scheme on
+// topology family ts.
+func sweepTable(ctx context.Context, o Options, id, title string, ts scenario.TopologySpec, schemes ...string) (*Table, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	nodes := slices.Sorted(slices.Values(o.Nodes))
+	rows, err := runGrid(ctx, o, &sweep.Grid{
+		Name: id,
+		Base: baseSpec(o, ts),
+		Axes: []sweep.Axis{
+			{Field: sweep.FieldNodes, Values: sweep.Ints(nodes...)},
+			{Field: sweep.FieldScheme, Values: sweep.Strings(schemes...)},
+		},
+	}, len(schemes))
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{ID: id, Title: title, Columns: append([]string{"nodes"}, schemes...)}
+	for i, n := range nodes {
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, sum := range rows[i] {
+			row = append(row, fmt.Sprintf("%.3f", sum.ConvergedMbps.Mean))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	t.Notes = append(t.Notes, fmt.Sprintf("throughput in Mbps; mean of %d seeds, %v runs, %v warmup",
+		o.Seeds, o.Duration, o.Warmup))
+	return t, nil
+}
+
+// openLoopMbps is the seed-averaged throughput, in Mbps, of n stations
+// of family ts that all run newPolicy with no controller.
+func openLoopMbps(ctx context.Context, o Options, ts scenario.TopologySpec, n int, newPolicy func() mac.Policy) (float64, error) {
+	var w stats.Welford
+	err := replicate(ctx, openLoopSpec(o, withN(ts, n)), newPolicy, func(res *eventsim.Result) { w.Add(res.Throughput) })
+	return w.Mean() / 1e6, err
+}
+
+// pPersistent is the fixed attempt-probability policy of Figs. 2 and 4.
+func pPersistent(p float64) func() mac.Policy {
+	return func() mac.Policy { return mac.NewPPersistent(1, p) }
+}
+
+// randomReset is the open-loop RandomReset(0; p0) policy of Figs. 5
+// and 13.
+func randomReset(p0 float64) func() mac.Policy {
+	back := model.PaperBackoff()
+	return func() mac.Policy { return mac.NewRandomReset(back.CWMin, back.M, 0, p0) }
+}
+
+// modelVsSim renders the cells of Figs. 2 and 13: at N = 20 and 40 on
+// the connected family, the closed form next to the simulated newPolicy.
+func modelVsSim(ctx context.Context, o Options, newPolicy func() mac.Policy, analytic func(n int) (float64, error)) ([]string, error) {
+	var cells []string
+	for _, n := range []int{20, 40} {
+		want, err := analytic(n)
+		if err != nil {
+			return nil, err
+		}
+		got, err := openLoopMbps(ctx, o, connected, n, newPolicy)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, fmt.Sprintf("%.3f", want/1e6), fmt.Sprintf("%.3f", got))
+	}
+	return cells, nil
+}
+
+// hiddenColumns heads the cells of hiddenCells.
+var hiddenColumns = []string{"N=20 disc16", "N=40 disc16", "N=20 disc20", "N=40 disc20"}
+
+// hiddenCells renders the cells of Figs. 4 and 5: newPolicy simulated at
+// N = 20 and 40 in each hidden-node disc family.
+func hiddenCells(ctx context.Context, o Options, newPolicy func() mac.Policy) ([]string, error) {
+	var cells []string
+	for _, ts := range []scenario.TopologySpec{disc16, disc20} {
+		for _, n := range []int{20, 40} {
+			mbps, err := openLoopMbps(ctx, o, ts, n, newPolicy)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, fmt.Sprintf("%.3f", mbps))
+		}
+	}
+	return cells, nil
 }
 
 // Fig2 reproduces Figure 2: p-persistent throughput vs. log(attempt
@@ -66,16 +164,13 @@ func Fig2(ctx context.Context, o Options) (*Table, error) {
 	}
 	for _, logp := range sweepLogP() {
 		p := math.Exp(logp)
-		row := []string{fmt.Sprintf("%.2f", logp)}
-		for _, n := range []int{20, 40} {
-			analytic := mdl.SystemThroughput(p, model.UnitWeights(n))
-			simulated, err := fixedPThroughput(ctx, o, TopoConnected, n, p)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", analytic/1e6), fmt.Sprintf("%.3f", simulated/1e6))
+		cells, err := modelVsSim(ctx, o, pPersistent(p), func(n int) (float64, error) {
+			return mdl.SystemThroughput(p, model.UnitWeights(n)), nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.2f", logp)}, cells...))
 	}
 	t.Notes = append(t.Notes, "log base e; paper plots log10 over [-10,-2] — same bell shape")
 	return t, nil
@@ -91,27 +186,14 @@ func sweepLogP() []float64 {
 	return out
 }
 
-// fixedPThroughput measures the event simulator at a fixed attempt
-// probability (seed-averaged). Cancellation is observed between seeds.
-func fixedPThroughput(ctx context.Context, o Options, kind Topo, n int, p float64) (float64, error) {
-	var w stats.Welford
-	for seed := 1; seed <= o.Seeds; seed++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		tp := buildTopology(kind, n, int64(seed))
-		policies := make([]mac.Policy, n)
-		for i := range policies {
-			policies[i] = mac.NewPPersistent(1, p)
-		}
-		s, err := eventsim.New(eventsim.Config{Topology: tp, Policies: policies, Seed: int64(seed)})
-		if err != nil {
-			panic(err) // construction is deterministic; config bugs only
-		}
-		res := s.Run(o.Duration / 2) // open-loop: no controller transient
-		w.Add(res.Throughput)
+// sweepP0 covers the Fig. 5/Fig. 13 x-axis: p0 from 0 to 1 in steps of
+// 0.1.
+func sweepP0() []float64 {
+	var out []float64
+	for p0 := 0.0; p0 <= 1.0001; p0 += 0.1 {
+		out = append(out, math.Min(p0, 1))
 	}
-	return w.Mean(), nil
+	return out
 }
 
 // Table2 reproduces Table II: wTOP-CSMA weighted fairness with weights
@@ -120,27 +202,13 @@ func Table2(ctx context.Context, o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	weights := []float64{1, 1, 1, 2, 2, 2, 3, 3, 3, 3}
-	phy := model.PaperPHY()
-	tp := buildTopology(TopoConnected, len(weights), 1)
-	policies := make([]mac.Policy, len(weights))
-	for i, w := range weights {
-		policies[i] = mac.NewPPersistent(w, 0.1)
-	}
-	s, err := eventsim.New(eventsim.Config{
-		PHY:        phy,
-		Topology:   tp,
-		Policies:   policies,
-		Controller: newWTOP(phy),
-		Seed:       1,
-	})
-	if err != nil {
+	sp := baseSpec(o, withN(connected, len(weights)))
+	sp.Scheme, sp.Weights, sp.Seeds = scheme.WTOP, weights, 1
+	var res *eventsim.Result
+	if err := replicate(ctx, sp, nil, func(r *eventsim.Result) { res = r }); err != nil {
 		return nil, err
 	}
-	res := s.Run(o.Duration)
 	t := &Table{
 		ID:      "tab2",
 		Title:   "wTOP-CSMA weighted fairness (10 stations)",
@@ -168,8 +236,7 @@ func Table2(ctx context.Context, o Options) (*Table, error) {
 func Fig3(ctx context.Context, o Options) (*Table, error) {
 	return sweepTable(ctx, o, "fig3",
 		"throughput vs number of stations, fully connected (Mbps)",
-		TopoConnected,
-		[]Scheme{SchemeTORA, SchemeWTOP, SchemeIdleSense, SchemeDCF})
+		connected, scheme.TORA, scheme.WTOP, scheme.IdleSense, scheme.DCF)
 }
 
 // Fig4 reproduces Figure 4: p-persistent throughput vs. attempt
@@ -180,25 +247,16 @@ func Fig4(ctx context.Context, o Options) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:    "fig4",
-		Title: "p-persistent throughput vs attempt probability, hidden nodes (Mbps)",
-		Columns: []string{"log(p)", "N=20 disc16", "N=40 disc16",
-			"N=20 disc20", "N=40 disc20"},
+		ID:      "fig4",
+		Title:   "p-persistent throughput vs attempt probability, hidden nodes (Mbps)",
+		Columns: append([]string{"log(p)"}, hiddenColumns...),
 	}
 	for _, logp := range sweepLogP() {
-		p := math.Exp(logp)
-		row := []string{fmt.Sprintf("%.2f", logp)}
-		for _, kind := range []Topo{TopoDisc16, TopoDisc20} {
-			for _, n := range []int{20, 40} {
-				simulated, err := fixedPThroughput(ctx, o, kind, n, p)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.3f", simulated/1e6))
-			}
+		cells, err := hiddenCells(ctx, o, pPersistent(math.Exp(logp)))
+		if err != nil {
+			return nil, err
 		}
-		// Reorder: the column header groups by disc then N; keep as is.
-		t.Rows = append(t.Rows, []string{row[0], row[1], row[2], row[3], row[4]})
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.2f", logp)}, cells...))
 	}
 	t.Notes = append(t.Notes, "each column a fixed random hidden topology family, seed-averaged")
 	return t, nil
@@ -207,9 +265,22 @@ func Fig4(ctx context.Context, o Options) (*Table, error) {
 // Fig5 reproduces Figure 5: RandomReset throughput vs. reset probability
 // p0 (j = 0) in hidden-node topologies.
 func Fig5(ctx context.Context, o Options) (*Table, error) {
-	return randomResetSweep(ctx, o, "fig5",
-		"RandomReset throughput vs p0 (j=0), hidden nodes (Mbps)",
-		[]Topo{TopoDisc16, TopoDisc20})
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	t := &Table{
+		ID:      "fig5",
+		Title:   "RandomReset throughput vs p0 (j=0), hidden nodes (Mbps)",
+		Columns: append([]string{"p0"}, hiddenColumns...),
+	}
+	for _, p0 := range sweepP0() {
+		cells, err := hiddenCells(ctx, o, randomReset(p0))
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.1f", p0)}, cells...))
+	}
+	return t, nil
 }
 
 // Fig13 reproduces Figure 13: RandomReset throughput vs. p0 (j = 0) in
@@ -219,83 +290,23 @@ func Fig13(ctx context.Context, o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	phy := model.PaperPHY()
-	back := model.PaperBackoff()
 	t := &Table{
 		ID:    "fig13",
 		Title: "RandomReset throughput vs p0 (j=0), fully connected (Mbps)",
 		Columns: []string{"p0", "model N=20", "sim N=20",
 			"model N=40", "sim N=40"},
 	}
-	for p0 := 0.0; p0 <= 1.0001; p0 += 0.1 {
-		p0 := math.Min(p0, 1)
-		row := []string{fmt.Sprintf("%.1f", p0)}
-		for _, n := range []int{20, 40} {
-			rr := model.RandomReset{PHY: phy, Backoff: back, N: n}
-			analytic, err := rr.Throughput(0, p0)
-			if err != nil {
-				return nil, err
-			}
-			simulated, err := randomResetThroughput(ctx, o, TopoConnected, n, 0, p0)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", analytic/1e6), fmt.Sprintf("%.3f", simulated/1e6))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// randomResetSweep renders throughput vs p0 tables for hidden topologies.
-func randomResetSweep(ctx context.Context, o Options, id, title string, kinds []Topo) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{ID: id, Title: title, Columns: []string{"p0"}}
-	for _, kind := range kinds {
-		for _, n := range []int{20, 40} {
-			t.Columns = append(t.Columns, fmt.Sprintf("N=%d %s", n, kind))
-		}
-	}
-	for p0 := 0.0; p0 <= 1.0001; p0 += 0.1 {
-		p0 := math.Min(p0, 1)
-		row := []string{fmt.Sprintf("%.1f", p0)}
-		for _, kind := range kinds {
-			for _, n := range []int{20, 40} {
-				simulated, err := randomResetThroughput(ctx, o, kind, n, 0, p0)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.3f", simulated/1e6))
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// randomResetThroughput measures open-loop RandomReset(j;p0) throughput.
-// Cancellation is observed between seeds.
-func randomResetThroughput(ctx context.Context, o Options, kind Topo, n, j int, p0 float64) (float64, error) {
-	back := model.PaperBackoff()
-	var w stats.Welford
-	for seed := 1; seed <= o.Seeds; seed++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		tp := buildTopology(kind, n, int64(seed))
-		policies := make([]mac.Policy, n)
-		for i := range policies {
-			policies[i] = mac.NewRandomReset(back.CWMin, back.M, j, p0)
-		}
-		s, err := eventsim.New(eventsim.Config{Topology: tp, Policies: policies, Seed: int64(seed)})
+	for _, p0 := range sweepP0() {
+		cells, err := modelVsSim(ctx, o, randomReset(p0), func(n int) (float64, error) {
+			rr := model.RandomReset{PHY: model.PaperPHY(), Backoff: model.PaperBackoff(), N: n}
+			return rr.Throughput(0, p0)
+		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		w.Add(s.Run(o.Duration / 2).Throughput)
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.1f", p0)}, cells...))
 	}
-	return w.Mean(), nil
+	return t, nil
 }
 
 // Fig6 reproduces Figure 6: throughput vs. N with stations in a 16 m
@@ -303,8 +314,7 @@ func randomResetThroughput(ctx context.Context, o Options, kind Topo, n, j int, 
 func Fig6(ctx context.Context, o Options) (*Table, error) {
 	return sweepTable(ctx, o, "fig6",
 		"throughput vs number of stations, disc radius 16 m (Mbps)",
-		TopoDisc16,
-		[]Scheme{SchemeTORA, SchemeWTOP, SchemeDCF, SchemeIdleSense})
+		disc16, scheme.TORA, scheme.WTOP, scheme.DCF, scheme.IdleSense)
 }
 
 // Fig7 reproduces Figure 7: throughput vs. N with stations in a 20 m
@@ -312,8 +322,7 @@ func Fig6(ctx context.Context, o Options) (*Table, error) {
 func Fig7(ctx context.Context, o Options) (*Table, error) {
 	return sweepTable(ctx, o, "fig7",
 		"throughput vs number of stations, disc radius 20 m (Mbps)",
-		TopoDisc20,
-		[]Scheme{SchemeTORA, SchemeWTOP, SchemeDCF, SchemeIdleSense})
+		disc20, scheme.TORA, scheme.WTOP, scheme.DCF, scheme.IdleSense)
 }
 
 // Table3 reproduces Table III: average idle slots and throughput for 40
@@ -327,15 +336,14 @@ func Table3(ctx context.Context, o Options) (*Table, error) {
 		return nil, err
 	}
 	const n = 40
-	type rowSpec struct {
+	cases := []struct {
 		label string
-		kind  Topo
+		ts    scenario.TopologySpec
 		seed  int64
-	}
-	specs := []rowSpec{
-		{"without hidden nodes", TopoConnected, 1},
-		{"with hidden nodes (case 1)", TopoDisc16, 1},
-		{"with hidden nodes (case 2)", TopoDisc20, 2},
+	}{
+		{"without hidden nodes", connected, 1},
+		{"with hidden nodes (case 1)", disc16, 1},
+		{"with hidden nodes (case 2)", disc20, 2},
 	}
 	t := &Table{
 		ID:    "tab3",
@@ -343,21 +351,22 @@ func Table3(ctx context.Context, o Options) (*Table, error) {
 		Columns: []string{"scenario", "IdleSense idle", "IdleSense Mbps",
 			"wTOP idle", "wTOP Mbps"},
 	}
-	for _, spec := range specs {
-		if err := ctx.Err(); err != nil {
+	for _, c := range cases {
+		sp := baseSpec(o, withN(c.ts, n))
+		sp.Seeds, sp.Seed = 1, c.seed
+		rows, err := runGrid(ctx, o, &sweep.Grid{
+			Name: "tab3",
+			Base: sp,
+			Axes: []sweep.Axis{{Field: sweep.FieldScheme, Values: sweep.Strings(scheme.IdleSense, scheme.WTOP)}},
+		}, 2)
+		if err != nil {
 			return nil, err
 		}
-		tp := buildTopology(spec.kind, n, spec.seed)
-		row := []string{spec.label}
-		for _, sch := range []Scheme{SchemeIdleSense, SchemeWTOP} {
-			s, err := buildSim(sch, tp, spec.seed)
-			if err != nil {
-				return nil, err
-			}
-			res := s.Run(o.Duration)
+		row := []string{c.label}
+		for _, sum := range rows[0] {
 			row = append(row,
-				fmt.Sprintf("%.3f", res.APIdleSlots),
-				fmt.Sprintf("%.3f", res.ConvergedThroughput(o.Warmup)/1e6))
+				fmt.Sprintf("%.3f", sum.APIdleSlots.Mean),
+				fmt.Sprintf("%.3f", sum.ConvergedMbps.Mean))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -365,9 +374,4 @@ func Table3(ctx context.Context, o Options) (*Table, error) {
 		"idle = mean idle slots per transmission observed at the AP",
 		"hidden cases are two independent random topologies, as in the paper")
 	return t, nil
-}
-
-// newWTOP builds the standard wTOP controller for a PHY.
-func newWTOP(phy model.PHY) *core.WTOP {
-	return core.NewWTOP(core.WTOPConfig{Scale: phy.BitRate})
 }

@@ -31,10 +31,10 @@ func goldenOptions() Options {
 // fixtures (`make golden` does so together with the engine fingerprints,
 // scenario summaries and sweep JSONL).
 func TestTableGoldens(t *testing.T) {
-	reg := Registry()
-	for _, id := range IDs() {
+	for _, e := range Experiments() {
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
-			tbl, err := reg[id](context.Background(), goldenOptions())
+			tbl, err := e.Run(context.Background(), goldenOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
