@@ -1,7 +1,7 @@
 # Development entry points. CI runs the same commands; see
 # .github/workflows/ci.yml.
 
-.PHONY: test verify lint lint-json bench bench-compare bench-gate bench-smoke api api-check golden
+.PHONY: test verify lint lint-json bench-smoke api api-check golden
 
 # Tier-1 verification: everything must build and every test must pass.
 verify:
@@ -46,23 +46,6 @@ api:
 # committed snapshot.
 api-check:
 	go run ./cmd/apisnapshot -check
-
-# Regenerate the committed benchmark-trajectory point. Run on a quiet
-# machine; the committed file is the baseline CI compares against.
-bench:
-	go run ./cmd/benchreport -out BENCH_PR7.json
-
-# Compare a fresh short-scale run against the committed baseline
-# (informational: prints the table and warnings, never fails).
-bench-compare:
-	go run ./cmd/benchreport -compare BENCH_PR7.json
-
-# The CI perf gate: fail on >20% regression (ns/op, allocs/op, B/op,
-# or an Mbps drop) against the committed baseline — unless the
-# environment fingerprint differs, which downgrades the comparison to
-# informational (a foreign baseline says nothing about this machine).
-bench-gate:
-	go run ./cmd/benchreport -compare BENCH_PR7.json -strict
 
 # Fast sanity pass: every benchmark must still compile and run.
 bench-smoke:

@@ -55,23 +55,30 @@ func (t *onFirstGrant) RoundTrip(req *http.Request) (*http.Response, error) {
 // dropFirstComplete discards exactly one fully processed /v1/complete
 // response: the coordinator has recorded the points, the worker sees a
 // transport error and retransmits — the scripted trigger for the
-// idempotency path, guaranteed to fire once per test run.
+// idempotency path. ch closes when the next /v1/complete is answered.
+// The worker completes one lease at a time, so that answer is the
+// retransmission's, and the coordinator has by then counted it as a
+// duplicate; the test holds back every competing worker until ch
+// closes, so the scenario fires on every run.
 type dropFirstComplete struct {
 	base    http.RoundTripper
 	dropped atomic.Bool
+	once    sync.Once
+	ch      chan struct{}
 }
 
 func (d *dropFirstComplete) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := d.base.RoundTrip(req)
-	if err != nil {
-		return nil, err
+	if err != nil || req.URL.Path != "/v1/complete" {
+		return resp, err
 	}
-	if req.URL.Path == "/v1/complete" && d.dropped.CompareAndSwap(false, true) {
+	if d.dropped.CompareAndSwap(false, true) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return nil, fmt.Errorf("e2e: scripted drop of processed completion")
 	}
-	return resp, err
+	d.once.Do(func() { close(d.ch) })
+	return resp, nil
 }
 
 // TestChaosCampaignMergesByteIdentical is the end-to-end fault drill:
@@ -192,31 +199,36 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	island := newWorker("islanded", islandCl, 4, 1)
 	islandCh := run(island)
 
-	waitSignal := func(name string, ch chan struct{}) {
+	waitSignal := func(ch chan struct{}, what string) {
 		select {
 		case <-ch:
 		case <-time.After(20 * time.Second):
-			t.Fatalf("worker %s never received a lease", name)
+			t.Fatalf("%s never happened", what)
 		}
 	}
-	waitSignal("doomed", doomedSig.ch)
-	waitSignal("islanded", islandSig.ch)
+	waitSignal(doomedSig.ch, "a lease grant to the doomed worker")
+	waitSignal(islandSig.ch, "a lease grant to the islanded worker")
 
-	// Phase 2: a steady worker and a fault-injected worker finish the
+	// Phase 2: a fault-injected worker and a steady worker finish the
 	// campaign, reclaiming the dead workers' points after TTL expiry.
-	// They share one metric set so the total simulated count is exact
-	// whatever the two negotiate between themselves.
+	// The steady worker joins only once the flaky one's retransmitted
+	// completion has been answered; otherwise it can finish the
+	// campaign before the scripted drop fires. They share one metric
+	// set so the total simulated count is exact whatever the two
+	// negotiate between themselves.
 	wm := NewWorkerMetrics(metrics.NewRegistry())
+	flakyChaos := chaos.NewTransport(42, http.DefaultTransport)
+	flakyChaos.DropRequestProb = 0.1
+	flakyChaos.DropResponseProb = 0.1
+	flakyDrop := &dropFirstComplete{base: flakyChaos, ch: make(chan struct{})}
+	flaky := newWorkerM("flaky", newClient(flakyDrop), 3, 2, wm)
+	flakyCh := run(flaky)
+	waitSignal(flakyDrop.ch, "the flaky worker's retransmitted completion")
+
 	steadyCl := newClient(http.DefaultTransport)
 	steadyCl.Metrics = wm
 	steady := newWorkerM("steady", steadyCl, 3, 2, wm)
 	steadyCh := run(steady)
-
-	flakyChaos := chaos.NewTransport(42, http.DefaultTransport)
-	flakyChaos.DropRequestProb = 0.1
-	flakyChaos.DropResponseProb = 0.1
-	flaky := newWorkerM("flaky", newClient(&dropFirstComplete{base: flakyChaos}), 3, 2, wm)
-	flakyCh := run(flaky)
 
 	select {
 	case <-c.Done():
