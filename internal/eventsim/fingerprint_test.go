@@ -304,6 +304,45 @@ func fingerprintCases() []fingerprintCase {
 				}
 			},
 		},
+		// Above one 64-station word: the carrier-sense rows span several
+		// words, so these pin the multi-word busy-set paths.
+		{
+			name: "disc-dcf-hidden-80", seeds: []int64{26, 27}, dur: sim.Second / 2,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, _ := policySet("dcf", 80, phy)
+				return eventsim.Config{
+					Topology: discTopology(80, 16, seed^0x5eed),
+					Policies: policies,
+					Seed:     seed,
+				}, nil
+			},
+		},
+		{
+			// p = 0.1 keeps 130 stations colliding for the whole half
+			// second: no ACK, but the busiest crossing path there is.
+			name: "disc-wtop-wide-130", seeds: []int64{28, 29}, dur: sim.Second / 2,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, controller := policySet("wtop", 130, phy)
+				return eventsim.Config{
+					Topology:   discTopology(130, 20, seed^0x5eed),
+					Policies:   policies,
+					Controller: controller,
+					Seed:       seed,
+				}, nil
+			},
+		},
+		{
+			name: "connected-rtscts-70", seeds: []int64{30, 31}, dur: sim.Second / 2,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, _ := policySet("dcf", 70, phy)
+				return eventsim.Config{
+					Topology: benchTopology(70),
+					Policies: policies,
+					RTSCTS:   true,
+					Seed:     seed,
+				}, nil
+			},
+		},
 	}
 }
 
