@@ -265,9 +265,6 @@ func TestChurnRunsAndTracksN(t *testing.T) {
 // fail with an error, never a panic — on the sweep path (rtscts) and on
 // the replicate path (convergence) alike.
 func TestOverBudgetNodesReturnError(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the engine counts 12000² neighbour candidates before refusing")
-	}
 	o := Options{Duration: sim.Second, Warmup: sim.Second / 2, Seeds: 1, Nodes: []int{12000}}
 	if err := o.Validate(); err != nil {
 		t.Fatalf("options must pass Validate: %v", err)

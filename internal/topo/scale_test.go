@@ -194,6 +194,19 @@ func TestEnsureAdjacencyBudget(t *testing.T) {
 	}
 }
 
+// A provably complete layout over the budget is refused from its
+// bounding box alone: no degree pass runs, so 100k stations answer at
+// once instead of after 10¹⁰ candidate pairs.
+func TestEnsureAdjacencyRefusesCompleteLayoutFast(t *testing.T) {
+	tp := New(Point{}, CircleEdge(100_000, 8), PaperRadii())
+	if err := tp.EnsureAdjacency(DefaultAdjacencyBudget); err == nil {
+		t.Fatal("EnsureAdjacency accepted 100k fully connected stations")
+	}
+	if tp.senseDeg != nil {
+		t.Fatal("the refusal counted degrees; want the O(n) bounding-box check")
+	}
+}
+
 // TestScaleTierTopologies exercises the newly opened regime: topology
 // construction at 100k stations must stay O(n·degree) — instant for the
 // fully connected circle (bounding-box fast path, no adjacency ever

@@ -174,12 +174,18 @@ func (t *Topology) EnsureAdjacency(maxEntries int64) error {
 	if t.senseOff != nil {
 		return nil
 	}
+	n := len(t.Stations)
+	// A provably complete layout needs n(n−1) entries: refuse it in O(n)
+	// from the bounding box instead of counting Θ(n²) candidate pairs.
+	if maxEntries > 0 && t.allWithinSensing() {
+		if need := int64(n) * int64(n-1); need > maxEntries {
+			return overBudget(n, need, maxEntries)
+		}
+	}
 	t.ensureDegreesLocked()
 	if maxEntries > 0 && t.senseEdges > maxEntries {
-		return fmt.Errorf("topo: neighbour lists for %d stations need %d entries, over the %d-entry budget (the layout is too dense for explicit adjacency at this scale)",
-			len(t.Stations), t.senseEdges, maxEntries)
+		return overBudget(n, t.senseEdges, maxEntries)
 	}
-	n := len(t.Stations)
 	off := make([]int64, n+1)
 	for i, d := range t.senseDeg {
 		off[i+1] = off[i] + int64(d)
@@ -201,6 +207,11 @@ func (t *Topology) EnsureAdjacency(maxEntries int64) error {
 	}
 	t.senseOff, t.senseAdj = off, adj
 	return nil
+}
+
+func overBudget(n int, need, maxEntries int64) error {
+	return fmt.Errorf("topo: neighbour lists for %d stations need %d entries, over the %d-entry budget (the layout is too dense for explicit adjacency at this scale)",
+		n, need, maxEntries)
 }
 
 // ensureDegreesLocked computes per-station sensed degrees via the grid
