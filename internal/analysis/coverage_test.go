@@ -20,11 +20,13 @@ import (
 // contract cannot drift apart silently.
 var hotpathInventory = map[string][]string{
 	// TestSchedulerAfterStepZeroAlloc, TestSchedulerAfterArgStepZeroAlloc,
-	// TestSchedulerCancelZeroAlloc (internal/sim/alloc_test.go).
+	// TestSchedulerCancelZeroAlloc, TestSchedulerCandidateZeroAlloc
+	// (internal/sim/alloc_test.go).
 	"../sim": {
-		"After", "AfterArg", "At", "AtArg", "AtArgSeq", "Cancel", "Step",
-		"TakeSeq", "alloc", "dequeue", "down", "enqueue", "peekLive",
-		"peekMin", "pop", "push", "release", "schedule", "up",
+		"After", "AfterArg", "At", "AtArg", "Cancel", "ClearCandidate",
+		"SetCandidate", "Step", "TakeSeq", "alloc", "dequeue", "down",
+		"enqueue", "peekLive", "peekMin", "pop", "push", "queueMin",
+		"release", "schedule", "up",
 	},
 	// TestSlotLoopZeroAllocSteadyState, TestSlotLoopZeroAllocTraffic,
 	// TestSlotLoopControllerSteadyAllocBound (internal/slotsim/alloc_test.go).
@@ -34,15 +36,18 @@ var hotpathInventory = map[string][]string{
 		"slotsUntilArrival", "takeExpired", "track", "untrack",
 	},
 	// TestPerFramePathZeroAllocSteadyState, ...PPersistent, ...Traffic,
-	// TestControllerPathSteadyAllocBound (internal/eventsim/alloc_test.go).
+	// TestRTSCTSPathZeroAllocSteadyState, TestControllerPathSteadyAllocBound
+	// (internal/eventsim/alloc_test.go).
 	"../eventsim": {
 		"ackBegin", "ackEnd", "apBusyEnd", "apBusyStart", "armCountdown",
-		"arrival", "beaconEnd", "beaconTx", "broadcastControl", "clear",
+		"arrival", "beaconEnd", "beaconTx", "broadcastControl", "busyAll",
+		"busyRow", "busyWord", "clear", "crossBusy", "crossIdle",
 		"ctsBegin", "ctsEnd", "disarm", "failTimeout", "freeTransmission",
-		"launch", "newTransmission", "observeIdleGap", "onBusyEnd",
-		"onBusyStart", "phaseFlip", "pop", "push", "rearm",
-		"recordLatency", "reservedData", "scheduleArrival", "set",
-		"startContention", "tryBeacon", "txBegin", "txComplete",
+		"has", "holdNAV", "idleAll", "idleRow", "idleScratch", "idleWord",
+		"launch", "navEnd", "newTransmission", "observeIdleGap",
+		"phaseFlip", "pop", "push", "rearm", "recordLatency",
+		"reservedData", "scheduleArrival", "set", "startContention",
+		"tryBeacon", "txBegin", "txComplete", "uncover",
 	},
 }
 

@@ -72,6 +72,39 @@ func TestPerFramePathZeroAllocPPersistent(t *testing.T) {
 	}
 }
 
+// The RTS/CTS path adds the CTS and the NAV hold and release of every
+// exchange: pooled holds released through AfterArg keep it
+// allocation-free once warm.
+func TestRTSCTSPathZeroAllocSteadyState(t *testing.T) {
+	const n = 10
+	policies := make([]mac.Policy, n)
+	for i := range policies {
+		policies[i] = mac.NewStandardDCF(16, 1024)
+	}
+	s, err := New(Config{
+		Topology:     topo.New(topo.Point{}, topo.CircleEdge(n, 8), topo.PaperRadii()),
+		Policies:     policies,
+		RTSCTS:       true,
+		UpdatePeriod: 1000 * sim.Second,
+		Seed:         9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2 * sim.Second)
+	next := s.sched.Now()
+	before := s.successes
+	if avg := testing.AllocsPerRun(50, func() {
+		next = next.Add(20 * sim.Millisecond)
+		s.sched.RunUntil(next)
+	}); avg != 0 {
+		t.Errorf("RTS/CTS per-exchange path allocates %.2f allocs per 20 ms, want 0", avg)
+	}
+	if s.successes == before {
+		t.Fatal("no RTS/CTS exchange completed during the measurement")
+	}
+}
+
 // The unsaturated path adds arrival events, queue pushes/pops and the
 // latency/jitter accounting to the frame lifecycle; once the queue
 // backing arrays have reached their high-water mark it must be

@@ -89,7 +89,7 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.Topology.Validate(); err != nil {
 		return c, err
 	}
-	// The event engine fans busy/idle transitions out over explicit
+	// The event engine derives its carrier-sense rows from explicit
 	// neighbour lists, so it needs the topology's adjacency materialised
 	// — bounded, because the paper's AP-bounded geometry is near-complete
 	// and a huge-n dense layout would otherwise allocate Θ(n²).

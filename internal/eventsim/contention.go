@@ -1,84 +1,56 @@
 package eventsim
 
-import (
-	"math/bits"
-
-	"repro/internal/sim"
-)
-
-// bitset is a fixed-capacity bitmap over station ids. One word covers
-// the common N ≤ 64 case; larger topologies use more words. The zero
-// value is unusable — size with grow first.
-type bitset struct {
-	words []uint64
-}
-
-// grow (re)sizes the bitset for n ids and clears it.
-func (b *bitset) grow(n int) {
-	w := (n + 63) >> 6
-	if cap(b.words) < w {
-		b.words = make([]uint64, w)
-		return
-	}
-	b.words = b.words[:w]
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-//wlanvet:hotpath
-func (b *bitset) set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
-
-//wlanvet:hotpath
-func (b *bitset) clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
+import "math/bits"
 
 // Lazy contention wake-ups.
 //
 // A contending station on an idle medium is "armed": it has a due
 // instant (runStart + remaining·σ) and a reserved scheduler sequence
-// number, but no scheduler event. Exactly one live event exists for the
-// whole contention system — the armed station with the smallest
-// (due, vseq), tracked in armedSt/armedRef. Busy/idle transitions
-// therefore cost counter updates plus at most one event cancel, instead
-// of the per-neighbour arm/cancel storm of eager scheduling: scheduler
-// traffic drops from O(neighbours) to O(1) amortised per transition.
+// number, but no scheduler event of its own. Exactly one event stands
+// for the whole contention system — the armed station with the
+// smallest (due, vseq), held in the scheduler's out-of-heap candidate
+// slot (sim.Scheduler.SetCandidate) and tracked in candSt. A busy
+// crossing therefore costs at most one candidate withdrawal, and
+// moving the candidate costs no heap traffic at all, instead of the
+// per-neighbour arm/cancel storm of eager scheduling.
 //
 // Bit-identity with eager scheduling is structural, not statistical:
 //   - arming reserves a sequence number via TakeSeq at exactly the call
 //     sites where the eager code scheduled, so every event in the run —
 //     contention or not — carries the same (time, seq) key as before;
-//   - the live event is submitted with the owner's reserved sequence
-//     number (AtArgSeq), so same-instant ties (a due attempt racing a
-//     frame completion, a beacon, an ACK) resolve exactly as they did
-//     when every station held its own event;
-//   - the candidate minimum is re-established (rearm) before any event
-//     callback returns, so the earliest armed attempt always has a live
-//     event and fires at its exact due instant.
+//   - the candidate carries its owner's reserved sequence number and
+//     the scheduler compares it with the queue minimum by (at, seq), so
+//     same-instant ties (a due attempt racing a frame completion, a
+//     beacon, an ACK) resolve exactly as they did when every station
+//     held its own event;
+//   - an arm that beats the candidate takes it over on the spot, and a
+//     withdrawn candidate is re-established (rearm) before the event
+//     callback that withdrew it returns, so the earliest armed attempt
+//     is always the candidate and fires at its exact due instant.
 // EventsFired is preserved too: the events that fire are precisely the
-// attempts that would have fired eagerly — cancelled events never
-// counted, and lazy arming never fires spuriously.
+// attempts that would have fired eagerly, and lazy arming never fires
+// spuriously.
 
 // disarm retracts st's virtual attempt (frozen or deactivated). When st
-// owns the live event the candidate minimum is stale: cancel it and
-// mark the system dirty so the enclosing transition batch re-arms.
+// holds the candidate, withdraw it and mark the system dirty so the
+// minimum is re-established after the current event.
 //
 //wlanvet:hotpath
 func (s *Simulator) disarm(st *station) {
 	st.armed = false
 	s.ready.clear(st.id)
-	if s.armedSt == st {
-		s.armedRef.Cancel()
-		s.armedRef = sim.Ref{}
-		s.armedSt = nil
+	if s.candSt == st {
+		s.sched.ClearCandidate()
+		s.candSt = nil
 		s.contDirty = true
 	}
 }
 
-// rearm re-establishes the live event on the armed station with the
-// minimum (due, vseq). It runs as the scheduler's after-dispatch hook —
-// once per event, after the callback's whole batch of transitions — and
-// once at init for the pre-Run arming; it is O(armed stations) when
-// dirty and O(1) otherwise.
+// rearm re-establishes the candidate on the armed station with the
+// minimum (due, vseq) once the previous one was withdrawn. It runs as
+// the scheduler's after-dispatch hook — once per event, after the
+// callback's whole batch of transitions — and is O(armed stations)
+// when dirty and O(1) otherwise.
 //
 //wlanvet:hotpath
 func (s *Simulator) rearm() {
@@ -87,9 +59,8 @@ func (s *Simulator) rearm() {
 	}
 	s.contDirty = false
 	// Scan the flat (due, vseq) mirrors rather than the station structs:
-	// the candidate minimum is re-established once per transition batch,
-	// and a linear walk over two arrays stays in cache where pointer
-	// chasing would not.
+	// a linear walk over two arrays stays in cache where pointer chasing
+	// would not.
 	best := -1
 	for w, word := range s.ready.words {
 		base := w << 6
@@ -102,13 +73,10 @@ func (s *Simulator) rearm() {
 			}
 		}
 	}
-	if best < 0 || s.stations[best] == s.armedSt {
+	if best < 0 {
 		return
 	}
-	if s.armedSt != nil {
-		s.armedRef.Cancel()
-	}
 	st := s.stations[best]
-	s.armedSt = st
-	s.armedRef = s.sched.AtArgSeq(st.due, st.vseq, s.txBeginFn, st)
+	s.candSt = st
+	s.sched.SetCandidate(st.due, st.vseq, s.txBeginFn, st)
 }

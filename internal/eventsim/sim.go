@@ -36,12 +36,19 @@ type Simulator struct {
 	sched *sim.Scheduler
 
 	stations []*station
-	// sensedBy[i] lists the stations that perform carrier sense on
-	// station i's transmissions. Each entry is a read-only view into the
-	// topology's shared neighbour storage (topo.Topology.SensedBy), so
-	// setup costs O(1) per station instead of an O(n) scan and
-	// allocation.
-	sensedBy [][]int32
+
+	// Carrier sense (see busy.go): rows are the stations' sense rows,
+	// busy the stations that sense a busy medium, nav the stations a
+	// live NAV hold covers, all every station, and scratch the idle
+	// candidates of one settling pass (all-zero between passes).
+	// navHolds are the live NAV holds, navPool the recycled ones.
+	rows     senseRows
+	busy     bitset
+	nav      bitset
+	all      bitset
+	scratch  bitset
+	navHolds []*navHold
+	navPool  []*navHold
 
 	// Air state at the AP.
 	active     []*transmission // data frames currently in the air
@@ -69,6 +76,7 @@ type Simulator struct {
 	failTimeoutFn  func(any)
 	ctsBeginFn     func(any)
 	ctsEndFn       func(any)
+	navEndFn       func(any)
 	reservedDataFn func(any)
 	ackBeginFn     func(any)
 	ackEndFn       func(any)
@@ -84,15 +92,15 @@ type Simulator struct {
 	txPool []*transmission
 
 	// Lazy contention wake-up state (see contention.go): ready is the
-	// bitmap of armed stations, armedSt/armedRef the single live
-	// scheduler event on the candidate-minimum attempt, and contDirty
-	// marks that the minimum must be re-established before the current
-	// event callback returns. dues/vseqs mirror the armed stations'
-	// (due, vseq) keys in flat arrays so the minimum scan walks memory
-	// linearly instead of chasing station pointers.
+	// bitmap of armed stations, candSt the armed station holding the
+	// scheduler's candidate — the minimum (due, vseq) attempt — and
+	// contDirty marks that the candidate was withdrawn and the minimum
+	// must be re-established before the current event callback returns.
+	// dues/vseqs mirror the armed stations' (due, vseq) keys in flat
+	// arrays so the minimum scan walks memory linearly instead of
+	// chasing station pointers.
 	ready     bitset
-	armedSt   *station
-	armedRef  sim.Ref
+	candSt    *station
 	contDirty bool
 	dues      []sim.Time
 	vseqs     []uint64
@@ -147,6 +155,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.failTimeoutFn = func(a any) { s.failTimeout(a.(*station)) }
 	s.ctsBeginFn = func(a any) { s.ctsBegin(a.(*station)) }
 	s.ctsEndFn = func(a any) { s.ctsEnd(a.(*station)) }
+	s.navEndFn = func(a any) { s.navEnd(a.(*navHold)) }
 	s.reservedDataFn = func(a any) { s.reservedData(a.(*station)) }
 	s.ackBeginFn = func(a any) { s.ackBegin(a.(*station)) }
 	s.ackEndFn = func(a any) { s.ackEnd(a.(*station)) }
@@ -156,9 +165,9 @@ func New(cfg Config) (*Simulator, error) {
 	s.beaconEndFn = func(any) { s.beaconEnd() }
 	s.arrivalFn = func(a any) { s.arrival(a.(*station)) }
 	s.phaseFn = func(a any) { s.phaseFlip(a.(*station)) }
-	// rearm runs after every dispatched event, re-establishing the
-	// lazy-wakeup candidate minimum exactly once per event however many
-	// transitions the callback performed — one enforcement point
+	// rearm runs after every dispatched event, re-establishing a
+	// withdrawn lazy-wakeup candidate exactly once per event however
+	// many transitions the callback performed — one enforcement point
 	// instead of a rearm call at every callback return site.
 	s.sched.SetAfterDispatch(func() { s.rearm() })
 	s.init(cfg)
@@ -193,7 +202,10 @@ func (s *Simulator) init(cfg Config) {
 	tSeries.Reset("throughput")
 	cSeries.Reset("control")
 	aSeries.Reset("active")
-	stations, sensedBy := s.stations, s.sensedBy
+	stations := s.stations
+	// A Reset scheduler dropped the release events of live NAV holds:
+	// recycle the holds.
+	navPool := append(s.navPool, s.navHolds...)
 	*s = Simulator{
 		cfg:              cfg,
 		sched:            s.sched,
@@ -202,6 +214,13 @@ func (s *Simulator) init(cfg Config) {
 		channelRNG:       sim.Reuse(s.channelRNG, cfg.Seed, sim.ChannelStream),
 		active:           s.active[:0],
 		txPool:           s.txPool,
+		rows:             s.rows,
+		busy:             s.busy,
+		nav:              s.nav,
+		all:              s.all,
+		scratch:          s.scratch,
+		navHolds:         s.navHolds[:0],
+		navPool:          navPool,
 		ready:            s.ready,
 		dues:             s.dues,
 		vseqs:            s.vseqs,
@@ -213,6 +232,7 @@ func (s *Simulator) init(cfg Config) {
 		failTimeoutFn:    s.failTimeoutFn,
 		ctsBeginFn:       s.ctsBeginFn,
 		ctsEndFn:         s.ctsEndFn,
+		navEndFn:         s.navEndFn,
 		reservedDataFn:   s.reservedDataFn,
 		ackBeginFn:       s.ackBeginFn,
 		ackEndFn:         s.ackEndFn,
@@ -241,11 +261,6 @@ func (s *Simulator) init(cfg Config) {
 	} else {
 		stations = stations[:n]
 	}
-	if cap(sensedBy) < n {
-		sensedBy = make([][]int32, n)
-	} else {
-		sensedBy = sensedBy[:n]
-	}
 	for i := 0; i < n; i++ {
 		st := stations[i]
 		if st == nil {
@@ -266,9 +281,9 @@ func (s *Simulator) init(cfg Config) {
 		}
 		st.queue.buf = qbuf
 		st.rng = sim.Reuse(rng, cfg.Seed, int64(i))
-		sensedBy[i] = cfg.Topology.SensedBy(i)
 	}
-	s.stations, s.sensedBy = stations, sensedBy
+	s.stations = stations
+	s.rows.build(cfg.Topology)
 	if cap(s.dues) < n {
 		s.dues = make([]sim.Time, n)
 		s.vseqs = make([]uint64, n)
@@ -285,11 +300,17 @@ func (s *Simulator) init(cfg Config) {
 		}
 	}
 	s.ready.grow(n)
+	s.busy.grow(n)
+	s.nav.grow(n)
+	s.scratch.grow(n)
+	s.all.grow(n)
+	for i := 0; i < n; i++ {
+		s.all.set(i)
+	}
 	s.apIdle.MediumIdle(0)
 	for i := 0; i < cfg.InitialActive; i++ {
 		s.activateNow(s.stations[i])
 	}
-	s.rearm()
 }
 
 // Scheduler exposes the event clock, mainly for tests and custom
@@ -342,7 +363,7 @@ func (s *Simulator) activateNow(st *station) {
 	now := s.sched.Now()
 	// A newly active station has no countdown anchor yet; start a fresh
 	// idle view of the medium from "now".
-	if st.busyCount == 0 {
+	if !s.busy.has(st.id) {
 		st.idleSince = now
 		st.senseIdleOpen = true
 		st.senseIdleStart = now
@@ -476,13 +497,13 @@ func (s *Simulator) startContention(st *station) {
 
 // armCountdown arms the transmission attempt virtually if the medium is
 // currently idle for st; otherwise the countdown stays frozen until
-// onBusyEnd re-arms it. Arming reserves the scheduler sequence number
-// the eager code would have consumed, but pushes no event: the live
-// event lands on the candidate-minimum attempt at the next rearm.
+// crossIdle re-arms it. Arming reserves the scheduler sequence number
+// the eager code would have consumed, but pushes no event: only the
+// minimum attempt is the scheduler's candidate.
 //
 //wlanvet:hotpath
 func (s *Simulator) armCountdown(st *station) {
-	if st.busyCount > 0 || st.state != stateContending {
+	if st.state != stateContending || s.busy.has(st.id) {
 		return
 	}
 	now := s.sched.Now()
@@ -498,21 +519,20 @@ func (s *Simulator) armCountdown(st *station) {
 	st.armed = true
 	s.dues[st.id], s.vseqs[st.id] = st.due, st.vseq
 	s.ready.set(st.id)
-	// The minimum only needs re-establishing when this attempt beats the
-	// currently live one (a later vseq never ties ahead at equal due).
-	if s.armedSt == nil || at < s.armedSt.due {
-		s.contDirty = true
+	// While the candidate is current it is the minimum armed attempt, and
+	// a fresh arm carries the newest vseq: it takes the candidate over iff
+	// it is due strictly earlier, with no scan. A withdrawn candidate is
+	// re-established by rearm's scan instead.
+	if !s.contDirty && (s.candSt == nil || at < s.candSt.due) {
+		s.candSt = st
+		s.sched.SetCandidate(at, st.vseq, s.txBeginFn, st)
 	}
 }
 
-// onBusyStart informs st that a transmission it senses has started.
+// crossBusy runs when st starts sensing a busy medium.
 //
 //wlanvet:hotpath
-func (s *Simulator) onBusyStart(st *station) {
-	st.busyCount++
-	if st.busyCount != 1 {
-		return
-	}
+func (s *Simulator) crossBusy(st *station) {
 	now := s.sched.Now()
 	// Close the observed idle gap (IdleSense input).
 	if st.senseIdleOpen {
@@ -561,17 +581,10 @@ func (s *Simulator) observeIdleGap(st *station, now sim.Time) {
 	st.observer.ObserveTransmission(float64(gap-s.cfg.PHY.DIFS) / float64(s.cfg.PHY.Slot))
 }
 
-// onBusyEnd informs st that a transmission it senses has ended.
+// crossIdle runs when the medium st senses goes idle.
 //
 //wlanvet:hotpath
-func (s *Simulator) onBusyEnd(st *station) {
-	st.busyCount--
-	if st.busyCount < 0 {
-		panic("eventsim: negative busy count")
-	}
-	if st.busyCount != 0 {
-		return
-	}
+func (s *Simulator) crossIdle(st *station) {
 	now := s.sched.Now()
 	st.idleSince = now
 	st.senseIdleOpen = true
@@ -615,15 +628,14 @@ func (s *Simulator) freeTransmission(rec *transmission) {
 	s.txPool = append(s.txPool, rec)
 }
 
-// txBegin puts st's data frame on the air. It fires as the candidate-
-// minimum contention event, so the live-event slot is free again.
+// txBegin puts st's data frame on the air. It fires as the scheduler's
+// candidate, which firing withdrew.
 //
 //wlanvet:hotpath
 func (s *Simulator) txBegin(st *station) {
 	st.armed = false
 	s.ready.clear(st.id)
-	s.armedSt = nil
-	s.armedRef = sim.Ref{}
+	s.candSt = nil
 	s.contDirty = true
 	if st.state != stateContending {
 		return
@@ -669,9 +681,7 @@ func (s *Simulator) launch(rec *transmission) {
 		s.maxConcurrent = len(s.active)
 	}
 	s.apBusyStart(now)
-	for _, j := range s.sensedBy[rec.st.id] {
-		s.onBusyStart(s.stations[j])
-	}
+	s.busyRow(rec.st.id)
 	s.sched.AtArg(rec.end, s.txCompleteFn, rec)
 }
 
@@ -695,13 +705,11 @@ func (s *Simulator) txComplete(rec *transmission) {
 	kind, collided := rec.kind, rec.collided
 	s.freeTransmission(rec)
 	s.apBusyEnd(now)
-	for _, j := range s.sensedBy[st.id] {
-		s.onBusyEnd(s.stations[j])
-	}
+	s.idleRow(st.id)
 	st.state = stateAwaiting
 	// From the transmitter's own perspective the medium state resumes
 	// from the end of its frame.
-	if st.busyCount == 0 {
+	if !s.busy.has(st.id) {
 		st.idleSince = now
 		st.senseIdleOpen = true
 		st.senseIdleStart = now
@@ -767,9 +775,7 @@ func (s *Simulator) ctsBegin(target *station) {
 		r.collided = true // a frame overlapping the CTS is lost at the AP
 	}
 	s.apBusyStart(now)
-	for _, st := range s.stations {
-		s.onBusyStart(st)
-	}
+	s.busyAll()
 	s.sched.AfterArg(s.tCTS, s.ctsEndFn, target)
 }
 
@@ -782,9 +788,7 @@ func (s *Simulator) ctsEnd(target *station) {
 	now := s.sched.Now()
 	s.apTx = false
 	s.apBusyEnd(now)
-	for _, st := range s.stations {
-		s.onBusyEnd(st)
-	}
+	s.idleAll()
 	if s.cfg.Trace != nil {
 		wire := frame.Marshal(&frame.CTS{
 			Receiver: frame.Address(target.id),
@@ -796,24 +800,7 @@ func (s *Simulator) ctsEnd(target *station) {
 	// Arm the NAV. A station that is itself mid-transmission cannot have
 	// decoded the CTS (half duplex) and keeps contending blindly — the
 	// residual collision channel RTS/CTS cannot close.
-	var navved []*station
-	for _, st := range s.stations {
-		if st == target || st.state == stateTransmitting {
-			continue
-		}
-		s.onBusyStart(st)
-		//wlanvet:allow per-exchange, not per-frame: reservations are rare and overlapping NAV windows make a shared scratch buffer unsafe
-		navved = append(navved, st)
-	}
-	// The navved closure is the one remaining per-exchange allocation on
-	// the RTS/CTS path; reservations are rare relative to data frames
-	// and overlapping NAV windows make a shared scratch buffer unsafe.
-	//wlanvet:allow per-exchange, not per-frame: the NAV-release closure is the one deliberate RTS/CTS allocation, documented above
-	s.sched.After(s.navDuration(), func() {
-		for _, st := range navved {
-			s.onBusyEnd(st)
-		}
-	})
+	s.sched.AfterArg(s.navDuration(), s.navEndFn, s.holdNAV(target))
 	s.sched.AfterArg(s.cfg.PHY.SIFS, s.reservedDataFn, target)
 }
 
@@ -847,9 +834,7 @@ func (s *Simulator) ackBegin(target *station) {
 		r.collided = true
 	}
 	s.apBusyStart(now)
-	for _, st := range s.stations {
-		s.onBusyStart(st)
-	}
+	s.busyAll()
 	s.sched.AfterArg(s.tACK, s.ackEndFn, target)
 }
 
@@ -861,9 +846,7 @@ func (s *Simulator) ackEnd(target *station) {
 	now := s.sched.Now()
 	s.apTx = false
 	s.apBusyEnd(now)
-	for _, st := range s.stations {
-		s.onBusyEnd(st)
-	}
+	s.idleAll()
 
 	payload := s.cfg.PHY.Payload
 	s.windowMeter.Account(payload)
@@ -1027,9 +1010,7 @@ func (s *Simulator) beaconTx() {
 	// any busy start, but a station may still start at the same instant
 	// later in the event queue — txBegin handles that via the apTx check.
 	s.apBusyStart(now)
-	for _, st := range s.stations {
-		s.onBusyStart(st)
-	}
+	s.busyAll()
 	s.beaconSeq++
 	s.sched.AfterArg(s.tACK, s.beaconEndFn, nil)
 }
@@ -1042,9 +1023,7 @@ func (s *Simulator) beaconTx() {
 func (s *Simulator) beaconEnd() {
 	s.apTx = false
 	s.apBusyEnd(s.sched.Now())
-	for _, st := range s.stations {
-		s.onBusyEnd(st)
-	}
+	s.idleAll()
 	if s.cfg.Trace != nil {
 		wire := frame.Marshal(&frame.Beacon{Sequence: s.beaconSeq, Control: s.control})
 		s.cfg.Trace.Frame(s.sched.Now(), wire, false)

@@ -71,12 +71,8 @@ type station struct {
 	rng        *sim.RNG
 	state      stationState
 
-	// busyCount is the number of in-air transmissions this station
-	// senses (neighbouring stations' data frames plus AP frames). The
-	// medium is idle for this station iff busyCount == 0.
-	busyCount int
-	// idleSince is when busyCount last dropped to zero (valid while
-	// busyCount == 0).
+	// idleSince is when the medium this station senses last went idle
+	// (valid while the station is out of Simulator.busy).
 	idleSince sim.Time
 
 	// remaining is the number of backoff slots still to serve.
@@ -87,9 +83,9 @@ type station struct {
 	runStart sim.Time
 	// armed marks a virtually scheduled transmission attempt: the
 	// station is due to transmit at due, but holds no scheduler event of
-	// its own. Only the globally earliest armed contender has a live
-	// event (Simulator.armedSt); everyone else is woken lazily when the
-	// candidate minimum moves (see Simulator.rearm). vseq is the
+	// its own. Only the globally earliest armed contender is the
+	// scheduler's candidate (Simulator.candSt); everyone else is woken
+	// lazily when the minimum moves (see Simulator.rearm). vseq is the
 	// scheduler sequence number reserved at arm time, which preserves
 	// the exact same-instant FIFO order eager per-station scheduling
 	// would have produced.

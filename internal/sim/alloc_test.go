@@ -63,6 +63,32 @@ func TestSchedulerCancelZeroAlloc(t *testing.T) {
 	}
 }
 
+// Setting, moving, clearing and firing the out-of-heap candidate reuse
+// one pooled event.
+func TestSchedulerCandidateZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	type payload struct{ n int }
+	arg := &payload{}
+	fire := func(a any) { a.(*payload).n++ }
+	cycle := func() {
+		now := s.Now()
+		s.SetCandidate(now.Add(20), s.TakeSeq(), fire, arg)
+		s.SetCandidate(now.Add(10), s.TakeSeq(), fire, arg)
+		s.ClearCandidate()
+		s.SetCandidate(now.Add(10), s.TakeSeq(), fire, arg)
+		s.Step()
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("candidate set/clear/fire allocates %.2f allocs/op, want 0", avg)
+	}
+	if arg.n == 0 {
+		t.Fatal("candidate never fired")
+	}
+}
+
 // Arenas reseed every station's generator on each Reset, so reseeding
 // must not allocate.
 func TestRNGReseedZeroAlloc(t *testing.T) {

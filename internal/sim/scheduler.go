@@ -18,14 +18,19 @@ import "fmt"
 type Scheduler struct {
 	now  Time
 	heap eventHeap
-	// next is a one-event fast slot holding the global minimum pending
-	// event (by (at, seq)), or nil. Discrete-event hot loops schedule
+	// next is a one-event fast slot holding the minimum queued event
+	// (by (at, seq); the candidate below stays outside), or nil. Discrete-event hot loops schedule
 	// the imminent event constantly — a frame's completion, the SIFS
 	// chain to its ACK — and the slot absorbs those push-then-pop-next
 	// cycles without touching the heap. The invariant "next precedes
 	// every heap entry" is maintained on every enqueue, so dispatch
 	// order is exactly the heap-only order.
-	next   *Event
+	next *Event
+	// cand is the out-of-heap candidate (SetCandidate), or nil: one
+	// event the owner moves or withdraws in place, compared with the
+	// queue minimum by (at, seq) at every dequeue, so moving it leaves
+	// no cancelled entry behind in the heap.
+	cand   *Event
 	seq    uint64
 	fired  uint64
 	halted bool
@@ -52,6 +57,9 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 func (s *Scheduler) Pending() int {
 	n := s.heap.Len()
 	if s.next != nil {
+		n++
+	}
+	if s.cand != nil {
 		n++
 	}
 	return n
@@ -88,6 +96,12 @@ func (s *Scheduler) enqueue(e *Event) {
 //
 //wlanvet:hotpath
 func (s *Scheduler) dequeue() *Event {
+	if c := s.cand; c != nil {
+		if m := s.queueMin(); m == nil || before(c, m) {
+			s.cand = nil
+			return c
+		}
+	}
 	if e := s.next; e != nil {
 		s.next = nil
 		return e
@@ -95,14 +109,25 @@ func (s *Scheduler) dequeue() *Event {
 	return s.heap.pop()
 }
 
-// peekMin returns the earliest pending event without removing it.
+// queueMin returns the earliest queued event, candidate aside.
 //
 //wlanvet:hotpath
-func (s *Scheduler) peekMin() *Event {
+func (s *Scheduler) queueMin() *Event {
 	if s.next != nil {
 		return s.next
 	}
 	return s.heap.peek()
+}
+
+// peekMin returns the earliest pending event without removing it.
+//
+//wlanvet:hotpath
+func (s *Scheduler) peekMin() *Event {
+	m := s.queueMin()
+	if c := s.cand; c != nil && (m == nil || before(c, m)) {
+		return c
+	}
+	return m
 }
 
 // peekLive returns the earliest live pending event, discarding
@@ -209,9 +234,9 @@ func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Ref {
 // scheduling anything. It exists for lazy-wakeup schemes (see
 // eventsim's contention arming): a caller can reserve the FIFO
 // tie-break position an event *would* have received if scheduled now,
-// defer the actual heap insertion, and later submit the event through
-// AtArgSeq with its reserved position — so replacing eager scheduling
-// with lazy scheduling cannot reorder same-instant ties.
+// defer the actual scheduling, and later submit it as the candidate
+// with its reserved position — so replacing eager scheduling with lazy
+// scheduling cannot reorder same-instant ties.
 //
 //wlanvet:hotpath
 func (s *Scheduler) TakeSeq() uint64 {
@@ -220,28 +245,42 @@ func (s *Scheduler) TakeSeq() uint64 {
 	return seq
 }
 
-// AtArgSeq schedules fn(arg) at instant t with an explicit sequence
-// number previously reserved via TakeSeq. Same-instant events fire in
-// ascending sequence order, so the event behaves exactly as if it had
-// been scheduled at reservation time. The caller must not submit the
-// same reservation to more than one live event.
+// SetCandidate makes fn(arg) at instant t the scheduler's candidate,
+// replacing any previous one. seq is a sequence number reserved via
+// TakeSeq: the candidate fires when it is the earliest pending event
+// under the (at, seq) order, exactly as if it had been scheduled at
+// reservation time. It lives outside the queue, so moving it costs no
+// heap traffic and leaves no cancelled entry behind. The candidate is
+// withdrawn by ClearCandidate, by firing or by Reset.
 //
 //wlanvet:hotpath
-func (s *Scheduler) AtArgSeq(t Time, seq uint64, fn func(any), arg any) Ref {
+func (s *Scheduler) SetCandidate(t Time, seq uint64, fn func(any), arg any) {
 	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+		panic(fmt.Sprintf("sim: scheduling candidate at %v before now %v", t, s.now))
 	}
-	e := s.alloc()
-	e.at, e.seq = t, seq
-	e.fn, e.afn, e.arg = nil, fn, arg
-	s.enqueue(e)
-	return Ref{e: e, gen: e.gen}
+	c := s.cand
+	if c == nil {
+		c = s.alloc()
+		s.cand = c
+	}
+	c.at, c.seq = t, seq
+	c.afn, c.arg = fn, arg
+}
+
+// ClearCandidate withdraws the candidate, if any.
+//
+//wlanvet:hotpath
+func (s *Scheduler) ClearCandidate() {
+	if c := s.cand; c != nil {
+		s.cand = nil
+		s.release(c)
+	}
 }
 
 // Reset returns the scheduler to its initial state — clock at zero,
-// empty queue, sequence and fired counters at zero — while keeping the
-// event free list, so a reused scheduler schedules without re-warming
-// its pool. Pending events are recycled; their generation bump expires
+// empty queue, no candidate, sequence and fired counters at zero —
+// while keeping the event free list, so a reused scheduler schedules
+// without re-warming its pool. Pending events are recycled; their generation bump expires
 // any outstanding Refs. A reset scheduler is indistinguishable from a
 // fresh one to every caller except PoolSize.
 func (s *Scheduler) Reset() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -351,4 +352,150 @@ func TestTimeArithmetic(t *testing.T) {
 	if got := Time(Second).String(); got != "1.000000s" {
 		t.Errorf("String: got %q", got)
 	}
+}
+
+// order records the labels of fired callbacks.
+type order struct{ got []string }
+
+func (o *order) add(label string) func() {
+	return func() { o.got = append(o.got, label) }
+}
+
+// addArg is a candidate callback; its arg is the label.
+func (o *order) addArg(a any) { o.got = append(o.got, *a.(*string)) }
+
+func (o *order) want(t *testing.T, want string) {
+	t.Helper()
+	if got := fmt.Sprint(o.got); got != want {
+		t.Errorf("fired %s, want %s", got, want)
+	}
+}
+
+func label(s string) *string { return &s }
+
+// A candidate tied in time with the fast-slot event resolves by seq,
+// exactly as two queued events would.
+func TestSchedulerCandidateTiesFastSlot(t *testing.T) {
+	for _, candFirst := range []bool{true, false} {
+		s := NewScheduler()
+		o := &order{}
+		var seq uint64
+		if candFirst {
+			seq = s.TakeSeq()
+		}
+		s.At(10, o.add("queued"))
+		if !candFirst {
+			seq = s.TakeSeq()
+		}
+		s.SetCandidate(10, seq, o.addArg, label("cand"))
+		if s.next == nil || s.heap.Len() != 0 {
+			t.Fatal("the queued event is not in the fast slot")
+		}
+		s.Run()
+		if candFirst {
+			o.want(t, "[cand queued]")
+		} else {
+			o.want(t, "[queued cand]")
+		}
+	}
+}
+
+// The same tie against an event in the heap proper.
+func TestSchedulerCandidateTiesHeap(t *testing.T) {
+	for _, candFirst := range []bool{true, false} {
+		s := NewScheduler()
+		o := &order{}
+		var seq uint64
+		if candFirst {
+			seq = s.TakeSeq()
+		}
+		s.At(10, o.add("heap"))
+		if !candFirst {
+			seq = s.TakeSeq()
+		}
+		s.At(5, o.add("early")) // displaces the event at 10 into the heap
+		s.SetCandidate(10, seq, o.addArg, label("cand"))
+		if s.heap.Len() != 1 || s.heap.peek().at != 10 {
+			t.Fatal("the event at 10 is not in the heap")
+		}
+		s.Run()
+		if candFirst {
+			o.want(t, "[early cand heap]")
+		} else {
+			o.want(t, "[early heap cand]")
+		}
+	}
+}
+
+func TestSchedulerCandidateRunUntil(t *testing.T) {
+	s := NewScheduler()
+	o := &order{}
+	s.SetCandidate(30, s.TakeSeq(), o.addArg, label("cand"))
+	s.RunUntil(29)
+	o.want(t, "[]")
+	if s.Now() != 29 || s.Pending() != 1 {
+		t.Fatalf("after RunUntil(29): now %v, pending %d; want 29, 1", s.Now(), s.Pending())
+	}
+	s.RunUntil(30) // due exactly at the bound: fires
+	o.want(t, "[cand]")
+	if s.Now() != 30 || s.Pending() != 0 || s.Fired() != 1 {
+		t.Fatalf("after RunUntil(30): now %v, pending %d, fired %d", s.Now(), s.Pending(), s.Fired())
+	}
+}
+
+// Moving the candidate replaces it, and clearing withdraws it; neither
+// leaves an entry behind.
+func TestSchedulerCandidateMoveAndClear(t *testing.T) {
+	s := NewScheduler()
+	o := &order{}
+	s.SetCandidate(20, s.TakeSeq(), o.addArg, label("first"))
+	s.SetCandidate(15, s.TakeSeq(), o.addArg, label("moved"))
+	if s.Pending() != 1 {
+		t.Fatalf("pending %d after moving the candidate, want 1", s.Pending())
+	}
+	s.Run()
+	o.want(t, "[moved]")
+	s.SetCandidate(40, s.TakeSeq(), o.addArg, label("withdrawn"))
+	s.ClearCandidate()
+	s.ClearCandidate() // no candidate: a no-op
+	if s.Pending() != 0 || s.Step() {
+		t.Fatal("a cleared candidate is still pending")
+	}
+	o.want(t, "[moved]")
+}
+
+func TestSchedulerResetDropsCandidate(t *testing.T) {
+	s := NewScheduler()
+	s.SetCandidate(10, s.TakeSeq(), func(any) { t.Error("candidate fired after Reset") }, nil)
+	pool := s.PoolSize()
+	s.Reset()
+	if s.Pending() != 0 || s.PoolSize() != pool+1 {
+		t.Fatalf("after Reset: pending %d, pool %d; want 0, %d", s.Pending(), s.PoolSize(), pool+1)
+	}
+	s.Run()
+}
+
+func TestSchedulerHaltKeepsCandidate(t *testing.T) {
+	s := NewScheduler()
+	o := &order{}
+	s.At(5, func() { o.got = append(o.got, "halt"); s.Halt() })
+	s.SetCandidate(10, s.TakeSeq(), o.addArg, label("cand"))
+	s.Run()
+	o.want(t, "[halt]")
+	if s.Pending() != 1 {
+		t.Fatalf("pending %d after Halt, want the candidate", s.Pending())
+	}
+	s.Run()
+	o.want(t, "[halt cand]")
+}
+
+func TestSchedulerCandidatePanicsInPast(t *testing.T) {
+	s := NewScheduler()
+	s.RunUntil(10)
+	defer func() {
+		if recover() == nil {
+			t.Error("a candidate before now did not panic")
+		}
+	}()
+	s.SetCandidate(5, s.TakeSeq(), func(any) {}, nil)
 }
