@@ -343,6 +343,24 @@ func fingerprintCases() []fingerprintCase {
 				}, nil
 			},
 		},
+		{
+			// An ACK longer than an RTS plus lost data frames let a second
+			// CTS arrive while the first NAV still holds: overlapping NAVs.
+			name: "clusters-rtscts-long-ack", seeds: []int64{32, 33}, dur: sim.Second / 2,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, _ := policySet("dcf", 10, phy)
+				longACK := phy
+				longACK.ACKLength = 3000
+				return eventsim.Config{
+					Topology:       topo.New(topo.Point{}, topo.TwoClusters(10, 30), topo.PaperRadii()),
+					Policies:       policies,
+					PHY:            longACK,
+					RTSCTS:         true,
+					FrameErrorRate: 0.3,
+					Seed:           seed,
+				}, nil
+			},
+		},
 	}
 }
 
