@@ -343,23 +343,30 @@ func fingerprintCases() []fingerprintCase {
 				}, nil
 			},
 		},
-		{
-			// An ACK longer than an RTS plus lost data frames let a second
-			// CTS arrive while the first NAV still holds: overlapping NAVs.
-			name: "clusters-rtscts-long-ack", seeds: []int64{32, 33}, dur: sim.Second / 2,
-			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
-				policies, _ := policySet("dcf", 10, phy)
-				longACK := phy
-				longACK.ACKLength = 3000
-				return eventsim.Config{
-					Topology:       topo.New(topo.Point{}, topo.TwoClusters(10, 30), topo.PaperRadii()),
-					Policies:       policies,
-					PHY:            longACK,
-					RTSCTS:         true,
-					FrameErrorRate: 0.3,
-					Seed:           seed,
-				}, nil
-			},
+		// An ACK longer than an RTS or a data frame, with lost data
+		// frames, lets a CTS arrive while an earlier NAV still holds
+		// (overlapping NAVs), and a hidden station's frame end inside the
+		// AP's ACK.
+		longACKCase("clusters-rtscts-long-ack", true, 32, 33),
+		longACKCase("clusters-long-ack", false, 34, 35),
+	}
+}
+
+func longACKCase(name string, rtscts bool, seeds ...int64) fingerprintCase {
+	return fingerprintCase{
+		name: name, seeds: seeds, dur: sim.Second / 2,
+		build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+			phy := model.PaperPHY()
+			phy.ACKLength = 3000
+			policies, _ := policySet("dcf", 10, phy)
+			return eventsim.Config{
+				Topology:       topo.New(topo.Point{}, topo.TwoClusters(10, 30), topo.PaperRadii()),
+				Policies:       policies,
+				PHY:            phy,
+				RTSCTS:         rtscts,
+				FrameErrorRate: 0.3,
+				Seed:           seed,
+			}, nil
 		},
 	}
 }
