@@ -345,23 +345,24 @@ func fingerprintCases() []fingerprintCase {
 		},
 		// An ACK longer than an RTS or a data frame, with lost data
 		// frames, lets a CTS arrive while an earlier NAV still holds
-		// (overlapping NAVs), and a hidden station's frame end inside the
-		// AP's ACK.
-		longACKCase("clusters-rtscts-long-ack", true, 32, 33),
-		longACKCase("clusters-long-ack", false, 34, 35),
+		// (overlapping NAVs), a NAV expire inside a beacon, and a hidden
+		// station's frame end inside the AP's ACK.
+		longACKCase("clusters-rtscts-long-ack", "tora", true, 32, 33),
+		longACKCase("clusters-long-ack", "dcf", false, 34, 35),
 	}
 }
 
-func longACKCase(name string, rtscts bool, seeds ...int64) fingerprintCase {
+func longACKCase(name, scheme string, rtscts bool, seeds ...int64) fingerprintCase {
 	return fingerprintCase{
 		name: name, seeds: seeds, dur: sim.Second / 2,
 		build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
 			phy := model.PaperPHY()
 			phy.ACKLength = 3000
-			policies, _ := policySet("dcf", 10, phy)
+			policies, controller := policySet(scheme, 10, phy)
 			return eventsim.Config{
 				Topology:       topo.New(topo.Point{}, topo.TwoClusters(10, 30), topo.PaperRadii()),
 				Policies:       policies,
+				Controller:     controller,
 				PHY:            phy,
 				RTSCTS:         rtscts,
 				FrameErrorRate: 0.3,
