@@ -151,6 +151,16 @@ func (s *Simulator) idleScratch() {
 	}
 }
 
+// idleAll settles every station once the AP's frame has left the air.
+//
+//wlanvet:hotpath
+func (s *Simulator) idleAll() {
+	for w, m := range s.busy.words {
+		s.scratch.words[w] = m &^ s.nav.words[w]
+	}
+	s.idleScratch()
+}
+
 // uncover drops from the idle candidates in s.scratch every station
 // that still senses a frame in the air.
 //
@@ -186,16 +196,6 @@ type navHold struct {
 	mask bitset
 }
 
-// idleAll settles every station once the AP's frame has left the air.
-//
-//wlanvet:hotpath
-func (s *Simulator) idleAll() {
-	for w, m := range s.busy.words {
-		s.scratch.words[w] = m &^ s.nav.words[w]
-	}
-	s.idleScratch()
-}
-
 // holdNAV sets the NAV of every station except target and those with a
 // frame in the air (half duplex: they cannot have decoded the CTS),
 // and returns the hold for navEnd to release.
@@ -219,7 +219,7 @@ func (s *Simulator) holdNAV(target *station) *navHold {
 		s.nav.words[w] |= m
 		s.busyWord(w, m)
 	}
-	//wlanvet:allow amortised: the live list grows to the overlapping-NAV high-water mark (one in practice), then every append reuses capacity
+	//wlanvet:allow amortised: the live list grows to the overlapping-NAV high-water mark, then every append reuses capacity
 	s.navHolds = append(s.navHolds, h)
 	return h
 }

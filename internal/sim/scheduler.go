@@ -19,10 +19,10 @@ type Scheduler struct {
 	now  Time
 	heap eventHeap
 	// next is a one-event fast slot holding the minimum queued event
-	// (by (at, seq); the candidate below stays outside), or nil. Discrete-event hot loops schedule
-	// the imminent event constantly — a frame's completion, the SIFS
-	// chain to its ACK — and the slot absorbs those push-then-pop-next
-	// cycles without touching the heap. The invariant "next precedes
+	// (by (at, seq); the candidate below stays outside), or nil.
+	// Discrete-event hot loops schedule the imminent event constantly —
+	// a frame's completion, the SIFS chain to its ACK — and the slot
+	// absorbs those push-then-pop-next cycles without touching the heap. The invariant "next precedes
 	// every heap entry" is maintained on every enqueue, so dispatch
 	// order is exactly the heap-only order.
 	next *Event
@@ -280,8 +280,8 @@ func (s *Scheduler) ClearCandidate() {
 // Reset returns the scheduler to its initial state — clock at zero,
 // empty queue, no candidate, sequence and fired counters at zero —
 // while keeping the event free list, so a reused scheduler schedules
-// without re-warming its pool. Pending events are recycled; their generation bump expires
-// any outstanding Refs. A reset scheduler is indistinguishable from a
+// without re-warming its pool. Pending events are recycled; their
+// generation bump expires any outstanding Refs. A reset scheduler is indistinguishable from a
 // fresh one to every caller except PoolSize.
 func (s *Scheduler) Reset() {
 	for {
