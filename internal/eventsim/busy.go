@@ -13,10 +13,9 @@ import (
 // busy set caches that predicate for every station, one bit each, and
 // each change of the air — a frame, an AP frame or a NAV starting or
 // ending — updates it a 64-bit word at a time. Only the stations whose
-// bit flips run per-station code (crossBusy, crossIdle), in ascending
-// id order: the order in which the per-neighbour counter walks this
-// replaces reached their 0↔1 crossings, so the RNG draws and reserved
-// sequence numbers are consumed exactly as before.
+// bit flips run per-station code (crossBusy, crossIdle), always in
+// ascending id order: their policy draws and reserved sequence numbers
+// are consumed in that order, which the engine fingerprints pin.
 
 // bitset is a fixed-capacity bitmap over station ids. One word covers
 // the common N ≤ 64 case; larger topologies use more words. The zero
