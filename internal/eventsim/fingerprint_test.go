@@ -353,6 +353,68 @@ func fingerprintCases() []fingerprintCase {
 		longACKCase("clusters-rtscts-long-ack", "tora", true, sim.Second/2, 32, 33),
 		longACKCase("clusters-long-ack", "dcf", false, sim.Second/2, 34, 35),
 		longACKCase("clusters-rtscts-long-ack-wtop", "wtop", true, sim.Second, 36, 37),
+		// The SIFS gaps before an AP answer, under a second PHY (802.11b:
+		// SIFS 10 µs, DIFS 50 µs, slot 20 µs), with RTS/CTS plus frame
+		// errors (answered and unanswered data frames mixed), and with
+		// Poisson arrivals plus churn under RTS/CTS.
+		{
+			// 8 ms frames on a hidden disc collapse at policySet's p of 0.1
+			// and the controller's initial 0.5, so both start near 0.002.
+			name: "disc-wtop-phy80211b", seeds: []int64{38, 39}, dur: 5 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				phyb := model.PHY80211b()
+				policies := make([]mac.Policy, 8)
+				for i := range policies {
+					policies[i] = mac.NewPPersistent(1, 0.002)
+				}
+				return eventsim.Config{
+					Topology:   discTopology(8, 16, seed^0x5eed),
+					Policies:   policies,
+					Controller: core.NewWTOP(core.WTOPConfig{Scale: phyb.BitRate, InitialP: 0.002}),
+					PHY:        phyb,
+					Seed:       seed,
+				}, nil
+			},
+		},
+		{
+			name: "disc-wtop-rtscts-fer", seeds: []int64{40, 41}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, controller := policySet("wtop", 14, phy)
+				return eventsim.Config{
+					Topology:       discTopology(14, 20, seed^0x5eed),
+					Policies:       policies,
+					Controller:     controller,
+					RTSCTS:         true,
+					FrameErrorRate: 0.2,
+					Seed:           seed,
+				}, nil
+			},
+		},
+		{
+			name: "churn-wtop-poisson-rtscts", seeds: []int64{42, 43}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, controller := policySet("wtop", 10, phy)
+				arrivals := make([]traffic.Spec, 10)
+				for i := range arrivals {
+					arrivals[i] = traffic.Spec{Kind: traffic.Poisson, Rate: 300, QueueCap: 8}
+				}
+				cfg := eventsim.Config{
+					Topology:      discTopology(10, 16, seed^0x5eed),
+					Policies:      policies,
+					Controller:    controller,
+					Arrivals:      arrivals,
+					RTSCTS:        true,
+					InitialActive: 4,
+					Seed:          seed,
+				}
+				return cfg, func(s *eventsim.Simulator) error {
+					if err := s.SetActiveAt(sim.Time(600*sim.Millisecond), 10); err != nil {
+						return err
+					}
+					return s.SetActiveAt(sim.Time(1300*sim.Millisecond), 5)
+				}
+			},
+		},
 	}
 }
 
