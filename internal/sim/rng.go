@@ -144,8 +144,62 @@ func GeometricFromUniform(u, p float64) int {
 // sweep profiles. logQ must equal math.Log1p(-p) exactly (cache the
 // value, never a reciprocal: a multiply would round differently and
 // change draws). logQ must be finite and negative, i.e. p ∈ (0, 1).
+//
+// The result is always geometricExact(u, logQ). A table-driven ln(1-u)
+// answers whenever its quotient lies far enough from an integer that
+// the exact quotient has the same floor; otherwise the exact form
+// decides. With L = ln(1−u), B the fast logarithm and A math.Log1p's:
+//   - |B − L| < 0.7·2⁻²⁸: the quadratic drops r³/3 − r⁴/4 + …, under
+//     0.67·2⁻²⁸ for |r| ≤ 2⁻⁹, and rounding (the table, r, the sum, and
+//     fl(1−u), which rounds only for u < ½, by at most 2⁻⁵⁴) adds under
+//     2⁻⁴⁴;
+//   - |A − L| < |A|·2⁻⁵², as math.Log1p is within one ulp;
+//   - each division by logQ rounds by at most 2⁻⁵³ relative.
+//
+// So the two quotients differ by less than (0.7·2⁻²⁸ + |B|·2⁻⁵⁰)/|logQ|.
+// When q = B/logQ is further than (2⁻²⁸ + |B|·2⁻⁵⁰)/|logQ| from every
+// integer, both floors agree; the slack absorbs the rounding of the
+// test itself. A fallback costs one extra table lookup, and at p ≥ 10⁻³
+// fewer than one draw in 10⁵ takes it.
 func GeometricFromUniformLogQ(u, logQ float64) int {
-	k := math.Floor(math.Log1p(-u) / logQ)
+	if k, ok := geometricFast(u, logQ); ok {
+		return k
+	}
+	return geometricExact(u, logQ)
+}
+
+// geometricFast is the table-driven draw. It reports false when q lies
+// within the margin of an integer, or u or logQ is out of range.
+func geometricFast(u, logQ float64) (int, bool) {
+	if !(u >= 0 && u < 1) {
+		return 0, false
+	}
+	// 1−u = 2^e·m with m ∈ [1, 2) and e ≥ −53; c is the midpoint of m's
+	// 1/256-wide table cell, so r = m/c − 1 has |r| ≤ 2⁻⁹.
+	b := math.Float64bits(1 - u)
+	e := int(b>>52) - 1023
+	cell := &logTable[(b>>44)&0xff]
+	r := math.Float64frombits(b&(1<<52-1)|1023<<52)*cell.inv - 1
+	l := float64(e)*math.Ln2 + cell.ln + (r - 0.5*r*r)
+	q := l / logQ
+	k := math.Floor(q)
+	// The distance from q to the nearest integer, without a branch that
+	// a uniform u would mispredict half the time.
+	d := math.Abs(q - math.RoundToEven(q))
+	// NaN (a bad logQ) fails the comparison and takes the exact path.
+	if d*-logQ > 0x1p-28-l*0x1p-50 {
+		return clampGeometric(k), true
+	}
+	return 0, false
+}
+
+// geometricExact is the definition of the draw: ⌊ln(1−u)/ln(1−p)⌋ with
+// math.Log1p, clamped to [0, MaxInt32].
+func geometricExact(u, logQ float64) int {
+	return clampGeometric(math.Floor(math.Log1p(-u) / logQ))
+}
+
+func clampGeometric(k float64) int {
 	if k < 0 {
 		return 0
 	}
@@ -154,6 +208,18 @@ func GeometricFromUniformLogQ(u, logQ float64) int {
 	}
 	return int(k)
 }
+
+// logTable holds, for each 1/256-wide cell of the mantissa range
+// [1, 2), the rounded inverse of the cell's midpoint c and ln c
+// (−ln of that inverse, so the two stay consistent whatever rounding
+// math.Log does).
+var logTable = func() (t [256]struct{ inv, ln float64 }) {
+	for i := range t {
+		t[i].inv = 1 / (1 + (float64(i)+0.5)/256)
+		t[i].ln = -math.Log(t[i].inv)
+	}
+	return t
+}()
 
 // UniformWindow returns a uniform draw from [0, cw-1], the standard 802.11
 // backoff draw for contention window cw. cw must be ≥ 1.
