@@ -124,3 +124,21 @@ func TestZeroStationsTopologyRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestPHYWithDIFSNotAboveSIFSRejected: the AP's answer must start before
+// any station's DIFS can end, or a station with no backoff left would
+// tie the ACK instead of deferring to it.
+func TestPHYWithDIFSNotAboveSIFSRejected(t *testing.T) {
+	phy := model.PaperPHY()
+	phy.DIFS = phy.SIFS
+	_, err := New(Config{Topology: connectedTopo(2), Policies: fixedPPolicies(2, 0.5), PHY: phy})
+	if err == nil {
+		t.Fatal("New accepted a PHY with DIFS == SIFS")
+	}
+	if s, err := New(Config{Topology: connectedTopo(2), Policies: fixedPPolicies(2, 0.5)}); err != nil || s == nil {
+		t.Fatalf("New rejected the paper PHY: %v", err)
+	}
+	if err := (&Simulator{}).Reset(Config{Topology: connectedTopo(2), Policies: fixedPPolicies(2, 0.5), PHY: phy}); err == nil {
+		t.Fatal("Reset accepted a PHY with DIFS == SIFS")
+	}
+}

@@ -98,6 +98,10 @@ func (p PHY) Validate() error {
 		return fmt.Errorf("model: SIFS %v must be positive", p.SIFS)
 	case p.DIFS <= 0:
 		return fmt.Errorf("model: DIFS %v must be positive", p.DIFS)
+	case p.DIFS <= p.SIFS:
+		// The AP answers SIFS after a frame, before any station's DIFS
+		// can end; eventsim relies on it to skip the SIFS gap.
+		return fmt.Errorf("model: DIFS %v must exceed SIFS %v", p.DIFS, p.SIFS)
 	}
 	return nil
 }

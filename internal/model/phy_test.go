@@ -57,6 +57,8 @@ func TestPHYValidateRejectsBadParams(t *testing.T) {
 		func(p *PHY) { p.Slot = 0 },
 		func(p *PHY) { p.SIFS = 0 },
 		func(p *PHY) { p.DIFS = -1 },
+		func(p *PHY) { p.DIFS = p.SIFS },
+		func(p *PHY) { p.DIFS = p.SIFS - 1 },
 	}
 	for i, mutate := range cases {
 		p := good
