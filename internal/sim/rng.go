@@ -177,7 +177,7 @@ func geometricFast(u, logQ float64) (int, bool) {
 	// 1−u = 2^e·m with m ∈ [1, 2) and e ≥ −53; c is the midpoint of m's
 	// 1/256-wide table cell, so r = m/c − 1 has |r| ≤ 2⁻⁹.
 	b := math.Float64bits(1 - u)
-	e := int(b>>52) - 1023
+	e := int64(b>>52) - 1023
 	cell := &logTable[(b>>44)&0xff]
 	r := math.Float64frombits(b&(1<<52-1)|1023<<52)*cell.inv - 1
 	l := float64(e)*math.Ln2 + cell.ln + (r - 0.5*r*r)
