@@ -43,11 +43,12 @@ var hotpathInventory = map[string][]string{
 		"arrival", "beaconEnd", "beaconTx", "broadcastControl", "busyAll",
 		"busyRow", "busyWord", "clear", "crossBusy", "crossIdle",
 		"ctsBegin", "ctsEnd", "disarm", "failTimeout", "freeTransmission",
-		"has", "holdNAV", "idleAll", "idleRow", "idleScratch", "idleWord",
-		"launch", "navEnd", "newTransmission", "observeIdleGap",
-		"phaseFlip", "pop", "push", "rearm", "recordLatency",
-		"reservedData", "scheduleArrival", "set", "startContention",
-		"tryBeacon", "txBegin", "txComplete", "uncover",
+		"has", "holdNAV", "idleAll", "idleCandidates", "idleRow",
+		"idleScratch", "idleWord", "launch", "navEnd", "newTransmission",
+		"observeIdleGap", "phaseFlip", "pop", "push", "rearm",
+		"recordLatency", "reservedData", "scheduleArrival", "set",
+		"skipGap", "startContention", "tryBeacon", "txBegin",
+		"txComplete", "uncover",
 	},
 }
 

@@ -113,10 +113,12 @@ func (s *Simulator) busyWord(w int, m uint64) {
 }
 
 // idleRow settles the stations that sensed station j's frame, which
-// has just left the air (and s.active).
+// has just left the air (and s.active). When the AP will answer the
+// frame after SIFS (answered), the stations stay busy through the gap
+// instead: see skipGap.
 //
 //wlanvet:hotpath
-func (s *Simulator) idleRow(j int) {
+func (s *Simulator) idleRow(j int, answered bool) {
 	if s.apTx {
 		return // the AP's frame keeps every station busy
 	}
@@ -131,20 +133,50 @@ func (s *Simulator) idleRow(j int) {
 		w := r.word[b]
 		x := sc[w]
 		sc[w] = 0
-		s.idleWord(int(w), x)
+		if answered {
+			s.skipGap(int(w), x)
+		} else {
+			s.idleWord(int(w), x)
+		}
+	}
+}
+
+// skipGap stands in for an idle window the stations of mask x in word w
+// cannot use: the SIFS before the AP answers a frame, or the instant a
+// CTS ends and its NAV begins. Their busy bits stay set. Crossing idle
+// and then busy again, before DIFS and so with no slot elapsed, would
+// only have armed and disarmed them, closed a gap IdleSense ignores
+// (shorter than DIFS), and had each memoryless contender redraw its
+// backoff. Sequence numbers only order events, so the skipped arms
+// change no dispatch order. The redraw is kept, and discarded: it
+// advances the station's stream exactly as the crossing would have.
+//
+//wlanvet:hotpath
+func (s *Simulator) skipGap(w int, x uint64) {
+	for x != 0 {
+		st := s.stations[w<<6+bits.TrailingZeros64(x)]
+		x &= x - 1
+		if st.memoryless && st.state == stateContending && !st.armed {
+			st.policy.NextBackoff(st.rng)
+		}
 	}
 }
 
 // idleScratch settles the candidates left in s.scratch by an AP frame
-// or a NAV ending, then leaves the scratch all-zero again.
+// or a NAV ending, then leaves the scratch all-zero again. Candidates
+// in held (nil: none) stay busy and skip the idle window (skipGap).
 //
 //wlanvet:hotpath
-func (s *Simulator) idleScratch() {
+func (s *Simulator) idleScratch(held []uint64) {
 	s.uncover()
 	sc := s.scratch.words
 	for w, x := range sc {
 		if x != 0 {
 			sc[w] = 0
+			if held != nil {
+				s.skipGap(w, x&held[w])
+				x &^= held[w]
+			}
 			s.idleWord(w, x)
 		}
 	}
@@ -154,10 +186,18 @@ func (s *Simulator) idleScratch() {
 //
 //wlanvet:hotpath
 func (s *Simulator) idleAll() {
+	s.idleCandidates()
+	s.idleScratch(nil)
+}
+
+// idleCandidates puts every busy station that no NAV holds into
+// s.scratch.
+//
+//wlanvet:hotpath
+func (s *Simulator) idleCandidates() {
 	for w, m := range s.busy.words {
 		s.scratch.words[w] = m &^ s.nav.words[w]
 	}
-	s.idleScratch()
 }
 
 // uncover drops from the idle candidates in s.scratch every station
@@ -246,7 +286,7 @@ func (s *Simulator) navEnd(h *navHold) {
 		for w, m := range h.mask.words {
 			s.scratch.words[w] = m &^ s.nav.words[w]
 		}
-		s.idleScratch()
+		s.idleScratch(nil)
 	}
 	//wlanvet:allow amortised: the pool grows to the overlapping-NAV high-water mark, then every append reuses capacity
 	s.navPool = append(s.navPool, h)

@@ -551,16 +551,20 @@ func (s *Simulator) crossBusy(st *station) {
 		// slot-boundary collision of CSMA.
 		return
 	}
-	// Freeze: bank the fully elapsed slots and retract the attempt.
-	elapsed := 0
-	if now.After(st.runStart) {
-		//wlanvet:allow bounded: the delta is within one run and spec validation caps durations far below 2³¹ slots; clamped to remaining below
-		elapsed = int(now.Sub(st.runStart) / s.cfg.PHY.Slot)
+	// Freeze: bank the fully elapsed slots and retract the attempt. A
+	// memoryless station banks nothing: every later arm follows a redraw
+	// (crossIdle, startContention), so its residual is never read.
+	if !st.memoryless {
+		elapsed := 0
+		if now.After(st.runStart) {
+			//wlanvet:allow bounded: the delta is within one run and spec validation caps durations far below 2³¹ slots; clamped to remaining below
+			elapsed = int(now.Sub(st.runStart) / s.cfg.PHY.Slot)
+		}
+		if elapsed > st.remaining {
+			elapsed = st.remaining
+		}
+		st.remaining -= elapsed
 	}
-	if elapsed > st.remaining {
-		elapsed = st.remaining
-	}
-	st.remaining -= elapsed
 	s.disarm(st)
 }
 
@@ -704,8 +708,15 @@ func (s *Simulator) txComplete(rec *transmission) {
 	// machinery below can schedule follow-ups.
 	kind, collided := rec.kind, rec.collided
 	s.freeTransmission(rec)
+	// Footnote 1: i.i.d. channel errors on data frames. The frame is
+	// simply never acknowledged; the transmitter cannot distinguish the
+	// loss from a collision and takes the same failure path. It is drawn
+	// before the row settles, which needs to know whether the AP answers;
+	// the channel stream has no other consumer, so its order is unchanged.
+	lost := kind == kindData && !collided &&
+		s.cfg.FrameErrorRate > 0 && s.channelRNG.Bernoulli(s.cfg.FrameErrorRate)
 	s.apBusyEnd(now)
-	s.idleRow(st.id)
+	s.idleRow(st.id, !collided && !lost)
 	st.state = stateAwaiting
 	// From the transmitter's own perspective the medium state resumes
 	// from the end of its frame.
@@ -746,10 +757,7 @@ func (s *Simulator) txComplete(rec *transmission) {
 		s.sched.AfterArg(s.tACKTimeout, s.failTimeoutFn, st)
 		return
 	}
-	// Footnote 1: i.i.d. channel errors on data frames. The frame is
-	// simply never acknowledged; the transmitter cannot distinguish the
-	// loss from a collision and takes the same failure path.
-	if s.cfg.FrameErrorRate > 0 && s.channelRNG.Bernoulli(s.cfg.FrameErrorRate) {
+	if lost {
 		s.frameErrors++
 		s.sched.AfterArg(s.tACKTimeout, s.failTimeoutFn, st)
 		return
@@ -788,7 +796,16 @@ func (s *Simulator) ctsEnd(target *station) {
 	now := s.sched.Now()
 	s.apTx = false
 	s.apBusyEnd(now)
-	s.idleAll()
+	// Every station is busy under the CTS; the candidates to go idle are
+	// those no earlier NAV holds. Arm the NAV before settling them, so
+	// the stations it holds skip the zero-length idle window between the
+	// CTS and the NAV (skipGap) instead of crossing it. A station that
+	// is itself mid-transmission cannot have decoded the CTS (half
+	// duplex) and keeps contending blindly — the residual collision
+	// channel RTS/CTS cannot close.
+	s.idleCandidates()
+	hold := s.holdNAV(target)
+	s.idleScratch(hold.mask.words)
 	if s.cfg.Trace != nil {
 		wire := frame.Marshal(&frame.CTS{
 			Receiver: frame.Address(target.id),
@@ -797,10 +814,7 @@ func (s *Simulator) ctsEnd(target *station) {
 		})
 		s.cfg.Trace.Frame(now, wire, false)
 	}
-	// Arm the NAV. A station that is itself mid-transmission cannot have
-	// decoded the CTS (half duplex) and keeps contending blindly — the
-	// residual collision channel RTS/CTS cannot close.
-	s.sched.AfterArg(s.navDuration(), s.navEndFn, s.holdNAV(target))
+	s.sched.AfterArg(s.navDuration(), s.navEndFn, hold)
 	s.sched.AfterArg(s.cfg.PHY.SIFS, s.reservedDataFn, target)
 }
 
