@@ -411,7 +411,7 @@ func BenchmarkEventCancel(b *testing.B) {
 }
 
 // BenchmarkGeometricDraw measures the geometric backoff draw of
-// p-persistent CSMA: one uniform plus the log1p of its inverse transform.
+// p-persistent CSMA: one uniform, ln(1-p), and the inverse transform.
 func BenchmarkGeometricDraw(b *testing.B) {
 	const p = 0.02
 	rng := sim.NewRNG(1)

@@ -159,8 +159,7 @@ func GeometricFromUniform(u, p float64) int {
 // So the two quotients differ by less than (0.7·2⁻²⁸ + |B|·2⁻⁵⁰)/|logQ|.
 // When q = B/logQ is further than (2⁻²⁸ + |B|·2⁻⁵⁰)/|logQ| from every
 // integer, both floors agree; the slack absorbs the rounding of the
-// test itself. A fallback costs one extra table lookup, and at p ≥ 10⁻³
-// fewer than one draw in 10⁵ takes it.
+// test itself. At p ≥ 10⁻³ fewer than one draw in 10⁵ falls back.
 func GeometricFromUniformLogQ(u, logQ float64) int {
 	if k, ok := geometricFast(u, logQ); ok {
 		return k
