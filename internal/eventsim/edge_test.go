@@ -135,10 +135,4 @@ func TestPHYWithDIFSNotAboveSIFSRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("New accepted a PHY with DIFS == SIFS")
 	}
-	if s, err := New(Config{Topology: connectedTopo(2), Policies: fixedPPolicies(2, 0.5)}); err != nil || s == nil {
-		t.Fatalf("New rejected the paper PHY: %v", err)
-	}
-	if err := (&Simulator{}).Reset(Config{Topology: connectedTopo(2), Policies: fixedPPolicies(2, 0.5), PHY: phy}); err == nil {
-		t.Fatal("Reset accepted a PHY with DIFS == SIFS")
-	}
 }
