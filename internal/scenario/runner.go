@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/eventsim"
 	"repro/internal/model"
@@ -60,10 +59,17 @@ type Runner struct {
 }
 
 // workerPool is the persistent executor: long-lived workers pulling
-// closures from one channel, each holding a private simulator arena.
+// tasks from one channel, each holding a private simulator arena.
 type workerPool struct {
-	jobs chan func(*arena)
-	wg   sync.WaitGroup
+	jobs    chan task
+	workers int
+	wg      sync.WaitGroup
+}
+
+// task is one job for a pool worker: run(ar, i) on the worker's arena.
+type task struct {
+	run func(ar *arena, i int)
+	i   int
 }
 
 // arena is one worker's reusable simulation state.
@@ -107,18 +113,17 @@ func (r *Runner) parallelism() int {
 // ensurePool starts the worker pool on first use.
 func (r *Runner) ensurePool() *workerPool {
 	r.poolOnce.Do(func() {
-		p := &workerPool{jobs: make(chan func(*arena))}
-		workers := r.parallelism()
+		p := &workerPool{jobs: make(chan task), workers: r.parallelism()}
 		if r.Metrics != nil {
-			r.Metrics.Workers.Set(int64(workers))
+			r.Metrics.Workers.Set(int64(p.workers))
 		}
-		p.wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		p.wg.Add(p.workers)
+		for w := 0; w < p.workers; w++ {
 			go func() {
 				defer p.wg.Done()
 				ar := &arena{}
-				for fn := range p.jobs {
-					fn(ar)
+				for t := range p.jobs {
+					t.run(ar, t.i)
 				}
 			}()
 		}
@@ -204,24 +209,31 @@ func (r *Runner) RunBatch(ctx context.Context, specs []*Spec) ([]*Summary, error
 // worker pool and invokes done(i, summary) as each spec's last
 // replication lands — in completion order, not spec order, which is
 // what lets a sweep pipeline thousands of small points through one pool
-// without barrier stalls. done calls are serialised (never concurrent)
-// but may run on worker goroutines; a non-nil error from done aborts
-// the batch, draining every remaining replication unsimulated. Specs
-// that complete before any failure are still reported.
+// without barrier stalls. done runs on the calling goroutine, one call
+// at a time, so it may block, panic or re-enter the Runner; a non-nil
+// error from done aborts the batch, and no further replication starts.
+// Specs that complete before any failure are still reported.
 //
 // Cancelling ctx aborts the batch at replication granularity: the
-// replication a worker is simulating runs to completion, every
-// not-yet-started replication drains unsimulated, and RunBatchFunc
-// returns ctx.Err() — after all of its workers have gone quiet, so a
-// cancelled call leaks nothing. A batch whose replications all
-// completed before the cancellation was observed reports its results
-// normally.
+// replications already handed to workers run to completion, no further
+// one starts, and RunBatchFunc returns ctx.Err() — after every
+// replication it started has come back, so a cancelled call leaks
+// nothing. A batch whose replications all started before the
+// cancellation was observed reports its results normally.
 //
 // Which error wins is deterministic in the recorded facts: a simulation
 // failure beats everything, and among simulation failures the error of
 // the lowest (spec, replication) index is returned whatever the
 // scheduling; next a done-callback error; context cancellation is
 // reported only when nothing else failed.
+//
+// The calling goroutine alone owns the batch state: it hands jobs to
+// the pool in ascending index order and receives every outcome on a
+// per-batch channel with room for one outcome per worker, so a worker
+// never waits on the caller. Sending stops at the first recorded
+// failure; because sends are ascending, every index below a recorded
+// simulation error has already been sent, which is what makes the
+// lowest-index rule hold with no skip check in the workers.
 func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i int, sum *Summary) error) error {
 	if err := r.begin(); err != nil {
 		return err
@@ -247,45 +259,16 @@ func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i in
 		}
 	}
 
-	var (
-		pending  sync.WaitGroup
-		mu       sync.Mutex // guards results/remaining/firstErr/firstJob/doneErr
-		emitMu   sync.Mutex // serialises done callbacks, off the result lock
-		failed   atomic.Bool
-		canceled atomic.Bool
-		firstErr error
-		doneErr  error
-		firstJob = len(jobs) // index of the erroring job, for determinism
-	)
-	process := func(ar *arena, ji int) {
-		defer pending.Done()
-		// Cancellation drains the job unsimulated. Unlike a simulation
-		// failure there is no index to keep deterministic — whichever
-		// jobs were in flight at cancel time finish, the rest never
-		// start — and ctx.Err() is only reported when no simulation or
-		// callback error was recorded.
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		// Fail fast: once any replication has errored, drain the
-		// remaining jobs without simulating them — but only jobs above
-		// the currently recorded erroring index. A job below it must
-		// still run (it may itself error with a lower index), which
-		// keeps the reported error exactly min-over-erroring-jobs for
-		// every scheduling: the globally lowest erroring index can never
-		// be skipped, because skipping requires an even lower recorded
-		// one. A done-callback failure (doneErr) aborts outright: it is
-		// environmental (an emit pipe, a cache disk), not tied to a job
-		// index.
-		if failed.Load() {
-			mu.Lock()
-			skip := doneErr != nil || (firstErr != nil && ji > firstJob)
-			mu.Unlock()
-			if skip {
-				return
-			}
-		}
+	type outcome struct {
+		ji  int
+		rep *replication
+		err error
+	}
+	pool := r.ensurePool()
+	// At most one job per worker is in flight, so with a slot per
+	// worker a worker's send never blocks.
+	outcomes := make(chan outcome, pool.workers)
+	simulate := func(ar *arena, ji int) {
 		j := jobs[ji]
 		r.Metrics.begin()
 		rep, err := r.replicate(specs[j.si], j.rep, ar)
@@ -294,55 +277,73 @@ func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i in
 			events = rep.res.EventsFired
 		}
 		r.Metrics.end(events, err == nil)
-		mu.Lock()
-		if err != nil {
-			failed.Store(true)
-			// Keep the error of the lowest job index so the reported
-			// failure does not depend on scheduling.
-			if ji < firstJob {
-				firstJob, firstErr = ji, fmt.Errorf("scenario %q replication %d: %w", specs[j.si].Name, j.rep, err)
+		outcomes <- outcome{ji, rep, err}
+	}
+
+	var (
+		firstErr error
+		doneErr  error
+		canceled bool
+		firstJob = len(jobs) // index of the erroring job, for determinism
+		next     int         // the next job to send
+		inFlight int         // jobs sent whose outcome is not yet received
+	)
+	// Receive every outcome still in flight before returning, also when
+	// done panics, so the batch's replications have all finished when
+	// RunBatchFunc unwinds.
+	defer func() {
+		for ; inFlight > 0; inFlight-- {
+			<-outcomes
+		}
+	}()
+	for {
+		var send chan<- task
+		var cancel <-chan struct{}
+		if next < len(jobs) && inFlight < cap(outcomes) && firstErr == nil && doneErr == nil && !canceled {
+			if ctx.Err() != nil {
+				canceled = true
+			} else {
+				send, cancel = pool.jobs, ctx.Done()
 			}
-			mu.Unlock()
-			return
 		}
-		results[j.si][j.rep] = rep
-		remaining[j.si]--
-		complete := remaining[j.si] == 0
-		mu.Unlock()
-		if !complete || done == nil {
-			return
+		if send == nil && inFlight == 0 {
+			break
 		}
-		// This worker owns the spec's results now (remaining hit zero),
-		// so summarising and reporting happen outside the result lock:
-		// other workers storing replications never wait on the
-		// callback's IO (cache writes, row emission).
-		emitMu.Lock()
-		err = done(j.si, summarize(specs[j.si], results[j.si]))
-		emitMu.Unlock()
-		results[j.si] = nil // the summary owns the data now
-		if err != nil {
-			mu.Lock()
-			if doneErr == nil {
+		select {
+		case send <- task{simulate, next}:
+			next++
+			inFlight++
+		case <-cancel:
+			canceled = true
+		case o := <-outcomes:
+			inFlight--
+			j := jobs[o.ji]
+			if o.err != nil {
+				// Keep the error of the lowest job index so the reported
+				// failure does not depend on scheduling.
+				if o.ji < firstJob {
+					firstJob, firstErr = o.ji, fmt.Errorf("scenario %q replication %d: %w", specs[j.si].Name, j.rep, o.err)
+				}
+				continue
+			}
+			results[j.si][j.rep] = o.rep
+			if remaining[j.si]--; remaining[j.si] > 0 || done == nil {
+				continue
+			}
+			err := done(j.si, summarize(specs[j.si], results[j.si]))
+			results[j.si] = nil // the summary owns the data now
+			if err != nil && doneErr == nil {
 				doneErr = err
 			}
-			mu.Unlock()
-			failed.Store(true)
 		}
 	}
-	pool := r.ensurePool()
-	for ji := range jobs {
-		ji := ji
-		pending.Add(1)
-		pool.jobs <- func(ar *arena) { process(ar, ji) }
-	}
-	pending.Wait()
 	if firstErr != nil {
 		return firstErr
 	}
 	if doneErr != nil {
 		return doneErr
 	}
-	if canceled.Load() {
+	if canceled {
 		return ctx.Err()
 	}
 	return nil

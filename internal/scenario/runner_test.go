@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/eventsim"
 )
 
 func testSuite() *Suite {
@@ -181,46 +183,102 @@ func TestRunnerReportsSpecErrors(t *testing.T) {
 	}
 }
 
-// After the first replication error, the batch must fail fast — the
-// remaining jobs drain without simulating — while the reported error
-// stays the deterministic lowest-job-index one: jobs are dispatched in
-// index order, so everything below the erroring index already started
-// and only higher-indexed (irrelevant) jobs are skipped.
+// After the first recorded failure — a replication error or a done
+// error — the batch must fail fast: the remaining jobs are never
+// simulated. The reported error stays deterministic: jobs are sent in
+// index order, so everything below a simulation error's index already
+// started, and a simulation error beats a done error whatever the
+// wall-clock order.
 func TestRunBatchFailsFast(t *testing.T) {
 	const seeds = 2000
-	specs := []*Spec{{
-		Name:     "failfast",
-		Topology: TopologySpec{Kind: TopoConnected, N: 2},
-		Duration: Duration(time.Second),
-		Seeds:    seeds,
-	}}
-	var simulated atomic.Int64
-	r := Runner{
-		Parallelism: 8,
-		runRep: func(sp *Spec, rep int) (*replication, error) {
-			if rep == 0 {
-				return nil, errors.New("boom")
-			}
-			simulated.Add(1)
-			time.Sleep(100 * time.Microsecond)
-			return nil, nil
+	spec := func(name string, seeds int) *Spec {
+		return &Spec{
+			Name:     name,
+			Topology: TopologySpec{Kind: TopoConnected, N: 2},
+			Duration: Duration(time.Second),
+			Seeds:    seeds,
+		}
+	}
+	// points is a batch of one-replication specs, so every replication
+	// completes a spec and reaches done.
+	points := func() []*Spec {
+		specs := make([]*Spec, seeds)
+		for i := range specs {
+			specs[i] = spec(fmt.Sprintf("p%d", i), 1)
+		}
+		return specs
+	}
+	emitErr := errors.New("emit failed")
+	for _, tc := range []struct {
+		name  string
+		specs []*Spec
+		fail  func(sp *Spec, rep int) error // nil: the replication succeeds
+		done  func(i int) error
+		want  string
+	}{
+		{
+			name:  "simulation error",
+			specs: []*Spec{spec("failfast", seeds)},
+			fail: func(sp *Spec, rep int) error {
+				if rep == 0 {
+					return errors.New("boom")
+				}
+				return nil
+			},
+			want: `scenario "failfast" replication 0: boom`,
 		},
-	}
-	_, err := r.RunBatch(context.Background(), specs)
-	if err == nil {
-		t.Fatal("batch with a failing replication returned nil error")
-	}
-	// Determinism: always the lowest job index (scenario 0, replication
-	// 0), regardless of scheduling.
-	want := `scenario "failfast" replication 0: boom`
-	if err.Error() != want {
-		t.Errorf("error %q, want %q", err, want)
-	}
-	// Fail fast: the vast majority of the batch was drained, not run.
-	// Workers that already picked up a job may finish it, so allow a
-	// small scheduling-dependent margin.
-	if n := simulated.Load(); n > seeds/10 {
-		t.Errorf("%d of %d replications simulated after the failure — no fail-fast", n, seeds)
+		{
+			name:  "done error",
+			specs: points(),
+			done:  func(int) error { return emitErr },
+			want:  emitErr.Error(),
+		},
+		{
+			name:  "simulation error beats done error",
+			specs: points(),
+			fail: func(sp *Spec, rep int) error {
+				if sp.Name == "p0" {
+					time.Sleep(5 * time.Millisecond) // fails after done has failed
+					return errors.New("slow boom")
+				}
+				return nil
+			},
+			done: func(int) error { return emitErr },
+			want: `scenario "p0" replication 0: slow boom`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var simulated atomic.Int64
+			r := Runner{
+				Parallelism: 8,
+				runRep: func(sp *Spec, rep int) (*replication, error) {
+					if tc.fail != nil {
+						if err := tc.fail(sp, rep); err != nil {
+							return nil, err
+						}
+					}
+					simulated.Add(1)
+					time.Sleep(100 * time.Microsecond)
+					return &replication{res: &eventsim.Result{}}, nil
+				},
+			}
+			defer r.Close()
+			err := r.RunBatchFunc(context.Background(), tc.specs, func(i int, sum *Summary) error {
+				if tc.done == nil {
+					return nil
+				}
+				return tc.done(i)
+			})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error %v, want %q", err, tc.want)
+			}
+			// Fail fast: the vast majority of the batch was never run.
+			// Workers that already picked up a job finish it, so allow a
+			// small scheduling-dependent margin.
+			if n := simulated.Load(); n > seeds/10 {
+				t.Errorf("%d of %d replications simulated after the failure — no fail-fast", n, seeds)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/scenario"
 )
@@ -79,10 +80,8 @@ var crc32c = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.C
 // layout, is a clean miss: it is stale, not damaged, and the
 // re-simulated point's Put replaces it.
 type Cache struct {
-	dir string
-
-	mu          sync.Mutex
-	quarantined int
+	dir         string
+	quarantined atomic.Int32
 }
 
 // OpenCache creates (if needed) and opens a cache directory.
@@ -192,18 +191,12 @@ func parseEntry(data []byte) ([]byte, entryStatus) {
 // sighting: the caller observed corruption either way.
 func (c *Cache) quarantine(key string) {
 	os.Rename(c.path(key), filepath.Join(c.dir, key[:2], key+".corrupt"))
-	c.mu.Lock()
-	c.quarantined++
-	c.mu.Unlock()
+	c.quarantined.Add(1)
 }
 
 // Quarantined returns how many corrupt entries this Cache handle has
 // quarantined since it was opened.
-func (c *Cache) Quarantined() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quarantined
-}
+func (c *Cache) Quarantined() int { return int(c.quarantined.Load()) }
 
 // Put stores a completed point. The spec rides along for debuggability
 // (a cache entry is self-describing), but only the key addresses it.

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -36,9 +36,7 @@ import (
 type Lab struct {
 	runner  *scenario.Runner
 	metrics *Metrics
-
-	mu     sync.Mutex
-	closed bool
+	closed  atomic.Bool
 }
 
 // LabOption configures NewLab.
@@ -67,17 +65,13 @@ func NewLab(opts ...LabOption) *Lab {
 // the underlying contract). It always returns nil; the error result
 // exists so a Lab satisfies io.Closer.
 func (l *Lab) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
+	l.closed.Store(true)
 	l.runner.Close()
 	return nil
 }
 
 func (l *Lab) guard() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed.Load() {
 		return ErrClosed
 	}
 	return nil
@@ -292,7 +286,9 @@ var errSweepStop = errors.New("wlan: sweep iteration stopped")
 // order. On failure — validation, simulation, cancellation — the
 // sequence ends with a single (nil, err) pair carrying the matching
 // sentinel. Breaking out of the loop aborts the sweep; remaining
-// points drain unsimulated:
+// points drain unsimulated. The loop body runs on the ranging goroutine
+// and may re-enter the Lab (a panic in it reaches the caller, and the
+// Lab stays usable); it must not call Close:
 //
 //	for pt, err := range lab.Sweep(ctx, grid, wlan.WithSweepCache(dir)) {
 //		if err != nil {

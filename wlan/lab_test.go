@@ -332,6 +332,65 @@ func TestLabSweepEarlyBreak(t *testing.T) {
 	}
 }
 
+// A Sweep loop body runs on the goroutine doing the range, not on a
+// pool worker: its panic reaches the caller's recover, and the same Lab
+// then sweeps the grid again with bit-identical points.
+func TestLabSweepBodyPanicReachesCaller(t *testing.T) {
+	ctx := context.Background()
+	lab := NewLab(WithParallelism(2))
+	defer lab.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != "loop body" {
+				t.Errorf("recovered %v, want the loop body's panic", r)
+			}
+		}()
+		for range lab.Sweep(ctx, testGrid()) {
+			panic("loop body")
+		}
+	}()
+
+	refPoints, _, err := (&sweep.Runner{}).Run(ctx, testGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for pt, err := range lab.Sweep(ctx, testGrid()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Key != refPoints[i].Key {
+			t.Fatalf("point %d key %s, want %s", i, pt.Key, refPoints[i].Key)
+		}
+		assertSummariesEqual(t, refPoints[i].Summary, pt.Summary)
+		i++
+	}
+	if i != len(refPoints) {
+		t.Fatalf("%d points after the panic, want %d", i, len(refPoints))
+	}
+}
+
+// A Sweep loop body may re-enter the Lab even when the pool has a
+// single worker: the body does not hold that worker.
+func TestLabSweepBodyMayReenterLab(t *testing.T) {
+	ctx := context.Background()
+	lab := NewLab(WithParallelism(1))
+	defer lab.Close()
+	seen := 0
+	for _, err := range lab.Sweep(ctx, testGrid()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lab.RunScenario(ctx, testScenario("inner", 1)); err != nil {
+			t.Fatalf("RunScenario inside the loop body: %v", err)
+		}
+		seen++
+	}
+	if want := 4; seen != want {
+		t.Fatalf("saw %d points, want %d", seen, want)
+	}
+}
+
 // Sweep caching and sharding through the facade: a cached re-run
 // simulates nothing and returns identical summaries; two shards
 // partition the grid exactly.
