@@ -10,8 +10,8 @@ verify:
 test: verify
 
 # Static analysis: go vet plus the project's own wlanvet analyzers
-# (determinism, inttime, hotpath, observerpurity, sentinelwrap and
-# lockorder — see internal/analysis). wlanvet exits non-zero on any
+# (determinism, inttime, hotpath, observerpurity and sentinelwrap —
+# see internal/analysis). wlanvet exits non-zero on any
 # finding that does not carry a reasoned //wlanvet:allow annotation.
 lint:
 	go vet ./...

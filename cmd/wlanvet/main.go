@@ -1,9 +1,8 @@
 // Command wlanvet is the repository's invariant checker: a multichecker
-// over the six project-specific analyzers that make the simulator's
+// over the five project-specific analyzers that make the simulator's
 // load-bearing contracts structural instead of incidental to whichever
-// golden happened to exercise them.
-//
-// Five are single-function and syntactic:
+// golden happened to exercise them. All five are single-function and
+// syntactic:
 //
 //	determinism    — no wall clocks, global math/rand, or order-leaking
 //	                 map ranges in sim-critical packages
@@ -14,10 +13,6 @@
 //	observerpurity — metrics are write-only inside simulation code
 //	sentinelwrap   — errors crossing the wlan facade wrap a typed
 //	                 sentinel via %w
-//
-// One is a flow analyzer over the module call graph:
-//
-//	lockorder      — lock acquisition order is acyclic module-wide
 //
 // Usage:
 //
@@ -46,7 +41,6 @@ import (
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/inttime"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/observerpurity"
 	"repro/internal/analysis/sentinelwrap"
 )
@@ -56,7 +50,6 @@ var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	hotpath.Analyzer,
 	inttime.Analyzer,
-	lockorder.Analyzer,
 	observerpurity.Analyzer,
 	sentinelwrap.Analyzer,
 }

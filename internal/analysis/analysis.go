@@ -53,10 +53,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds the type-checker's results for Files.
 	TypesInfo *types.Info
-	// Facts is the shared whole-module analysis state (the call graph),
-	// computed once per driver run — the substrate that lets lockorder
-	// see past function boundaries. Nil in hand-built passes.
-	Facts *Facts
 
 	report func(Diagnostic)
 }

@@ -105,13 +105,7 @@ func IsHotpath(fd *ast.FuncDecl) bool {
 // matched, so a multi-package invocation has a deterministic order and
 // a single combined exit rather than first-package-wins. An analyzer
 // error (a framework bug, not a finding) aborts the run.
-//
-// Before the per-package loop, Run builds the module-wide call graph
-// over ALL loaded packages and shares it with every pass through
-// Pass.Facts: lockorder is interprocedural and would be blind past a
-// function boundary without it.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	facts := &Facts{CallGraph: BuildCallGraph(pkgs)}
 	var findings []Finding
 	for _, pkg := range pkgs {
 		allows, bad := scanAllows(pkg.Fset, pkg.Files)
@@ -126,7 +120,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Facts:     facts,
 			}
 			var diags []Diagnostic
 			pass.report = func(d Diagnostic) { diags = append(diags, d) }

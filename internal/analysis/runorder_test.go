@@ -1,9 +1,30 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"reflect"
 	"testing"
 )
+
+// checkSrc parses and type-checks one import-free source string as
+// package path.
+func checkSrc(t *testing.T, path, src string) *Package {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path+".go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	info := &types.Info{}
+	tpkg, err := new(types.Config).Check(path, fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatalf("typecheck: %v", err)
+	}
+	return &Package{Path: path, Fset: fset, Files: []*ast.File{f}, Types: tpkg, TypesInfo: info}
+}
 
 // TestRunOrdersAcrossPackages pins the multi-package contract: however
 // the loader enumerated the patterns, Run returns ONE aggregated

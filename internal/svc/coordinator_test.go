@@ -176,8 +176,7 @@ func TestCoordinatorCompletionsAreIdempotent(t *testing.T) {
 // goroutines at once, the way net/http serves a fleet: each worker holds
 // its own lease and interleaves heartbeats with status reads. Run under
 // -race it catches a handler that touches coordinator state without
-// holding c.mu — a goroutine the module's own call graph never sees,
-// because net/http spawns it.
+// holding c.mu, on goroutines that net/http spawns.
 func TestHandlersConcurrentLeases(t *testing.T) {
 	const workers, rounds = 4, 20
 	c, err := NewCoordinator(CoordinatorConfig{Grid: testGrid("svc-handlers", 2, 3, 4, 5), MaxBatch: 1, Now: newFakeClock().Now})
