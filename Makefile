@@ -29,13 +29,15 @@ lint-json:
 # behaviour change (bump sweep.EngineVersion in the same change): the
 # eventsim and slotsim engine fingerprints, the scenario example
 # summaries (examples/golden), the sweep JSONL goldens
-# (examples/sweeps/golden) and the paper-artefact table goldens
-# (internal/experiment/testdata/tables). A second run leaves no diff.
+# (examples/sweeps/golden), the paper-artefact table goldens
+# (internal/experiment/testdata/tables) and the frame capture golden
+# (internal/trace/testdata). A second run leaves no diff.
 golden:
 	go test -count=1 ./internal/eventsim ./internal/slotsim -run '^TestEngineFingerprints$$' -update
 	go test -count=1 ./internal/scenario -run '^TestExampleGoldens$$' -update
 	go test -count=1 ./internal/sweep -run '^TestSmokeSweepGolden$$' -update
 	go test -count=1 ./internal/experiment -run '^TestTableGoldens$$' -update
+	go test -count=1 ./internal/trace -run '^TestCaptureGolden$$' -update
 
 # Regenerate the committed public-API snapshot after an intentional
 # surface change (CI diffs it; see cmd/apisnapshot).
