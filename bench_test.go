@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventsim"
 	"repro/internal/experiment"
-	"repro/internal/frame"
 	"repro/internal/mac"
 	"repro/internal/model"
 	"repro/internal/scenario"
@@ -545,22 +544,6 @@ func BenchmarkScenarioReplications(b *testing.B) {
 			Seeds:    8,
 		}
 		if _, err := r.Run(context.Background(), sp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrameCodec measures Marshal+Decode of the wire format.
-func BenchmarkFrameCodec(b *testing.B) {
-	ack := &frame.ACK{
-		Receiver: 7,
-		Sequence: 1234,
-		Control:  frame.Control{Scheme: frame.ControlWTOP, P: 0.0153},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wire := frame.Marshal(ack)
-		if _, err := frame.Decode(wire); err != nil {
 			b.Fatal(err)
 		}
 	}

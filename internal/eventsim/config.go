@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/mac"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -69,8 +70,8 @@ type Config struct {
 	// framework when independent and identically distributed). A lost
 	// frame draws no ACK, so the transmitter takes the failure path.
 	FrameErrorRate float64
-	// Trace, when non-nil, receives an encoded copy of every frame as
-	// it ends (successfully or not) — the simulator's packet capture.
+	// Trace, when non-nil, receives every frame as it ends
+	// (successfully or not) — the simulator's packet capture.
 	Trace Tracer
 	// Arrivals describes each station's packet arrival process, in
 	// station-index order. Nil means every station is saturated (the
@@ -144,10 +145,11 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Tracer observes completed frame transmissions. Implementations must not
-// retain the byte slice across calls.
+// Tracer observes completed frame transmissions.
 type Tracer interface {
-	// Frame receives the wire encoding of a frame that just left the
-	// air, the simulated completion instant, and whether it collided.
-	Frame(at sim.Time, wire []byte, collided bool)
+	// Frame receives a frame that just left the air (a *frame.Data,
+	// *frame.ACK, *frame.Beacon, *frame.RTS or *frame.CTS), the
+	// simulated completion instant, and whether it collided.
+	// Implementations must not retain f across calls.
+	Frame(at sim.Time, f frame.Layer, collided bool)
 }

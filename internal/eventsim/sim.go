@@ -727,12 +727,11 @@ func (s *Simulator) txComplete(rec *transmission) {
 	}
 	if kind == kindRTS {
 		if s.cfg.Trace != nil {
-			wire := frame.Marshal(&frame.RTS{
+			s.cfg.Trace.Frame(now, &frame.RTS{
 				Source: frame.Address(st.id),
 				//wlanvet:allow the 802.11 Duration/ID field is 16 bits by spec; one exchange's NAV is far below 65535 µs
 				Duration: uint16(s.navDuration() / sim.Microsecond),
-			})
-			s.cfg.Trace.Frame(now, wire, collided)
+			}, collided)
 		}
 		if collided {
 			s.collisions++
@@ -743,14 +742,13 @@ func (s *Simulator) txComplete(rec *transmission) {
 		return
 	}
 	if s.cfg.Trace != nil {
-		wire := frame.Marshal(&frame.Data{
+		s.cfg.Trace.Frame(now, &frame.Data{
 			Source:      frame.Address(st.id),
 			Destination: frame.AddressAP,
 			Sequence:    st.seq,
 			Retry:       st.retries,
 			Bits:        s.cfg.PHY.Payload,
-		})
-		s.cfg.Trace.Frame(now, wire, collided)
+		}, collided)
 	}
 	if collided {
 		s.collisions++
@@ -807,12 +805,11 @@ func (s *Simulator) ctsEnd(target *station) {
 	hold := s.holdNAV(target)
 	s.idleScratch(hold.mask.words)
 	if s.cfg.Trace != nil {
-		wire := frame.Marshal(&frame.CTS{
+		s.cfg.Trace.Frame(now, &frame.CTS{
 			Receiver: frame.Address(target.id),
 			//wlanvet:allow the 802.11 Duration/ID field is 16 bits by spec; one exchange's NAV is far below 65535 µs
 			Duration: uint16(s.navDuration() / sim.Microsecond),
-		})
-		s.cfg.Trace.Frame(now, wire, false)
+		}, false)
 	}
 	s.sched.AfterArg(s.navDuration(), s.navEndFn, hold)
 	s.sched.AfterArg(s.cfg.PHY.SIFS, s.reservedDataFn, target)
@@ -870,12 +867,11 @@ func (s *Simulator) ackEnd(target *station) {
 	s.successes++
 
 	if s.cfg.Trace != nil {
-		wire := frame.Marshal(&frame.ACK{
+		s.cfg.Trace.Frame(now, &frame.ACK{
 			Receiver: frame.Address(target.id),
 			Sequence: target.seq,
 			Control:  s.control,
-		})
-		s.cfg.Trace.Frame(now, wire, false)
+		}, false)
 	}
 
 	target.policy.OnSuccess(target.rng)
@@ -1039,8 +1035,7 @@ func (s *Simulator) beaconEnd() {
 	s.apBusyEnd(s.sched.Now())
 	s.idleAll()
 	if s.cfg.Trace != nil {
-		wire := frame.Marshal(&frame.Beacon{Sequence: s.beaconSeq, Control: s.control})
-		s.cfg.Trace.Frame(s.sched.Now(), wire, false)
+		s.cfg.Trace.Frame(s.sched.Now(), &frame.Beacon{Sequence: s.beaconSeq, Control: s.control}, false)
 	}
 	s.broadcastControl()
 }

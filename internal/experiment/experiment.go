@@ -18,7 +18,6 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/mac"
 	"repro/internal/scenario"
-	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -226,10 +225,11 @@ func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*sce
 // scenario.Summary carries (windowed series, per-station results) or run
 // a policy scheme.Build does not name. It runs sp's replications in seed
 // order — replication r with seed sp.Seed+r on its own topology and
-// simulator — and hands each result to each. Every station gets
-// newPolicy() and no controller; a nil newPolicy builds sp.Scheme with
-// sp.Weights through scheme.Build. A churn step at t=0 sets the initial
-// active count. Cancellation is observed between replications.
+// simulator, configured by scenario.EngineConfig as the scenario runner
+// configures it — and hands each result to each. A non-nil newPolicy
+// replaces every station's policy with newPolicy() and drops the
+// controller. A churn step at t=0 sets the initial active count.
+// Cancellation is observed between replications.
 func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Policy, each func(*eventsim.Result)) error {
 	if err := sp.Validate(); err != nil {
 		return err
@@ -238,22 +238,15 @@ func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Polic
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		seed := sp.Seed + int64(r)
-		tp, err := scenario.BuildTopology(&sp.Topology, seed)
+		cfg, err := scenario.EngineConfig(&sp, sp.Seed+int64(r))
 		if err != nil {
 			return err
 		}
-		cfg := eventsim.Config{Topology: tp, Seed: seed}
-		if newPolicy == nil {
-			cfg.Policies, cfg.Controller, err = scheme.Build(sp.Scheme, sp.Weights, tp.N())
-			if err != nil {
-				return err
-			}
-		} else {
-			cfg.Policies = make([]mac.Policy, tp.N())
+		if newPolicy != nil {
 			for i := range cfg.Policies {
 				cfg.Policies[i] = newPolicy()
 			}
+			cfg.Controller = nil
 		}
 		churn := sp.Churn
 		if len(churn) > 0 && churn[0].At == 0 {

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/eventsim"
 	"repro/internal/scenario"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // tinyOptions keeps experiment tests fast: the goal here is correctness
@@ -105,6 +108,70 @@ func TestBuildSimAllSchemes(t *testing.T) {
 	sp.Scheme = "bogus"
 	if err := replicate(context.Background(), sp, nil, func(*eventsim.Result) {}); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// replicate must run the spec it validates: RTS/CTS, frame errors,
+// traffic and the controller window reach the engine exactly as an
+// eventsim configuration built from the full spec has them, and a churn
+// step at t=0 becomes the initial active count.
+func TestReplicateHonoursSpec(t *testing.T) {
+	sp := baseSpec(Options{Duration: 400 * sim.Millisecond, Seeds: 2}, withN(disc16, 6))
+	sp.Scheme = scheme.WTOP
+	sp.RTSCTS = true
+	sp.FrameErrorRate = 0.1
+	sp.UpdatePeriod = scenario.Duration(50 * time.Millisecond)
+	sp.Traffic = []scenario.TrafficSpec{{Model: "poisson", Rate: 400}}
+	sp.Churn = []scenario.ChurnStep{{At: 0, Active: 4}, {At: scenario.Duration(200 * time.Millisecond), Active: 6}}
+	var got []*eventsim.Result
+	if err := replicate(context.Background(), sp, nil, func(res *eventsim.Result) { got = append(got, res) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != sp.Seeds {
+		t.Fatalf("%d results for %d seeds", len(got), sp.Seeds)
+	}
+	for r, res := range got {
+		seed := sp.Seed + int64(r)
+		tp, err := scenario.BuildTopology(&sp.Topology, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policies, controller, err := scheme.Build(sp.Scheme, nil, tp.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := make([]traffic.Spec, tp.N())
+		for i := range arrivals {
+			arrivals[i] = traffic.Spec{Kind: traffic.Poisson, Rate: 400}
+		}
+		s, err := eventsim.New(eventsim.Config{
+			Topology:       tp,
+			Policies:       policies,
+			Controller:     controller,
+			UpdatePeriod:   50 * sim.Millisecond,
+			Seed:           seed,
+			InitialActive:  4,
+			RTSCTS:         true,
+			FrameErrorRate: 0.1,
+			Arrivals:       arrivals,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetActiveAt(sim.Time(200*sim.Millisecond), 6); err != nil {
+			t.Fatal(err)
+		}
+		want := s.Run(400 * sim.Millisecond)
+		if want.FrameErrors == 0 || want.Latency.Count() == 0 {
+			t.Fatalf("seed %d: reference run shows no frame errors or latency samples", seed)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("seed %d: replicate result differs from the full-spec run: %d/%d successes, %d/%d frame errors",
+				seed, res.Successes, want.Successes, res.FrameErrors, want.FrameErrors)
+		}
 	}
 }
 

@@ -1,29 +1,19 @@
 // Package frame defines the over-the-air frames exchanged in the
-// simulated WLAN and their wire encoding.
+// simulated WLAN.
 //
-// The design follows the layered-decoder idiom of gopacket: every frame
-// satisfies the Layer interface (a type tag plus header and payload
-// views), frames marshal to a compact binary wire format with a CRC-32
-// frame check sequence, and Decode dispatches on the type byte. The MAC
-// simulator itself passes frames by pointer, but the wire codec is what a
-// trace reader or an AP implementation on a real transport would use, and
-// it carries the control fields of Algorithms 1 and 2: wTOP-CSMA's `p`
-// and TORA-CSMA's `(p0, j)` ride inside every ACK, exactly as the paper's
-// AP "transmits p in the ACK packet".
+// Frames are typed values, never bytes: the simulator hands each one by
+// pointer to its capture hook, and a consumer switches on the concrete
+// type. The Control block carries the fields of Algorithms 1 and 2:
+// wTOP-CSMA's `p` and TORA-CSMA's `(p0, j)` ride inside every ACK (and
+// beacon), exactly as the paper's AP "transmits p in the ACK packet".
 package frame
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"math"
-)
+import "fmt"
 
-// Type discriminates the frame kinds on the wire.
+// Type discriminates the frame kinds.
 type Type uint8
 
-// Frame type codes. The explicit values are part of the wire format.
+// Frame type codes.
 const (
 	TypeData   Type = 1
 	TypeACK    Type = 2
@@ -64,27 +54,12 @@ func (a Address) String() string {
 	return fmt.Sprintf("sta%d", uint16(a))
 }
 
-// Layer is the common view over every frame kind, mirroring gopacket's
-// Layer: a type tag, the encoded header bytes, and the payload bytes.
+// Layer is the common view over every frame kind: a type tag. Switch on
+// the concrete type (*Data, *ACK, *Beacon, *RTS, *CTS) for the fields.
 type Layer interface {
-	// FrameType returns the wire type tag.
+	// FrameType returns the frame's type tag.
 	FrameType() Type
-	// AppendHeader appends the frame's header encoding to dst and
-	// returns the extended slice.
-	AppendHeader(dst []byte) []byte
-	// PayloadBits returns the simulated payload size in bits. Simulated
-	// payloads are sized, not materialised: an 8000-bit payload is
-	// carried as a length, keeping million-frame simulations cheap.
-	PayloadBits() int
 }
-
-// Errors returned by the decoder.
-var (
-	ErrTruncated = errors.New("frame: truncated")
-	ErrBadFCS    = errors.New("frame: frame check sequence mismatch")
-	ErrBadType   = errors.New("frame: unknown frame type")
-	ErrBadField  = errors.New("frame: field out of range")
-)
 
 // Data is an uplink data frame from a station to the AP.
 type Data struct {
@@ -95,28 +70,13 @@ type Data struct {
 	// (0 for the first attempt), mirroring the 802.11 retry bit but kept
 	// as a counter for simulator statistics.
 	Retry uint8
-	// Bits is the payload size in bits.
+	// Bits is the payload size in bits. Simulated payloads are sized,
+	// not materialised: an 8000-bit payload is carried as a length.
 	Bits int
 }
 
 // FrameType implements Layer.
 func (d *Data) FrameType() Type { return TypeData }
-
-// PayloadBits implements Layer.
-func (d *Data) PayloadBits() int { return d.Bits }
-
-// AppendHeader implements Layer. Layout (big endian):
-//
-//	type(1) src(2) dst(2) seq(2) retry(1) bits(4)
-func (d *Data) AppendHeader(dst []byte) []byte {
-	dst = append(dst, byte(TypeData))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(d.Source))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(d.Destination))
-	dst = binary.BigEndian.AppendUint16(dst, d.Sequence)
-	dst = append(dst, d.Retry)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Bits))
-	return dst
-}
 
 // Control carries the AP's broadcast tuning state. It is embedded in
 // every ACK (and Beacon) so that stations track the controller without a
@@ -125,9 +85,9 @@ type Control struct {
 	// Scheme tags which controller produced the values.
 	Scheme ControlScheme
 	// P is the wTOP-CSMA control variable (attempt probability before
-	// weight mapping). Quantised to 1/65535 steps on the wire.
+	// weight mapping).
 	P float64
-	// P0 is the TORA-CSMA reset probability, same quantisation.
+	// P0 is the TORA-CSMA reset probability.
 	P0 float64
 	// Stage is TORA-CSMA's reset stage j.
 	Stage uint8
@@ -136,7 +96,7 @@ type Control struct {
 // ControlScheme enumerates the controllers that can own the broadcast.
 type ControlScheme uint8
 
-// Control scheme codes (wire format).
+// Control scheme codes.
 const (
 	ControlNone ControlScheme = 0
 	ControlWTOP ControlScheme = 1
@@ -157,15 +117,6 @@ func (s ControlScheme) String() string {
 	}
 }
 
-func quantise(p float64) (uint16, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("%w: probability %v outside [0,1]", ErrBadField, p)
-	}
-	return uint16(math.Round(p * 65535)), nil
-}
-
-func dequantise(v uint16) float64 { return float64(v) / 65535 }
-
 // ACK is the AP's acknowledgement of a data frame. Per the paper, the
 // ACK also broadcasts the controller state.
 type ACK struct {
@@ -180,25 +131,6 @@ type ACK struct {
 // FrameType implements Layer.
 func (a *ACK) FrameType() Type { return TypeACK }
 
-// PayloadBits implements Layer; ACKs carry no payload.
-func (a *ACK) PayloadBits() int { return 0 }
-
-// AppendHeader implements Layer. Layout:
-//
-//	type(1) rx(2) seq(2) scheme(1) p(2) p0(2) stage(1)
-func (a *ACK) AppendHeader(dst []byte) []byte {
-	dst = append(dst, byte(TypeACK))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(a.Receiver))
-	dst = binary.BigEndian.AppendUint16(dst, a.Sequence)
-	dst = append(dst, byte(a.Control.Scheme))
-	p, _ := quantise(clamp01(a.Control.P))
-	p0, _ := quantise(clamp01(a.Control.P0))
-	dst = binary.BigEndian.AppendUint16(dst, p)
-	dst = binary.BigEndian.AppendUint16(dst, p0)
-	dst = append(dst, a.Control.Stage)
-	return dst
-}
-
 // Beacon is a periodic AP broadcast carrying the same control block; the
 // paper notes wTOP-CSMA "can be modified to use beacon frames to send the
 // parameters" so stations need not decode every ACK.
@@ -210,24 +142,6 @@ type Beacon struct {
 // FrameType implements Layer.
 func (b *Beacon) FrameType() Type { return TypeBeacon }
 
-// PayloadBits implements Layer; beacons carry no simulated payload.
-func (b *Beacon) PayloadBits() int { return 0 }
-
-// AppendHeader implements Layer. Layout:
-//
-//	type(1) seq(2) scheme(1) p(2) p0(2) stage(1)
-func (b *Beacon) AppendHeader(dst []byte) []byte {
-	dst = append(dst, byte(TypeBeacon))
-	dst = binary.BigEndian.AppendUint16(dst, b.Sequence)
-	dst = append(dst, byte(b.Control.Scheme))
-	p, _ := quantise(clamp01(b.Control.P))
-	p0, _ := quantise(clamp01(b.Control.P0))
-	dst = binary.BigEndian.AppendUint16(dst, p)
-	dst = binary.BigEndian.AppendUint16(dst, p0)
-	dst = append(dst, b.Control.Stage)
-	return dst
-}
-
 // RTS is a station's request-to-send, announcing the intended medium
 // reservation in microseconds (the 802.11 Duration/ID field).
 type RTS struct {
@@ -237,17 +151,6 @@ type RTS struct {
 
 // FrameType implements Layer.
 func (r *RTS) FrameType() Type { return TypeRTS }
-
-// PayloadBits implements Layer; control frames carry no payload.
-func (r *RTS) PayloadBits() int { return 0 }
-
-// AppendHeader implements Layer. Layout: type(1) src(2) dur(2).
-func (r *RTS) AppendHeader(dst []byte) []byte {
-	dst = append(dst, byte(TypeRTS))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(r.Source))
-	dst = binary.BigEndian.AppendUint16(dst, r.Duration)
-	return dst
-}
 
 // CTS is the AP's clear-to-send. Every station that decodes it arms its
 // NAV for Duration microseconds — the virtual carrier sense that silences
@@ -259,102 +162,3 @@ type CTS struct {
 
 // FrameType implements Layer.
 func (c *CTS) FrameType() Type { return TypeCTS }
-
-// PayloadBits implements Layer.
-func (c *CTS) PayloadBits() int { return 0 }
-
-// AppendHeader implements Layer. Layout: type(1) rx(2) dur(2).
-func (c *CTS) AppendHeader(dst []byte) []byte {
-	dst = append(dst, byte(TypeCTS))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(c.Receiver))
-	dst = binary.BigEndian.AppendUint16(dst, c.Duration)
-	return dst
-}
-
-func clamp01(p float64) float64 {
-	switch {
-	case math.IsNaN(p), p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
-}
-
-// Marshal encodes a frame: header bytes followed by a CRC-32 (IEEE) frame
-// check sequence over the header.
-func Marshal(l Layer) []byte {
-	buf := l.AppendHeader(nil)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// Decode parses a wire buffer produced by Marshal and returns the typed
-// frame. It verifies the FCS before interpreting any field.
-func Decode(buf []byte) (Layer, error) {
-	if len(buf) < 5 { // type byte + FCS
-		return nil, ErrTruncated
-	}
-	body, fcs := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(body) != fcs {
-		return nil, ErrBadFCS
-	}
-	switch Type(body[0]) {
-	case TypeData:
-		if len(body) != 12 {
-			return nil, fmt.Errorf("%w: data header %d bytes, want 12", ErrTruncated, len(body))
-		}
-		return &Data{
-			Source:      Address(binary.BigEndian.Uint16(body[1:3])),
-			Destination: Address(binary.BigEndian.Uint16(body[3:5])),
-			Sequence:    binary.BigEndian.Uint16(body[5:7]),
-			Retry:       body[7],
-			Bits:        int(binary.BigEndian.Uint32(body[8:12])),
-		}, nil
-	case TypeACK:
-		if len(body) != 11 {
-			return nil, fmt.Errorf("%w: ack header %d bytes, want 11", ErrTruncated, len(body))
-		}
-		return &ACK{
-			Receiver: Address(binary.BigEndian.Uint16(body[1:3])),
-			Sequence: binary.BigEndian.Uint16(body[3:5]),
-			Control: Control{
-				Scheme: ControlScheme(body[5]),
-				P:      dequantise(binary.BigEndian.Uint16(body[6:8])),
-				P0:     dequantise(binary.BigEndian.Uint16(body[8:10])),
-				Stage:  body[10],
-			},
-		}, nil
-	case TypeBeacon:
-		if len(body) != 9 {
-			return nil, fmt.Errorf("%w: beacon header %d bytes, want 9", ErrTruncated, len(body))
-		}
-		return &Beacon{
-			Sequence: binary.BigEndian.Uint16(body[1:3]),
-			Control: Control{
-				Scheme: ControlScheme(body[3]),
-				P:      dequantise(binary.BigEndian.Uint16(body[4:6])),
-				P0:     dequantise(binary.BigEndian.Uint16(body[6:8])),
-				Stage:  body[8],
-			},
-		}, nil
-	case TypeRTS:
-		if len(body) != 5 {
-			return nil, fmt.Errorf("%w: rts header %d bytes, want 5", ErrTruncated, len(body))
-		}
-		return &RTS{
-			Source:   Address(binary.BigEndian.Uint16(body[1:3])),
-			Duration: binary.BigEndian.Uint16(body[3:5]),
-		}, nil
-	case TypeCTS:
-		if len(body) != 5 {
-			return nil, fmt.Errorf("%w: cts header %d bytes, want 5", ErrTruncated, len(body))
-		}
-		return &CTS{
-			Receiver: Address(binary.BigEndian.Uint16(body[1:3])),
-			Duration: binary.BigEndian.Uint16(body[3:5]),
-		}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, body[0])
-	}
-}

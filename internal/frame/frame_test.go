@@ -1,179 +1,10 @@
 package frame
 
-import (
-	"errors"
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestDataRoundTrip(t *testing.T) {
-	d := &Data{Source: 7, Destination: AddressAP, Sequence: 4242, Retry: 3, Bits: 8000}
-	buf := Marshal(d)
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	back, ok := got.(*Data)
-	if !ok {
-		t.Fatalf("decoded %T, want *Data", got)
-	}
-	if *back != *d {
-		t.Errorf("round trip mismatch: %+v vs %+v", back, d)
-	}
-	if back.FrameType() != TypeData || back.PayloadBits() != 8000 {
-		t.Error("Layer views wrong")
-	}
-}
-
-func TestACKRoundTrip(t *testing.T) {
-	a := &ACK{
-		Receiver: 12,
-		Sequence: 99,
-		Control:  Control{Scheme: ControlWTOP, P: 0.03125, P0: 0.5, Stage: 4},
-	}
-	got, err := Decode(Marshal(a))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	back := got.(*ACK)
-	if back.Receiver != 12 || back.Sequence != 99 {
-		t.Errorf("addressing mismatch: %+v", back)
-	}
-	if back.Control.Scheme != ControlWTOP || back.Control.Stage != 4 {
-		t.Errorf("control mismatch: %+v", back.Control)
-	}
-	// Probabilities survive within quantisation error (1/65535).
-	if math.Abs(back.Control.P-0.03125) > 1.0/65535 {
-		t.Errorf("P = %v, want ≈ 0.03125", back.Control.P)
-	}
-	if math.Abs(back.Control.P0-0.5) > 1.0/65535 {
-		t.Errorf("P0 = %v, want ≈ 0.5", back.Control.P0)
-	}
-	if back.PayloadBits() != 0 {
-		t.Error("ACK has payload bits")
-	}
-}
-
-func TestBeaconRoundTrip(t *testing.T) {
-	b := &Beacon{Sequence: 1, Control: Control{Scheme: ControlTORA, P0: 0.75, Stage: 2}}
-	got, err := Decode(Marshal(b))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	back := got.(*Beacon)
-	if back.Sequence != 1 || back.Control.Scheme != ControlTORA || back.Control.Stage != 2 {
-		t.Errorf("beacon mismatch: %+v", back)
-	}
-	if math.Abs(back.Control.P0-0.75) > 1.0/65535 {
-		t.Errorf("P0 = %v", back.Control.P0)
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	buf := Marshal(&Data{Source: 1, Destination: AddressAP, Bits: 100})
-	// Flip one bit in every byte position; FCS must catch all of them.
-	for i := range buf {
-		corrupt := append([]byte(nil), buf...)
-		corrupt[i] ^= 0x10
-		if _, err := Decode(corrupt); err == nil {
-			t.Fatalf("corruption at byte %d not detected", i)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("nil: %v", err)
-	}
-	if _, err := Decode([]byte{1, 2, 3}); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short: %v", err)
-	}
-	// Unknown type with a valid FCS.
-	body := []byte{0x7F, 0, 0}
-	buf := Marshal(layerBytes(body))
-	if _, err := Decode(buf); !errors.Is(err, ErrBadType) {
-		t.Errorf("unknown type: %v", err)
-	}
-	// Valid FCS but truncated body for the claimed type.
-	buf = Marshal(layerBytes([]byte{byte(TypeData), 0, 0}))
-	if _, err := Decode(buf); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short data body: %v", err)
-	}
-}
-
-// layerBytes adapts a raw byte slice to the Layer interface for
-// constructing malformed-but-checksummed test frames.
-type layerBytes []byte
-
-func (l layerBytes) FrameType() Type                { return Type(l[0]) }
-func (l layerBytes) AppendHeader(dst []byte) []byte { return append(dst, l...) }
-func (l layerBytes) PayloadBits() int               { return 0 }
-
-func TestControlClamping(t *testing.T) {
-	a := &ACK{Control: Control{Scheme: ControlWTOP, P: 1.5, P0: -0.2}}
-	got, err := Decode(Marshal(a))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	back := got.(*ACK)
-	if back.Control.P != 1 {
-		t.Errorf("P clamped to %v, want 1", back.Control.P)
-	}
-	if back.Control.P0 != 0 {
-		t.Errorf("P0 clamped to %v, want 0", back.Control.P0)
-	}
-	nan := &ACK{Control: Control{P: math.NaN()}}
-	got, err = Decode(Marshal(nan))
-	if err != nil {
-		t.Fatalf("Decode NaN: %v", err)
-	}
-	if got.(*ACK).Control.P != 0 {
-		t.Error("NaN P not clamped to 0")
-	}
-}
-
-func TestDataRoundTripProperty(t *testing.T) {
-	prop := func(src, dst, seq uint16, retry uint8, bits uint32) bool {
-		d := &Data{
-			Source:      Address(src),
-			Destination: Address(dst),
-			Sequence:    seq,
-			Retry:       retry,
-			Bits:        int(bits % (1 << 24)),
-		}
-		got, err := Decode(Marshal(d))
-		if err != nil {
-			return false
-		}
-		back, ok := got.(*Data)
-		return ok && *back == *d
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestACKControlQuantisationProperty(t *testing.T) {
-	prop := func(praw, p0raw uint16, stage uint8) bool {
-		p := float64(praw) / 65535
-		p0 := float64(p0raw) / 65535
-		a := &ACK{Control: Control{Scheme: ControlTORA, P: p, P0: p0, Stage: stage}}
-		got, err := Decode(Marshal(a))
-		if err != nil {
-			return false
-		}
-		back := got.(*ACK)
-		// Exact grid points survive exactly.
-		return back.Control.P == p && back.Control.P0 == p0 && back.Control.Stage == stage
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestStringers(t *testing.T) {
-	if TypeData.String() != "Data" || TypeACK.String() != "ACK" || TypeBeacon.String() != "Beacon" {
+	if TypeData.String() != "Data" || TypeACK.String() != "ACK" || TypeBeacon.String() != "Beacon" ||
+		TypeRTS.String() != "RTS" || TypeCTS.String() != "CTS" {
 		t.Error("type names wrong")
 	}
 	if Type(9).String() != "Type(9)" {

@@ -3,9 +3,39 @@ package scenario
 import (
 	"fmt"
 
+	"repro/internal/eventsim"
+	"repro/internal/model"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
+
+// EngineConfig assembles the engine configuration of the replication
+// with seed repSeed: topology, scheme, PHY, controller window, RTS/CTS,
+// frame errors and traffic. The churn schedule and any frame capture are
+// the caller's to apply. Call only on validated specs.
+func EngineConfig(sp *Spec, repSeed int64) (eventsim.Config, error) {
+	tp, err := BuildTopology(&sp.Topology, repSeed)
+	if err != nil {
+		return eventsim.Config{}, err
+	}
+	n := tp.N()
+	policies, controller, err := scheme.Build(sp.Scheme, sp.Weights, n)
+	if err != nil {
+		return eventsim.Config{}, err
+	}
+	return eventsim.Config{
+		PHY:            model.PaperPHY(),
+		Topology:       tp,
+		Policies:       policies,
+		Controller:     controller,
+		UpdatePeriod:   sim.Duration(sp.UpdatePeriod),
+		Seed:           repSeed,
+		RTSCTS:         sp.RTSCTS,
+		FrameErrorRate: sp.FrameErrorRate,
+		Arrivals:       sp.arrivals(n),
+	}, nil
+}
 
 // BuildTopology realises a topology spec for one replication. Random
 // families (disc) draw from NewRNG(ts.Seed) when the spec pins a seed,

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,8 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/eventsim"
-	"repro/internal/model"
-	"repro/internal/scheme"
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -361,32 +359,14 @@ type replication struct {
 // runReplication assembles and executes one seeded simulation on the
 // worker's arena.
 func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
-	repSeed := sp.Seed + int64(rep)
-	tp, err := BuildTopology(&sp.Topology, repSeed)
+	cfg, err := EngineConfig(sp, sp.Seed+int64(rep))
 	if err != nil {
 		return nil, err
 	}
-	n := tp.N()
-	policies, controller, err := scheme.Build(sp.Scheme, sp.Weights, n)
-	if err != nil {
-		return nil, err
-	}
-	cfg := eventsim.Config{
-		PHY:            model.PaperPHY(),
-		Topology:       tp,
-		Policies:       policies,
-		Controller:     controller,
-		UpdatePeriod:   sim.Duration(sp.UpdatePeriod),
-		Seed:           repSeed,
-		RTSCTS:         sp.RTSCTS,
-		FrameErrorRate: sp.FrameErrorRate,
-		Arrivals:       sp.arrivals(n),
-	}
-	var capBuf bytes.Buffer
-	var capWriter *trace.Writer
+	var capture *captureTracer
 	if sp.Capture {
-		capWriter = trace.NewWriter(&capBuf)
-		cfg.Trace = capWriter
+		capture = &captureTracer{}
+		cfg.Trace = capture
 	}
 	s, err := ar.simulator(cfg)
 	if err != nil {
@@ -400,22 +380,30 @@ func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
 	res := s.Run(sim.Duration(sp.Duration))
 	out := &replication{
 		res:         res,
-		hiddenPairs: tp.HiddenPairCount(),
+		hiddenPairs: cfg.Topology.HiddenPairCount(),
 		converged:   res.ConvergedThroughput(sim.Duration(*sp.Warmup)),
 	}
-	if capWriter != nil {
-		if err := capWriter.Close(); err != nil {
-			return nil, err
-		}
-		// The writer already counted the frames it encoded, so the
-		// capture is decoded exactly once (for the windowed fairness
-		// index).
-		out.frames = capWriter.Count()
-		_, stJain, err := trace.ShortTermFairness(bytes.NewReader(capBuf.Bytes()), sp.CaptureWindow)
+	if capture != nil {
+		_, stJain, err := trace.WindowFairness(capture.sources, sp.CaptureWindow)
 		if err != nil {
 			return nil, err
 		}
-		out.stJain = stJain
+		out.frames, out.stJain = capture.frames, stJain
 	}
 	return out, nil
+}
+
+// captureTracer is a capture-enabled replication's frame tracer: it
+// counts the frames and keeps the sources of the delivered data frames,
+// in order — all the summary's capture statistics need.
+type captureTracer struct {
+	frames  int
+	sources []int
+}
+
+func (c *captureTracer) Frame(_ sim.Time, f frame.Layer, collided bool) {
+	c.frames++
+	if d, ok := f.(*frame.Data); ok && !collided {
+		c.sources = append(c.sources, int(d.Source))
+	}
 }

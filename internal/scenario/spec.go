@@ -162,9 +162,9 @@ type Spec struct {
 	RTSCTS bool `json:"rtscts,omitempty"`
 	// FrameErrorRate applies i.i.d. loss to data frames, in [0, 1).
 	FrameErrorRate float64 `json:"frame_error_rate,omitempty"`
-	// Capture records every frame of every replication to an in-memory
-	// trace and reports capture statistics (frame counts, short-term
-	// fairness) in the summary.
+	// Capture observes every frame of every replication and reports
+	// capture statistics (frame counts, short-term fairness) in the
+	// summary.
 	Capture bool `json:"capture,omitempty"`
 	// CaptureWindow is the sliding window, in successful frames, of the
 	// short-term fairness index (default 3·N).

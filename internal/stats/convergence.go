@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // ConvergenceReport quantifies how an adaptive controller's throughput
 // series approaches a target level — the measurements behind the paper's
@@ -97,37 +93,4 @@ func AnalyzeConvergence(ts *TimeSeries, target float64, opt ConvergenceOptions) 
 		rep.Efficiency = rep.SteadyMean / target
 	}
 	return rep
-}
-
-// SlidingJain computes Jain's fairness index over sliding windows of the
-// given span across per-station cumulative series — the short-term
-// fairness view (the IdleSense paper's headline secondary metric, which
-// our paper inherits for its p-persistent schemes).
-//
-// shares[i][k] is station i's cumulative delivered bits at sample k; all
-// stations must share the same sample instants. The result has one index
-// per window.
-func SlidingJain(shares [][]float64, window int) []float64 {
-	if len(shares) == 0 || window <= 0 {
-		return nil
-	}
-	samples := len(shares[0])
-	if samples <= window {
-		return nil
-	}
-	var out []float64
-	delta := make([]float64, len(shares))
-	for k := window; k < samples; k++ {
-		for i := range shares {
-			if len(shares[i]) != samples {
-				return nil // ragged input
-			}
-			delta[i] = shares[i][k] - shares[i][k-window]
-			if delta[i] < 0 || math.IsNaN(delta[i]) {
-				delta[i] = 0
-			}
-		}
-		out = append(out, JainIndex(delta))
-	}
-	return out
 }

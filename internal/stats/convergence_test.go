@@ -91,47 +91,3 @@ func TestAnalyzeConvergenceEdgeCases(t *testing.T) {
 		t.Error("zero target converged")
 	}
 }
-
-func TestSlidingJain(t *testing.T) {
-	// Two stations alternating strict turns: short-window fairness is
-	// poor, long-window fairness perfect.
-	const samples = 100
-	a := make([]float64, samples)
-	b := make([]float64, samples)
-	ca, cb := 0.0, 0.0
-	for k := 0; k < samples; k++ {
-		if k%2 == 0 {
-			ca += 10
-		} else {
-			cb += 10
-		}
-		a[k], b[k] = ca, cb
-	}
-	short := SlidingJain([][]float64{a, b}, 1)
-	long := SlidingJain([][]float64{a, b}, 20)
-	if len(short) == 0 || len(long) == 0 {
-		t.Fatal("no windows")
-	}
-	if Mean(short) > 0.7 {
-		t.Errorf("1-sample windows should look unfair, mean Jain %v", Mean(short))
-	}
-	if Mean(long) < 0.99 {
-		t.Errorf("20-sample windows should look fair, mean Jain %v", Mean(long))
-	}
-}
-
-func TestSlidingJainEdgeCases(t *testing.T) {
-	if SlidingJain(nil, 5) != nil {
-		t.Error("nil input")
-	}
-	if SlidingJain([][]float64{{1, 2}}, 0) != nil {
-		t.Error("zero window")
-	}
-	if SlidingJain([][]float64{{1, 2}}, 5) != nil {
-		t.Error("window larger than series")
-	}
-	// Ragged input rejected.
-	if SlidingJain([][]float64{{1, 2, 3}, {1, 2}}, 1) != nil {
-		t.Error("ragged input accepted")
-	}
-}

@@ -95,19 +95,18 @@ type Coordinator struct {
 	fingerprint string
 	specJSON    [][]byte // pre-marshaled lease payload per point
 
-	mu         sync.Mutex
-	ledger     *sweep.Ledger
-	leasedBy   []string // active lease ID per point ("" = not leased)
-	reissues   []int    // lease reissue count per point
-	leasedEver []bool   // whether the point was ever part of any lease
-	pending    []int    // queued point indexes, ascending
-	leases     *leaseTable
-	rows       bytes.Buffer // canonical JSONL prefix
-	stats      CampaignStats
-	draining   bool
-	failure    error
-	doneCh     chan struct{}
-	doneOnce   sync.Once
+	mu       sync.Mutex
+	ledger   *sweep.Ledger
+	leasedBy []string // active lease ID per point ("" = not leased)
+	reissues []int    // lease reissue count per point
+	pending  []int    // queued point indexes, ascending
+	leases   *leaseTable
+	rows     bytes.Buffer // canonical JSONL prefix
+	stats    CampaignStats
+	draining bool
+	failure  error
+	doneCh   chan struct{}
+	doneOnce sync.Once
 }
 
 // CampaignStats is a snapshot of campaign progress.
@@ -193,7 +192,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		ledger:      sweep.NewLedger(pts, cfg.Cache),
 		leasedBy:    make([]string, len(pts)),
 		reissues:    make([]int, len(pts)),
-		leasedEver:  make([]bool, len(pts)),
 		leases:      newLeaseTable(cfg.LeaseTTL),
 		doneCh:      make(chan struct{}),
 	}
@@ -457,7 +455,6 @@ func (c *Coordinator) lease(req *LeaseRequest) (*LeaseResponse, error) {
 	}
 	for _, idx := range batch {
 		c.leasedBy[idx] = l.id
-		c.leasedEver[idx] = true
 		pt := c.ledger.Points()[idx]
 		resp.Points = append(resp.Points, LeasePoint{
 			Index: idx,

@@ -271,11 +271,20 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 		t.Errorf("RowsEmitted = %d, want %d", st.RowsEmitted, len(pts))
 	}
 	// Zero re-simulation of committed points: they were never leased.
+	// The lease table keeps every lease ever granted.
+	committed := map[int]bool{}
 	for _, idx := range warm {
-		if c.leasedEver[idx] {
-			t.Errorf("cache-committed point %d was leased to a worker", idx)
+		committed[idx] = true
+	}
+	c.mu.Lock()
+	for _, l := range c.leases.leases {
+		for _, idx := range l.points {
+			if committed[idx] {
+				t.Errorf("cache-committed point %d was leased to a worker in %s", idx, l.id)
+			}
 		}
 	}
+	c.mu.Unlock()
 	// The failure schedule really fired: both dead workers' leases
 	// expired and their points were reissued; the scripted lost
 	// completion forced at least one idempotent duplicate.

@@ -50,7 +50,6 @@ type lease struct {
 	points   []int // grid-expansion indexes, ascending
 	state    LeaseState
 	deadline time.Time
-	renewals int
 }
 
 // leaseTable owns every lease of a campaign and implements the state
@@ -98,7 +97,6 @@ func (lt *leaseTable) heartbeat(id string, now time.Time) (*lease, error) {
 		return nil, fmt.Errorf("%w: %s already completed", ErrLeaseExpired, id)
 	}
 	l.deadline = now.Add(lt.ttl)
-	l.renewals++
 	return l, nil
 }
 

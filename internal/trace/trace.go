@@ -2,9 +2,10 @@
 // JSON log and analyses captures offline — the repository's equivalent of
 // a pcap writer plus a protocol statistics tool.
 //
-// The writer implements eventsim.Tracer by decoding each wire frame
-// (package frame) into a flat Record; the reader streams records back;
-// Analyze aggregates per-station and per-type statistics.
+// The writer implements eventsim.Tracer by flattening each typed frame
+// (package frame) into a Record; the reader streams records back;
+// Analyze aggregates per-station and per-type statistics, and
+// ShortTermFairness computes the windowed Jain index.
 package trace
 
 import (
@@ -12,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/frame"
@@ -53,19 +56,14 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // Frame implements the simulator's Tracer hook.
-func (w *Writer) Frame(at sim.Time, wire []byte, collided bool) {
+func (w *Writer) Frame(at sim.Time, l frame.Layer, collided bool) {
 	if w.err != nil {
-		return
-	}
-	l, err := frame.Decode(wire)
-	if err != nil {
-		w.err = fmt.Errorf("trace: undecodable frame at %v: %w", at, err)
 		return
 	}
 	rec := Record{TimeNs: int64(at), Type: l.FrameType().String(), Collided: collided, Source: -1}
 	switch f := l.(type) {
 	case *frame.Data:
-		rec.Source = int(uint16(f.Source))
+		rec.Source = int(f.Source)
 		rec.Sequence = f.Sequence
 		rec.Retry = f.Retry
 		rec.Bits = f.Bits
@@ -74,7 +72,7 @@ func (w *Writer) Frame(at sim.Time, wire []byte, collided bool) {
 	case *frame.Beacon:
 		rec.Sequence = f.Sequence
 	case *frame.RTS:
-		rec.Source = int(uint16(f.Source))
+		rec.Source = int(f.Source)
 	case *frame.CTS:
 	}
 	if err := w.enc.Encode(&rec); err != nil {
@@ -201,30 +199,39 @@ func Analyze(r io.Reader) (*Summary, error) {
 // fairness view (a scheme can be long-term fair yet starve stations for
 // bursts; p-persistent CSMA's per-slot independence gives it good
 // short-term fairness, one of the paper's inherited IdleSense arguments).
-// It returns the per-window indices and their mean.
+// It returns the per-window indices and their mean. A data frame whose
+// source lies outside the station address range is an error.
 func ShortTermFairness(r io.Reader, window int) (indices []float64, mean float64, err error) {
-	if window <= 0 {
-		return nil, 0, fmt.Errorf("trace: window %d must be positive", window)
-	}
-	// Collect the sequence of successful data-frame sources.
 	var sources []int
-	maxSta := -1
 	err = Read(r, func(rec Record) error {
-		if rec.Type == "Data" && !rec.Collided {
+		if rec.Type != "Data" {
+			return nil
+		}
+		if rec.Source < 0 || rec.Source > math.MaxUint16 {
+			return fmt.Errorf("trace: data frame at %dns has source %d outside [0, %d]", rec.TimeNs, rec.Source, math.MaxUint16)
+		}
+		if !rec.Collided {
 			sources = append(sources, rec.Source)
-			if rec.Source > maxSta {
-				maxSta = rec.Source
-			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(sources) <= window || maxSta < 0 {
+	return WindowFairness(sources, window)
+}
+
+// WindowFairness is ShortTermFairness over the sequence of successful
+// data-frame sources, in capture order. Every source must lie in
+// [0, 65535], the frame.Address range.
+func WindowFairness(sources []int, window int) (indices []float64, mean float64, err error) {
+	if window <= 0 {
+		return nil, 0, fmt.Errorf("trace: window %d must be positive", window)
+	}
+	if len(sources) <= window {
 		return nil, 0, nil
 	}
-	counts := make([]float64, maxSta+1)
+	counts := make([]float64, slices.Max(sources)+1)
 	// Prime the first window.
 	for _, src := range sources[:window] {
 		counts[src]++

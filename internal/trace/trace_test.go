@@ -15,13 +15,13 @@ import (
 func TestWriterReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Frame(sim.Time(1000), frame.Marshal(&frame.Data{
+	w.Frame(sim.Time(1000), &frame.Data{
 		Source: 3, Destination: frame.AddressAP, Sequence: 9, Retry: 1, Bits: 8000,
-	}), true)
-	w.Frame(sim.Time(2000), frame.Marshal(&frame.ACK{Receiver: 3, Sequence: 9}), false)
-	w.Frame(sim.Time(3000), frame.Marshal(&frame.RTS{Source: 4, Duration: 300}), false)
-	w.Frame(sim.Time(4000), frame.Marshal(&frame.CTS{Receiver: 4, Duration: 280}), false)
-	w.Frame(sim.Time(5000), frame.Marshal(&frame.Beacon{Sequence: 1}), false)
+	}, true)
+	w.Frame(sim.Time(2000), &frame.ACK{Receiver: 3, Sequence: 9}, false)
+	w.Frame(sim.Time(3000), &frame.RTS{Source: 4, Duration: 300}, false)
+	w.Frame(sim.Time(4000), &frame.CTS{Receiver: 4, Duration: 280}, false)
+	w.Frame(sim.Time(5000), &frame.Beacon{Sequence: 1}, false)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,24 @@ func TestWriterReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriterRejectsGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Frame(0, []byte{1, 2, 3}, false)
-	if err := w.Close(); err == nil {
-		t.Error("undecodable frame not reported")
+// A hostile capture must not index the per-station counters with a
+// source outside the station address range: a negative source once
+// panicked with "index out of range [-1]", and a huge one sized the
+// counters from untrusted input.
+func TestShortTermFairnessRejectsBadSource(t *testing.T) {
+	for _, capture := range []string{
+		`{"type":"Data","src":3}` + "\n" + `{"type":"Data","src":-1}` + "\n",
+		`{"type":"Data","src":65536}` + "\n",
+		`{"type":"Data","src":-1,"collided":true}` + "\n",
+	} {
+		if _, _, err := ShortTermFairness(strings.NewReader(capture), 1); err == nil {
+			t.Errorf("capture %q accepted", capture)
+		}
+	}
+	// The address range's bounds are valid sources; AP frames carry -1.
+	ok := `{"type":"Data","src":0}` + "\n" + `{"type":"ACK","src":-1}` + "\n" + `{"type":"Data","src":65535}` + "\n"
+	if _, _, err := ShortTermFairness(strings.NewReader(ok), 1); err != nil {
+		t.Errorf("valid capture rejected: %v", err)
 	}
 }
 
@@ -71,10 +83,10 @@ func TestAnalyzeSyntheticCapture(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	// Station 0: two frames, one collided; station 1: one clean frame.
-	w.Frame(sim.Time(0), frame.Marshal(&frame.Data{Source: 0, Bits: 8000}), true)
-	w.Frame(sim.Time(1e9), frame.Marshal(&frame.Data{Source: 0, Bits: 8000, Retry: 1}), false)
-	w.Frame(sim.Time(2e9), frame.Marshal(&frame.Data{Source: 1, Bits: 8000}), false)
-	w.Frame(sim.Time(2e9+1000), frame.Marshal(&frame.ACK{Receiver: 1}), false)
+	w.Frame(sim.Time(0), &frame.Data{Source: 0, Bits: 8000}, true)
+	w.Frame(sim.Time(1e9), &frame.Data{Source: 0, Bits: 8000, Retry: 1}, false)
+	w.Frame(sim.Time(2e9), &frame.Data{Source: 1, Bits: 8000}, false)
+	w.Frame(sim.Time(2e9+1000), &frame.ACK{Receiver: 1}, false)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +124,7 @@ func TestShortTermFairness(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for k := 0; k < 40; k++ {
-		w.Frame(sim.Time(k), frame.Marshal(&frame.Data{Source: frame.Address(k % 4), Bits: 100}), false)
+		w.Frame(sim.Time(k), &frame.Data{Source: frame.Address(k % 4), Bits: 100}, false)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -132,7 +144,7 @@ func TestShortTermFairness(t *testing.T) {
 		if k == 0 {
 			src = 3 // make station count 4
 		}
-		w.Frame(sim.Time(k), frame.Marshal(&frame.Data{Source: src, Bits: 100}), false)
+		w.Frame(sim.Time(k), &frame.Data{Source: src, Bits: 100}, false)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -226,7 +226,9 @@ func (cfg *Config) arrivals(n int) ([]traffic.Spec, error) {
 	return out, nil
 }
 
-// Tracer is the frame-capture hook; obtain one from NewTraceWriter.
+// Tracer is the frame-capture hook: the engine hands it every frame, as
+// a typed value, the moment the frame leaves the air. Obtain one from
+// NewTraceWriter.
 type Tracer = eventsim.Tracer
 
 // TraceWriter captures the simulation's frame stream as JSON lines.
