@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
@@ -49,6 +51,23 @@ func testGrid(name string, nodes ...int) *sweep.Grid {
 		},
 		Axes: []sweep.Axis{{Field: sweep.FieldNodes, Values: sweep.Ints(nodes...)}},
 	}
+}
+
+// newMeteredCoordinator builds a coordinator and the mux cmd/wlansvc
+// serves for it: the /v1 control plane beside the metrics registry's
+// /metrics.
+func newMeteredCoordinator(t *testing.T, cfg CoordinatorConfig) (*Coordinator, http.Handler) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	cfg.Metrics = NewMetrics(reg)
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", c.Handler())
+	mux.Handle("GET /metrics", reg.Handler())
+	return c, mux
 }
 
 // simulateLease runs a leased batch exactly like a worker would and

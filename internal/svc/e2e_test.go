@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/svc/chaos"
 	"repro/internal/sweep"
@@ -158,20 +157,19 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 			Logf:           t.Logf,
 		}
 	}
-	newWorkerM := func(id string, cl *Client, batch, par int, wm *WorkerMetrics) *Worker {
+	newWorker := func(id string, cl *Client, batch, par int) *Worker {
+		r := &scenario.Runner{Parallelism: par}
+		t.Cleanup(r.Close)
 		w, err := NewWorker(WorkerConfig{
-			Client: cl, ID: id, MaxBatch: batch, Parallelism: par,
-			PollInterval: 20 * time.Millisecond, Logf: t.Logf, Metrics: wm,
+			Client: cl, ID: id, Runner: r, MaxBatch: batch,
+			PollInterval: 20 * time.Millisecond, Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w
 	}
-	newWorker := func(id string, cl *Client, batch, par int) *Worker {
-		return newWorkerM(id, cl, batch, par, nil)
-	}
-	run := func(w *Worker) chan error {
+	run := func(ctx context.Context, w *Worker) chan error {
 		ch := make(chan error, 1)
 		go func() { ch <- w.Run(ctx) }()
 		return ch
@@ -180,14 +178,17 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	// Phase 1: the doomed and the islanded worker each take a lease
 	// while nothing competes; each fault is applied inside the round
 	// trip of the granting lease response, so both workers
-	// deterministically die holding unfinished work.
-	var doomed *Worker
+	// deterministically die holding unfinished work. The doomed
+	// worker's context is cancelled there: a cancelled worker sends
+	// nothing more, neither heartbeat nor completion, which is what a
+	// crashed process looks like from the coordinator's side.
+	doomedCtx, killDoomed := context.WithCancel(ctx)
+	defer killDoomed()
 	doomedSig := &onFirstGrant{base: http.DefaultTransport, ch: make(chan struct{}), fn: func() {
 		t.Logf("e2e: killing doomed worker (lease granted, not yet seen)")
-		doomed.Kill() // SIGKILL semantics: no flush, no goodbye
+		killDoomed()
 	}}
-	doomed = newWorker("doomed", newClient(doomedSig), 6, 1)
-	doomedCh := run(doomed)
+	doomedCh := run(doomedCtx, newWorker("doomed", newClient(doomedSig), 6, 1))
 
 	islandChaos := chaos.NewTransport(7, http.DefaultTransport)
 	islandSig := &onFirstGrant{base: islandChaos, ch: make(chan struct{}), fn: func() {
@@ -196,8 +197,7 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	}}
 	islandCl := newClient(islandSig)
 	islandCl.MaxAttempts = 3 // fail fast once partitioned
-	island := newWorker("islanded", islandCl, 4, 1)
-	islandCh := run(island)
+	islandCh := run(ctx, newWorker("islanded", islandCl, 4, 1))
 
 	waitSignal := func(ch chan struct{}, what string) {
 		select {
@@ -213,22 +213,15 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	// campaign, reclaiming the dead workers' points after TTL expiry.
 	// The steady worker joins only once the flaky one's retransmitted
 	// completion has been answered; otherwise it can finish the
-	// campaign before the scripted drop fires. They share one metric
-	// set so the total simulated count is exact whatever the two
-	// negotiate between themselves.
-	wm := NewWorkerMetrics(metrics.NewRegistry())
+	// campaign before the scripted drop fires.
 	flakyChaos := chaos.NewTransport(42, http.DefaultTransport)
 	flakyChaos.DropRequestProb = 0.1
 	flakyChaos.DropResponseProb = 0.1
 	flakyDrop := &dropFirstComplete{base: flakyChaos, ch: make(chan struct{})}
-	flaky := newWorkerM("flaky", newClient(flakyDrop), 3, 2, wm)
-	flakyCh := run(flaky)
+	flakyCh := run(ctx, newWorker("flaky", newClient(flakyDrop), 3, 2))
 	waitSignal(flakyDrop.ch, "the flaky worker's retransmitted completion")
 
-	steadyCl := newClient(http.DefaultTransport)
-	steadyCl.Metrics = wm
-	steady := newWorkerM("steady", steadyCl, 3, 2, wm)
-	steadyCh := run(steady)
+	steadyCh := run(ctx, newWorker("steady", newClient(http.DefaultTransport), 3, 2))
 
 	select {
 	case <-c.Done():
@@ -246,8 +239,8 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	if err := <-flakyCh; err != nil {
 		t.Errorf("flaky worker: %v", err)
 	}
-	if err := <-doomedCh; !errors.Is(err, errWorkerKilled) {
-		t.Errorf("doomed worker returned %v, want errWorkerKilled", err)
+	if err := <-doomedCh; !errors.Is(err, context.Canceled) {
+		t.Errorf("doomed worker returned %v, want context.Canceled", err)
 	}
 	if err := <-islandCh; err == nil {
 		t.Error("islanded worker finished cleanly despite the partition")
@@ -296,11 +289,6 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	}
 	if st.Duplicates < 1 {
 		t.Errorf("Duplicates = %d, want >= 1 (scripted lost completion)", st.Duplicates)
-	}
-	// The survivors simulated every uncommitted point at least once
-	// (reissue races can add extra runs, never fewer).
-	if got := wm.PointsSimulated.Value(); got < uint64(len(pts)-len(warm)) {
-		t.Errorf("surviving workers simulated %d points, want >= %d", got, len(pts)-len(warm))
 	}
 	if flakyChaos.DroppedRequests()+flakyChaos.DroppedResponses() == 0 {
 		t.Error("seeded chaos transport injected no faults over the whole campaign")
