@@ -228,8 +228,8 @@ func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*sce
 // simulator, configured by scenario.EngineConfig as the scenario runner
 // configures it — and hands each result to each. A non-nil newPolicy
 // replaces every station's policy with newPolicy() and drops the
-// controller. A churn step at t=0 sets the initial active count.
-// Cancellation is observed between replications.
+// controller. Churn steps apply with SetActiveAt, a step at t=0
+// included, as the scenario runner applies them. Cancellation is observed between replications.
 func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Policy, each func(*eventsim.Result)) error {
 	if err := sp.Validate(); err != nil {
 		return err
@@ -248,16 +248,11 @@ func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Polic
 			}
 			cfg.Controller = nil
 		}
-		churn := sp.Churn
-		if len(churn) > 0 && churn[0].At == 0 {
-			cfg.InitialActive = churn[0].Active
-			churn = churn[1:]
-		}
 		s, err := eventsim.New(cfg)
 		if err != nil {
 			return err
 		}
-		for _, step := range churn {
+		for _, step := range sp.Churn {
 			if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
 				return err
 			}

@@ -153,12 +153,14 @@ func TestReplicateHonoursSpec(t *testing.T) {
 			Controller:     controller,
 			UpdatePeriod:   50 * sim.Millisecond,
 			Seed:           seed,
-			InitialActive:  4,
 			RTSCTS:         true,
 			FrameErrorRate: 0.1,
 			Arrivals:       arrivals,
 		})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetActiveAt(0, 4); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SetActiveAt(sim.Time(200*sim.Millisecond), 6); err != nil {
@@ -172,6 +174,28 @@ func TestReplicateHonoursSpec(t *testing.T) {
 			t.Errorf("seed %d: replicate result differs from the full-spec run: %d/%d successes, %d/%d frame errors",
 				seed, res.Successes, want.Successes, res.FrameErrors, want.FrameErrors)
 		}
+	}
+}
+
+// TestReplicateMatchesRunnerOnChurnAtZero pins one churn rule for one
+// spec: a churn step at t=0 gives the same successes through replicate
+// as through the scenario runner that serves wlansim -sweep.
+func TestReplicateMatchesRunnerOnChurnAtZero(t *testing.T) {
+	sp := baseSpec(Options{Duration: time.Second, Seeds: 2}, withN(connected, 10))
+	sp.Scheme = scheme.WTOP
+	sp.Churn = []scenario.ChurnStep{{At: 0, Active: 4}, {At: scenario.Duration(500 * time.Millisecond), Active: 10}}
+	var got int64
+	if err := replicate(context.Background(), sp, nil, func(res *eventsim.Result) { got += res.Successes }); err != nil {
+		t.Fatal(err)
+	}
+	r := &scenario.Runner{}
+	defer r.Close()
+	sum, err := r.Run(context.Background(), &sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != sum.Successes {
+		t.Errorf("replicate gave %d successes, scenario.Runner %d", got, sum.Successes)
 	}
 }
 
