@@ -187,7 +187,6 @@ func runCoordinator(cf coordFlags) {
 		}
 	}
 
-	reg := metrics.NewRegistry()
 	c, err := svc.NewCoordinator(svc.CoordinatorConfig{
 		Grid:        g,
 		Cache:       cache,
@@ -195,7 +194,6 @@ func runCoordinator(cf coordFlags) {
 		MaxBatch:    cf.maxBatch,
 		MaxReissues: cf.maxReissues,
 		Out:         out,
-		Metrics:     svc.NewMetrics(reg),
 		StatePath:   cf.state,
 		Logf:        logf,
 	})
@@ -204,6 +202,8 @@ func runCoordinator(cf coordFlags) {
 		fatalf("%v", err)
 	}
 
+	reg := metrics.NewRegistry()
+	c.RegisterMetrics(reg)
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
 	mux.Handle("GET /metrics", reg.Handler())

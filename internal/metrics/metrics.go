@@ -104,6 +104,15 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
+// CounterFunc registers a counter whose value is read at render time
+// from a record the caller keeps, so the series cannot drift from it.
+// fn must be safe to call concurrently and must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.register(name, help, "counter", func() string {
+		return strconv.FormatUint(fn(), 10)
+	})
+}
+
 // GaugeFunc registers a gauge whose value is computed at render time —
 // the shape for derived signals like cache hit rate or events/sec. fn
 // must be safe to call concurrently; non-finite values render as 0.

@@ -45,6 +45,24 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// A CounterFunc renders the caller's value at each scrape, with the
+// counter type and an integer sample.
+func TestCounterFuncReadsAtRender(t *testing.T) {
+	r := NewRegistry()
+	var n uint64 = 1 << 40
+	r.CounterFunc("owned_total", "read from the caller's record", func() uint64 { return n })
+	for _, want := range []string{"owned_total 1099511627776\n", "owned_total 1099511627777\n"} {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := sb.String(); !strings.Contains(got, "# TYPE owned_total counter\n"+want) {
+			t.Fatalf("rendered:\n%s\nwant sample %q", got, want)
+		}
+		n++
+	}
+}
+
 // Non-finite derived values must render as 0, not break the scrape.
 func TestGaugeFuncNonFinite(t *testing.T) {
 	r := NewRegistry()

@@ -38,8 +38,6 @@ type Client struct {
 	MaxBackoff  time.Duration
 	// AttemptTimeout bounds each individual request (default 10s).
 	AttemptTimeout time.Duration
-	// Metrics, when non-nil, counts retries.
-	Metrics *WorkerMetrics
 	// Logf, when non-nil, receives retry log lines.
 	Logf func(format string, args ...any)
 
@@ -95,9 +93,6 @@ func (c *Client) attemptTimeout() time.Duration {
 
 // Lease requests a batch of points.
 func (c *Client) Lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, error) {
-	if c.Metrics != nil {
-		c.Metrics.LeaseRequests.Inc()
-	}
 	resp := &LeaseResponse{}
 	if err := c.call(ctx, "/v1/lease", req, resp); err != nil {
 		return nil, err
@@ -212,9 +207,6 @@ func (c *Client) retry(ctx context.Context, path string, attempt func(ctx contex
 	attempts := c.maxAttempts()
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			if c.Metrics != nil {
-				c.Metrics.Retries.Inc()
-			}
 			delay := c.jitter(backoff)
 			if c.Logf != nil {
 				c.Logf("wlansvc: %s failed (%v), retry %d/%d in %s", path, lastErr, i, attempts-1, delay.Round(time.Millisecond))

@@ -30,6 +30,12 @@
 //     therefore a complete recovery story: committed points are never
 //     re-simulated, uncommitted ones are simply leased again.
 //
+// The coordinator keeps every campaign counter in one record,
+// CampaignStats: Stats returns it, /v1/status embeds it, and the
+// /metrics series RegisterMetrics adds read it at scrape time. A worker
+// keeps no state beyond its lease; cancelling its context is how it is
+// stopped, in production and in the chaos tests alike.
+//
 // Wall clocks, timers and network I/O are all legitimate here — the
 // package sits outside the simulator's determinism boundary (see
 // analysis.SimExempt) because nothing in it touches physics: it moves
@@ -48,6 +54,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
@@ -74,8 +81,6 @@ type CoordinatorConfig struct {
 	// Out, when non-nil, receives the canonical JSONL rows as their
 	// contiguous prefix completes (the same bytes /v1/rows serves).
 	Out io.Writer
-	// Metrics, when non-nil, receives live lease/worker/point gauges.
-	Metrics *Metrics
 	// StatePath, when non-empty, is where Drain persists the queue
 	// snapshot for post-mortem inspection. Resume correctness never
 	// depends on it — the cache is the durable truth — but the stamp
@@ -109,7 +114,9 @@ type Coordinator struct {
 	doneOnce sync.Once
 }
 
-// CampaignStats is a snapshot of campaign progress.
+// CampaignStats is the campaign's one record of progress counters:
+// Stats returns it, /v1/status embeds it, and the /metrics series that
+// RegisterMetrics adds read it at scrape time.
 type CampaignStats struct {
 	// Total is the expanded grid size.
 	Total int `json:"total"`
@@ -212,15 +219,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	c.stats.Cached, c.stats.Quarantined = c.ledger.Cached(), c.ledger.Quarantined()
-	if m := c.metrics(); m != nil {
-		m.PointsCached.Add(uint64(c.stats.Cached))
-	}
-	c.updateGaugesLocked()
 	c.checkDoneLocked()
 	return c, nil
 }
-
-func (c *Coordinator) metrics() *Metrics { return c.cfg.Metrics }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -242,18 +243,7 @@ func (c *Coordinator) emitLocked(pr *sweep.PointResult) error {
 		return err
 	}
 	c.stats.RowsEmitted++
-	if m := c.metrics(); m != nil {
-		m.RowsEmitted.Inc()
-	}
 	return nil
-}
-
-func (c *Coordinator) updateGaugesLocked() {
-	if m := c.metrics(); m != nil {
-		m.LeasesActive.Set(int64(c.leases.activeCount()))
-		m.WorkersActive.Set(int64(c.leases.activeWorkers()))
-		m.PointsPending.Set(int64(len(c.pending)))
-	}
 }
 
 // checkDoneLocked closes the done channel once every point is
@@ -305,9 +295,6 @@ func (c *Coordinator) requeueLocked(idx int) {
 func (c *Coordinator) expireLocked(now time.Time) {
 	for _, l := range c.leases.expire(now) {
 		c.stats.LeasesExpired++
-		if m := c.metrics(); m != nil {
-			m.LeasesExpired.Inc()
-		}
 		reclaimed := 0
 		for _, idx := range l.points {
 			if c.ledger.Done(idx) || c.leasedBy[idx] != l.id {
@@ -318,9 +305,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			c.reissues[idx]++
 			c.stats.Reissued++
 			reclaimed++
-			if m := c.metrics(); m != nil {
-				m.PointsReissued.Inc()
-			}
 			if c.reissues[idx] > c.cfg.MaxReissues && c.failure == nil {
 				c.failure = fmt.Errorf("%w: point %d (%s) reissued %d times without completing",
 					ErrCampaignFailed, idx, c.ledger.Points()[idx].Name, c.reissues[idx])
@@ -330,7 +314,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		}
 		c.logf("wlansvc: lease %s (worker %s) expired, %d point(s) requeued", l.id, l.worker, reclaimed)
 	}
-	c.updateGaugesLocked()
 }
 
 // Run drives lease expiry until the campaign completes, fails, or ctx
@@ -463,11 +446,7 @@ func (c *Coordinator) lease(req *LeaseRequest) (*LeaseResponse, error) {
 			Spec:  c.specJSON[idx],
 		})
 	}
-	if m := c.metrics(); m != nil {
-		m.LeasesGranted.Inc()
-	}
 	c.logf("wlansvc: lease %s granted to worker %s (%d points)", l.id, req.WorkerID, len(batch))
-	c.updateGaugesLocked()
 	return resp, nil
 }
 
@@ -521,9 +500,6 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 		if c.ledger.Done(cp.Index) {
 			resp.Duplicates++
 			c.stats.Duplicates++
-			if m := c.metrics(); m != nil {
-				m.DuplicateCompletions.Inc()
-			}
 			continue
 		}
 		if err := c.ledger.Commit(cp.Index, sums[k]); err != nil {
@@ -544,9 +520,6 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 		}
 		c.stats.Completed++
 		resp.Accepted++
-		if m := c.metrics(); m != nil {
-			m.PointsCompleted.Inc()
-		}
 	}
 	// Transition the lease; any of its points the request did not cover
 	// go back to the queue rather than dangling until TTL expiry.
@@ -563,7 +536,6 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 	}
 	c.logf("wlansvc: lease %s (worker %s): %d completion(s) accepted, %d duplicate(s)",
 		req.LeaseID, req.WorkerID, resp.Accepted, resp.Duplicates)
-	c.updateGaugesLocked()
 	c.checkDoneLocked()
 	resp.Done = c.stats.Satisfied() == c.stats.Total
 	return resp, nil
@@ -576,26 +548,61 @@ func (c *Coordinator) status() *StatusResponse {
 	defer c.mu.Unlock()
 	c.expireLocked(now)
 	return &StatusResponse{
-		GridName:    c.cfg.Grid.Name,
-		Fingerprint: c.fingerprint,
-		Total:       c.stats.Total,
-		Completed:   c.stats.Completed,
-		Cached:      c.stats.Cached,
-		Quarantined: c.stats.Quarantined,
-		Pending:     len(c.pending),
-		Leased:      c.leases.activeCount(),
-		Duplicates:  c.stats.Duplicates,
-		Reissued:    c.stats.Reissued,
-		RowsEmitted: c.stats.RowsEmitted,
-		Draining:    c.draining,
-		Done:        c.stats.Satisfied() == c.stats.Total,
-		Failed:      c.failure != nil,
+		GridName:      c.cfg.Grid.Name,
+		Fingerprint:   c.fingerprint,
+		CampaignStats: c.stats,
+		Pending:       len(c.pending),
+		Leased:        c.leases.activeCount(),
+		Draining:      c.draining,
+		Done:          c.stats.Satisfied() == c.stats.Total,
+		Failed:        c.failure != nil,
 	}
+}
+
+// RegisterMetrics adds the campaign's /metrics series to reg. Each
+// reads the campaign record or the lease table under the coordinator's
+// lock when the registry renders, so /metrics shows exactly what Stats
+// and /v1/status show. Register a coordinator once per registry.
+func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
+	locked := func(read func() int) func() int {
+		return func() int {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return read()
+		}
+	}
+	gauge := func(name, help string, read func() int) {
+		read = locked(read)
+		reg.GaugeFunc(name, help, func() float64 { return float64(read()) })
+	}
+	counter := func(name, help string, read func() int) {
+		read = locked(read)
+		reg.CounterFunc(name, help, func() uint64 { return uint64(read()) })
+	}
+	st := &c.stats
+	gauge("wlansvc_leases_active", "Point leases currently held by workers.", c.leases.activeCount)
+	gauge("wlansvc_workers_active", "Distinct workers holding at least one active lease.", c.leases.activeWorkers)
+	gauge("wlansvc_points_pending", "Campaign points queued, not yet leased or satisfied.",
+		func() int { return len(c.pending) })
+	counter("wlansvc_leases_granted_total", "Point leases granted to workers.",
+		func() int { return st.LeasesGranted })
+	counter("wlansvc_leases_expired_total", "Leases that expired before their worker completed them.",
+		func() int { return st.LeasesExpired })
+	counter("wlansvc_points_reissued_total", "Points reclaimed from expired leases and requeued.",
+		func() int { return st.Reissued })
+	counter("wlansvc_points_completed_total", "Points newly satisfied by worker completions.",
+		func() int { return st.Completed })
+	counter("wlansvc_points_cached_total", "Points satisfied from the content-addressed cache at startup.",
+		func() int { return st.Cached })
+	counter("wlansvc_duplicate_completions_total", "Late or repeated point completions absorbed idempotently.",
+		func() int { return st.Duplicates })
+	counter("wlansvc_rows_emitted_total", "Canonical result rows released to the output stream.",
+		func() int { return st.RowsEmitted })
 }
 
 // Handler returns the coordinator's HTTP control plane mux (the /v1/*
 // endpoints). Mount a metrics registry's Handler beside it for a
-// /metrics endpoint — see cmd/wlansvc.
+// /metrics endpoint, after RegisterMetrics — see cmd/wlansvc.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,12 +61,12 @@ func testGrid(name string, nodes ...int) *sweep.Grid {
 // /metrics.
 func newMeteredCoordinator(t *testing.T, cfg CoordinatorConfig) (*Coordinator, http.Handler) {
 	t.Helper()
-	reg := metrics.NewRegistry()
-	cfg.Metrics = NewMetrics(reg)
 	c, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
+	c.RegisterMetrics(reg)
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
 	mux.Handle("GET /metrics", reg.Handler())
@@ -241,6 +244,177 @@ func TestHandlersConcurrentLeases(t *testing.T) {
 	if st := c.Stats(); st.Total != workers {
 		t.Errorf("stats: %+v", st)
 	}
+}
+
+// TestMetricsScrapeDuringLeases scrapes /metrics and /v1/status while
+// several clients lease and complete through the HTTP handlers. Run
+// under -race it catches a series or a status read that touches the
+// campaign record without holding c.mu. Each series reads under the
+// lock on its own, so a scrape is not one atomic view; but no counter
+// may fall between scrapes or pass the campaign size, and once the
+// campaign is done /metrics and /v1/status must both equal Stats().
+func TestMetricsScrapeDuringLeases(t *testing.T) {
+	const workers = 3
+	g := testGrid("svc-scrape", 2, 3, 4, 5, 6, 7, 8, 9)
+	pts, err := sweep.Expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Simulate every point up front, so the clients only move bytes.
+	r := &scenario.Runner{}
+	defer r.Close()
+	sums := make([][]byte, len(pts))
+	for i := range pts {
+		sum, err := r.Run(context.Background(), &pts[i].Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sums[i], err = json.Marshal(sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, h := newMeteredCoordinator(t, CoordinatorConfig{Grid: g, MaxBatch: 2, Now: newFakeClock().Now})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	ctx := context.Background()
+	errs := make(chan error, workers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			cl := fastClient(srv.URL)
+			for {
+				l, err := cl.Lease(ctx, &LeaseRequest{WorkerID: id})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if l.Done {
+					return
+				}
+				req := &CompleteRequest{LeaseID: l.LeaseID, WorkerID: id}
+				for _, lp := range l.Points {
+					req.Points = append(req.Points, CompletedPoint{Index: lp.Index, Key: lp.Key, Summary: sums[lp.Index]})
+				}
+				if _, err := cl.Complete(ctx, req); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		last := map[string]uint64{}
+		for done := false; !done; {
+			select {
+			case <-c.Done():
+				done = true
+			default:
+			}
+			m, err := scrapeMetrics(srv.URL)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for name, v := range m {
+				if strings.HasSuffix(name, "_total") && v < last[name] {
+					errs <- fmt.Errorf("%s fell from %d to %d", name, last[name], v)
+					return
+				}
+			}
+			if m["wlansvc_points_completed_total"]+m["wlansvc_points_cached_total"] > uint64(len(pts)) ||
+				m["wlansvc_rows_emitted_total"] > uint64(len(pts)) {
+				errs <- fmt.Errorf("scrape counts more points than the campaign has: %v", m)
+				return
+			}
+			last = m
+			if _, err := fastClient(srv.URL).Status(ctx); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-scraped
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	want := c.Stats()
+	st, err := fastClient(srv.URL).Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CampaignStats != want || !st.Done || st.Pending != 0 || st.Leased != 0 {
+		t.Errorf("final /v1/status %+v, want the campaign record %+v, done and idle", st, want)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(httpGet(t, srv.URL+"/v1/status"), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"grid_name", "fingerprint", "total", "completed", "cached", "pending", "leased",
+		"duplicates", "reissued", "rows_emitted", "draining", "done"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("/v1/status lacks key %q: %v", k, keys)
+		}
+	}
+	m, err := scrapeMetrics(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]int{
+		"wlansvc_leases_granted_total":        want.LeasesGranted,
+		"wlansvc_leases_expired_total":        want.LeasesExpired,
+		"wlansvc_points_reissued_total":       want.Reissued,
+		"wlansvc_points_completed_total":      want.Completed,
+		"wlansvc_points_cached_total":         want.Cached,
+		"wlansvc_duplicate_completions_total": want.Duplicates,
+		"wlansvc_rows_emitted_total":          want.RowsEmitted,
+		"wlansvc_leases_active":               0,
+		"wlansvc_workers_active":              0,
+		"wlansvc_points_pending":              0,
+	} {
+		if m[name] != uint64(v) {
+			t.Errorf("%s = %d after the campaign, want %d", name, m[name], v)
+		}
+	}
+	if want.Completed != len(pts) || want.RowsEmitted != len(pts) {
+		t.Errorf("final stats: %+v", want)
+	}
+}
+
+// scrapeMetrics fetches the /metrics text and parses its samples.
+func scrapeMetrics(url string) (map[string]uint64, error) {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	m := map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseUint(val, 10, 64)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("unparsable /metrics line %q", line)
+		}
+		m[name] = v
+	}
+	if len(m) != 10 {
+		return nil, fmt.Errorf("/metrics has %d series, want 10:\n%s", len(m), body)
+	}
+	return m, nil
 }
 
 // TestCoordinatorExpiryReissuesAndAbsorbsLateCompletion kills a worker

@@ -113,22 +113,17 @@ type CompleteResponse struct {
 	Done bool `json:"done"`
 }
 
-// StatusResponse is the coordinator's observable campaign state.
+// StatusResponse is the coordinator's observable campaign state: the
+// campaign record's counters, inlined, beside the queue and lease state.
 type StatusResponse struct {
 	GridName    string `json:"grid_name,omitempty"`
 	Fingerprint string `json:"fingerprint"`
-	Total       int    `json:"total"`
-	Completed   int    `json:"completed"`
-	Cached      int    `json:"cached"`
-	Quarantined int    `json:"quarantined,omitempty"`
-	Pending     int    `json:"pending"`
-	Leased      int    `json:"leased"`
-	Duplicates  int    `json:"duplicates"`
-	Reissued    int    `json:"reissued"`
-	RowsEmitted int    `json:"rows_emitted"`
-	Draining    bool   `json:"draining"`
-	Done        bool   `json:"done"`
-	Failed      bool   `json:"failed,omitempty"`
+	CampaignStats
+	Pending  int  `json:"pending"`
+	Leased   int  `json:"leased"`
+	Draining bool `json:"draining"`
+	Done     bool `json:"done"`
+	Failed   bool `json:"failed,omitempty"`
 }
 
 // errorResponse is the JSON envelope every non-2xx response carries.

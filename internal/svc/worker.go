@@ -5,17 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/scenario"
 )
-
-// errWorkerKilled marks a worker stopped by Kill — the chaos harness's
-// crash switch. A killed worker never completes its in-flight lease and
-// never heartbeats again, which is exactly what a SIGKILLed process
-// looks like from the coordinator's side. It never crosses the wire.
-var errWorkerKilled = errors.New("svc: worker killed")
 
 // WorkerConfig configures a sweep worker.
 type WorkerConfig struct {
@@ -23,12 +16,9 @@ type WorkerConfig struct {
 	Client *Client
 	// ID names the worker in logs and coordinator metrics.
 	ID string
-	// Runner executes leased specs; when nil the worker owns a private
-	// scenario.Runner with Parallelism.
+	// Runner executes leased specs. Required; the caller owns it and
+	// closes it after Run returns.
 	Runner *scenario.Runner
-	// Parallelism sizes the private runner (ignored when Runner is
-	// set; 0 = GOMAXPROCS).
-	Parallelism int
 	// MaxBatch is the lease size the worker asks for (the coordinator
 	// may cap it; 0 = coordinator's default).
 	MaxBatch int
@@ -36,8 +26,6 @@ type WorkerConfig struct {
 	// campaign is not done — everything unfinished is leased to someone
 	// else, so the worker politely re-asks (default 200ms).
 	PollInterval time.Duration
-	// Metrics, when non-nil, counts simulated points and retries.
-	Metrics *WorkerMetrics
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -46,14 +34,12 @@ type WorkerConfig struct {
 // lease at a third of its TTL, abandons a batch the moment the
 // coordinator reports the lease expired (the points are someone else's
 // now), and submits completions even when they will arrive late —
-// the coordinator's idempotency layer absorbs the overlap.
+// the coordinator's idempotency layer absorbs the overlap. Cancelling
+// Run's context stops it dead: a cancelled context sends nothing, so a
+// cancelled worker neither heartbeats nor completes, which is what a
+// crashed process looks like from the coordinator's side.
 type Worker struct {
-	cfg        WorkerConfig
-	runner     *scenario.Runner
-	ownsRunner bool
-
-	killOnce sync.Once
-	kill     chan struct{}
+	cfg WorkerConfig
 }
 
 // NewWorker validates cfg and returns a runnable worker.
@@ -61,25 +47,16 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Client == nil {
 		return nil, fmt.Errorf("svc: worker needs a client")
 	}
+	if cfg.Runner == nil {
+		return nil, fmt.Errorf("svc: worker needs a scenario runner")
+	}
 	if cfg.ID == "" {
 		cfg.ID = "worker"
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 200 * time.Millisecond
 	}
-	w := &Worker{cfg: cfg, runner: cfg.Runner, kill: make(chan struct{})}
-	if w.runner == nil {
-		w.runner = &scenario.Runner{Parallelism: cfg.Parallelism}
-		w.ownsRunner = true
-	}
-	return w, nil
-}
-
-// Kill crash-stops the worker: heartbeats cease, the in-flight batch is
-// dropped on the floor, and Run returns errWorkerKilled. Unlike context
-// cancellation it models failure, not shutdown — nothing is flushed.
-func (w *Worker) Kill() {
-	w.killOnce.Do(func() { close(w.kill) })
+	return &Worker{cfg: cfg}, nil
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -92,31 +69,14 @@ func (w *Worker) logf(format string, args ...any) {
 // coordinator drains, returning nil on every graceful outcome. A
 // context cancellation or retry-budget exhaustion surfaces as an error.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.ownsRunner {
-		defer w.runner.Close()
-	}
-	// The kill switch folds into the context so in-flight simulation
-	// and retry sleeps abort with the worker.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-w.kill:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 	for {
-		if err := w.checkAlive(ctx); err != nil {
-			return err
-		}
 		resp, err := w.cfg.Client.Lease(ctx, &LeaseRequest{WorkerID: w.cfg.ID, MaxPoints: w.cfg.MaxBatch})
 		switch {
 		case errors.Is(err, ErrDraining):
 			w.logf("wlansvc: worker %s: coordinator draining, exiting", w.cfg.ID)
 			return nil
 		case err != nil:
-			return w.aliveErr(err)
+			return err
 		case resp.Failed:
 			return fmt.Errorf("%w: coordinator abandoned the campaign", ErrCampaignFailed)
 		case resp.Done:
@@ -125,14 +85,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		case len(resp.Points) == 0:
 			select {
 			case <-ctx.Done():
-				return w.aliveErr(ctx.Err())
+				return ctx.Err()
 			case <-time.After(w.cfg.PollInterval):
 			}
 			continue
 		}
 		done, err := w.processLease(ctx, resp)
 		if err != nil {
-			return w.aliveErr(err)
+			return err
 		}
 		if done {
 			w.logf("wlansvc: worker %s: campaign done", w.cfg.ID)
@@ -141,38 +101,16 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// checkAlive maps the kill switch onto errWorkerKilled.
-func (w *Worker) checkAlive(ctx context.Context) error {
-	select {
-	case <-w.kill:
-		return errWorkerKilled
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
-	}
-}
-
-// aliveErr rewrites a cancellation caused by Kill as errWorkerKilled.
-func (w *Worker) aliveErr(err error) error {
-	select {
-	case <-w.kill:
-		return errWorkerKilled
-	default:
-		return err
-	}
-}
-
 // processLease simulates one leased batch under heartbeat cover and
 // submits the completions. It reports whether the campaign finished.
 func (w *Worker) processLease(ctx context.Context, l *LeaseResponse) (done bool, err error) {
 	// Heartbeat at a third of the TTL: two renewals can be lost before
 	// the lease lapses. If the coordinator answers a heartbeat with
-	// lease_expired, the batch is abandoned — its points are already
-	// back in the queue, likely under someone else's lease.
-	hbCtx, hbCancel := context.WithCancel(ctx)
-	defer hbCancel()
-	expired := make(chan struct{})
+	// lease_expired, the heartbeat ends the batch with that answer as
+	// the cause — its points are already back in the queue, likely
+	// under someone else's lease.
+	batchCtx, endBatch := context.WithCancelCause(ctx)
+	defer endBatch(nil)
 	interval := time.Duration(l.TTLMS) * time.Millisecond / 3
 	if interval <= 0 {
 		interval = time.Second
@@ -182,20 +120,12 @@ func (w *Worker) processLease(ctx context.Context, l *LeaseResponse) (done bool,
 		defer t.Stop()
 		for {
 			select {
-			case <-hbCtx.Done():
+			case <-batchCtx.Done():
 				return
 			case <-t.C:
-				select {
-				case <-w.kill:
-					// Dead workers don't heartbeat: renewing the lease
-					// after Kill would keep the coordinator waiting on
-					// a worker that will never complete.
-					return
-				default:
-				}
-				if _, err := w.cfg.Client.Heartbeat(hbCtx, &HeartbeatRequest{LeaseID: l.LeaseID}); err != nil {
+				if _, err := w.cfg.Client.Heartbeat(batchCtx, &HeartbeatRequest{LeaseID: l.LeaseID}); err != nil {
 					if errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrUnknownLease) {
-						close(expired)
+						endBatch(err)
 						return
 					}
 					// Unreachable after retries: keep simulating — the
@@ -207,16 +137,6 @@ func (w *Worker) processLease(ctx context.Context, l *LeaseResponse) (done bool,
 		}
 	}()
 
-	simCtx, simCancel := context.WithCancel(ctx)
-	defer simCancel()
-	go func() {
-		select {
-		case <-expired:
-			simCancel()
-		case <-simCtx.Done():
-		}
-	}()
-
 	specs := make([]*scenario.Spec, len(l.Points))
 	for i, lp := range l.Points {
 		sp := &scenario.Spec{}
@@ -225,30 +145,17 @@ func (w *Worker) processLease(ctx context.Context, l *LeaseResponse) (done bool,
 		}
 		specs[i] = sp
 	}
-	sums, err := w.runner.RunBatch(simCtx, specs)
+	sums, err := w.cfg.Runner.RunBatch(batchCtx, specs)
 	if err != nil {
-		select {
-		case <-expired:
+		if ctx.Err() == nil && batchCtx.Err() != nil {
 			// The lease lapsed under us; the work is abandoned, not
 			// failed. Go ask for a fresh lease.
 			w.logf("wlansvc: worker %s: lease %s expired mid-batch, abandoning %d point(s)", w.cfg.ID, l.LeaseID, len(l.Points))
 			return false, nil
-		default:
-			return false, err
 		}
-	}
-	hbCancel()
-	// The kill switch is checked synchronously before submitting: a
-	// crashed process cannot report work it finished an instant before
-	// dying, and neither may a Killed worker — the context-cancel path
-	// alone leaves a goroutine-scheduling window where a fast batch
-	// could slip its completion out after death.
-	if err := w.checkAlive(ctx); err != nil {
 		return false, err
 	}
-	if w.cfg.Metrics != nil {
-		w.cfg.Metrics.PointsSimulated.Add(uint64(len(sums)))
-	}
+	endBatch(nil)
 
 	req := &CompleteRequest{LeaseID: l.LeaseID, WorkerID: w.cfg.ID, Points: make([]CompletedPoint, len(sums))}
 	for i, sum := range sums {

@@ -83,3 +83,22 @@ func TestWorkerAbandonsBatchOnLostLease(t *testing.T) {
 		t.Errorf("worker ran all %d replications of the lost batch, want it abandoned", n)
 	}
 }
+
+// TestNewWorkerRequiresClientAndRunner: the caller owns the scenario
+// runner, so a worker without one is a configuration error, like a
+// worker without a client.
+func TestNewWorkerRequiresClientAndRunner(t *testing.T) {
+	r := &scenario.Runner{}
+	defer r.Close()
+	for name, cfg := range map[string]WorkerConfig{
+		"no client": {Runner: r},
+		"no runner": {Client: fastClient("http://127.0.0.1:1")},
+	} {
+		if _, err := NewWorker(cfg); err == nil {
+			t.Errorf("%s: NewWorker accepted the config", name)
+		}
+	}
+	if _, err := NewWorker(WorkerConfig{Client: fastClient("http://127.0.0.1:1"), Runner: r}); err != nil {
+		t.Errorf("complete config: %v", err)
+	}
+}
