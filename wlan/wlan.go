@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"repro/internal/eventsim"
+	"repro/internal/frame"
 	"repro/internal/model"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -227,9 +228,26 @@ func (cfg *Config) arrivals(n int) ([]traffic.Spec, error) {
 }
 
 // Tracer is the frame-capture hook: the engine hands it every frame, as
-// a typed value, the moment the frame leaves the air. Obtain one from
-// NewTraceWriter.
+// a typed value, the moment the frame leaves the air. NewTraceWriter
+// returns one that writes a JSONL capture; any type with the method
+//
+//	Frame(at TraceTime, f Frame, collided bool)
+//
+// is one too. Switch on f's concrete type (*DataFrame for data frames)
+// to read its fields; f must not be retained across calls.
 type Tracer = eventsim.Tracer
+
+// TraceTime is the simulated instant a Tracer receives: nanoseconds
+// since the start of the run.
+type TraceTime = sim.Time
+
+// Frame is the common view over every captured frame (data, ACK,
+// beacon, RTS or CTS): its FrameType method returns the type tag.
+type Frame = frame.Layer
+
+// DataFrame is an uplink data frame from a station to the AP; its
+// Source is the sending station's index.
+type DataFrame = frame.Data
 
 // TraceWriter captures the simulation's frame stream as JSON lines.
 type TraceWriter = trace.Writer
