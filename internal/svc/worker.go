@@ -110,12 +110,17 @@ func (w *Worker) processLease(ctx context.Context, l *LeaseResponse) (done bool,
 	// the cause — its points are already back in the queue, likely
 	// under someone else's lease.
 	batchCtx, endBatch := context.WithCancelCause(ctx)
-	defer endBatch(nil)
+	heartbeatsDone := make(chan struct{})
+	defer func() {
+		endBatch(nil)
+		<-heartbeatsDone
+	}()
 	interval := time.Duration(l.TTLMS) * time.Millisecond / 3
 	if interval <= 0 {
 		interval = time.Second
 	}
 	go func() {
+		defer close(heartbeatsDone)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
