@@ -2,6 +2,7 @@ package eventsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/frame"
 	"repro/internal/mac"
@@ -907,7 +908,9 @@ func (s *Simulator) ackEnd(target *station) {
 //wlanvet:hotpath
 func (s *Simulator) failTimeout(st *station) {
 	st.failures++
-	st.retries++
+	if st.retries < math.MaxUint8 {
+		st.retries++ // saturates: a wrapped counter would read as a first attempt
+	}
 	st.policy.OnFailure(st.rng)
 	if st.deferredStop {
 		st.deferredStop = false

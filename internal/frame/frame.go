@@ -68,7 +68,8 @@ type Data struct {
 	Sequence    uint16
 	// Retry counts how many transmission attempts this frame has made
 	// (0 for the first attempt), mirroring the 802.11 retry bit but kept
-	// as a counter for simulator statistics.
+	// as a counter for simulator statistics. It saturates at 255: a
+	// frame retried more often than that keeps reading 255, never 0.
 	Retry uint8
 	// Bits is the payload size in bits. Simulated payloads are sized,
 	// not materialised: an 8000-bit payload is carried as a length.
