@@ -39,9 +39,10 @@ var ErrInvalidSpec = errors.New("invalid spec")
 // string ("250ms", "90s"). Plain JSON numbers are accepted as seconds.
 type Duration time.Duration
 
-// MarshalJSON renders the duration as a string, e.g. "1m30s".
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
+// MarshalText renders the duration as its string, e.g. "1m30s", which
+// encoding/json writes as a JSON string.
+func (d Duration) MarshalText() ([]byte, error) {
+	return []byte(time.Duration(d).String()), nil
 }
 
 // UnmarshalJSON accepts "90s"-style strings or numeric seconds.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +140,44 @@ func TestDurationRoundTrip(t *testing.T) {
 	var secs Duration
 	if err := json.Unmarshal([]byte(`2.5`), &secs); err != nil || secs != Duration(2500*time.Millisecond) {
 		t.Errorf("numeric seconds: %v, %v", time.Duration(secs), err)
+	}
+}
+
+// A Duration encodes as the JSON string of time.Duration's String,
+// whether bare or as a field of a Spec or a Summary, and decodes back
+// to itself: the bytes cache keys, cache entries and sweep rows are
+// built from.
+func TestDurationJSONUnchanged(t *testing.T) {
+	for _, d := range []Duration{0, 1, Duration(time.Microsecond), Duration(-90 * time.Second), math.MaxInt64} {
+		want, err := json.Marshal(time.Duration(d).String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Duration
+		bare, err := json.Marshal(d)
+		if err != nil || string(bare) != string(want) {
+			t.Errorf("%d: bare %s (%v), want %s", int64(d), bare, err, want)
+		} else if err := json.Unmarshal(bare, &got); err != nil || got != d {
+			t.Errorf("%d: bare %s decodes to %d (%v)", int64(d), bare, int64(got), err)
+		}
+
+		sp, err := json.Marshal(&Spec{Warmup: &d})
+		if err != nil || !strings.Contains(string(sp), `"warmup":`+string(want)) {
+			t.Errorf("%d: spec %s (%v), want warmup %s", int64(d), sp, err, want)
+		}
+		var back Spec
+		if err := json.Unmarshal(sp, &back); err != nil || back.Warmup == nil || *back.Warmup != d {
+			t.Errorf("%d: spec %s decodes to %+v (%v)", int64(d), sp, back.Warmup, err)
+		}
+
+		sum, err := json.Marshal(&Summary{Duration: d})
+		if err != nil || !strings.Contains(string(sum), `"duration":`+string(want)) {
+			t.Errorf("%d: summary %s (%v), want duration %s", int64(d), sum, err, want)
+		}
+		var sumBack Summary
+		if err := json.Unmarshal(sum, &sumBack); err != nil || sumBack.Duration != d {
+			t.Errorf("%d: summary %s decodes to %d (%v)", int64(d), sum, int64(sumBack.Duration), err)
+		}
 	}
 }
 

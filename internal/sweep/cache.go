@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/scenario"
 )
@@ -31,7 +32,7 @@ const EngineVersion = "wlansim-engine/4"
 // is keyed on exactly these addresses so completions stay idempotent
 // across lease reissues.
 func SpecKey(sp *scenario.Spec) string {
-	c := cloneSpec(sp)
+	c := *sp // shallow: json.Marshal only reads the shared slices
 	c.Name = ""
 	c.Description = ""
 	data, err := json.Marshal(&c)
@@ -81,6 +82,7 @@ var crc32c = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.C
 // re-simulated point's Put replaces it.
 type Cache struct {
 	dir         string
+	prefix      string // dir cleaned, with a trailing separator
 	quarantined atomic.Int32
 }
 
@@ -92,14 +94,20 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: open cache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	prefix := filepath.Clean(dir)
+	if !os.IsPathSeparator(prefix[len(prefix)-1]) { // only a root ends in one
+		prefix += string(filepath.Separator)
+	}
+	return &Cache{dir: dir, prefix: prefix}, nil
 }
 
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
+// path is filepath.Join(c.dir, key[:2], key+".json") without the
+// per-call Clean: the prefix is clean and a key is hex.
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	return c.prefix + key[:2] + string(filepath.Separator) + key + ".json"
 }
 
 // Get returns the cached summary for a key, or false on a miss. A
@@ -126,7 +134,7 @@ func (c *Cache) Get(key string) (*scenario.Summary, bool) {
 // summary bytes, checksum-verified and starting with the stored name
 // (see summaryTail), with the same miss and quarantine rules.
 func (c *Cache) lookup(key string) ([]byte, bool) {
-	data, err := os.ReadFile(c.path(key))
+	data, err := readEntry(c.path(key))
 	if err != nil {
 		return nil, false
 	}
@@ -135,6 +143,48 @@ func (c *Cache) lookup(key string) ([]byte, bool) {
 		c.quarantine(key)
 	}
 	return sum, st == entryHit
+}
+
+// entryReadSize is the first read buffer of readEntry. A summary holds
+// no per-station arrays, so an entry is about 1 KB whatever the station
+// count, unless its spec lists custom points or weights.
+const entryReadSize = 4096
+
+// readEntry is os.ReadFile without the os.File, which costs every entry
+// an fstat, a failed poller registration and a finalizer set and then
+// cleared. It reads into a stack buffer with bare system calls until a
+// read returns 0, and returns the bytes in one allocation of exactly
+// their size; an entry larger than the buffer grows a heap copy first.
+func readEntry(path string) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer syscall.Close(fd)
+	var first [entryReadSize]byte
+	buf := first[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, 2*cap(buf)), buf...)
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			break
+		}
+		buf = buf[:len(buf)+n]
+	}
+	data := make([]byte, len(buf))
+	copy(data, buf)
+	return data, nil
 }
 
 // entryStatus classifies the bytes found at an entry's address.
@@ -190,7 +240,7 @@ func parseEntry(data []byte) ([]byte, entryStatus) {
 // (e.g. a concurrent shard already quarantined it) still count the
 // sighting: the caller observed corruption either way.
 func (c *Cache) quarantine(key string) {
-	os.Rename(c.path(key), filepath.Join(c.dir, key[:2], key+".corrupt"))
+	os.Rename(c.path(key), c.prefix+key[:2]+string(filepath.Separator)+key+".corrupt")
 	c.quarantined.Add(1)
 }
 

@@ -146,6 +146,72 @@ func TestRunQuarantinesTruncatedEntryMidCampaign(t *testing.T) {
 	}
 }
 
+// readEntry must return what os.ReadFile returns, and a lookup must
+// treat each outcome as it did over os.ReadFile: an empty file is
+// damage, a directory or a missing shard is a clean miss, and an entry
+// larger than the first read buffer is a hit.
+func TestReadEntryMatchesReadFile(t *testing.T) {
+	sp := validSpec(t)
+	big := *sp
+	big.Description = strings.Repeat("big entry ", 8<<10)
+	for _, tc := range []struct {
+		name        string
+		fill        func(t *testing.T, c *Cache, key string)
+		hit, damage bool
+	}{
+		{"empty file", func(t *testing.T, c *Cache, key string) {
+			mustMkdir(t, filepath.Dir(c.path(key)))
+			if err := os.WriteFile(c.path(key), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, false, true},
+		{"directory", func(t *testing.T, c *Cache, key string) { mustMkdir(t, c.path(key)) }, false, false},
+		{"missing shard", func(t *testing.T, c *Cache, key string) {}, false, false},
+		{"large entry", func(t *testing.T, c *Cache, key string) {
+			if err := c.Put(key, &big, &scenario.Summary{Name: "big"}); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := os.Stat(c.path(key)); err != nil || fi.Size() < 64<<10 || fi.Size() <= entryReadSize {
+				t.Fatalf("entry not larger than the first read buffer: %v, %v", fi, err)
+			}
+		}, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := SpecKey(sp)
+			tc.fill(t, c, key)
+			got, gotErr := readEntry(c.path(key))
+			want, wantErr := os.ReadFile(c.path(key))
+			if !bytes.Equal(got, want) || (gotErr == nil) != (wantErr == nil) {
+				t.Errorf("readEntry = %d bytes, %v; os.ReadFile = %d bytes, %v", len(got), gotErr, len(want), wantErr)
+			}
+			if _, hit := c.lookup(key); hit != tc.hit {
+				t.Errorf("lookup hit = %v, want %v", hit, tc.hit)
+			}
+			wantQ := 0
+			if tc.damage {
+				wantQ = 1
+			}
+			if q := c.Quarantined(); q != wantQ {
+				t.Errorf("Quarantined() = %d, want %d", q, wantQ)
+			}
+			if _, err := os.Stat(strings.TrimSuffix(c.path(key), ".json") + ".corrupt"); (err == nil) != tc.damage {
+				t.Errorf("quarantined copy present = %v, want %v", err == nil, tc.damage)
+			}
+		})
+	}
+}
+
+func mustMkdir(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCacheMissesOnEngineVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)

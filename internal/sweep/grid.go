@@ -375,7 +375,7 @@ func expand(g *Grid) ([]*Point, error) {
 		field  string
 		def    fieldDef
 		values []any
-		tokens []string
+		tokens []string // "field=value" name parts
 	}
 	axes := make([]axis, len(g.Axes))
 	seenField := map[string]bool{}
@@ -409,7 +409,7 @@ func expand(g *Grid) ([]*Point, error) {
 			}
 			seenValue[tok] = true
 			ax.values = append(ax.values, v)
-			ax.tokens = append(ax.tokens, tok)
+			ax.tokens = append(ax.tokens, a.Field+"="+tok)
 		}
 		axes[i] = ax
 		if total > MaxPoints/len(ax.values) {
@@ -418,19 +418,25 @@ func expand(g *Grid) ([]*Point, error) {
 		total *= len(ax.values)
 	}
 
-	pts := make([]*Point, 0, total)
+	// Points and their coordinates are carved from two slabs, and a
+	// name joins the per-grid "field=token" strings.
+	pts := make([]*Point, total)
+	slab := make([]Point, total)
+	coords := make([]AxisValue, total*len(axes))
+	tokens := make([]string, len(axes))
 	idx := make([]int, len(axes))
-	for pi := 0; pi < total; pi++ {
+	for pi := range pts {
 		sp := cloneSpec(&g.Base)
-		pt := &Point{Index: pi}
-		var tokens []string
+		pt := &slab[pi]
+		pt.Index = pi
+		pt.Axes = coords[pi*len(axes) : (pi+1)*len(axes) : (pi+1)*len(axes)]
 		for ai := range axes {
 			v := axes[ai].values[idx[ai]]
 			if err := axes[ai].def.apply(&sp, v); err != nil {
 				return nil, fmt.Errorf("sweep: axis %q: %w", axes[ai].field, err)
 			}
-			pt.Axes = append(pt.Axes, AxisValue{Field: axes[ai].field, Value: v})
-			tokens = append(tokens, axes[ai].field+"="+axes[ai].tokens[idx[ai]])
+			pt.Axes[ai] = AxisValue{Field: axes[ai].field, Value: v}
+			tokens[ai] = axes[ai].tokens[idx[ai]]
 		}
 		pt.Name = strings.Join(tokens, ",")
 		if g.Name != "" {
@@ -445,7 +451,7 @@ func expand(g *Grid) ([]*Point, error) {
 		}
 		pt.Spec = sp
 		pt.Key = SpecKey(&sp)
-		pts = append(pts, pt)
+		pts[pi] = pt
 		for ai := len(axes) - 1; ai >= 0; ai-- {
 			idx[ai]++
 			if idx[ai] < len(axes[ai].values) {

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -184,9 +186,11 @@ func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error
 
 // WriteRow writes one point result's canonical JSONL row in one Write:
 // the bytes json.Marshal(&Row{...}) gives, with the summary under the
-// point's name. It splices the summary's canonical bytes (marshalled
-// first for a bare Summary) after the Row head, so every emitter — the
-// Runner and the svc coordinator alike — writes identical streams.
+// point's name. It appends the Row head field by field — the axes
+// sorted by field name, as a map encodes — and splices the summary's
+// canonical bytes (marshalled first for a bare Summary) after it, so
+// every emitter — the Runner and the svc coordinator alike — writes
+// identical streams.
 func WriteRow(w io.Writer, pr *PointResult) error {
 	sum := pr.summaryJSON
 	if sum == nil {
@@ -199,27 +203,80 @@ func WriteRow(w io.Writer, pr *PointResult) error {
 	if !ok {
 		return fmt.Errorf("sweep: point %d: summary bytes do not open with a name", pr.Index)
 	}
-	axes := make(map[string]any, len(pr.Axes))
-	for _, av := range pr.Axes {
-		v := av.Value
-		if d, ok := v.(scenario.Duration); ok {
-			v = renderValue(d) // durations as strings, like everywhere else
+	var sorted [MaxAxes]AxisValue
+	axes := append(sorted[:0], pr.Axes...)
+	slices.SortFunc(axes, func(a, b AxisValue) int { return strings.Compare(a.Field, b.Field) })
+
+	row := make([]byte, 0, 256+len(sum))
+	row = strconv.AppendInt(append(row, `{"index":`...), int64(pr.Index), 10)
+	row = append(row, `,"name":`...)
+	nameAt := len(row)
+	row = appendString(row, pr.Name)
+	name := row[nameAt:]
+	row = append(row, `,"axes":{`...)
+	for k, av := range axes {
+		if k > 0 {
+			row = append(row, ',')
 		}
-		axes[av.Field] = v
+		var err error
+		if row, err = appendValue(append(appendString(row, av.Field), ':'), av.Value); err != nil {
+			return err
+		}
 	}
-	head, err := json.Marshal(&Row{Index: pr.Index, Name: pr.Name, Axes: axes, Key: pr.Key})
-	if err != nil {
-		return fmt.Errorf("sweep: marshal row: %w", err)
-	}
-	name, err := json.Marshal(pr.Name)
-	if err != nil {
-		return fmt.Errorf("sweep: marshal row: %w", err)
-	}
-	row := append(bytes.TrimSuffix(head, []byte("null}")), `{"name":`...)
-	row = append(append(append(row, name...), tail...), "}\n"...)
-	_, err = w.Write(row)
+	row = appendString(append(row, `},"key":`...), pr.Key)
+	row = append(append(row, `,"summary":{"name":`...), name...)
+	row = append(append(row, tail...), "}\n"...)
+	_, err := w.Write(row)
 	return err
 }
+
+// appendValue appends json.Marshal(v) of an axis value, with durations
+// as their strings like everywhere else.
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(b, x, 10), nil
+	case bool:
+		return strconv.AppendBool(b, x), nil
+	case string:
+		return appendString(b, x), nil
+	case scenario.Duration:
+		return appendString(b, time.Duration(x).String()), nil
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: marshal row: %w", err)
+	}
+	return append(b, enc...), nil
+}
+
+// appendString appends json.Marshal(s), directly when no byte of s
+// needs an escape.
+func appendString(b []byte, s string) []byte {
+	if !plainJSON(s) {
+		enc, _ := json.Marshal(s) // a string always marshals
+		return append(b, enc...)
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// plainJSON reports whether json.Marshal writes s as itself in quotes:
+// printable ASCII with no quote, backslash or HTML-escaped character.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c <= '~'; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, c)
+	}
+	return t
+}()
 
 // summaryNamePrefix opens every canonical summary encoding: Name is
 // Summary's first field and has no omitempty.

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -256,7 +258,8 @@ var trickyNames = []string{
 // name in place of the stored one — must be byte-equal to the row
 // json.Marshal encodes from the decoded summary, for any names. The
 // entries are stored under one tricky grid name and served under
-// another: keys ignore names, so the stored name always differs.
+// another: keys ignore names, so the stored name always differs. The
+// row head must match too, for every axis field kind and value.
 func TestSplicedRowMatchesMarshal(t *testing.T) {
 	grid := func(name string) *Grid {
 		return &Grid{
@@ -269,6 +272,11 @@ func TestSplicedRowMatchesMarshal(t *testing.T) {
 				{Field: FieldNodes, Values: Ints(2, 3)},
 				{Field: FieldFrameErrorRate, Values: Floats(0, 1e-7)},
 				{Field: FieldDuration, Values: Durations(100e6)},
+				{Field: FieldScheme, Values: Strings("wTOP-CSMA")},
+				{Field: FieldRTSCTS, Values: Bools(true)},
+				{Field: FieldUpdatePeriod, Values: Durations(2250 * time.Microsecond)},
+				{Field: FieldSeeds, Values: Ints(1)},
+				{Field: FieldSeed, Values: Ints(7)},
 			},
 		}
 	}
@@ -304,24 +312,69 @@ func TestSplicedRowMatchesMarshal(t *testing.T) {
 				t.Fatalf("%q: stored name equals the served one; the splice is untested", name)
 			}
 			sum.Name = pt.Name
-			axes := map[string]any{}
-			for _, av := range pt.Axes {
-				v := av.Value
-				if d, ok := v.(scenario.Duration); ok {
-					v = renderValue(d)
-				}
-				axes[av.Field] = v
-			}
-			row, err := json.Marshal(&Row{Index: pt.Index, Name: pt.Name, Axes: axes, Key: pt.Key, Summary: sum})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Write(append(row, '\n'))
+			want.Write(marshalRow(t, pt, sum))
 		}
 		if !bytes.Equal(warm.Bytes(), want.Bytes()) {
 			t.Errorf("%q: spliced rows differ from json.Marshal(Row):\n%s\nvs\n%s", name, warm.Bytes(), want.Bytes())
 		}
 	}
+
+	// Every axis field kind, with values no valid grid holds, each
+	// character json.Marshal escapes alone in one string: the row head
+	// WriteRow appends must still be json.Marshal's.
+	raw := map[string][]string{
+		FieldNodes:          {`12`},
+		FieldScheme:         {`"<b>&amp;</b>\u2028"`, `"<"`, `"\""`},
+		FieldRate:           {`0.5`},
+		FieldFrameErrorRate: {`1e-7`, `1e21`},
+		FieldRTSCTS:         {`true`},
+		FieldTopology:       {`">"`, `"&"`, `"\\"`},
+		FieldRadius:         {`16.25`},
+		FieldSeparation:     {`-3`},
+		FieldDuration:       {`"1.5µs"`},
+		FieldUpdatePeriod:   {`"2ms250µs"`},
+		FieldSeeds:          {`3`},
+		FieldSeed:           {`-9007199254740993`},
+	}
+	for k := 0; k < 3; k++ {
+		var axes []AxisValue
+		for _, f := range slices.Backward(Fields()) { // unsorted, as in a grid
+			vs := raw[f]
+			v, err := decodeValue(fieldDefs[f].kind, json.RawMessage(vs[k%len(vs)]))
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			axes = append(axes, AxisValue{Field: f, Value: v})
+		}
+		pt := &Point{Index: 1 << 40, Name: trickyNames[k], Axes: axes, Key: SpecKey(validSpec(t))}
+		sum := &scenario.Summary{Name: pt.Name, Scheme: "x", Duration: 1}
+		var got bytes.Buffer
+		if err := WriteRow(&got, &PointResult{Point: pt, Summary: sum}); err != nil {
+			t.Fatal(err)
+		}
+		if want := marshalRow(t, pt, sum); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("row head differs from json.Marshal(Row):\n%s\nvs\n%s", got.Bytes(), want)
+		}
+	}
+}
+
+// marshalRow is the JSONL row of a point and its summary as
+// json.Marshal encodes a Row, durations as their strings.
+func marshalRow(t *testing.T, pt *Point, sum *scenario.Summary) []byte {
+	t.Helper()
+	axes := map[string]any{}
+	for _, av := range pt.Axes {
+		v := av.Value
+		if d, ok := v.(scenario.Duration); ok {
+			v = renderValue(d)
+		}
+		axes[av.Field] = v
+	}
+	row, err := json.Marshal(&Row{Index: pt.Index, Name: pt.Name, Axes: axes, Key: pt.Key, Summary: sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(row, '\n')
 }
 
 // Each (decoded summaries) and Stream (spliced bytes) over a warm cache
