@@ -27,13 +27,15 @@ lint-json:
 
 # Regenerate every committed output fixture after an intentional
 # behaviour change (bump sweep.EngineVersion in the same change): the
-# eventsim and slotsim engine fingerprints, the scenario example
+# eventsim and slotsim engine fingerprints, the wlan facade's Lab.Run
+# fingerprints (wlan/testdata), the scenario example
 # summaries (examples/golden), the sweep JSONL goldens
 # (examples/sweeps/golden), the paper-artefact table goldens
 # (internal/experiment/testdata/tables) and the frame capture golden
 # (internal/trace/testdata). A second run leaves no diff.
 golden:
 	go test -count=1 ./internal/eventsim ./internal/slotsim -run '^TestEngineFingerprints$$' -update
+	go test -count=1 ./wlan -run '^TestLabRunFingerprints$$' -update
 	go test -count=1 ./internal/scenario -run '^TestExampleGoldens$$' -update
 	go test -count=1 ./internal/sweep -run '^TestSmokeSweepGolden$$' -update
 	go test -count=1 ./internal/experiment -run '^TestTableGoldens$$' -update

@@ -4,9 +4,10 @@
 #
 #   scripts/fingerprints-append-only.sh <base-rev>
 #
-# Every (name, seed) record of internal/eventsim/testdata/fingerprints.json
-# and internal/slotsim/testdata/fingerprints.json at <base-rev> must be
-# present and unchanged at HEAD, unless sweep.EngineVersion in
+# Every (name, seed) record of internal/eventsim/testdata/fingerprints.json,
+# internal/slotsim/testdata/fingerprints.json and
+# wlan/testdata/fingerprints.json (the facade's Lab.Run battery) at
+# <base-rev> must be present and unchanged at HEAD, unless sweep.EngineVersion in
 # internal/sweep/cache.go differs between the two: bumping it is the
 # declared way to change engine output, and then the records may change.
 # New records may be added at any time.
@@ -33,7 +34,7 @@ if [ "$(version "$base")" != "$(version HEAD)" ]; then
 fi
 
 status=0
-for f in internal/eventsim/testdata/fingerprints.json internal/slotsim/testdata/fingerprints.json; do
+for f in internal/eventsim/testdata/fingerprints.json internal/slotsim/testdata/fingerprints.json wlan/testdata/fingerprints.json; do
 	git cat-file -e "$base:$f" 2>/dev/null || continue
 	bad=$(jq -rn --argjson old "$(git show "$base:$f")" --argjson new "$(git show "HEAD:$f" 2>/dev/null || echo '[]')" '
 		($new | map({key: "\(.name)/\(.seed)", value: .}) | from_entries) as $now
