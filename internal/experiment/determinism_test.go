@@ -8,12 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The parallel runner fans simulation cells out across goroutines; cell
-// results must not depend on how the fan-out is scheduled. A table built
-// serially, with a wide worker pool, and under different GOMAXPROCS
-// values must be byte-identical — every cell owns its RNG and scheduler,
-// so the only way this fails is shared mutable state leaking between
-// cells.
+// The sweep path fans simulation cells out across a worker pool of
+// GOMAXPROCS workers; cell results must not depend on how the fan-out is
+// scheduled. A table built with one worker and with wider pools must be
+// byte-identical — every cell owns its RNG and scheduler, so the only
+// way this fails is shared mutable state leaking between cells.
 func TestExperimentDeterministicAcrossParallelism(t *testing.T) {
 	o := Options{
 		Duration: 2 * sim.Second,
@@ -22,27 +21,21 @@ func TestExperimentDeterministicAcrossParallelism(t *testing.T) {
 		Nodes:    []int{5},
 	}
 
-	run := func(parallelism, maxprocs int) string {
+	run := func(maxprocs int) string {
 		prev := runtime.GOMAXPROCS(maxprocs)
 		defer runtime.GOMAXPROCS(prev)
-		opts := o
-		opts.Parallelism = parallelism
-		tb, err := Fig3(context.Background(), opts)
+		tb, err := Fig3(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tb.String()
 	}
 
-	serial := run(1, 1)
-	for _, tc := range []struct{ parallelism, maxprocs int }{
-		{8, 1},
-		{1, 4},
-		{8, 4},
-	} {
-		if got := run(tc.parallelism, tc.maxprocs); got != serial {
-			t.Errorf("parallelism=%d GOMAXPROCS=%d diverged from serial run:\n%s\nvs\n%s",
-				tc.parallelism, tc.maxprocs, got, serial)
+	serial := run(1)
+	for _, maxprocs := range []int{4, 8} {
+		if got := run(maxprocs); got != serial {
+			t.Errorf("GOMAXPROCS=%d diverged from the one-worker run:\n%s\nvs\n%s",
+				maxprocs, got, serial)
 		}
 	}
 }

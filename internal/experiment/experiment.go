@@ -33,8 +33,6 @@ type Options struct {
 	Seeds int
 	// Nodes is the station-count sweep for the throughput-vs-N figures.
 	Nodes []int
-	// Parallelism bounds concurrent simulation runs (0 = GOMAXPROCS).
-	Parallelism int
 	// CacheDir, when set, backs every grid-shaped figure sweep with the
 	// content-addressed sweep cache: re-running a figure (or another
 	// figure sharing points) skips completed (spec, engine) cells.
@@ -198,7 +196,7 @@ func openLoopSpec(o Options, ts scenario.TopologySpec) scenario.Spec {
 // cut into rows of width consecutive points (the last axis varies
 // fastest, so a row holds every combination of the trailing axes).
 func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*scenario.Summary, error) {
-	r := &sweep.Runner{Parallelism: o.Parallelism}
+	r := &sweep.Runner{}
 	if o.CacheDir != "" {
 		c, err := sweep.OpenCache(o.CacheDir)
 		if err != nil {
@@ -224,40 +222,33 @@ func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*sce
 // replicate is the serial path, for cells that need more than a
 // scenario.Summary carries (windowed series, per-station results) or run
 // a policy scheme.Build does not name. It runs sp's replications in seed
-// order — replication r with seed sp.Seed+r on its own topology and
-// simulator, configured by scenario.EngineConfig as the scenario runner
-// configures it — and hands each result to each. A non-nil newPolicy
+// order through scenario.Replicate — the scenario runner's own
+// replication body — and hands each result to each. A non-nil newPolicy
 // replaces every station's policy with newPolicy() and drops the
-// controller. Churn steps apply with SetActiveAt, a step at t=0
-// included, as the scenario runner applies them. Cancellation is observed between replications.
+// controller. Cancellation is observed between replications.
 func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Policy, each func(*eventsim.Result)) error {
 	if err := sp.Validate(); err != nil {
 		return err
+	}
+	var edit func(eventsim.Config) eventsim.Config
+	if newPolicy != nil {
+		edit = func(cfg eventsim.Config) eventsim.Config {
+			for i := range cfg.Policies {
+				cfg.Policies[i] = newPolicy()
+			}
+			cfg.Controller = nil
+			return cfg
+		}
 	}
 	for r := 0; r < sp.Seeds; r++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cfg, err := scenario.EngineConfig(&sp, sp.Seed+int64(r))
+		res, err := scenario.Replicate(&sp, r, edit)
 		if err != nil {
 			return err
 		}
-		if newPolicy != nil {
-			for i := range cfg.Policies {
-				cfg.Policies[i] = newPolicy()
-			}
-			cfg.Controller = nil
-		}
-		s, err := eventsim.New(cfg)
-		if err != nil {
-			return err
-		}
-		for _, step := range sp.Churn {
-			if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
-				return err
-			}
-		}
-		each(s.Run(sim.Duration(sp.Duration)))
+		each(res)
 	}
 	return nil
 }

@@ -11,16 +11,29 @@ import (
 )
 
 // EngineConfig assembles the engine configuration of the replication
-// with seed repSeed: topology, scheme, PHY, controller window, RTS/CTS,
-// frame errors and traffic. The churn schedule and any frame capture are
-// the caller's to apply. Call only on validated specs.
+// with seed repSeed: BuildTopology, then EngineConfigOn. Call only on
+// validated specs.
 func EngineConfig(sp *Spec, repSeed int64) (eventsim.Config, error) {
 	tp, err := BuildTopology(&sp.Topology, repSeed)
 	if err != nil {
 		return eventsim.Config{}, err
 	}
+	return EngineConfigOn(sp, tp, repSeed)
+}
+
+// EngineConfigOn assembles the engine configuration of sp's run fields
+// (scheme, weights, traffic, controller window, RTS/CTS, frame errors)
+// on topology tp with seed, under the paper's PHY: the one assembly the
+// scenario runner, the experiment harness and the wlan facade share. It
+// rejects what it cannot build, so callers may pass specs Validate
+// never saw. Churn and frame capture are the caller's to apply.
+func EngineConfigOn(sp *Spec, tp *topo.Topology, seed int64) (eventsim.Config, error) {
 	n := tp.N()
 	policies, controller, err := scheme.Build(sp.Scheme, sp.Weights, n)
+	if err != nil {
+		return eventsim.Config{}, err
+	}
+	arrivals, err := arrivals(sp.Traffic, n)
 	if err != nil {
 		return eventsim.Config{}, err
 	}
@@ -30,10 +43,10 @@ func EngineConfig(sp *Spec, repSeed int64) (eventsim.Config, error) {
 		Policies:       policies,
 		Controller:     controller,
 		UpdatePeriod:   sim.Duration(sp.UpdatePeriod),
-		Seed:           repSeed,
+		Seed:           seed,
 		RTSCTS:         sp.RTSCTS,
 		FrameErrorRate: sp.FrameErrorRate,
-		Arrivals:       sp.arrivals(n),
+		Arrivals:       arrivals,
 	}, nil
 }
 
@@ -44,34 +57,32 @@ func EngineConfig(sp *Spec, repSeed int64) (eventsim.Config, error) {
 // the original examples and the per-seed redraws of the experiment
 // harness. Call only on validated specs.
 func BuildTopology(ts *TopologySpec, repSeed int64) (*topo.Topology, error) {
-	var t *topo.Topology
+	var pts []topo.Point
 	switch ts.Kind {
 	case TopoConnected:
-		t = topo.New(topo.Point{}, topo.CircleEdge(ts.N, ts.Radius), topo.PaperRadii())
+		pts = topo.CircleEdge(ts.N, ts.Radius)
 	case TopoDisc:
 		seed := ts.Seed
 		if seed == 0 {
 			seed = repSeed ^ 0x5eed
 		}
-		rng := sim.NewRNG(seed)
-		pts := topo.UniformDisc(ts.N, ts.Radius, rng)
+		pts = topo.UniformDisc(ts.N, ts.Radius, sim.NewRNG(seed))
 		// Stations drawn beyond the decode radius are projected just
 		// inside its rim (the paper's Fig. 7 construction keeps AP
 		// connectivity for every station). The rim radius derives from
 		// the radii themselves — see topo.Radii.Rim.
 		topo.ClampToRim(pts, topo.PaperRadii())
-		t = topo.New(topo.Point{}, pts, topo.PaperRadii())
 	case TopoClusters:
-		t = topo.New(topo.Point{}, topo.TwoClusters(ts.N, ts.Separation), topo.PaperRadii())
+		pts = topo.TwoClusters(ts.N, ts.Separation)
 	case TopoCustom:
-		pts := make([]topo.Point, len(ts.Points))
+		pts = make([]topo.Point, len(ts.Points))
 		for i, p := range ts.Points {
-			pts[i] = topo.Point{X: p.X, Y: p.Y}
+			pts[i] = topo.Point(p)
 		}
-		t = topo.New(topo.Point{}, pts, topo.PaperRadii())
 	default:
 		return nil, fmt.Errorf("scenario: unknown topology kind %q", ts.Kind)
 	}
+	t := topo.New(topo.Point{}, pts, topo.PaperRadii())
 	// Enforce the system model's standing assumption for every family:
 	// each station must decode (and be decodable by) the AP. Spec
 	// validation bounds each family to satisfy this, but the geometric

@@ -10,6 +10,7 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/frame"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -101,17 +102,13 @@ func (r *Runner) replicate(sp *Spec, rep int, ar *arena) (*replication, error) {
 	return runReplication(sp, rep, ar)
 }
 
-func (r *Runner) parallelism() int {
-	if r.Parallelism > 0 {
-		return r.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ensurePool starts the worker pool on first use.
 func (r *Runner) ensurePool() *workerPool {
 	r.poolOnce.Do(func() {
-		p := &workerPool{jobs: make(chan task), workers: r.parallelism()}
+		p := &workerPool{jobs: make(chan task), workers: r.Parallelism}
+		if p.workers <= 0 {
+			p.workers = runtime.GOMAXPROCS(0)
+		}
 		if r.Metrics != nil {
 			r.Metrics.Workers.Set(int64(p.workers))
 		}
@@ -243,7 +240,7 @@ func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i in
 	results := make([][]*replication, len(specs))
 	remaining := make([]int, len(specs))
 	for i, sp := range specs {
-		if err := sp.withDefaults(); err != nil {
+		if err := sp.Validate(); err != nil {
 			name := sp.Name
 			if name == "" {
 				name = fmt.Sprintf("spec %d", i)
@@ -356,31 +353,25 @@ type replication struct {
 	stJain      float64 // capture only
 }
 
-// runReplication assembles and executes one seeded simulation on the
-// worker's arena.
+// runReplication executes one seeded simulation on the worker's arena
+// and reduces it to what the summary needs.
 func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
-	cfg, err := EngineConfig(sp, sp.Seed+int64(rep))
-	if err != nil {
-		return nil, err
-	}
 	var capture *captureTracer
+	var edit func(eventsim.Config) eventsim.Config
 	if sp.Capture {
 		capture = &captureTracer{}
-		cfg.Trace = capture
+		edit = func(cfg eventsim.Config) eventsim.Config {
+			cfg.Trace = capture
+			return cfg
+		}
 	}
-	s, err := ar.simulator(cfg)
+	res, tp, err := simulate(sp, rep, ar, edit)
 	if err != nil {
 		return nil, err
 	}
-	for _, step := range sp.Churn {
-		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
-			return nil, err
-		}
-	}
-	res := s.Run(sim.Duration(sp.Duration))
 	out := &replication{
 		res:         res,
-		hiddenPairs: cfg.Topology.HiddenPairCount(),
+		hiddenPairs: tp.HiddenPairCount(),
 		converged:   res.ConvergedThroughput(sim.Duration(*sp.Warmup)),
 	}
 	if capture != nil {
@@ -391,6 +382,41 @@ func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
 		out.frames, out.stJain = capture.frames, stJain
 	}
 	return out, nil
+}
+
+// Replicate runs replication rep of the validated spec sp on a fresh
+// simulator, exactly as a Runner worker runs it, and returns the full
+// Result. A non-nil edit adjusts the engine configuration first (the
+// experiment harness swaps in open-loop policies this way).
+func Replicate(sp *Spec, rep int, edit func(eventsim.Config) eventsim.Config) (*eventsim.Result, error) {
+	res, _, err := simulate(sp, rep, nil, edit)
+	return res, err
+}
+
+// simulate is the one replication body behind the Runner and
+// Replicate: EngineConfig for seed sp.Seed+rep, edit (if non-nil; by
+// value, so the configuration stays on the stack), ar's simulator or a
+// fresh one when ar is nil, the churn schedule through SetActiveAt (a
+// step at t=0 included), then sp.Duration of simulated time. It also
+// returns the replication's topology.
+func simulate(sp *Spec, rep int, ar *arena, edit func(eventsim.Config) eventsim.Config) (*eventsim.Result, *topo.Topology, error) {
+	cfg, err := EngineConfig(sp, sp.Seed+int64(rep))
+	if err != nil {
+		return nil, nil, err
+	}
+	if edit != nil {
+		cfg = edit(cfg)
+	}
+	s, err := ar.simulator(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, step := range sp.Churn {
+		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s.Run(sim.Duration(sp.Duration)), cfg.Topology, nil
 }
 
 // captureTracer is a capture-enabled replication's frame tracer: it

@@ -295,15 +295,7 @@ func strictUnmarshal(data []byte, v any) error {
 
 // withDefaults validates the suite and fills every default in place.
 // Failures wrap ErrInvalidSpec.
-func (su *Suite) withDefaults() error {
-	if err := su.applyDefaults(); err != nil {
-		if errors.Is(err, ErrInvalidSpec) {
-			return err
-		}
-		return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
-	}
-	return nil
-}
+func (su *Suite) withDefaults() error { return wrapInvalid(su.applyDefaults()) }
 
 func (su *Suite) applyDefaults() error {
 	if len(su.Scenarios) == 0 {
@@ -322,7 +314,7 @@ func (su *Suite) applyDefaults() error {
 			return fmt.Errorf("scenario: duplicate scenario name %q", sp.Name)
 		}
 		seen[sp.Name] = true
-		if err := sp.withDefaults(); err != nil {
+		if err := sp.Validate(); err != nil {
 			return fmt.Errorf("scenario %q: %w", sp.Name, err)
 		}
 	}
@@ -331,19 +323,10 @@ func (su *Suite) applyDefaults() error {
 
 // Validate checks the spec and fills every default in place. It is
 // idempotent, so already-defaulted specs pass unchanged. Programmatic
-// builders (the sweep expander, CLIs) call this; Decode applies it to
-// every file-sourced spec automatically. Failures wrap ErrInvalidSpec.
-func (sp *Spec) Validate() error { return sp.withDefaults() }
-
-// withDefaults validates the spec and fills defaults in place. It is
-// idempotent, so already-defaulted specs pass unchanged. Failures wrap
+// builders (the sweep expander, CLIs) and the Runner call this; Decode
+// applies it to every file-sourced spec automatically. Failures wrap
 // ErrInvalidSpec.
-func (sp *Spec) withDefaults() error {
-	if err := sp.applyDefaults(); err != nil {
-		return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
-	}
-	return nil
-}
+func (sp *Spec) Validate() error { return wrapInvalid(sp.applyDefaults()) }
 
 func (sp *Spec) applyDefaults() error {
 	if sp.Scheme == "" {
@@ -389,34 +372,12 @@ func (sp *Spec) applyDefaults() error {
 	if err := sp.Topology.withDefaults(); err != nil {
 		return err
 	}
-	n := sp.Topology.stationCount()
-	if sp.Weights != nil {
-		if len(sp.Weights) != n {
-			return fmt.Errorf("%d weights for %d stations", len(sp.Weights), n)
-		}
-		if sp.Scheme != SchemeWTOP {
-			return fmt.Errorf("weights require the %s scheme", SchemeWTOP)
-		}
-		for i, w := range sp.Weights {
-			if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-				return fmt.Errorf("weight[%d] = %v must be a positive finite number", i, w)
-			}
-		}
+	n := sp.Topology.N
+	if err := scheme.CheckWeights(sp.Scheme, sp.Weights, n); err != nil {
+		return err
 	}
-	switch len(sp.Traffic) {
-	case 0, 1:
-	case n:
-	default:
-		return fmt.Errorf("traffic must list 0, 1 or %d entries, got %d", n, len(sp.Traffic))
-	}
-	for i := range sp.Traffic {
-		ts, err := sp.Traffic[i].toTraffic()
-		if err != nil {
-			return fmt.Errorf("traffic[%d]: %w", i, err)
-		}
-		if err := ts.Validate(); err != nil {
-			return fmt.Errorf("traffic[%d]: %w", i, err)
-		}
+	if _, err := arrivals(sp.Traffic, n); err != nil {
+		return err
 	}
 	if len(sp.Churn) > MaxChurnSteps {
 		return fmt.Errorf("%d churn steps exceed the limit %d", len(sp.Churn), MaxChurnSteps)
@@ -510,56 +471,48 @@ func (ts *TopologySpec) withDefaults() error {
 	return nil
 }
 
-// stationCount returns the resolved station count (valid after
-// withDefaults).
-func (ts *TopologySpec) stationCount() int { return ts.N }
-
-// EngineSpec converts the declarative form to the engine-facing
-// traffic.Spec (unvalidated; call its Validate before simulating).
-func (t TrafficSpec) EngineSpec() (traffic.Spec, error) { return t.toTraffic() }
-
-// toTraffic converts the JSON form to the engine-facing traffic.Spec.
-func (t *TrafficSpec) toTraffic() (traffic.Spec, error) {
-	kind, err := traffic.KindFromString(t.Model)
-	if err != nil {
-		return traffic.Spec{}, err
-	}
-	return traffic.Spec{
-		Kind:     kind,
-		Rate:     t.Rate,
-		OnMean:   sim.Duration(t.OnMean),
-		OffMean:  sim.Duration(t.OffMean),
-		QueueCap: t.QueueCap,
-	}, nil
-}
-
-// arrivals expands the spec's traffic list to one engine spec per
-// station, or nil when every station is saturated (the engines' fast
-// path). Call only on validated specs.
-func (sp *Spec) arrivals(n int) []traffic.Spec {
-	if len(sp.Traffic) == 0 {
-		return nil
+// arrivals checks that a traffic list holds 0, 1 (applied to every
+// station) or n entries, converts and validates each, and expands the
+// list to one engine spec per station — or nil when every station is
+// saturated (the engines' fast path). Spec validation and the engine
+// assembly both call it, so a list is judged the same way everywhere.
+func arrivals(list []TrafficSpec, n int) ([]traffic.Spec, error) {
+	switch len(list) {
+	case 0:
+		return nil, nil
+	case 1, n:
+	default:
+		return nil, fmt.Errorf("traffic must list 0, 1 or %d entries, got %d", n, len(list))
 	}
 	out := make([]traffic.Spec, n)
 	unsat := false
 	for i := range out {
-		src := &sp.Traffic[0]
-		if len(sp.Traffic) == n {
-			src = &sp.Traffic[i]
+		j := 0
+		if len(list) == n {
+			j = i
 		}
-		ts, err := src.toTraffic()
+		t := &list[j]
+		kind, err := traffic.KindFromString(t.Model)
+		ts := traffic.Spec{
+			Kind:     kind,
+			Rate:     t.Rate,
+			OnMean:   sim.Duration(t.OnMean),
+			OffMean:  sim.Duration(t.OffMean),
+			QueueCap: t.QueueCap,
+		}
+		if err == nil {
+			err = ts.Validate()
+		}
 		if err != nil {
-			panic(fmt.Sprintf("scenario: unvalidated traffic spec: %v", err))
+			return nil, fmt.Errorf("traffic[%d]: %w", j, err)
 		}
 		out[i] = ts
-		if ts.Unsaturated() {
-			unsat = true
-		}
+		unsat = unsat || ts.Unsaturated()
 	}
 	if !unsat {
-		return nil
+		return nil, nil
 	}
-	return out
+	return out, nil
 }
 
 // Quick returns a copy scaled for fast CI runs: simulated time capped at

@@ -191,7 +191,7 @@ func TestQuickScaling(t *testing.T) {
 		Seeds:    5,
 		Churn:    []ChurnStep{{At: Duration(60 * time.Second), Active: 2}},
 	}
-	if err := sp.withDefaults(); err != nil {
+	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	q := sp.Quick()
@@ -207,7 +207,7 @@ func TestQuickScaling(t *testing.T) {
 	if sp.Churn[0].At != Duration(60*time.Second) {
 		t.Error("Quick mutated the original spec's churn")
 	}
-	if err := q.withDefaults(); err != nil {
+	if err := q.Validate(); err != nil {
 		t.Errorf("quick spec does not validate: %v", err)
 	}
 	// Already-short specs pass through unchanged.
@@ -223,11 +223,11 @@ func TestQuickScaling(t *testing.T) {
 		Duration:     Duration(60 * time.Second),
 		UpdatePeriod: Duration(10 * time.Second),
 	}
-	if err := wide.withDefaults(); err != nil {
+	if err := wide.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	qw := wide.Quick()
-	if err := qw.withDefaults(); err != nil {
+	if err := qw.Validate(); err != nil {
 		t.Errorf("quick-scaled update_period does not validate: %v", err)
 	}
 	if qw.UpdatePeriod != Duration(500*time.Millisecond) {
@@ -267,11 +267,11 @@ func TestQuickClampsSmallDurations(t *testing.T) {
 					{At: d, Active: 2},
 				},
 			}
-			if err := sp.withDefaults(); err != nil {
+			if err := sp.Validate(); err != nil {
 				t.Fatalf("full-scale spec invalid: %v", err)
 			}
 			q := sp.Quick()
-			if err := q.withDefaults(); err != nil {
+			if err := q.Validate(); err != nil {
 				t.Errorf("quick-scaled spec no longer validates: %v", err)
 			}
 			if *q.Warmup >= q.Duration {
@@ -360,11 +360,11 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		for i := range su.Scenarios {
 			sp := &su.Scenarios[i]
-			if err := sp.withDefaults(); err != nil {
+			if err := sp.Validate(); err != nil {
 				t.Fatalf("validated spec fails revalidation: %v", err)
 			}
-			if sp.Topology.stationCount() < 1 || sp.Topology.stationCount() > MaxStations {
-				t.Fatalf("station count %d escaped validation", sp.Topology.stationCount())
+			if sp.Topology.N < 1 || sp.Topology.N > MaxStations {
+				t.Fatalf("station count %d escaped validation", sp.Topology.N)
 			}
 			if _, err := BuildTopology(&sp.Topology, 1); err != nil {
 				// Custom topologies may legitimately fail geometric

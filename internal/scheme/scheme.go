@@ -1,14 +1,17 @@
 // Package scheme is the single scheme→policy mapping in the repository:
 // it names the paper's four channel-access schemes and constructs their
 // per-station contention policies plus the AP-side controller with the
-// paper's parameters. The wlan facade, the experiment harness and the
-// scenario runner all build through it, so a scheme behaves identically
-// wherever it is invoked. It is a leaf package (core/mac/model only), so
-// engine-facing consumers do not drag in the declarative scenario layer.
+// paper's parameters. Within the module, Build is called only by
+// scenario.EngineConfigOn, the engine assembly the wlan facade, the
+// experiment harness and the scenario runner share, so a scheme behaves
+// identically wherever it is invoked. It is a leaf package
+// (core/mac/model only), so engine-facing consumers do not drag in the
+// declarative scenario layer.
 package scheme
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/mac"
@@ -23,15 +26,32 @@ const (
 	TORA      = "TORA-CSMA"
 )
 
+// CheckWeights reports whether weights suit n stations of the named
+// scheme: nil (unit weights), or one positive finite weight per station
+// under wTOP-CSMA, the only weighted scheme.
+func CheckWeights(scheme string, weights []float64, n int) error {
+	switch {
+	case weights == nil:
+		return nil
+	case len(weights) != n:
+		return fmt.Errorf("scheme: %d weights for %d stations", len(weights), n)
+	case scheme != WTOP:
+		return fmt.Errorf("scheme: weights require the %s scheme", WTOP)
+	}
+	for i, w := range weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
+			return fmt.Errorf("scheme: weight[%d] = %v must be a positive finite number", i, w)
+		}
+	}
+	return nil
+}
+
 // Build constructs one contention policy per station plus the AP
 // controller for a named scheme. weights may be nil (unit weights);
-// non-nil weights require wTOP-CSMA, the only weighted scheme.
+// otherwise they must pass CheckWeights.
 func Build(scheme string, weights []float64, n int) ([]mac.Policy, core.Controller, error) {
-	if weights != nil && len(weights) != n {
-		return nil, nil, fmt.Errorf("scheme: %d weights for %d stations", len(weights), n)
-	}
-	if weights != nil && scheme != WTOP {
-		return nil, nil, fmt.Errorf("scheme: weights require the %s scheme", WTOP)
+	if err := CheckWeights(scheme, weights, n); err != nil {
+		return nil, nil, err
 	}
 	phy := model.PaperPHY()
 	back := model.PaperBackoff()

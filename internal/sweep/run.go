@@ -114,9 +114,6 @@ type Row struct {
 
 // Runner executes sweep grids.
 type Runner struct {
-	// Parallelism bounds concurrent replications (0 = GOMAXPROCS).
-	// Ignored when Scenarios supplies an external pool.
-	Parallelism int
 	// Cache, when non-nil, is consulted before and written after every
 	// point.
 	Cache *Cache
@@ -125,8 +122,9 @@ type Runner struct {
 	// Scenarios, when non-nil, is the scenario runner (persistent
 	// worker pool) every point fans out through — the hook that lets a
 	// long-lived facade (wlan.Lab) share one pool across many sweeps.
-	// Nil runs each sweep on a private pool that is closed when the
-	// sweep ends. The Runner never closes an external pool.
+	// Nil runs each sweep on a private pool of GOMAXPROCS workers that
+	// is closed when the sweep ends. The Runner never closes an external
+	// pool.
 	Scenarios *scenario.Runner
 	// Metrics, when non-nil, receives live point-satisfaction counters.
 	// Observation never affects execution or output bytes.
@@ -374,9 +372,8 @@ func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error
 
 	sr := r.Scenarios
 	if sr == nil {
-		private := &scenario.Runner{Parallelism: r.Parallelism}
-		defer private.Close()
-		sr = private
+		sr = &scenario.Runner{}
+		defer sr.Close()
 	}
 	specs := make([]*scenario.Spec, len(missing))
 	for k, i := range missing {

@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/scenario"
-	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/slotsim"
 	"repro/internal/sweep"
@@ -149,23 +147,17 @@ func runSlot(ctx context.Context, cfg Config) (*Result, error) {
 	case len(cfg.Churn) > 0:
 		return nil, fmt.Errorf("%w: Churn needs %s", ErrInvalidConfig, EngineEvent)
 	}
-	n := cfg.Topology.N()
-	policies, controller, err := scheme.Build(string(cfg.Scheme), cfg.Weights, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	arrivals, err := cfg.arrivals(n)
+	ec, err := engineConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	phy := model.PaperPHY()
 	s, err := slotsim.New(slotsim.Config{
-		PHY:          phy,
-		Policies:     policies,
-		Controller:   controller,
-		UpdatePeriod: sim.Duration(cfg.UpdatePeriod),
-		Seed:         cfg.Seed,
-		Arrivals:     arrivals,
+		PHY:          ec.PHY,
+		Policies:     ec.Policies,
+		Controller:   ec.Controller,
+		UpdatePeriod: ec.UpdatePeriod,
+		Seed:         ec.Seed,
+		Arrivals:     ec.Arrivals,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
@@ -176,7 +168,7 @@ func runSlot(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slotResult(res, cfg.Weights, int64(phy.Payload)), nil
+	return slotResult(res, cfg.Weights, int64(ec.PHY.Payload)), nil
 }
 
 // slotResult maps a slot-engine result onto the shared Result shape.

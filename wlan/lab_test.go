@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -262,6 +263,14 @@ func TestLabTypedErrors(t *testing.T) {
 	if _, err := lab.Run(ctx, Config{}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("missing topology: err = %v, want ErrInvalidConfig", err)
 	}
+	for _, engine := range []Engine{EngineEvent, EngineSlot} {
+		for _, w := range [][]float64{{1, 0, 1}, {1, math.NaN(), 1}, {1, math.Inf(1), 1}, {1, 1}} {
+			cfg := Config{Topology: Connected(3), Engine: engine, Scheme: WTOPCSMA, Weights: w, Duration: time.Second}
+			if _, err := lab.Run(ctx, cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s with weights %v: err = %v, want ErrInvalidConfig", engine, w, err)
+			}
+		}
+	}
 	if _, err := DecodeScenarios([]byte(`{"topology":{"kind":"connected","n":-3}}`)); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("bad scenario file: want ErrInvalidConfig")
 	}
@@ -499,6 +508,26 @@ func TestLabRunTraffic(t *testing.T) {
 		Traffic:  []TrafficSpec{PoissonTraffic(1), PoissonTraffic(2)},
 	}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("2 traffic entries for 4 stations: err = %v, want ErrInvalidConfig", err)
+	}
+	// Unknown arrival models and negative rates are invalid on both
+	// engines, whether one entry covers every station or each has its
+	// own.
+	for _, engine := range []Engine{EngineEvent, EngineSlot} {
+		for _, traffic := range [][]TrafficSpec{
+			{{Model: "bursty", Rate: 100}},
+			{PoissonTraffic(-5)},
+			{PoissonTraffic(100), PoissonTraffic(100), {Model: "bursty", Rate: 100}, PoissonTraffic(100)},
+			{PoissonTraffic(100), PoissonTraffic(-1), PoissonTraffic(100), PoissonTraffic(100)},
+		} {
+			if _, err := lab.Run(context.Background(), Config{
+				Topology: Connected(4),
+				Engine:   engine,
+				Traffic:  traffic,
+				Duration: time.Second,
+			}); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s with traffic %+v: err = %v, want ErrInvalidConfig", engine, traffic, err)
+			}
+		}
 	}
 }
 

@@ -54,11 +54,10 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/frame"
 	"repro/internal/model"
-	"repro/internal/scheme"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
-	"repro/internal/traffic"
 )
 
 // Scheme selects a channel-access scheme.
@@ -192,41 +191,6 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// arrivals expands cfg.Traffic to one engine spec per station, or nil
-// when every station is saturated (the engines' fast path).
-func (cfg *Config) arrivals(n int) ([]traffic.Spec, error) {
-	switch len(cfg.Traffic) {
-	case 0:
-		return nil, nil
-	case 1, n:
-	default:
-		return nil, fmt.Errorf("%w: Traffic must list 0, 1 or %d entries, got %d", ErrInvalidConfig, n, len(cfg.Traffic))
-	}
-	out := make([]traffic.Spec, n)
-	unsat := false
-	for i := range out {
-		src := cfg.Traffic[0]
-		if len(cfg.Traffic) == n {
-			src = cfg.Traffic[i]
-		}
-		ts, err := src.EngineSpec()
-		if err != nil {
-			return nil, fmt.Errorf("%w: Traffic[%d]: %w", ErrInvalidConfig, min(i, len(cfg.Traffic)-1), err)
-		}
-		if err := ts.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: Traffic[%d]: %w", ErrInvalidConfig, min(i, len(cfg.Traffic)-1), err)
-		}
-		out[i] = ts
-		if ts.Unsaturated() {
-			unsat = true
-		}
-	}
-	if !unsat {
-		return nil, nil
-	}
-	return out, nil
-}
-
 // Tracer is the frame-capture hook: the engine hands it every frame, as
 // a typed value, the moment the frame leaves the air. NewTraceWriter
 // returns one that writes a JSONL capture; any type with the method
@@ -298,34 +262,12 @@ func New(cfg Config) (*Simulation, error) {
 }
 
 func newEventSim(cfg Config) (*Simulation, error) {
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("%w: Topology is required", ErrInvalidConfig)
-	}
-	n := cfg.Topology.N()
-	// The scheme→policy mapping is scheme.Build — the single such
-	// mapping in the repository, shared with the scenario runner and
-	// the experiment harness.
-	policies, controller, err := scheme.Build(string(cfg.Scheme), cfg.Weights, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	arrivals, err := cfg.arrivals(n)
+	ec, err := engineConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	inner, err := eventsim.New(eventsim.Config{
-		PHY:            model.PaperPHY(),
-		Topology:       cfg.Topology,
-		Policies:       policies,
-		Controller:     controller,
-		Seed:           cfg.Seed,
-		UpdatePeriod:   sim.Duration(cfg.UpdatePeriod),
-		RTSCTS:         cfg.RTSCTS,
-		FrameErrorRate: cfg.FrameErrorRate,
-		Trace:          cfg.Trace,
-		Arrivals:       arrivals,
-	})
+	ec.Trace = cfg.Trace
+	inner, err := eventsim.New(ec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
@@ -336,6 +278,28 @@ func newEventSim(cfg Config) (*Simulation, error) {
 		}
 	}
 	return s, nil
+}
+
+// engineConfig assembles cfg's engine configuration through
+// scenario.EngineConfigOn — the one assembly the scenario runner and
+// the experiment harness use too — from a Scenario holding cfg's run
+// fields. Both engines start from it.
+func engineConfig(cfg Config) (eventsim.Config, error) {
+	if cfg.Topology == nil {
+		return eventsim.Config{}, fmt.Errorf("%w: Topology is required", ErrInvalidConfig)
+	}
+	ec, err := scenario.EngineConfigOn(&Scenario{
+		Scheme:         string(cfg.Scheme),
+		Weights:        cfg.Weights,
+		Traffic:        cfg.Traffic,
+		UpdatePeriod:   Duration(cfg.UpdatePeriod),
+		RTSCTS:         cfg.RTSCTS,
+		FrameErrorRate: cfg.FrameErrorRate,
+	}, cfg.Topology, cfg.Seed)
+	if err != nil {
+		return eventsim.Config{}, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	return ec, nil
 }
 
 // SetActiveAt schedules the active-station count to become exactly the
