@@ -7,12 +7,12 @@
 // metrics-enabled run diverge from a metrics-off run and break the
 // bit-identical contract that TestMetricsDoNotChangeOutput pins.
 //
-// Reads belong to the scrape layer: registry GaugeFunc closures
-// evaluated at render time, the wlan facade's Snapshot, the /metrics
-// endpoint. The GaugeFunc bodies that live next to the sim packages
-// (scenario.Metrics, sweep.Metrics deriving utilization and cache hit
-// rate) are exactly the legitimate observer uses and carry
-// //wlanvet:allow annotations.
+// Reads belong to the scrape layer: the wlan facade's Metrics, whose
+// Snapshot and render-time GaugeFuncs derive worker utilization and
+// the cache hit rate, and the /metrics endpoint. The one derived gauge
+// left next to the sim packages — scenario.Metrics' events/sec, which
+// sits beside the wall-clock stamp it divides by — is a legitimate
+// observer use and carries a //wlanvet:allow annotation.
 package observerpurity
 
 import (

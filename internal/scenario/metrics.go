@@ -30,8 +30,9 @@ type Metrics struct {
 }
 
 // NewMetrics registers the runner's metric set on reg and returns the
-// handle to hand to a Runner. Derived series — worker utilization and
-// events/sec — are computed at scrape time from the primitives.
+// handle to hand to a Runner. Events/sec is derived at scrape time
+// here, next to the wall-clock stamp it needs; worker utilization is
+// derived by the wlan facade's scrape layer.
 func NewMetrics(reg *metrics.Registry) *Metrics {
 	m := &Metrics{
 		Replications: reg.Counter("wlansim_replications_total",
@@ -43,21 +44,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		Workers: reg.Gauge("wlansim_workers",
 			"Simulation worker pool size."),
 	}
-	reg.GaugeFunc("wlansim_worker_utilization",
-		"Fraction of pool workers busy simulating (0..1).",
-		func() float64 {
-			//wlanvet:allow render-time observer: GaugeFunc bodies run at scrape time, never inside a replication
-			w := m.Workers.Value()
-			if w <= 0 {
-				return 0
-			}
-			//wlanvet:allow render-time observer: GaugeFunc bodies run at scrape time, never inside a replication
-			u := float64(m.InFlight.Value()) / float64(w)
-			if u > 1 {
-				u = 1
-			}
-			return u
-		})
 	reg.GaugeFunc("wlansim_events_per_second",
 		"Kernel events fired per wall-clock second since the first replication.",
 		func() float64 { return m.EventsPerSecond() })

@@ -26,9 +26,9 @@ type Metrics struct {
 }
 
 // NewMetrics registers the sweep metric set on reg. The cache hit rate
-// — cached / (cached + simulated) — is derived at scrape time.
+// is derived from these counters by the wlan facade's scrape layer.
 func NewMetrics(reg *metrics.Registry) *Metrics {
-	m := &Metrics{
+	return &Metrics{
 		PointsOwned: reg.Counter("wlansim_sweep_points_owned_total",
 			"Sweep points owned by this process's shard(s)."),
 		PointsSimulated: reg.Counter("wlansim_sweep_points_simulated_total",
@@ -40,17 +40,4 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		RowsEmitted: reg.Counter("wlansim_sweep_rows_emitted_total",
 			"Sweep result rows emitted to the consumer."),
 	}
-	reg.GaugeFunc("wlansim_sweep_cache_hit_rate",
-		"Fraction of satisfied sweep points served from the cache (0..1).",
-		func() float64 {
-			//wlanvet:allow render-time observer: the hit-rate GaugeFunc runs at scrape time, never inside the sweep loop
-			hit := m.PointsCached.Value()
-			//wlanvet:allow render-time observer: the hit-rate GaugeFunc runs at scrape time, never inside the sweep loop
-			total := hit + m.PointsSimulated.Value()
-			if total == 0 {
-				return 0
-			}
-			return float64(hit) / float64(total)
-		})
-	return m
 }

@@ -31,11 +31,20 @@ type Metrics struct {
 // Lab: attaching it to several Labs would sum their counters.
 func NewMetrics() *Metrics {
 	reg := metrics.NewRegistry()
-	return &Metrics{
+	m := &Metrics{
 		reg:   reg,
 		scen:  scenario.NewMetrics(reg),
 		sweep: sweep.NewMetrics(reg),
 	}
+	// The derived gauges are Snapshot's own formulas, evaluated at
+	// scrape time, so /metrics and Snapshot cannot disagree.
+	reg.GaugeFunc("wlansim_worker_utilization",
+		"Fraction of pool workers busy simulating (0..1).",
+		func() float64 { return m.Snapshot().Utilization })
+	reg.GaugeFunc("wlansim_sweep_cache_hit_rate",
+		"Fraction of satisfied sweep points served from the cache (0..1).",
+		func() float64 { return m.Snapshot().CacheHitRate })
+	return m
 }
 
 // WithMetrics attaches m to the Lab: every scenario replication and
