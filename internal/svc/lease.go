@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -57,10 +58,15 @@ type lease struct {
 // access under its own mutex. Time is always passed in explicitly so
 // the transitions are a pure function of (table, operation, now) —
 // which is what makes the FSM table-testable without sleeping.
+//
+// leases keeps every lease ever granted, for the terminal answers;
+// active holds the Active ones in grant order, so expiry and the live
+// counts cost O(live leases), not O(leases granted so far).
 type leaseTable struct {
 	ttl    time.Duration
 	seq    int
 	leases map[string]*lease
+	active []*lease
 }
 
 func newLeaseTable(ttl time.Duration) *leaseTable {
@@ -78,6 +84,7 @@ func (lt *leaseTable) grant(worker string, points []int, now time.Time) *lease {
 		deadline: now.Add(lt.ttl),
 	}
 	lt.leases[l.id] = l
+	lt.active = append(lt.active, l)
 	return l
 }
 
@@ -110,42 +117,35 @@ func (lt *leaseTable) complete(id string) (l *lease, wasActive bool) {
 		return l, false
 	}
 	l.state = LeaseCompleted
+	lt.active = slices.DeleteFunc(lt.active, func(a *lease) bool { return a == l })
 	return l, true
 }
 
 // expire transitions every Active lease whose deadline has passed to
-// Expired and returns them (callers reclaim their points). now exactly
-// at the deadline does not expire: a worker that renews every TTL is
-// never raced by its own heartbeat interval.
+// Expired and returns them in grant order (callers reclaim their
+// points). now exactly at the deadline does not expire: a worker that
+// renews every TTL is never raced by its own heartbeat interval.
 func (lt *leaseTable) expire(now time.Time) []*lease {
 	var out []*lease
-	for _, l := range lt.leases {
-		if l.state == LeaseActive && now.After(l.deadline) {
-			l.state = LeaseExpired
-			out = append(out, l)
+	lt.active = slices.DeleteFunc(lt.active, func(l *lease) bool {
+		if !now.After(l.deadline) {
+			return false
 		}
-	}
+		l.state = LeaseExpired
+		out = append(out, l)
+		return true
+	})
 	return out
 }
 
 // activeCount counts leases currently in flight.
-func (lt *leaseTable) activeCount() int {
-	n := 0
-	for _, l := range lt.leases {
-		if l.state == LeaseActive {
-			n++
-		}
-	}
-	return n
-}
+func (lt *leaseTable) activeCount() int { return len(lt.active) }
 
 // activeWorkers counts distinct workers holding an active lease.
 func (lt *leaseTable) activeWorkers() int {
 	seen := map[string]bool{}
-	for _, l := range lt.leases {
-		if l.state == LeaseActive {
-			seen[l.worker] = true
-		}
+	for _, l := range lt.active {
+		seen[l.worker] = true
 	}
 	return len(seen)
 }

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -146,5 +147,54 @@ func TestLeaseStateString(t *testing.T) {
 	}
 	if got := LeaseState(7).String(); got != "LeaseState(7)" {
 		t.Errorf("out-of-range state rendered %q", got)
+	}
+}
+
+// TestLeaseTableTracksLiveLeases runs a long campaign's worth of
+// grant/complete cycles and checks that the table's scan set holds the
+// live leases only, while the terminal records still answer: a
+// heartbeat on an old lease is ErrLeaseExpired, an ID never granted is
+// ErrUnknownLease, and expiry reclaims in grant order.
+func TestLeaseTableTracksLiveLeases(t *testing.T) {
+	const ttl = 10 * time.Second
+	now := time.Unix(1_700_000_000, 0)
+	lt := newLeaseTable(ttl)
+	for i := 0; i < 1000; i++ {
+		l := lt.grant(fmt.Sprintf("w%d", i%4), []int{i}, now)
+		if _, wasActive := lt.complete(l.id); !wasActive {
+			t.Fatalf("cycle %d: fresh lease %s not active at completion", i, l.id)
+		}
+	}
+	if n := lt.activeCount(); n != 0 || len(lt.active) != 0 {
+		t.Fatalf("after 1000 completed cycles: activeCount %d, %d scanned leases, want 0", n, len(lt.active))
+	}
+	if _, err := lt.heartbeat("lease-1", now); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("heartbeat on a completed lease: err %v, want ErrLeaseExpired", err)
+	}
+	if _, err := lt.heartbeat("lease-100000", now); !errors.Is(err, ErrUnknownLease) {
+		t.Errorf("heartbeat on a lease never granted: err %v, want ErrUnknownLease", err)
+	}
+
+	a := lt.grant("wa", []int{1000}, now)
+	b := lt.grant("wb", []int{1001}, now)
+	c := lt.grant("wa", []int{1002}, now.Add(ttl))
+	if n, w := lt.activeCount(), lt.activeWorkers(); n != 3 || w != 2 {
+		t.Fatalf("three live leases over two workers: activeCount %d, activeWorkers %d", n, w)
+	}
+	got := lt.expire(now.Add(ttl + time.Nanosecond))
+	if len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("expired %v, want [%s %s] in grant order", got, a.id, b.id)
+	}
+	if n := lt.activeCount(); n != 1 || len(lt.active) != 1 {
+		t.Fatalf("after expiry: activeCount %d, %d scanned leases, want 1", n, len(lt.active))
+	}
+	if _, err := lt.heartbeat(a.id, now.Add(ttl)); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("heartbeat on an expired lease: err %v, want ErrLeaseExpired", err)
+	}
+	if _, wasActive := lt.complete(c.id); !wasActive {
+		t.Fatalf("live lease %s not active at completion", c.id)
+	}
+	if n := lt.activeCount(); n != 0 || len(lt.active) != 0 {
+		t.Errorf("all leases settled: activeCount %d, %d scanned leases, want 0", n, len(lt.active))
 	}
 }
