@@ -561,8 +561,11 @@ func (c *Coordinator) status() *StatusResponse {
 
 // RegisterMetrics adds the campaign's /metrics series to reg. Each
 // reads the campaign record or the lease table under the coordinator's
-// lock when the registry renders, so /metrics shows exactly what Stats
-// and /v1/status show. Register a coordinator once per registry.
+// lock when the registry renders. Each series takes the lock on its
+// own, so one scrape is not one view: a scrape racing completions can
+// show rows emitted above completed + cached. Stats and /v1/status read
+// the whole record under one lock and are the consistent snapshot.
+// Register a coordinator once per registry.
 func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
 	locked := func(read func() int) func() int {
 		return func() int {
