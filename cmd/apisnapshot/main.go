@@ -186,8 +186,8 @@ func renderValues(fset *token.FileSet, tok token.Token, sp *ast.ValueSpec) []str
 }
 
 // renderType prints a type declaration with unexported struct fields
-// and interface methods elided (a count marker keeps their existence —
-// but not their shape — in the snapshot).
+// and interface methods elided (a count marker keeps the existence of
+// unexported interface methods, but not their shape, in the snapshot).
 func renderType(fset *token.FileSet, sp *ast.TypeSpec) string {
 	cp := *sp
 	cp.Doc = nil
@@ -263,17 +263,14 @@ func elideFields(fl *ast.FieldList, iface bool) *ast.FieldList {
 			out.List = append(out.List, cf)
 		}
 	}
-	if hidden > 0 {
-		label := "unexportedFields"
-		if iface {
-			label = "unexportedMethods"
-		}
-		// A synthetic marker: the snapshot records that hidden members
-		// exist (zero-value construction vs. full literal matters to
-		// users) without freezing their shape.
+	if iface && hidden > 0 {
+		// A synthetic marker: an interface with unexported methods
+		// cannot be implemented outside its package, which users see.
+		// Unexported struct fields are not marked, so adding or removing
+		// one leaves the snapshot as it is.
 		out.List = append(out.List, &ast.Field{
 			Names: []*ast.Ident{{Name: "_"}},
-			Type:  &ast.Ident{Name: fmt.Sprintf("[%d %s]", hidden, label)},
+			Type:  &ast.Ident{Name: fmt.Sprintf("[%d unexportedMethods]", hidden)},
 		})
 	}
 	return out

@@ -25,10 +25,14 @@ func EngineConfig(sp *Spec, repSeed int64) (eventsim.Config, error) {
 // (scheme, weights, traffic, controller window, RTS/CTS, frame errors)
 // on topology tp with seed, under the paper's PHY: the one assembly the
 // scenario runner, the experiment harness and the wlan facade share. It
-// rejects what it cannot build, so callers may pass specs Validate
-// never saw. Churn and frame capture are the caller's to apply.
+// rejects what it cannot build, a topology without stations included,
+// so callers may pass specs Validate never saw. Churn and frame capture
+// are the caller's to apply.
 func EngineConfigOn(sp *Spec, tp *topo.Topology, seed int64) (eventsim.Config, error) {
 	n := tp.N()
+	if n < 1 {
+		return eventsim.Config{}, fmt.Errorf("scenario: the topology has no stations")
+	}
 	policies, controller, err := scheme.Build(sp.Scheme, sp.Weights, n)
 	if err != nil {
 		return eventsim.Config{}, err

@@ -134,15 +134,21 @@ func (c *Cache) Get(key string) (*scenario.Summary, bool) {
 // summary bytes, checksum-verified and starting with the stored name
 // (see summaryTail), with the same miss and quarantine rules.
 func (c *Cache) lookup(key string) ([]byte, bool) {
-	data, err := readEntry(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	sum, st := parseEntry(data)
+	sum, st := c.read(key)
 	if st == entryDamaged {
 		c.quarantine(key)
 	}
 	return sum, st == entryHit
+}
+
+// read reads and classifies the entry at key's address, with no side
+// effect: an unreadable address is a clean miss.
+func (c *Cache) read(key string) ([]byte, entryStatus) {
+	data, err := readEntry(c.path(key))
+	if err != nil {
+		return nil, entryMiss
+	}
+	return parseEntry(data)
 }
 
 // entryReadSize is the first read buffer of readEntry. A summary holds
@@ -192,7 +198,7 @@ type entryStatus int
 
 const (
 	entryHit     entryStatus = iota
-	entryStale               // well-formed but not this engine's: a clean miss
+	entryMiss                // absent, or well-formed but not this engine's: a clean miss
 	entryDamaged             // quarantined
 )
 
@@ -204,7 +210,7 @@ func parseEntry(data []byte) ([]byte, entryStatus) {
 		// whatever engine wrote it; only bytes that are not even JSON
 		// (a write killed mid-way) count as damage.
 		if json.Valid(data) {
-			return nil, entryStale
+			return nil, entryMiss
 		}
 		return nil, entryDamaged
 	}
@@ -221,7 +227,7 @@ func parseEntry(data []byte) ([]byte, entryStatus) {
 		return nil, entryDamaged
 	}
 	if string(engine) != EngineVersion {
-		return nil, entryStale
+		return nil, entryMiss
 	}
 	if crc32.Checksum(body, crc32c()) != binary.BigEndian.Uint32(want[:]) {
 		return nil, entryDamaged

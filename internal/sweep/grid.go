@@ -13,9 +13,13 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 	"slices"
 	"strconv"
@@ -103,23 +107,29 @@ const (
 )
 
 // fieldDef couples an axis field's value type with its spec setter.
+// member is the field's JSON member in the spec encoding and holds
+// reports whether a validated spec carries value v there; both are
+// unset for the fields whose value reaches other members (see
+// spliceable).
 type fieldDef struct {
-	kind  valueKind
-	apply func(sp *scenario.Spec, v any) error
+	kind   valueKind
+	apply  func(sp *scenario.Spec, v any) error
+	member string
+	holds  func(sp *scenario.Spec, v any) bool
 }
 
 // fieldDefs is the closed set of sweepable fields. Validation happens
-// later, in Spec.withDefaults via Expand, so setters only assign.
+// later, in Spec.Validate via Expand, so setters only assign.
 var fieldDefs = map[string]fieldDef{
 	FieldNodes: {intKind, func(sp *scenario.Spec, v any) error {
-		//wlanvet:allow bounded: Spec.withDefaults validation rejects node counts outside [1, MaxStations] before any simulation runs
+		//wlanvet:allow bounded: Spec.Validate rejects node counts outside [1, MaxStations] before any simulation runs
 		sp.Topology.N = int(v.(int64))
 		return nil
-	}},
+	}, "n", func(sp *scenario.Spec, v any) bool { return int64(sp.Topology.N) == v.(int64) }},
 	FieldScheme: {stringKind, func(sp *scenario.Spec, v any) error {
 		sp.Scheme = v.(string)
 		return nil
-	}},
+	}, "scheme", func(sp *scenario.Spec, v any) bool { return sp.Scheme == v.(string) }},
 	FieldRate: {floatKind, func(sp *scenario.Spec, v any) error {
 		if len(sp.Traffic) == 0 {
 			return fmt.Errorf("a %q axis needs a traffic model in the base scenario", FieldRate)
@@ -128,44 +138,44 @@ var fieldDefs = map[string]fieldDef{
 			sp.Traffic[i].Rate = v.(float64)
 		}
 		return nil
-	}},
+	}, "", nil},
 	FieldFrameErrorRate: {floatKind, func(sp *scenario.Spec, v any) error {
 		sp.FrameErrorRate = v.(float64)
 		return nil
-	}},
+	}, "frame_error_rate", func(sp *scenario.Spec, v any) bool { return sp.FrameErrorRate == v.(float64) }},
 	FieldRTSCTS: {boolKind, func(sp *scenario.Spec, v any) error {
 		sp.RTSCTS = v.(bool)
 		return nil
-	}},
+	}, "rtscts", func(sp *scenario.Spec, v any) bool { return sp.RTSCTS == v.(bool) }},
 	FieldTopology: {stringKind, func(sp *scenario.Spec, v any) error {
 		sp.Topology.Kind = v.(string)
 		return nil
-	}},
+	}, "", nil},
 	FieldRadius: {floatKind, func(sp *scenario.Spec, v any) error {
 		sp.Topology.Radius = v.(float64)
 		return nil
-	}},
+	}, "radius", func(sp *scenario.Spec, v any) bool { return sp.Topology.Radius == v.(float64) }},
 	FieldSeparation: {floatKind, func(sp *scenario.Spec, v any) error {
 		sp.Topology.Separation = v.(float64)
 		return nil
-	}},
+	}, "separation", func(sp *scenario.Spec, v any) bool { return sp.Topology.Separation == v.(float64) }},
 	FieldDuration: {durationKind, func(sp *scenario.Spec, v any) error {
 		sp.Duration = v.(scenario.Duration)
 		return nil
-	}},
+	}, "duration", func(sp *scenario.Spec, v any) bool { return sp.Duration == v.(scenario.Duration) }},
 	FieldSeeds: {intKind, func(sp *scenario.Spec, v any) error {
-		//wlanvet:allow bounded: Spec.withDefaults validation rejects non-positive or absurd seed counts before any simulation runs
+		//wlanvet:allow bounded: Spec.Validate rejects non-positive or absurd seed counts before any simulation runs
 		sp.Seeds = int(v.(int64))
 		return nil
-	}},
+	}, "seeds", func(sp *scenario.Spec, v any) bool { return int64(sp.Seeds) == v.(int64) }},
 	FieldSeed: {intKind, func(sp *scenario.Spec, v any) error {
 		sp.Seed = v.(int64)
 		return nil
-	}},
+	}, "seed", func(sp *scenario.Spec, v any) bool { return sp.Seed == v.(int64) }},
 	FieldUpdatePeriod: {durationKind, func(sp *scenario.Spec, v any) error {
 		sp.UpdatePeriod = v.(scenario.Duration)
 		return nil
-	}},
+	}, "update_period", func(sp *scenario.Spec, v any) bool { return sp.UpdatePeriod == v.(scenario.Duration) }},
 }
 
 // Ints builds axis values from Go ints (programmatic grids).
@@ -367,45 +377,49 @@ func Expand(g *Grid) ([]*Point, error) {
 	return pts, nil
 }
 
-func expand(g *Grid) ([]*Point, error) {
+// gridAxis is one decoded axis of a grid.
+type gridAxis struct {
+	field  string
+	def    fieldDef
+	values []any
+	tokens []string // "field=value" name parts
+}
+
+// decodeAxes decodes and checks the grid's axes and returns them with
+// the size of their cross-product.
+func decodeAxes(g *Grid) ([]gridAxis, int, error) {
 	if len(g.Axes) > MaxAxes {
-		return nil, fmt.Errorf("sweep: %d axes exceed the limit %d", len(g.Axes), MaxAxes)
+		return nil, 0, fmt.Errorf("sweep: %d axes exceed the limit %d", len(g.Axes), MaxAxes)
 	}
-	type axis struct {
-		field  string
-		def    fieldDef
-		values []any
-		tokens []string // "field=value" name parts
-	}
-	axes := make([]axis, len(g.Axes))
+	axes := make([]gridAxis, len(g.Axes))
 	seenField := map[string]bool{}
 	total := 1
 	for i, a := range g.Axes {
 		def, ok := fieldDefs[a.Field]
 		if !ok {
-			return nil, fmt.Errorf("sweep: axis %d: unknown field %q (want one of %s)",
+			return nil, 0, fmt.Errorf("sweep: axis %d: unknown field %q (want one of %s)",
 				i, a.Field, strings.Join(Fields(), ", "))
 		}
 		if seenField[a.Field] {
-			return nil, fmt.Errorf("sweep: duplicate axis field %q", a.Field)
+			return nil, 0, fmt.Errorf("sweep: duplicate axis field %q", a.Field)
 		}
 		seenField[a.Field] = true
 		if len(a.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %q has no values", a.Field)
+			return nil, 0, fmt.Errorf("sweep: axis %q has no values", a.Field)
 		}
 		if len(a.Values) > MaxAxisValues {
-			return nil, fmt.Errorf("sweep: axis %q has %d values, limit %d", a.Field, len(a.Values), MaxAxisValues)
+			return nil, 0, fmt.Errorf("sweep: axis %q has %d values, limit %d", a.Field, len(a.Values), MaxAxisValues)
 		}
-		ax := axis{field: a.Field, def: def}
+		ax := gridAxis{field: a.Field, def: def}
 		seenValue := map[string]bool{}
 		for j, raw := range a.Values {
 			v, err := decodeValue(def.kind, raw)
 			if err != nil {
-				return nil, fmt.Errorf("sweep: axis %q value %d: %w", a.Field, j, err)
+				return nil, 0, fmt.Errorf("sweep: axis %q value %d: %w", a.Field, j, err)
 			}
 			tok := renderValue(v)
 			if seenValue[tok] {
-				return nil, fmt.Errorf("sweep: axis %q repeats value %s", a.Field, tok)
+				return nil, 0, fmt.Errorf("sweep: axis %q repeats value %s", a.Field, tok)
 			}
 			seenValue[tok] = true
 			ax.values = append(ax.values, v)
@@ -413,9 +427,17 @@ func expand(g *Grid) ([]*Point, error) {
 		}
 		axes[i] = ax
 		if total > MaxPoints/len(ax.values) {
-			return nil, fmt.Errorf("sweep: grid exceeds %d points", MaxPoints)
+			return nil, 0, fmt.Errorf("sweep: grid exceeds %d points", MaxPoints)
 		}
 		total *= len(ax.values)
+	}
+	return axes, total, nil
+}
+
+func expand(g *Grid) ([]*Point, error) {
+	axes, total, err := decodeAxes(g)
+	if err != nil {
+		return nil, err
 	}
 
 	// Points and their coordinates are carved from two slabs, and a
@@ -425,6 +447,7 @@ func expand(g *Grid) ([]*Point, error) {
 	coords := make([]AxisValue, total*len(axes))
 	tokens := make([]string, len(axes))
 	idx := make([]int, len(axes))
+	var keys *keyTemplate
 	for pi := range pts {
 		sp := cloneSpec(&g.Base)
 		pt := &slab[pi]
@@ -450,7 +473,14 @@ func expand(g *Grid) ([]*Point, error) {
 			return nil, fmt.Errorf("sweep: point %s: %w", pt.Name, err)
 		}
 		pt.Spec = sp
-		pt.Key = SpecKey(&sp)
+		if pi == 0 {
+			keys = newKeyTemplate(&g.Base, &sp, axes)
+		}
+		if keys != nil {
+			pt.Key = keys.key(&sp, idx)
+		} else {
+			pt.Key = SpecKey(&sp)
+		}
 		pts[pi] = pt
 		for ai := len(axes) - 1; ai >= 0; ai-- {
 			idx[ai]++
@@ -461,6 +491,165 @@ func expand(g *Grid) ([]*Point, error) {
 		}
 	}
 	return pts, nil
+}
+
+// spliceable reports whether an axis over field changes a point's spec
+// encoding only in the field's own member, given the grid's base: apply
+// and Validate write nothing else from its value. A rate rewrites every
+// traffic entry, a topology kind picks the radius and separation
+// defaults, a duration sets an unset warmup to half of it, and the
+// station count sets an unset capture window to three times it.
+func spliceable(field string, base *scenario.Spec) bool {
+	switch field {
+	case FieldRate, FieldTopology:
+		return false
+	case FieldDuration:
+		return base.Warmup != nil
+	case FieldNodes:
+		return !base.Capture || base.CaptureWindow != 0
+	}
+	return true
+}
+
+// keyTemplate computes the keys of one grid's points without
+// marshalling their specs. When every axis is spliceable, the points'
+// key inputs differ only in the axes' members, so each is a fixed
+// sequence of chunks with one segment per axis between them. A
+// segment is marshalled once per axis value, and the SHA-256 state
+// after the engine version and the first chunk is saved once and
+// restored per point.
+type keyTemplate struct {
+	splices []splice // in encoding order
+	chunks  [][]byte // chunks[k] follows splices[k]'s segment
+	state   []byte   // the digest state after the first chunk
+	h       hash.Hash
+	sum     []byte
+}
+
+// splice is one axis's segment for each of its values.
+type splice struct {
+	axis   int
+	values []any
+	segs   [][]byte
+	holds  func(sp *scenario.Spec, v any) bool
+}
+
+// spliceMarks holds, per value kind, a value no point carries in
+// practice. The template spec holds its kind's mark in every axis
+// member, so each member's bytes can be found and cut out of its
+// encoding. The int mark fits an int on every architecture.
+var spliceMarks = [...]any{
+	intKind:      int64(-987654321),
+	floatKind:    -9.87654321e-300,
+	boolKind:     true,
+	stringKind:   "\x00",
+	durationKind: scenario.Duration(-987654321),
+}
+
+// memberSegment is what json.Marshal writes for a spec member holding
+// v after the member before it: `,"member":value`, or nothing for a
+// zero value, which omitempty drops (every spliced member has it). No
+// spliced member comes first in its object, which name and kind do.
+func memberSegment(member string, v any) []byte {
+	var zero bool
+	switch x := v.(type) {
+	case int64:
+		zero = x == 0
+	case float64:
+		zero = x == 0
+	case bool:
+		zero = !x
+	case string:
+		zero = x == ""
+	case scenario.Duration:
+		zero = x == 0
+	}
+	if zero {
+		return []byte{}
+	}
+	enc, _ := json.Marshal(v) // axis values are finite scalars, which always marshal
+	return append([]byte(`,"`+member+`":`), enc...)
+}
+
+// newKeyTemplate builds the template of the grid whose first point has
+// the validated spec sp. It returns nil, leaving every key to SpecKey,
+// when an axis is not spliceable, when a marked member is not found
+// exactly once, or when the template misses SpecKey on sp itself.
+func newKeyTemplate(base, sp *scenario.Spec, axes []gridAxis) *keyTemplate {
+	marked := *sp // shallow: the setters assign scalars, and json.Marshal only reads
+	marked.Name, marked.Description = "", ""
+	for _, ax := range axes {
+		if !spliceable(ax.field, base) {
+			return nil
+		}
+		ax.def.apply(&marked, spliceMarks[ax.def.kind]) // a spliceable field's setter cannot fail
+	}
+	enc, err := json.Marshal(&marked)
+	if err != nil {
+		return nil
+	}
+	type cut struct{ at, end, axis int }
+	cuts := make([]cut, len(axes))
+	for ai, ax := range axes {
+		seg := memberSegment(ax.def.member, spliceMarks[ax.def.kind])
+		if bytes.Count(enc, seg) != 1 {
+			return nil
+		}
+		at := bytes.Index(enc, seg)
+		cuts[ai] = cut{at, at + len(seg), ai}
+	}
+	slices.SortFunc(cuts, func(a, b cut) int { return a.at - b.at })
+	head := len(enc)
+	if len(cuts) > 0 {
+		head = cuts[0].at
+	}
+	t := &keyTemplate{h: sha256.New()}
+	t.h.Write([]byte(EngineVersion))
+	t.h.Write([]byte{0})
+	t.h.Write(enc[:head])
+	if t.state, err = t.h.(encoding.BinaryMarshaler).MarshalBinary(); err != nil {
+		return nil
+	}
+	for k, c := range cuts {
+		next := len(enc)
+		if k+1 < len(cuts) {
+			next = cuts[k+1].at
+		}
+		ax := axes[c.axis]
+		s := splice{axis: c.axis, values: ax.values, segs: make([][]byte, len(ax.values)), holds: ax.def.holds}
+		for j, v := range ax.values {
+			s.segs[j] = memberSegment(ax.def.member, v)
+		}
+		t.splices = append(t.splices, s)
+		t.chunks = append(t.chunks, enc[c.end:next])
+	}
+	if t.key(sp, make([]int, len(axes))) != SpecKey(sp) {
+		return nil
+	}
+	return t
+}
+
+// key returns the key of the validated point spec sp at axis value
+// indexes idx: SpecKey(sp), spliced, or computed by SpecKey when
+// Validate replaced an axis value with a default (a zero scheme, seed
+// or radius, say).
+func (t *keyTemplate) key(sp *scenario.Spec, idx []int) string {
+	for _, s := range t.splices {
+		if !s.holds(sp, s.values[idx[s.axis]]) {
+			return SpecKey(sp)
+		}
+	}
+	if err := t.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(t.state); err != nil {
+		return SpecKey(sp)
+	}
+	for k, s := range t.splices {
+		t.h.Write(s.segs[idx[s.axis]])
+		t.h.Write(t.chunks[k])
+	}
+	t.sum = t.h.Sum(t.sum[:0])
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], t.sum)
+	return string(hexSum[:])
 }
 
 // cloneSpec deep-copies a spec so per-point mutations (traffic rate,

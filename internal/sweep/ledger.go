@@ -3,6 +3,9 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/scenario"
 )
@@ -45,28 +48,116 @@ func (l *Ledger) Quarantined() int { return l.quarantined }
 // Replay satisfies every point it can from the cache and returns the
 // other positions, ascending. It emits the done prefix as it goes, so a
 // warm run holds O(1) results.
+//
+// The entries are read ahead of the emit cursor (see replayReads), but
+// everything with an effect — quarantining a damaged entry, counting,
+// emitting and moving the cursor — happens here, in point order, so the
+// rows, counts and renames are those of one read after another, also
+// when an emit fails.
 func (l *Ledger) Replay(emit func(*PointResult) error) (missing []int, err error) {
-	if l.cache != nil {
-		q0 := l.cache.Quarantined()
-		defer func() { l.quarantined = l.cache.Quarantined() - q0 }()
-	}
-	for i, pt := range l.points {
-		var data []byte
-		ok := false
-		if l.cache != nil {
-			data, ok = l.cache.lookup(pt.Key)
+	if l.cache == nil {
+		for i := range l.points {
+			missing = append(missing, i)
 		}
-		if !ok {
+		return missing, nil
+	}
+	q0 := l.cache.Quarantined()
+	defer func() { l.quarantined = l.cache.Quarantined() - q0 }()
+	reads, stop := l.replayReads()
+	defer stop()
+	moved := map[string]bool{} // keys this replay quarantined
+	for i, pt := range l.points {
+		r := reads.take(i)
+		if moved[pt.Key] {
+			// A read ahead may predate the rename: read again, as a
+			// read in turn would.
+			r.sum, r.st = l.cache.read(pt.Key)
+		}
+		if r.st == entryDamaged {
+			l.cache.quarantine(pt.Key)
+			moved[pt.Key] = true
+		}
+		if r.st != entryHit {
 			missing = append(missing, i)
 			continue
 		}
-		l.results[i] = &PointResult{Point: pt, summaryJSON: data}
+		l.results[i] = &PointResult{Point: pt, summaryJSON: r.sum}
 		l.cached++
 		if err := l.Advance(emit); err != nil {
 			return nil, err
 		}
 	}
 	return missing, nil
+}
+
+// readAhead bounds how far the entry reads may run ahead of Replay's
+// cursor, so a replay holds O(readAhead) entries however large the
+// grid.
+const readAhead = 64
+
+// entryRead is one read of an entry: its summary bytes and status.
+type entryRead struct {
+	sum []byte
+	st  entryStatus
+}
+
+// aheadReads hands the reads of replayReads' goroutines to Replay.
+// Position i arrives in slots[i%len(slots)]; free holds one token per
+// position claimed and not yet taken, which keeps a reader from
+// claiming a position whose slot is still in use.
+type aheadReads struct {
+	slots []chan entryRead
+	free  chan struct{}
+}
+
+// take waits for position i's read and frees its slot.
+func (a *aheadReads) take(i int) entryRead {
+	r := <-a.slots[i%len(a.slots)]
+	<-a.free
+	return r
+}
+
+// replayReads starts GOMAXPROCS goroutines that read and classify the
+// entries of l's points in point order, at most readAhead positions
+// ahead of the next take. They have no side effect. stop ends them and
+// returns once they have exited.
+func (l *Ledger) replayReads() (*aheadReads, func()) {
+	n := len(l.points)
+	a := &aheadReads{
+		slots: make([]chan entryRead, min(readAhead, n)),
+		free:  make(chan struct{}, min(readAhead, n)),
+	}
+	for k := range a.slots {
+		a.slots[k] = make(chan entryRead, 1)
+	}
+	var next atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case a.free <- struct{}{}:
+				case <-done:
+					return
+				}
+				i := next.Add(1) - 1
+				if i >= int64(n) {
+					return
+				}
+				// The slot is empty: position i-len(slots) was taken
+				// before the token this claim holds was freed.
+				sum, st := l.cache.read(l.points[i].Key)
+				a.slots[i%int64(len(a.slots))] <- entryRead{sum, st}
+			}
+		}()
+	}
+	return a, func() {
+		close(done)
+		wg.Wait()
+	}
 }
 
 // Commit records position i's fresh summary, renamed to its point. On

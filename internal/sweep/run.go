@@ -163,6 +163,11 @@ func (r *Runner) Each(ctx context.Context, g *Grid, emit func(*PointResult) erro
 	}, nil)
 }
 
+// streamBufferSize is Stream's output buffer. A row is about 1.3 KB,
+// and WriteRow builds it in the buffer's spare room, so a buffer of
+// dozens of rows seldom leaves a row to build on the heap.
+const streamBufferSize = 64 << 10
+
 // Stream executes the grid and writes one JSONL row per owned point,
 // in point order, to w. Rows are buffered and flushed at cache-commit
 // boundaries — each time a contiguous run of completed points is
@@ -171,7 +176,7 @@ func (r *Runner) Each(ctx context.Context, g *Grid, emit func(*PointResult) erro
 // their checksummed summary bytes, spliced into the row without being
 // decoded or re-encoded.
 func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error) {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, streamBufferSize)
 	st, err := r.run(ctx, g, func(pr *PointResult) error {
 		return WriteRow(bw, pr)
 	}, bw.Flush)
@@ -188,7 +193,9 @@ func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error
 // sorted by field name, as a map encodes — and splices the summary's
 // canonical bytes (marshalled first for a bare Summary) after it, so
 // every emitter — the Runner and the svc coordinator alike — writes
-// identical streams.
+// identical streams. A writer with an AvailableBuffer method, such as
+// a *bufio.Writer or a *bytes.Buffer, has the row appended in its
+// spare capacity; any other gets a row allocated per call.
 func WriteRow(w io.Writer, pr *PointResult) error {
 	sum := pr.summaryJSON
 	if sum == nil {
@@ -205,7 +212,12 @@ func WriteRow(w io.Writer, pr *PointResult) error {
 	axes := append(sorted[:0], pr.Axes...)
 	slices.SortFunc(axes, func(a, b AxisValue) int { return strings.Compare(a.Field, b.Field) })
 
-	row := make([]byte, 0, 256+len(sum))
+	var row []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		row = ab.AvailableBuffer() // a *bufio.Writer's or *bytes.Buffer's spare capacity
+	} else {
+		row = make([]byte, 0, 256+len(sum))
+	}
 	row = strconv.AppendInt(append(row, `{"index":`...), int64(pr.Index), 10)
 	row = append(row, `,"name":`...)
 	nameAt := len(row)

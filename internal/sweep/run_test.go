@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -346,7 +347,7 @@ func TestSplicedRowMatchesMarshal(t *testing.T) {
 			}
 			axes = append(axes, AxisValue{Field: f, Value: v})
 		}
-		pt := &Point{Index: 1 << 40, Name: trickyNames[k], Axes: axes, Key: SpecKey(validSpec(t))}
+		pt := &Point{Index: math.MaxInt32, Name: trickyNames[k], Axes: axes, Key: SpecKey(validSpec(t))}
 		sum := &scenario.Summary{Name: pt.Name, Scheme: "x", Duration: 1}
 		var got bytes.Buffer
 		if err := WriteRow(&got, &PointResult{Point: pt, Summary: sum}); err != nil {

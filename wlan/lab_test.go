@@ -476,6 +476,26 @@ func TestLabSweepStreamMatchesInternal(t *testing.T) {
 
 // Unsaturated traffic through the single-run Config: the facade's
 // Traffic field drives the engines' arrival processes.
+// A topology without stations is invalid on both engines, whatever
+// traffic list comes with it: the one assembly rejects it before either
+// engine is built, so neither runs an empty network nor judges the
+// traffic by its station count.
+func TestLabRunRejectsStationlessTopology(t *testing.T) {
+	lab := NewLab()
+	defer lab.Close()
+	for _, engine := range []Engine{EngineEvent, EngineSlot} {
+		for _, traffic := range [][]TrafficSpec{nil, {{Model: "bogus"}}, {PoissonTraffic(-1)}} {
+			cfg := Config{Topology: Connected(0), Engine: engine, Traffic: traffic, Duration: time.Second}
+			if _, err := lab.Run(context.Background(), cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s with traffic %+v: err = %v, want ErrInvalidConfig", engine, traffic, err)
+			}
+		}
+	}
+	if _, err := New(Config{Topology: Connected(0)}); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("New: err = %v, want ErrInvalidConfig", err)
+	}
+}
+
 func TestLabRunTraffic(t *testing.T) {
 	lab := NewLab()
 	defer lab.Close()

@@ -245,9 +245,8 @@ type StationStats = eventsim.StationStats
 // node churn. Most callers want Lab.Run (context-aware, both engines)
 // or the Run shim; New remains for incremental stepping.
 type Simulation struct {
-	inner    *eventsim.Simulator
-	warmup   sim.Duration
-	duration sim.Duration
+	inner  *eventsim.Simulator
+	warmup sim.Duration
 }
 
 // New assembles an EngineEvent simulation without running it. Configs
@@ -271,7 +270,7 @@ func newEventSim(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	s := &Simulation{inner: inner, warmup: sim.Duration(cfg.Warmup), duration: sim.Duration(cfg.Duration)}
+	s := &Simulation{inner: inner, warmup: sim.Duration(cfg.Warmup)}
 	for _, step := range cfg.Churn {
 		if err := s.inner.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
