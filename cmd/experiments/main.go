@@ -4,7 +4,7 @@
 //	experiments -run fig3
 //	experiments -run all -tsv -out results/
 //	experiments -run fig6 -paper        # paper-scale durations (slow)
-//	experiments -run fig1 -cache /tmp/sweep-cache   # reuse completed sweep points
+//	experiments -run fig1 -cache /tmp/sweep-cache   # reuse completed cells
 package main
 
 import (
@@ -34,14 +34,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runID    = fs.String("run", "", "experiment id (fig1..fig13, tab2, tab3) or 'all'")
+		runID    = fs.String("run", "", "experiment id (fig1..fig13, tab2, tab3, rtscts, ladder, convergence) or 'all'")
 		list     = fs.Bool("list", false, "list available experiments")
 		tsv      = fs.Bool("tsv", false, "emit tab-separated values instead of aligned tables")
 		outDir   = fs.String("out", "", "also write each table to <out>/<id>.tsv")
 		paper    = fs.Bool("paper", false, "paper-scale durations and seed counts (hours)")
 		duration = fs.Duration("duration", 0, "override simulated duration per run")
 		seeds    = fs.Int("seeds", 0, "override seeds per data point")
-		cacheDir = fs.String("cache", "", "back figure sweeps with the content-addressed sweep cache at this directory")
+		cacheDir = fs.String("cache", "", "back every simulated cell with the content-addressed sweep cache at this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -58,7 +58,7 @@ func main() {
 		progress    = flag.Bool("progress", false, "with -scenario/-sweep: print a once-per-second progress line to stderr")
 	)
 	var (
-		schemeName = flag.String("scheme", "802.11", "channel access scheme: 802.11, IdleSense, wTOP-CSMA, TORA-CSMA")
+		schemeName = flag.String("scheme", "802.11", "channel access scheme: 802.11, IdleSense, wTOP-CSMA, TORA-CSMA, or the baselines SlowDecrease, EstimateN")
 		engine     = flag.String("engine", "eventsim", "simulation engine: eventsim (continuous-time, hidden-node capable) or slotsim (slot-synchronous, connected-only, fast)")
 		nodes      = flag.Int("nodes", 20, "number of stations")
 		disc       = flag.Float64("disc", 0, "place stations uniformly in a disc of this radius in metres (0 = fully connected circle)")

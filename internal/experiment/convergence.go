@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/eventsim"
 	"repro/internal/model"
 	"repro/internal/scheme"
 	"repro/internal/stats"
@@ -19,65 +18,60 @@ import (
 // maxima should show as a smaller σ — the paper's Fig. 2 vs. Fig. 13
 // argument).
 //
-// The (nodes × scheme) cells are enumerated through the declarative
-// sweep grid — the same expansion, ordering and naming as every figure
-// sweep — but each cell runs through replicate, because the analysis
-// consumes the windowed throughput series, which the aggregate scenario
-// summary deliberately does not carry.
+// The (nodes × scheme) cells form one sweep grid whose points carry
+// per-run detail, because the analysis consumes each replication's
+// windowed throughput series.
 func Convergence(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	mdl := model.PPersistent{PHY: model.PaperPHY()}
-	g := &sweep.Grid{
+	base := baseSpec(o, connected)
+	base.Detail = true
+	rows, err := runGrid(ctx, o, &sweep.Grid{
 		Name: "convergence",
-		Base: baseSpec(o, connected),
+		Base: base,
 		Axes: []sweep.Axis{
 			{Field: sweep.FieldNodes, Values: sweep.Ints(o.Nodes...)},
 			{Field: sweep.FieldScheme, Values: sweep.Strings(scheme.WTOP, scheme.TORA)},
 		},
-	}
-	pts, err := sweep.Expand(g)
+	}, 2)
 	if err != nil {
 		return nil, err
 	}
+	mdl := model.PPersistent{PHY: model.PaperPHY()}
 	t := &Table{
 		ID:    "convergence",
 		Title: "time to reach and hold 90% of the analytic optimum (connected)",
 		Columns: []string{"nodes", "scheme", "converged", "t90 (s)",
 			"steady Mbps", "efficiency", "steady σ (Mbps)"},
 	}
-	for _, pt := range pts {
-		n := pt.Spec.Topology.N
+	for i, n := range o.Nodes {
 		target := mdl.MaxThroughput(model.UnitWeights(n))
-		var t90, eff, steady, sigma stats.Welford
-		converged := 0
-		err := replicate(ctx, pt.Spec, nil, func(res *eventsim.Result) {
-			rep := stats.AnalyzeConvergence(&res.ThroughputSeries, target, stats.ConvergenceOptions{})
-			if rep.Converged {
-				converged++
-				t90.Add(rep.TimeToWithin.Seconds())
+		for _, sum := range rows[i] {
+			var t90, eff, steady, sigma stats.Welford
+			converged := 0
+			for _, run := range sum.Runs {
+				series := stats.TimeSeries{Times: run.Throughput.Times, Values: run.Throughput.Values}
+				rep := stats.AnalyzeConvergence(&series, target, stats.ConvergenceOptions{})
+				if rep.Converged {
+					converged++
+					t90.Add(rep.TimeToWithin.Seconds())
+				}
+				eff.Add(rep.Efficiency)
+				steady.Add(rep.SteadyMean)
+				sigma.Add(rep.SteadyStdDev)
 			}
-			eff.Add(rep.Efficiency)
-			steady.Add(rep.SteadyMean)
-			sigma.Add(rep.SteadyStdDev)
-		})
-		if err != nil {
-			return nil, err
+			t90Cell := "-"
+			if t90.N() > 0 {
+				t90Cell = fmt.Sprintf("%.1f", t90.Mean())
+			}
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", n),
+				sum.Scheme,
+				fmt.Sprintf("%d/%d", converged, sum.Replications),
+				t90Cell,
+				fmt.Sprintf("%.3f", steady.Mean()/1e6),
+				fmt.Sprintf("%.3f", eff.Mean()),
+				fmt.Sprintf("%.3f", sigma.Mean()/1e6),
+			})
 		}
-		t90Cell := "-"
-		if t90.N() > 0 {
-			t90Cell = fmt.Sprintf("%.1f", t90.Mean())
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			pt.Spec.Scheme,
-			fmt.Sprintf("%d/%d", converged, pt.Spec.Seeds),
-			t90Cell,
-			fmt.Sprintf("%.3f", steady.Mean()/1e6),
-			fmt.Sprintf("%.3f", eff.Mean()),
-			fmt.Sprintf("%.3f", sigma.Mean()/1e6),
-		})
 	}
 	t.Notes = append(t.Notes,
 		"extension: quantifies Section VI-D; target = analytic optimum S(p*) per N",

@@ -21,14 +21,20 @@ func TestExperimentDeterministicAcrossParallelism(t *testing.T) {
 		Nodes:    []int{5},
 	}
 
+	// Fig3 is aggregate cells, Fig5 fixed-control cells and Convergence
+	// per-run detail cells.
 	run := func(maxprocs int) string {
 		prev := runtime.GOMAXPROCS(maxprocs)
 		defer runtime.GOMAXPROCS(prev)
-		tb, err := Fig3(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
+		var out string
+		for _, fig := range []Runner{Fig3, Fig5, Convergence} {
+			tb, err := fig(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += tb.String()
 		}
-		return tb.String()
+		return out
 	}
 
 	serial := run(1)

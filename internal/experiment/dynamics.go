@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/eventsim"
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
@@ -19,7 +18,8 @@ var churnPhases = []int{10, 30, 60, 20, 40}
 
 // churnGrid states the dynamic-N scenario declaratively: the churn
 // schedule as a base spec, with the topology family (connected vs the
-// 16 m hidden-node disc) as the swept axis.
+// 16 m hidden-node disc) as the swept axis. Its points carry per-run
+// detail, since the figures plot the windowed series.
 func churnGrid(o Options, sch string) *sweep.Grid {
 	churn := make([]scenario.ChurnStep, len(churnPhases))
 	for i, n := range churnPhases {
@@ -34,43 +34,22 @@ func churnGrid(o Options, sch string) *sweep.Grid {
 			Duration: scenario.Duration(o.Duration) * scenario.Duration(len(churnPhases)),
 			Seeds:    1,
 			Seed:     1,
+			Detail:   true,
 		},
 		Axes: []sweep.Axis{topologyAxis},
 	}
-}
-
-// runChurn runs one expanded churn point through replicate: the figure
-// consumes the windowed throughput, control and active-station series,
-// which the aggregate scenario summary does not carry.
-func runChurn(ctx context.Context, sp *scenario.Spec) (*eventsim.Result, error) {
-	if sp.Scheme != scheme.WTOP && sp.Scheme != scheme.TORA {
-		return nil, fmt.Errorf("experiment: churn scenario supports wTOP/TORA, not %q", sp.Scheme)
-	}
-	var res *eventsim.Result
-	err := replicate(ctx, *sp, nil, func(r *eventsim.Result) { res = r })
-	return res, err
 }
 
 // churnTable renders the throughput/control/active time series of a
 // churn run — one table covering both of the paper's paired figures
 // (throughput vs. time and control variable vs. time).
 func churnTable(ctx context.Context, o Options, id, title, sch string) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	pts, err := sweep.Expand(churnGrid(o, sch))
+	rows, err := runGrid(ctx, o, churnGrid(o, sch), 2)
 	if err != nil {
 		return nil, err
 	}
 	// Expansion order follows the topology axis: connected then disc.
-	conn, err := runChurn(ctx, &pts[0].Spec)
-	if err != nil {
-		return nil, err
-	}
-	hidden, err := runChurn(ctx, &pts[1].Spec)
-	if err != nil {
-		return nil, err
-	}
+	conn, hidden := &rows[0][0].Runs[0], &rows[0][1].Runs[0]
 	control := "p"
 	if sch == scheme.TORA {
 		control = "p0"
@@ -84,17 +63,17 @@ func churnTable(ctx context.Context, o Options, id, title, sch string) (*Table, 
 	}
 	// The three series share window boundaries; sample every k-th point
 	// to keep the table readable.
-	nSamples := conn.ThroughputSeries.Len()
+	nSamples := len(conn.Throughput.Times)
 	stride := nSamples / 50
 	if stride < 1 {
 		stride = 1
 	}
 	for i := 0; i < nSamples; i += stride {
-		at := conn.ThroughputSeries.Times[i]
+		at := conn.Throughput.Times[i]
 		row := []string{
 			fmt.Sprintf("%.1f", at.Seconds()),
-			fmt.Sprintf("%.0f", conn.ActiveSeries.Values[i]),
-			fmt.Sprintf("%.3f", conn.ThroughputSeries.Values[i]/1e6),
+			fmt.Sprintf("%.0f", conn.Active.Values[i]),
+			fmt.Sprintf("%.3f", conn.Throughput.Values[i]/1e6),
 			controlAt(conn, i),
 			mbpsAt(hidden, i),
 			controlAt(hidden, i),
@@ -106,18 +85,18 @@ func churnTable(ctx context.Context, o Options, id, title, sch string) (*Table, 
 	return t, nil
 }
 
-func mbpsAt(r *eventsim.Result, i int) string {
-	if i >= r.ThroughputSeries.Len() {
+func mbpsAt(r *scenario.RunDetail, i int) string {
+	if i >= len(r.Throughput.Values) {
 		return ""
 	}
-	return fmt.Sprintf("%.3f", r.ThroughputSeries.Values[i]/1e6)
+	return fmt.Sprintf("%.3f", r.Throughput.Values[i]/1e6)
 }
 
-func controlAt(r *eventsim.Result, i int) string {
-	if i >= r.ControlSeries.Len() {
+func controlAt(r *scenario.RunDetail, i int) string {
+	if i >= len(r.Control.Values) {
 		return ""
 	}
-	return fmt.Sprintf("%.5f", r.ControlSeries.Values[i])
+	return fmt.Sprintf("%.5f", r.Control.Values[i])
 }
 
 // Fig8and9 reproduces Figures 8 and 9: wTOP-CSMA throughput and control

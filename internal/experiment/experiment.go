@@ -15,8 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/eventsim"
-	"repro/internal/mac"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -33,9 +31,9 @@ type Options struct {
 	Seeds int
 	// Nodes is the station-count sweep for the throughput-vs-N figures.
 	Nodes []int
-	// CacheDir, when set, backs every grid-shaped figure sweep with the
-	// content-addressed sweep cache: re-running a figure (or another
-	// figure sharing points) skips completed (spec, engine) cells.
+	// CacheDir, when set, backs every simulated cell with the
+	// content-addressed sweep cache: re-running an artefact (or another
+	// artefact sharing points) skips completed (spec, engine) cells.
 	CacheDir string
 }
 
@@ -62,13 +60,11 @@ func Paper() Options {
 	}
 }
 
-// Validate bounds-checks the options. CLIs call this up front — before
-// any figure starts simulating — so an override like `-duration 1ns`
-// or a hostile seed count fails with one clear message instead of deep
-// inside a figure run.
-func (o Options) Validate() error { return o.validate() }
-
-func (o Options) validate() error {
+// Validate bounds-checks the options. runGrid checks them before any
+// cell runs, and CLIs call this up front — before any figure starts —
+// so an override like `-duration 1ns` or a hostile seed count fails
+// with one clear message instead of deep inside a figure run.
+func (o Options) Validate() error {
 	if o.Duration <= 0 || o.Warmup < 0 || o.Warmup >= o.Duration {
 		return fmt.Errorf("experiment: invalid duration/warmup %v/%v", o.Duration, o.Warmup)
 	}
@@ -190,12 +186,18 @@ func openLoopSpec(o Options, ts scenario.TopologySpec) scenario.Spec {
 	return sp
 }
 
-// runGrid is the sweep path: g expands through internal/sweep and its
-// points fan out in parallel through scenario.Runner, backed by the sweep
-// cache when o.CacheDir is set. The summaries come back in point order,
-// cut into rows of width consecutive points (the last axis varies
-// fastest, so a row holds every combination of the trailing axes).
+// runGrid is the one replication path of every simulated cell: g
+// expands through internal/sweep and its points fan out in parallel
+// through scenario.Runner, backed by the sweep cache when o.CacheDir is
+// set. The summaries come back in point order, cut into rows of width
+// consecutive points (the last axis varies fastest, so a row holds every
+// combination of the trailing axes). Cells that need more than the
+// aggregate, such as windowed series or per-station results, set
+// Spec.Detail and read the summary's per-replication runs.
 func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*scenario.Summary, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	r := &sweep.Runner{}
 	if o.CacheDir != "" {
 		c, err := sweep.OpenCache(o.CacheDir)
@@ -217,40 +219,6 @@ func runGrid(ctx context.Context, o Options, g *sweep.Grid, width int) ([][]*sce
 		rows = append(rows, sums)
 	}
 	return rows, nil
-}
-
-// replicate is the serial path, for cells that need more than a
-// scenario.Summary carries (windowed series, per-station results) or run
-// a policy scheme.Build does not name. It runs sp's replications in seed
-// order through scenario.Replicate — the scenario runner's own
-// replication body — and hands each result to each. A non-nil newPolicy
-// replaces every station's policy with newPolicy() and drops the
-// controller. Cancellation is observed between replications.
-func replicate(ctx context.Context, sp scenario.Spec, newPolicy func() mac.Policy, each func(*eventsim.Result)) error {
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	var edit func(eventsim.Config) eventsim.Config
-	if newPolicy != nil {
-		edit = func(cfg eventsim.Config) eventsim.Config {
-			for i := range cfg.Policies {
-				cfg.Policies[i] = newPolicy()
-			}
-			cfg.Controller = nil
-			return cfg
-		}
-	}
-	for r := 0; r < sp.Seeds; r++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := scenario.Replicate(&sp, r, edit)
-		if err != nil {
-			return err
-		}
-		each(res)
-	}
-	return nil
 }
 
 // Runner produces one paper artefact. Cancelling ctx aborts the run —

@@ -45,19 +45,21 @@ func TestOptionsValidate(t *testing.T) {
 		{Duration: 48 * 3600 * sim.Second, Warmup: sim.Second, Seeds: 1, Nodes: []int{5}},
 	}
 	for i, o := range bad {
-		if err := o.validate(); err == nil {
+		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
 	}
-	if err := Quick().validate(); err != nil {
+	if err := Quick().Validate(); err != nil {
 		t.Errorf("Quick() invalid: %v", err)
 	}
-	if err := Paper().validate(); err != nil {
+	if err := Paper().Validate(); err != nil {
 		t.Errorf("Paper() invalid: %v", err)
 	}
-	// The exported wrapper is what CLIs call before simulating.
-	if err := (Options{Duration: 1, Seeds: 1, Nodes: []int{5}}).Validate(); err == nil {
-		t.Error("exported Validate accepted a 1ns duration")
+	// Every simulated artefact refuses invalid options before it runs.
+	for _, e := range Experiments() {
+		if _, err := e.Run(context.Background(), Options{Duration: 1, Seeds: 1, Nodes: []int{5}}); (err == nil) != (e.ID == "fig12") {
+			t.Errorf("%s: 1ns duration gave %v", e.ID, err)
+		}
 	}
 }
 
@@ -91,27 +93,37 @@ func TestBuildTopologyFamilies(t *testing.T) {
 	}
 }
 
-func TestBuildSimAllSchemes(t *testing.T) {
-	o := Options{Duration: 2 * sim.Second, Seeds: 1}
-	for _, sch := range []string{scheme.DCF, scheme.IdleSense, scheme.WTOP, scheme.TORA} {
-		sp := baseSpec(o, withN(connected, 4))
-		sp.Scheme = sch
-		var successes int64
-		if err := replicate(context.Background(), sp, nil, func(res *eventsim.Result) { successes = res.Successes }); err != nil {
-			t.Fatalf("%s: %v", sch, err)
-		}
-		if successes == 0 {
-			t.Errorf("%s: no successes in 2s", sch)
-		}
+// runDetailed runs sp with per-run detail through the scenario runner,
+// the one replication path of every artefact.
+func runDetailed(t *testing.T, sp scenario.Spec) *scenario.Summary {
+	t.Helper()
+	sp.Detail = true
+	r := &scenario.Runner{}
+	defer r.Close()
+	sum, err := r.Run(context.Background(), &sp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sp := baseSpec(o, withN(connected, 4))
-	sp.Scheme = "bogus"
-	if err := replicate(context.Background(), sp, nil, func(*eventsim.Result) {}); err == nil {
-		t.Error("unknown scheme accepted")
+	if len(sum.Runs) != sp.Seeds {
+		t.Fatalf("%d runs for %d seeds", len(sum.Runs), sp.Seeds)
 	}
+	return sum
 }
 
-// replicate must run the spec it validates: RTS/CTS, frame errors,
+// runDetail is the RunDetail the runner reports for the engine result res.
+func runDetail(res *eventsim.Result) scenario.RunDetail {
+	d := scenario.RunDetail{
+		Throughput: scenario.Series{Times: res.ThroughputSeries.Times, Values: res.ThroughputSeries.Values},
+		Control:    scenario.Series{Times: res.ControlSeries.Times, Values: res.ControlSeries.Values},
+		Active:     scenario.Series{Times: res.ActiveSeries.Times, Values: res.ActiveSeries.Values},
+	}
+	for _, st := range res.Stations {
+		d.StationThroughput = append(d.StationThroughput, st.Throughput)
+	}
+	return d
+}
+
+// The runner must run the spec it validates: RTS/CTS, frame errors,
 // traffic and the controller window reach the engine exactly as an
 // eventsim configuration built from the full spec has them, and a churn
 // step at t=0 becomes the initial active count.
@@ -123,17 +135,13 @@ func TestReplicateHonoursSpec(t *testing.T) {
 	sp.UpdatePeriod = scenario.Duration(50 * time.Millisecond)
 	sp.Traffic = []scenario.TrafficSpec{{Model: "poisson", Rate: 400}}
 	sp.Churn = []scenario.ChurnStep{{At: 0, Active: 4}, {At: scenario.Duration(200 * time.Millisecond), Active: 6}}
-	var got []*eventsim.Result
-	if err := replicate(context.Background(), sp, nil, func(res *eventsim.Result) { got = append(got, res) }); err != nil {
-		t.Fatal(err)
-	}
+	sum := runDetailed(t, sp)
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != sp.Seeds {
-		t.Fatalf("%d results for %d seeds", len(got), sp.Seeds)
-	}
-	for r, res := range got {
+	var successes, frameErrors, arrived int64
+	var events uint64
+	for r, got := range sum.Runs {
 		seed := sp.Seed + int64(r)
 		tp, err := scenario.BuildTopology(&sp.Topology, seed)
 		if err != nil {
@@ -170,32 +178,64 @@ func TestReplicateHonoursSpec(t *testing.T) {
 		if want.FrameErrors == 0 || want.Latency.Count() == 0 {
 			t.Fatalf("seed %d: reference run shows no frame errors or latency samples", seed)
 		}
-		if !reflect.DeepEqual(res, want) {
-			t.Errorf("seed %d: replicate result differs from the full-spec run: %d/%d successes, %d/%d frame errors",
-				seed, res.Successes, want.Successes, res.FrameErrors, want.FrameErrors)
+		if !reflect.DeepEqual(got, runDetail(want)) {
+			t.Errorf("seed %d: the runner's run differs from the full-spec run", seed)
 		}
+		successes += want.Successes
+		frameErrors += want.FrameErrors
+		arrived += want.PacketsArrived
+		events += want.EventsFired
+	}
+	if sum.Successes != successes || sum.FrameErrors != frameErrors || sum.PacketsArrived != arrived || sum.Events != events {
+		t.Errorf("runner sums %d successes, %d frame errors, %d arrivals, %d events; the full-spec runs %d, %d, %d, %d",
+			sum.Successes, sum.FrameErrors, sum.PacketsArrived, sum.Events, successes, frameErrors, arrived, events)
 	}
 }
 
 // TestReplicateMatchesRunnerOnChurnAtZero pins one churn rule for one
-// spec: a churn step at t=0 gives the same successes through replicate
-// as through the scenario runner that serves wlansim -sweep.
+// spec: a churn step at t=0 gives the runner the successes of an engine
+// run that starts with that many active stations, and per-run detail
+// leaves the aggregate as it is.
 func TestReplicateMatchesRunnerOnChurnAtZero(t *testing.T) {
 	sp := baseSpec(Options{Duration: time.Second, Seeds: 2}, withN(connected, 10))
 	sp.Scheme = scheme.WTOP
 	sp.Churn = []scenario.ChurnStep{{At: 0, Active: 4}, {At: scenario.Duration(500 * time.Millisecond), Active: 10}}
-	var got int64
-	if err := replicate(context.Background(), sp, nil, func(res *eventsim.Result) { got += res.Successes }); err != nil {
-		t.Fatal(err)
+	detailed := runDetailed(t, sp)
+	var want int64
+	for r := range sp.Seeds {
+		seed := sp.Seed + int64(r)
+		tp, err := scenario.BuildTopology(&sp.Topology, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policies, controller, err := scheme.Build(sp.Scheme, nil, tp.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := eventsim.New(eventsim.Config{Topology: tp, Policies: policies, Controller: controller, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetActiveAt(0, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetActiveAt(sim.Time(500*sim.Millisecond), 10); err != nil {
+			t.Fatal(err)
+		}
+		want += s.Run(sim.Second).Successes
+	}
+	if detailed.Successes != want {
+		t.Errorf("the runner gave %d successes, the engine %d", detailed.Successes, want)
 	}
 	r := &scenario.Runner{}
 	defer r.Close()
-	sum, err := r.Run(context.Background(), &sp)
+	plain, err := r.Run(context.Background(), &sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != sum.Successes {
-		t.Errorf("replicate gave %d successes, scenario.Runner %d", got, sum.Successes)
+	detailed.Runs = nil
+	if !reflect.DeepEqual(plain, detailed) {
+		t.Errorf("per-run detail changed the aggregate:\n%+v\nvs\n%+v", plain, detailed)
 	}
 }
 
@@ -328,13 +368,13 @@ func TestChurnRunsAndTracksN(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("churn grid expanded to %d points, want 2 topologies", len(pts))
 	}
-	res, err := runChurn(context.Background(), &pts[0].Spec)
+	rows, err := runGrid(context.Background(), o, churnGrid(o, scheme.WTOP), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The active-node series must step through the schedule values.
 	seen := map[int]bool{}
-	for _, v := range res.ActiveSeries.Values {
+	for _, v := range rows[0][0].Runs[0].Active.Values {
 		seen[int(v)] = true
 	}
 	for _, n := range churnPhases {
@@ -342,19 +382,12 @@ func TestChurnRunsAndTracksN(t *testing.T) {
 			t.Errorf("active series never showed %d stations", n)
 		}
 	}
-	dcf, err := sweep.Expand(churnGrid(o, scheme.DCF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runChurn(context.Background(), &dcf[0].Spec); err == nil {
-		t.Error("churn accepted a non-adaptive scheme")
-	}
 }
 
 // Node counts that pass Validate but whose neighbour lists exceed the
 // event engine's adjacency budget (n(n−1) > 134,217,728 entries) must
-// fail with an error, never a panic — on the sweep path (rtscts) and on
-// the replicate path (convergence) alike.
+// fail with an error, never a panic — for aggregate cells (rtscts) and
+// per-run detail cells (convergence) alike.
 func TestOverBudgetNodesReturnError(t *testing.T) {
 	o := Options{Duration: sim.Second, Warmup: sim.Second / 2, Seeds: 1, Nodes: []int{12000}}
 	if err := o.Validate(); err != nil {

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/eventsim"
-	"repro/internal/mac"
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -20,9 +17,6 @@ import (
 // RTS/CTS costs throughput where no hidden nodes exist (fixed 6 Mbps
 // control overhead per frame) and wins where they do.
 func RTSCTSComparison(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	base := openLoopSpec(o, scenario.TopologySpec{})
 	base.Scheme = scheme.DCF
 	rows, err := runGrid(ctx, o, &sweep.Grid{
@@ -60,41 +54,37 @@ func RTSCTSComparison(ctx context.Context, o Options) (*Table, error) {
 // repository on one connected workload, ordered by throughput — a quick
 // regression yardstick for the whole MAC zoo.
 func BaselineLadder(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
+	const n = 30
+	pStar := model.PPersistent{PHY: model.PaperPHY()}.OptimalP(model.UnitWeights(n))
+	base := openLoopSpec(o, withN(connected, n))
+	rows, err := runGrid(ctx, o, &sweep.Grid{
+		Name: "ladder",
+		Base: base,
+		Axes: []sweep.Axis{{Field: sweep.FieldScheme, Values: sweep.Strings(scheme.DCF, scheme.SlowDecrease, scheme.EstimateN, scheme.IdleSense)}},
+	}, 4)
+	if err != nil {
 		return nil, err
 	}
-	const n = 30
-	phy := model.PaperPHY()
-	back := model.PaperBackoff()
-	pStar := model.PPersistent{PHY: phy}.OptimalP(model.UnitWeights(n))
-	ladder := []struct {
-		name      string
-		newPolicy func() mac.Policy
-	}{
-		{"802.11 DCF", func() mac.Policy { return mac.NewStandardDCF(back.CWMin, back.CWMax()) }},
-		{"SlowDecrease", func() mac.Policy { return mac.NewSlowDecrease(back.CWMin, back.CWMax(), 0.5) }},
-		{"EstimateN", func() mac.Policy { return mac.NewEstimateN(phy.TcSlots(), 10) }},
-		{"IdleSense", func() mac.Policy { return mac.NewIdleSense(mac.IdleSenseConfig{}) }},
-		{"optimal fixed p", pPersistent(pStar)},
+	base.Scheme = scheme.WTOP
+	fixed, err := runGrid(ctx, o, &sweep.Grid{
+		Name: "ladder",
+		Base: base,
+		Axes: []sweep.Axis{{Field: sweep.FieldControl, Values: sweep.Floats(pStar)}},
+	}, 1)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		ID:      "ladder",
 		Title:   fmt.Sprintf("baseline policies, %d stations, fully connected (Mbps)", n),
 		Columns: []string{"policy", "Mbps", "collision rate"},
 	}
-	for _, rung := range ladder {
-		var w, cr stats.Welford
-		err := replicate(ctx, openLoopSpec(o, withN(connected, n)), rung.newPolicy, func(res *eventsim.Result) {
-			w.Add(res.Throughput)
-			cr.Add(res.CollisionRate())
-		})
-		if err != nil {
-			return nil, err
-		}
+	labels := []string{"802.11 DCF", "SlowDecrease", "EstimateN", "IdleSense", "optimal fixed p"}
+	for i, sum := range append(rows[0], fixed[0][0]) {
 		t.Rows = append(t.Rows, []string{
-			rung.name,
-			fmt.Sprintf("%.3f", w.Mean()/1e6),
-			fmt.Sprintf("%.3f", cr.Mean()),
+			labels[i],
+			fmt.Sprintf("%.3f", sum.ThroughputMbps.Mean),
+			fmt.Sprintf("%.3f", sum.CollisionRate.Mean),
 		})
 	}
 	t.Notes = append(t.Notes, "extension: related-work policies (SlowDecrease [15], EstimateN [2]) included")

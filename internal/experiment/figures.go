@@ -6,12 +6,9 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/eventsim"
-	"repro/internal/mac"
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -25,9 +22,6 @@ var topologyAxis = sweep.Axis{Field: sweep.FieldTopology, Values: sweep.Strings(
 // motivating figure — IdleSense wins handily in the connected network and
 // collapses once hidden nodes appear.
 func Fig1(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	rows, err := runGrid(ctx, o, &sweep.Grid{
 		Name: "fig1",
 		Base: baseSpec(o, scenario.TopologySpec{}),
@@ -63,9 +57,6 @@ func Fig1(ctx context.Context, o Options) (*Table, error) {
 // sweepTable renders mean converged throughput vs. N for each scheme on
 // topology family ts.
 func sweepTable(ctx context.Context, o Options, id, title string, ts scenario.TopologySpec, schemes ...string) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	nodes := slices.Sorted(slices.Values(o.Nodes))
 	rows, err := runGrid(ctx, o, &sweep.Grid{
 		Name: id,
@@ -91,99 +82,76 @@ func sweepTable(ctx context.Context, o Options, id, title string, ts scenario.To
 	return t, nil
 }
 
-// openLoopMbps is the seed-averaged throughput, in Mbps, of n stations
-// of family ts that all run newPolicy with no controller.
-func openLoopMbps(ctx context.Context, o Options, ts scenario.TopologySpec, n int, newPolicy func() mac.Policy) (float64, error) {
-	var w stats.Welford
-	err := replicate(ctx, openLoopSpec(o, withN(ts, n)), newPolicy, func(res *eventsim.Result) { w.Add(res.Throughput) })
-	return w.Mean() / 1e6, err
-}
-
-// pPersistent is the fixed attempt-probability policy of Figs. 2 and 4.
-func pPersistent(p float64) func() mac.Policy {
-	return func() mac.Policy { return mac.NewPPersistent(1, p) }
-}
-
-// randomReset is the open-loop RandomReset(0; p0) policy of Figs. 5
-// and 13.
-func randomReset(p0 float64) func() mac.Policy {
-	back := model.PaperBackoff()
-	return func() mac.Policy { return mac.NewRandomReset(back.CWMin, back.M, 0, p0) }
-}
-
-// modelVsSim renders the cells of Figs. 2 and 13: at N = 20 and 40 on
-// the connected family, the closed form next to the simulated newPolicy.
-func modelVsSim(ctx context.Context, o Options, newPolicy func() mac.Policy, analytic func(n int) (float64, error)) ([]string, error) {
-	var cells []string
-	for _, n := range []int{20, 40} {
-		want, err := analytic(n)
-		if err != nil {
-			return nil, err
-		}
-		got, err := openLoopMbps(ctx, o, connected, n, newPolicy)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, fmt.Sprintf("%.3f", want/1e6), fmt.Sprintf("%.3f", got))
+// openLoop renders the open-loop Figs. 2, 4, 5 and 13 into t: scheme
+// sch with its control variable fixed at each of controls and no
+// controller, on topology family ts at N = 20 and 40 — for each of
+// radii in turn when given. Row i, labelled label(i), holds the mean
+// throughput of each cell, after the closed form analytic(i, N) when
+// analytic is non-nil.
+func openLoop(ctx context.Context, o Options, t *Table, sch string, ts scenario.TopologySpec, controls []float64,
+	label func(i int) string, analytic func(i, n int) (float64, error), radii ...float64) error {
+	base := openLoopSpec(o, ts)
+	base.Scheme = sch
+	axes := []sweep.Axis{{Field: sweep.FieldControl, Values: sweep.Floats(controls...)}}
+	if len(radii) > 0 {
+		axes = append(axes, sweep.Axis{Field: sweep.FieldRadius, Values: sweep.Floats(radii...)})
 	}
-	return cells, nil
-}
-
-// hiddenColumns heads the cells of hiddenCells.
-var hiddenColumns = []string{"N=20 disc16", "N=40 disc16", "N=20 disc20", "N=40 disc20"}
-
-// hiddenCells renders the cells of Figs. 4 and 5: newPolicy simulated at
-// N = 20 and 40 in each hidden-node disc family.
-func hiddenCells(ctx context.Context, o Options, newPolicy func() mac.Policy) ([]string, error) {
-	var cells []string
-	for _, ts := range []scenario.TopologySpec{disc16, disc20} {
-		for _, n := range []int{20, 40} {
-			mbps, err := openLoopMbps(ctx, o, ts, n, newPolicy)
-			if err != nil {
-				return nil, err
+	axes = append(axes, sweep.Axis{Field: sweep.FieldNodes, Values: sweep.Ints(20, 40)})
+	rows, err := runGrid(ctx, o, &sweep.Grid{Name: t.ID, Base: base, Axes: axes}, 2*max(1, len(radii)))
+	if err != nil {
+		return err
+	}
+	for i, sums := range rows {
+		row := []string{label(i)}
+		for _, sum := range sums {
+			if analytic != nil {
+				want, err := analytic(i, sum.Stations)
+				if err != nil {
+					return err
+				}
+				row = append(row, fmt.Sprintf("%.3f", want/1e6))
 			}
-			cells = append(cells, fmt.Sprintf("%.3f", mbps))
+			row = append(row, fmt.Sprintf("%.3f", sum.ThroughputMbps.Mean))
 		}
+		t.Rows = append(t.Rows, row)
 	}
-	return cells, nil
+	return nil
 }
+
+// hiddenColumns heads the cells of Figs. 4 and 5: the open-loop policy
+// simulated at N = 20 and 40 in each hidden-node disc family.
+var hiddenColumns = []string{"N=20 disc16", "N=40 disc16", "N=20 disc20", "N=40 disc20"}
 
 // Fig2 reproduces Figure 2: p-persistent throughput vs. log(attempt
 // probability) in a fully connected network — the analytic Eq. (3) curve
 // cross-checked against the event simulator.
 func Fig2(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	mdl := model.PPersistent{PHY: model.PaperPHY()}
 	t := &Table{
 		ID:    "fig2",
 		Title: "p-persistent throughput vs attempt probability, fully connected (Mbps)",
 		Columns: []string{"log(p)", "model N=20", "sim N=20",
 			"model N=40", "sim N=40"},
 	}
-	for _, logp := range sweepLogP() {
-		p := math.Exp(logp)
-		cells, err := modelVsSim(ctx, o, pPersistent(p), func(n int) (float64, error) {
-			return mdl.SystemThroughput(p, model.UnitWeights(n)), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.2f", logp)}, cells...))
+	mdl := model.PPersistent{PHY: model.PaperPHY()}
+	logps, ps := sweepLogP()
+	err := openLoop(ctx, o, t, scheme.WTOP, connected, ps,
+		func(i int) string { return fmt.Sprintf("%.2f", logps[i]) },
+		func(i, n int) (float64, error) { return mdl.SystemThroughput(ps[i], model.UnitWeights(n)), nil })
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "log base e; paper plots log10 over [-10,-2] — same bell shape")
 	return t, nil
 }
 
 // sweepLogP covers the paper's Fig. 2/Fig. 4 x-axis: ln p from ≈ −7 to
-// ≈ −1 (p from ~10^-3 to ~0.37).
-func sweepLogP() []float64 {
-	var out []float64
+// ≈ −1 (p from ~10^-3 to ~0.37). It returns each ln p and its p.
+func sweepLogP() (logps, ps []float64) {
 	for lp := -7.0; lp <= -0.9; lp += 0.5 {
-		out = append(out, lp)
+		logps = append(logps, lp)
+		ps = append(ps, math.Exp(lp))
 	}
-	return out
+	return logps, ps
 }
 
 // sweepP0 covers the Fig. 5/Fig. 13 x-axis: p0 from 0 to 1 in steps of
@@ -199,34 +167,32 @@ func sweepP0() []float64 {
 // Table2 reproduces Table II: wTOP-CSMA weighted fairness with weights
 // 1,1,1,2,2,2,3,3,3,3 across ten stations.
 func Table2(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	weights := []float64{1, 1, 1, 2, 2, 2, 3, 3, 3, 3}
 	sp := baseSpec(o, withN(connected, len(weights)))
-	sp.Scheme, sp.Weights, sp.Seeds = scheme.WTOP, weights, 1
-	var res *eventsim.Result
-	if err := replicate(ctx, sp, nil, func(r *eventsim.Result) { res = r }); err != nil {
+	sp.Scheme, sp.Weights, sp.Seeds, sp.Detail = scheme.WTOP, weights, 1, true
+	rows, err := runGrid(ctx, o, &sweep.Grid{Name: "tab2", Base: sp}, 1)
+	if err != nil {
 		return nil, err
 	}
+	sum := rows[0][0]
 	t := &Table{
 		ID:      "tab2",
 		Title:   "wTOP-CSMA weighted fairness (10 stations)",
 		Columns: []string{"node", "weight", "throughput (Mbps)", "normalized (Mbps/weight)"},
 	}
 	total := 0.0
-	for i, st := range res.Stations {
-		total += st.Throughput
+	for i, tput := range sum.Runs[0].StationThroughput {
+		total += tput
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", i+1),
 			fmt.Sprintf("%.0f", weights[i]),
-			fmt.Sprintf("%.5f", st.Throughput/1e6),
-			fmt.Sprintf("%.5f", st.Throughput/weights[i]/1e6),
+			fmt.Sprintf("%.5f", tput/1e6),
+			fmt.Sprintf("%.5f", tput/weights[i]/1e6),
 		})
 	}
 	t.Rows = append(t.Rows, []string{"total", "", fmt.Sprintf("%.4f", total/1e6), ""})
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("weighted Jain index %.4f", res.WeightedJainIndex()),
+		fmt.Sprintf("weighted Jain index %.4f", sum.WeightedJain.Mean),
 		"paper reports ≈22.4 Mbps total with uniform normalized throughput")
 	return t, nil
 }
@@ -243,20 +209,16 @@ func Fig3(ctx context.Context, o Options) (*Table, error) {
 // probability in hidden-node topologies — the quasi-concavity evidence
 // that justifies applying Kiefer–Wolfowitz where no analytic model exists.
 func Fig4(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig4",
 		Title:   "p-persistent throughput vs attempt probability, hidden nodes (Mbps)",
 		Columns: append([]string{"log(p)"}, hiddenColumns...),
 	}
-	for _, logp := range sweepLogP() {
-		cells, err := hiddenCells(ctx, o, pPersistent(math.Exp(logp)))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.2f", logp)}, cells...))
+	logps, ps := sweepLogP()
+	err := openLoop(ctx, o, t, scheme.WTOP, disc16, ps, func(i int) string { return fmt.Sprintf("%.2f", logps[i]) },
+		nil, disc16.Radius, disc20.Radius)
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "each column a fixed random hidden topology family, seed-averaged")
 	return t, nil
@@ -265,20 +227,16 @@ func Fig4(ctx context.Context, o Options) (*Table, error) {
 // Fig5 reproduces Figure 5: RandomReset throughput vs. reset probability
 // p0 (j = 0) in hidden-node topologies.
 func Fig5(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig5",
 		Title:   "RandomReset throughput vs p0 (j=0), hidden nodes (Mbps)",
 		Columns: append([]string{"p0"}, hiddenColumns...),
 	}
-	for _, p0 := range sweepP0() {
-		cells, err := hiddenCells(ctx, o, randomReset(p0))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.1f", p0)}, cells...))
+	p0s := sweepP0()
+	err := openLoop(ctx, o, t, scheme.TORA, disc16, p0s, func(i int) string { return fmt.Sprintf("%.1f", p0s[i]) },
+		nil, disc16.Radius, disc20.Radius)
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -287,24 +245,20 @@ func Fig5(ctx context.Context, o Options) (*Table, error) {
 // the fully connected network, with the appendix fixed-point model
 // alongside the simulation.
 func Fig13(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "fig13",
 		Title: "RandomReset throughput vs p0 (j=0), fully connected (Mbps)",
 		Columns: []string{"p0", "model N=20", "sim N=20",
 			"model N=40", "sim N=40"},
 	}
-	for _, p0 := range sweepP0() {
-		cells, err := modelVsSim(ctx, o, randomReset(p0), func(n int) (float64, error) {
+	p0s := sweepP0()
+	err := openLoop(ctx, o, t, scheme.TORA, connected, p0s, func(i int) string { return fmt.Sprintf("%.1f", p0s[i]) },
+		func(i, n int) (float64, error) {
 			rr := model.RandomReset{PHY: model.PaperPHY(), Backoff: model.PaperBackoff(), N: n}
-			return rr.Throughput(0, p0)
+			return rr.Throughput(0, p0s[i])
 		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.1f", p0)}, cells...))
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -332,9 +286,6 @@ func Fig7(ctx context.Context, o Options) (*Table, error) {
 // with hidden nodes, while wTOP-CSMA's converged idle-slot level varies
 // by configuration — proof that no fixed target can be right.
 func Table3(ctx context.Context, o Options) (*Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	const n = 40
 	cases := []struct {
 		label string

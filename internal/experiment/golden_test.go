@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,5 +58,60 @@ func TestTableGoldens(t *testing.T) {
 				t.Fatalf("%s drifted from %s:\n%s\nwant:\n%s", id, path, got, want)
 			}
 		})
+	}
+}
+
+// Every artefact runs twice over its own sweep cache. Both passes must
+// reproduce the committed table byte for byte; the first must cache the
+// artefact's cells (fig12 alone simulates none), and the second must
+// simulate nothing: every cell is a cache hit, so no cache entry is
+// written again (a write renames a fresh file over the entry).
+func TestTableGoldensFromCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every artefact twice")
+	}
+	for _, e := range Experiments() {
+		o := goldenOptions()
+		o.CacheDir = t.TempDir()
+		want, err := os.ReadFile(filepath.Join(tablesDir, e.ID+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := func() map[string]os.FileInfo {
+			t.Helper()
+			tbl, err := e.Run(context.Background(), o)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			if got := tbl.String(); got != string(want) {
+				t.Fatalf("%s drifted from its golden through the cache:\n%s\nwant:\n%s", e.ID, got, want)
+			}
+			entries := map[string]os.FileInfo{}
+			err = filepath.WalkDir(o.CacheDir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				fi, err := d.Info()
+				entries[path] = fi
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return entries
+		}
+		first := pass()
+		if (len(first) == 0) != (e.ID == "fig12") {
+			t.Errorf("%s: the first pass cached %d cells", e.ID, len(first))
+		}
+		second := pass()
+		if len(second) != len(first) {
+			t.Errorf("%s: the cache held %d files after the first pass, %d after the second", e.ID, len(first), len(second))
+		}
+		for path, fi := range first {
+			if !os.SameFile(fi, second[path]) {
+				t.Errorf("%s: the second pass rewrote %s: it simulated a cached cell", e.ID, path)
+			}
+		}
 	}
 }

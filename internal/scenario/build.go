@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/eventsim"
+	"repro/internal/mac"
 	"repro/internal/model"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -22,12 +23,14 @@ func EngineConfig(sp *Spec, repSeed int64) (eventsim.Config, error) {
 }
 
 // EngineConfigOn assembles the engine configuration of sp's run fields
-// (scheme, weights, traffic, controller window, RTS/CTS, frame errors)
-// on topology tp with seed, under the paper's PHY: the one assembly the
-// scenario runner, the experiment harness and the wlan facade share. It
-// rejects what it cannot build, a topology without stations included,
-// so callers may pass specs Validate never saw. Churn and frame capture
-// are the caller's to apply.
+// (scheme, weights, fixed control, traffic, controller window, RTS/CTS,
+// frame errors) on topology tp with seed, under the paper's PHY: the
+// one assembly the scenario runner, the experiment harness and the wlan
+// facade share. A fixed control is set on every policy scheme.Build
+// made, and the controller is dropped. It rejects what it cannot build,
+// a topology without stations included, so callers may pass specs
+// Validate never saw. Churn and frame capture are the caller's to
+// apply.
 func EngineConfigOn(sp *Spec, tp *topo.Topology, seed int64) (eventsim.Config, error) {
 	n := tp.N()
 	if n < 1 {
@@ -36,6 +39,20 @@ func EngineConfigOn(sp *Spec, tp *topo.Topology, seed int64) (eventsim.Config, e
 	policies, controller, err := scheme.Build(sp.Scheme, sp.Weights, n)
 	if err != nil {
 		return eventsim.Config{}, err
+	}
+	if sp.Control != nil {
+		if err := scheme.CheckControl(sp.Scheme, sp.Control); err != nil {
+			return eventsim.Config{}, err
+		}
+		for _, p := range policies {
+			switch p := p.(type) {
+			case *mac.PPersistent:
+				p.SetAttemptProbability(*sp.Control)
+			case *mac.RandomReset:
+				p.SetReset(0, *sp.Control)
+			}
+		}
+		controller = nil
 	}
 	arrivals, err := arrivals(sp.Traffic, n)
 	if err != nil {

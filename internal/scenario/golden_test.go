@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"repro/internal/scheme"
 )
 
 var update = flag.Bool("update", false, "regenerate the golden summary fixtures")
@@ -152,7 +154,7 @@ func TestHiddennodesSpecPinsHistoricalConfig(t *testing.T) {
 }
 
 func ExampleMarshalSummaries() {
-	sums := []*Summary{{Name: "demo", Scheme: SchemeDCF}}
+	sums := []*Summary{{Name: "demo", Scheme: scheme.DCF}}
 	out, _ := MarshalSummaries(sums)
 	fmt.Println(len(out) > 0)
 	// Output: true

@@ -10,7 +10,6 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/frame"
 	"repro/internal/sim"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -77,16 +76,14 @@ type arena struct {
 }
 
 // simulator returns a simulator for cfg: the arena's instance reset in
-// place, or a fresh build the first time (and for arena-less callers).
+// place, or a fresh build the first time.
 func (ar *arena) simulator(cfg eventsim.Config) (*eventsim.Simulator, error) {
-	if ar == nil || ar.ev == nil {
+	if ar.ev == nil {
 		s, err := eventsim.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if ar != nil {
-			ar.ev = s
-		}
+		ar.ev = s
 		return s, nil
 	}
 	if err := ar.ev.Reset(cfg); err != nil {
@@ -95,7 +92,7 @@ func (ar *arena) simulator(cfg eventsim.Config) (*eventsim.Simulator, error) {
 	return ar.ev, nil
 }
 
-func (r *Runner) replicate(sp *Spec, rep int, ar *arena) (*replication, error) {
+func (r *Runner) runOne(sp *Spec, rep int, ar *arena) (*replication, error) {
 	if r.runRep != nil {
 		return r.runRep(sp, rep)
 	}
@@ -266,7 +263,7 @@ func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i in
 	simulate := func(ar *arena, ji int) {
 		j := jobs[ji]
 		r.Metrics.begin()
-		rep, err := r.replicate(specs[j.si], j.rep, ar)
+		rep, err := r.runOne(specs[j.si], j.rep, ar)
 		var events uint64
 		if err == nil && rep != nil && rep.res != nil {
 			events = rep.res.EventsFired
@@ -354,24 +351,33 @@ type replication struct {
 }
 
 // runReplication executes one seeded simulation on the worker's arena
-// and reduces it to what the summary needs.
+// and reduces it to what the summary needs: EngineConfig for seed
+// sp.Seed+rep, the frame tracer of a capture, the churn schedule
+// through SetActiveAt (a step at t=0 included), then sp.Duration of
+// simulated time.
 func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
-	var capture *captureTracer
-	var edit func(eventsim.Config) eventsim.Config
-	if sp.Capture {
-		capture = &captureTracer{}
-		edit = func(cfg eventsim.Config) eventsim.Config {
-			cfg.Trace = capture
-			return cfg
-		}
-	}
-	res, tp, err := simulate(sp, rep, ar, edit)
+	cfg, err := EngineConfig(sp, sp.Seed+int64(rep))
 	if err != nil {
 		return nil, err
 	}
+	var capture *captureTracer
+	if sp.Capture {
+		capture = &captureTracer{}
+		cfg.Trace = capture
+	}
+	s, err := ar.simulator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, step := range sp.Churn {
+		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
+			return nil, err
+		}
+	}
+	res := s.Run(sim.Duration(sp.Duration))
 	out := &replication{
 		res:         res,
-		hiddenPairs: tp.HiddenPairCount(),
+		hiddenPairs: cfg.Topology.HiddenPairCount(),
 		converged:   res.ConvergedThroughput(sim.Duration(*sp.Warmup)),
 	}
 	if capture != nil {
@@ -382,41 +388,6 @@ func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
 		out.frames, out.stJain = capture.frames, stJain
 	}
 	return out, nil
-}
-
-// Replicate runs replication rep of the validated spec sp on a fresh
-// simulator, exactly as a Runner worker runs it, and returns the full
-// Result. A non-nil edit adjusts the engine configuration first (the
-// experiment harness swaps in open-loop policies this way).
-func Replicate(sp *Spec, rep int, edit func(eventsim.Config) eventsim.Config) (*eventsim.Result, error) {
-	res, _, err := simulate(sp, rep, nil, edit)
-	return res, err
-}
-
-// simulate is the one replication body behind the Runner and
-// Replicate: EngineConfig for seed sp.Seed+rep, edit (if non-nil; by
-// value, so the configuration stays on the stack), ar's simulator or a
-// fresh one when ar is nil, the churn schedule through SetActiveAt (a
-// step at t=0 included), then sp.Duration of simulated time. It also
-// returns the replication's topology.
-func simulate(sp *Spec, rep int, ar *arena, edit func(eventsim.Config) eventsim.Config) (*eventsim.Result, *topo.Topology, error) {
-	cfg, err := EngineConfig(sp, sp.Seed+int64(rep))
-	if err != nil {
-		return nil, nil, err
-	}
-	if edit != nil {
-		cfg = edit(cfg)
-	}
-	s, err := ar.simulator(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, step := range sp.Churn {
-		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
-			return nil, nil, err
-		}
-	}
-	return s.Run(sim.Duration(sp.Duration)), cfg.Topology, nil
 }
 
 // captureTracer is a capture-enabled replication's frame tracer: it

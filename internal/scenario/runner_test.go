@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/eventsim"
+	"repro/internal/mac"
+	"repro/internal/scheme"
 )
 
 func testSuite() *Suite {
@@ -28,7 +33,7 @@ func testSuite() *Suite {
 			},
 			{
 				Name:     "hidden-tora",
-				Scheme:   SchemeTORA,
+				Scheme:   scheme.TORA,
 				Topology: TopologySpec{Kind: TopoDisc, N: 10, Radius: 16},
 				Duration: Duration(2 * time.Second),
 				Warmup:   durp(Duration(time.Second)),
@@ -44,7 +49,7 @@ func testSuite() *Suite {
 			},
 			{
 				Name:     "churn-wtop",
-				Scheme:   SchemeWTOP,
+				Scheme:   scheme.WTOP,
 				Topology: TopologySpec{Kind: TopoConnected, N: 12},
 				Churn:    []ChurnStep{{At: 0, Active: 4}, {At: Duration(time.Second), Active: 12}},
 				Duration: Duration(2 * time.Second),
@@ -315,7 +320,7 @@ func TestRunBatchKeepsLowestIndexError(t *testing.T) {
 func TestRunnerDeterminism(t *testing.T) {
 	sp := &Spec{
 		Name:     "det",
-		Scheme:   SchemeTORA,
+		Scheme:   scheme.TORA,
 		Topology: TopologySpec{Kind: TopoDisc, N: 8, Radius: 16},
 		Traffic:  []TrafficSpec{{Model: "poisson", Rate: 200}},
 		Duration: Duration(2 * time.Second),
@@ -496,5 +501,115 @@ func TestValidationWrapsErrInvalidSpec(t *testing.T) {
 	sp := &Spec{Topology: TopologySpec{Kind: TopoConnected, N: 2}, Duration: -1}
 	if err := sp.Validate(); !errors.Is(err, ErrInvalidSpec) {
 		t.Errorf("Validate error %v does not wrap ErrInvalidSpec", err)
+	}
+}
+
+// Every scheme Build names runs end to end through the runner, and a
+// fixed control reaches every policy with the controller dropped: p for
+// wTOP-CSMA, p0 for TORA-CSMA (zero included).
+func TestBuildSimAllSchemes(t *testing.T) {
+	ctl := func(v float64) *float64 { return &v }
+	cases := []struct {
+		scheme  string
+		control *float64
+	}{
+		{scheme.DCF, nil}, {scheme.IdleSense, nil}, {scheme.WTOP, nil}, {scheme.TORA, nil},
+		{scheme.SlowDecrease, nil}, {scheme.EstimateN, nil},
+		{scheme.WTOP, ctl(0.0123)}, {scheme.TORA, ctl(0)}, {scheme.TORA, ctl(0.30000000000000004)},
+	}
+	r := &Runner{}
+	defer r.Close()
+	for _, tc := range cases {
+		sp := Spec{Scheme: tc.scheme, Control: tc.control, Topology: TopologySpec{Kind: TopoConnected, N: 4}, Duration: Duration(2 * time.Second)}
+		sum, err := r.Run(context.Background(), &sp)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.scheme, err)
+		}
+		if sum.Successes == 0 {
+			t.Errorf("%s: no successes in 2s", tc.scheme)
+		}
+		cfg, err := EngineConfig(&sp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.control == nil {
+			continue
+		}
+		if cfg.Controller != nil {
+			t.Errorf("%s control %v: the controller still runs", tc.scheme, *tc.control)
+		}
+		for i, p := range cfg.Policies {
+			var got float64
+			switch p := p.(type) {
+			case *mac.PPersistent:
+				got = p.AttemptProbability()
+			case *mac.RandomReset:
+				var j int
+				if j, got = p.Reset(); j != 0 {
+					t.Errorf("%s: station %d resets to stage %d, want 0", tc.scheme, i, j)
+				}
+			default:
+				t.Fatalf("%s: station %d runs %T", tc.scheme, i, p)
+			}
+			if got != *tc.control {
+				t.Errorf("%s: station %d control %v, want %v", tc.scheme, i, got, *tc.control)
+			}
+		}
+	}
+	if _, err := r.Run(context.Background(), &Spec{Scheme: "bogus", Topology: TopologySpec{Kind: TopoConnected, N: 4}}); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+}
+
+// A detailed summary carries one run per replication in seed order,
+// matching the aggregate, and survives a JSON round trip unchanged: no
+// value of it is NaN or ±Inf, which JSON cannot carry.
+func TestRunnerDetail(t *testing.T) {
+	r := &Runner{Parallelism: 2}
+	defer r.Close()
+	for _, sch := range []string{scheme.DCF, scheme.IdleSense, scheme.WTOP, scheme.TORA, scheme.SlowDecrease, scheme.EstimateN} {
+		sp := Spec{
+			Scheme:   sch,
+			Topology: TopologySpec{Kind: TopoDisc, N: 8, Radius: 20},
+			Churn:    []ChurnStep{{At: 0, Active: 3}, {At: Duration(500 * time.Millisecond), Active: 8}},
+			Duration: Duration(time.Second),
+			Seeds:    3,
+			Detail:   true,
+		}
+		sum, err := r.Run(context.Background(), &sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Runs) != 3 {
+			t.Fatalf("%s: %d runs for 3 seeds", sch, len(sum.Runs))
+		}
+		mean := 0.0
+		for i, run := range sum.Runs {
+			if len(run.StationThroughput) != 8 || len(run.Throughput.Times) == 0 || len(run.Active.Values) != len(run.Throughput.Values) {
+				t.Fatalf("%s run %d: %d stations, %d throughput and %d active samples", sch, i, len(run.StationThroughput), len(run.Throughput.Times), len(run.Active.Values))
+			}
+			total := 0.0
+			for _, x := range run.StationThroughput {
+				total += x
+			}
+			mean += total / 3
+			if (sch == scheme.WTOP || sch == scheme.TORA) != (len(run.Control.Values) > 0) {
+				t.Errorf("%s run %d: %d control samples", sch, i, len(run.Control.Values))
+			}
+		}
+		if math.Abs(mean/1e6-sum.ThroughputMbps.Mean) > 1e-9*sum.ThroughputMbps.Mean {
+			t.Errorf("%s: runs average %v Mbps, the aggregate %v", sch, mean/1e6, sum.ThroughputMbps.Mean)
+		}
+		data, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatalf("%s: %v", sch, err)
+		}
+		var back Summary
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&back, sum) {
+			t.Errorf("%s: the detailed summary changed in a JSON round trip", sch)
+		}
 	}
 }

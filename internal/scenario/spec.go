@@ -137,12 +137,20 @@ type Spec struct {
 	Description string `json:"description,omitempty"`
 	// Topology places the stations.
 	Topology TopologySpec `json:"topology"`
-	// Scheme is the channel-access scheme: "802.11" (default),
-	// "IdleSense", "wTOP-CSMA" or "TORA-CSMA".
+	// Scheme is the channel-access scheme: one of the paper's four,
+	// "802.11" (default), "IdleSense", "wTOP-CSMA" and "TORA-CSMA", or
+	// one of the related-work baselines "SlowDecrease" and "EstimateN"
+	// (see internal/scheme).
 	Scheme string `json:"scheme,omitempty"`
 	// Weights are per-station fairness weights (wTOP-CSMA only; nil
 	// means unit weights).
 	Weights []float64 `json:"weights,omitempty"`
+	// Control, when set, fixes the scheme's control variable and runs
+	// no controller: wTOP-CSMA's attempt probability p ∈ (0, 1], or
+	// TORA-CSMA's reset probability p0 ∈ [0, 1] (with j = 0). These are
+	// the open-loop cells of the paper's Figs. 2, 4, 5 and 13. A
+	// pointer, because p0 = 0 is a cell of its own.
+	Control *float64 `json:"control,omitempty"`
 	// Traffic holds zero (all saturated), one (applied to every
 	// station) or N per-station arrival processes.
 	Traffic []TrafficSpec `json:"traffic,omitempty"`
@@ -170,6 +178,10 @@ type Spec struct {
 	// CaptureWindow is the sliding window, in successful frames, of the
 	// short-term fairness index (default 3·N).
 	CaptureWindow int `json:"capture_window,omitempty"`
+	// Detail adds one entry per replication to the summary, in seed
+	// order: the per-station throughput and the windowed throughput,
+	// control and active-station series.
+	Detail bool `json:"detail,omitempty"`
 }
 
 // Suite is a named list of scenarios — the on-disk file format. A file
@@ -211,15 +223,6 @@ const (
 	MaxChurnSteps = 10000
 	// maxSpecBytes bounds the accepted file size.
 	maxSpecBytes = 8 << 20
-)
-
-// Scheme names accepted by Spec.Scheme: the paper's four schemes, as
-// named by the canonical internal/scheme mapping.
-const (
-	SchemeDCF       = scheme.DCF
-	SchemeIdleSense = scheme.IdleSense
-	SchemeWTOP      = scheme.WTOP
-	SchemeTORA      = scheme.TORA
 )
 
 // Decode parses and validates a scenario file: either a Suite
@@ -330,13 +333,13 @@ func (sp *Spec) Validate() error { return wrapInvalid(sp.applyDefaults()) }
 
 func (sp *Spec) applyDefaults() error {
 	if sp.Scheme == "" {
-		sp.Scheme = SchemeDCF
+		sp.Scheme = scheme.DCF
 	}
-	switch sp.Scheme {
-	case SchemeDCF, SchemeIdleSense, SchemeWTOP, SchemeTORA:
-	default:
-		return fmt.Errorf("unknown scheme %q (want %s, %s, %s or %s)",
-			sp.Scheme, SchemeDCF, SchemeIdleSense, SchemeWTOP, SchemeTORA)
+	if err := scheme.Check(sp.Scheme); err != nil {
+		return err
+	}
+	if err := scheme.CheckControl(sp.Scheme, sp.Control); err != nil {
+		return err
 	}
 	if sp.Duration == 0 {
 		sp.Duration = Duration(30 * time.Second)

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scheme"
 )
 
 const minimalSpec = `{"name":"t","topology":{"kind":"connected","n":5}}`
@@ -21,7 +24,7 @@ func TestDecodeMinimalSpec(t *testing.T) {
 		t.Fatalf("got %d scenarios", len(su.Scenarios))
 	}
 	sp := su.Scenarios[0]
-	if sp.Scheme != SchemeDCF || sp.Seeds != 1 || sp.Seed != 1 {
+	if sp.Scheme != scheme.DCF || sp.Seeds != 1 || sp.Seed != 1 {
 		t.Errorf("defaults not applied: %+v", sp)
 	}
 	if sp.Duration != Duration(30*time.Second) || sp.Warmup == nil || *sp.Warmup != Duration(15*time.Second) {
@@ -341,6 +344,10 @@ func FuzzSpecDecode(f *testing.F) {
 		`null`,
 		`[]`,
 		`{"scenarios":null}`,
+		`{"scheme":"TORA-CSMA","control":0,"detail":true,"topology":{"kind":"disc","n":4}}`,
+		`{"scheme":"wTOP-CSMA","control":0.0123,"topology":{"kind":"connected","n":3}}`,
+		`{"scheme":"IdleSense","control":0.5,"topology":{"kind":"connected","n":3}}`,
+		`{"scheme":"EstimateN","detail":true,"topology":{"kind":"connected","n":3}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -376,4 +383,57 @@ func FuzzSpecDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A fixed control must name a finite value in its scheme's range, and
+// only wTOP-CSMA and TORA-CSMA have one: anything else is an invalid
+// spec, at validation and at engine assembly alike.
+func TestControlValidation(t *testing.T) {
+	ctl := func(v float64) *float64 { return &v }
+	bad := []struct {
+		scheme  string
+		control *float64
+	}{
+		{scheme.DCF, ctl(0.1)},
+		{scheme.IdleSense, ctl(0.1)},
+		{scheme.SlowDecrease, ctl(0.1)},
+		{scheme.EstimateN, ctl(0)},
+		{"", ctl(0.5)},
+		{scheme.WTOP, ctl(0)},
+		{scheme.WTOP, ctl(-0.25)},
+		{scheme.WTOP, ctl(1.0000001)},
+		{scheme.TORA, ctl(-1e-300)},
+		{scheme.TORA, ctl(2)},
+		{scheme.WTOP, ctl(math.NaN())},
+		{scheme.TORA, ctl(math.NaN())},
+		{scheme.WTOP, ctl(math.Inf(1))},
+		{scheme.TORA, ctl(math.Inf(-1))},
+	}
+	for _, tc := range bad {
+		sp := Spec{Scheme: tc.scheme, Control: tc.control, Topology: TopologySpec{Kind: TopoConnected, N: 3}}
+		if err := sp.Validate(); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%q control %v: Validate = %v, want ErrInvalidSpec", tc.scheme, *tc.control, err)
+		}
+		if _, err := EngineConfig(&sp, 1); err == nil {
+			t.Errorf("%q control %v: the engine assembly accepted it", tc.scheme, *tc.control)
+		}
+	}
+	for _, data := range []string{
+		`{"scheme":"802.11","control":0.2,"topology":{"kind":"connected","n":3}}`,
+		`{"scheme":"wTOP-CSMA","control":0,"topology":{"kind":"connected","n":3}}`,
+		`{"scheme":"TORA-CSMA","control":1.5,"topology":{"kind":"connected","n":3}}`,
+	} {
+		if _, err := Decode([]byte(data)); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: Decode = %v, want ErrInvalidSpec", data, err)
+		}
+	}
+	for _, good := range []struct {
+		scheme  string
+		control float64
+	}{{scheme.WTOP, 1e-9}, {scheme.WTOP, 1}, {scheme.TORA, 0}, {scheme.TORA, 1}} {
+		sp := Spec{Scheme: good.scheme, Control: ctl(good.control), Topology: TopologySpec{Kind: TopoConnected, N: 3}}
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s control %v rejected: %v", good.scheme, good.control, err)
+		}
+	}
 }

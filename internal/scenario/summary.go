@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/eventsim"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -90,6 +92,49 @@ type Summary struct {
 
 	// Capture is present only for capture-enabled scenarios.
 	Capture *CaptureStats `json:"capture,omitempty"`
+
+	// Runs holds one entry per replication, in seed order, for specs
+	// that set Detail.
+	Runs []RunDetail `json:"runs,omitempty"`
+}
+
+// RunDetail is one replication's per-station and windowed results, in
+// the engine's own units, so a caller's arithmetic on them matches the
+// engine Result's exactly: JSON round-trips every float64 and time. No
+// value can be NaN or ±Inf, which JSON cannot carry: every throughput
+// divides delivered bits by a positive span, a control value is a
+// probability and an active count is a count.
+type RunDetail struct {
+	// StationThroughput is each station's delivered throughput, bits/s,
+	// in station-index order.
+	StationThroughput []float64 `json:"station_throughput"`
+	// Throughput, Control and Active sample the windowed throughput
+	// (bits/s), the broadcast control variable (p or p0; empty without
+	// a controller) and the active-station count at every controller
+	// window boundary.
+	Throughput Series `json:"throughput"`
+	Control    Series `json:"control"`
+	Active     Series `json:"active"`
+}
+
+// Series is a sampled time series: Values[i] at Times[i].
+type Series struct {
+	Times  []sim.Time `json:"times"`
+	Values []float64  `json:"values"`
+}
+
+// detail extracts res's RunDetail.
+func detail(res *eventsim.Result) RunDetail {
+	d := RunDetail{
+		StationThroughput: make([]float64, len(res.Stations)),
+		Throughput:        Series{res.ThroughputSeries.Times, res.ThroughputSeries.Values},
+		Control:           Series{res.ControlSeries.Times, res.ControlSeries.Values},
+		Active:            Series{res.ActiveSeries.Times, res.ActiveSeries.Values},
+	}
+	for i, st := range res.Stations {
+		d.StationThroughput[i] = st.Throughput
+	}
+	return d
 }
 
 // summarize reduces a spec's replications (in index order) to a Summary.
@@ -159,6 +204,12 @@ func summarize(sp *Spec, reps []*replication) *Summary {
 	}
 	if sp.Capture {
 		sum.Capture = &CaptureStats{Frames: frames, ShortTermJain: aggregate(stJain)}
+	}
+	if sp.Detail {
+		sum.Runs = make([]RunDetail, n)
+		for i, rep := range reps {
+			sum.Runs[i] = detail(rep.res)
+		}
 	}
 	return &sum
 }

@@ -21,6 +21,8 @@ func TestBuildAllSchemes(t *testing.T) {
 		{IdleSense, "*mac.IdleSense", false},
 		{WTOP, "*mac.PPersistent", true},
 		{TORA, "*mac.RandomReset", true},
+		{SlowDecrease, "*mac.SlowDecrease", false},
+		{EstimateN, "*mac.EstimateN", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.scheme, func(t *testing.T) {
@@ -49,10 +51,21 @@ func TestBuildAllSchemes(t *testing.T) {
 					if _, ok := p.(*mac.RandomReset); !ok {
 						t.Errorf("policy %d is %T", i, p)
 					}
+				case "*mac.SlowDecrease":
+					if _, ok := p.(*mac.SlowDecrease); !ok {
+						t.Errorf("policy %d is %T", i, p)
+					}
+				case "*mac.EstimateN":
+					if _, ok := p.(*mac.EstimateN); !ok {
+						t.Errorf("policy %d is %T", i, p)
+					}
 				}
 			}
 			if tc.hasController != (controller != nil) {
 				t.Errorf("controller = %v, want present=%v", controller, tc.hasController)
+			}
+			if err := Check(tc.scheme); err != nil {
+				t.Errorf("Check: %v", err)
 			}
 		})
 	}
@@ -101,8 +114,11 @@ func TestBuildErrors(t *testing.T) {
 		t.Errorf("unknown scheme: %v", err)
 	}
 	// The error must name the valid schemes so a typo is self-repairing.
-	if _, _, err := Build("802.11b", nil, 4); err == nil || !strings.Contains(err.Error(), WTOP) {
+	if _, _, err := Build("802.11b", nil, 4); err == nil || !strings.Contains(err.Error(), WTOP) || !strings.Contains(err.Error(), EstimateN) {
 		t.Errorf("error does not list valid schemes: %v", err)
+	}
+	if err := Check(""); err == nil {
+		t.Error("Check accepted an empty name")
 	}
 	if _, _, err := Build(WTOP, []float64{1, 2}, 4); err == nil {
 		t.Error("bad weight length accepted")

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/scheme"
 	"repro/internal/sweep"
 )
 
@@ -105,7 +106,7 @@ func TestCompleteRejectsSummaryNotDescribingPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongScheme, err := json.Marshal(&scenario.Summary{Name: pts[0].Name, Scheme: scenario.SchemeWTOP, Replications: 1})
+	wrongScheme, err := json.Marshal(&scenario.Summary{Name: pts[0].Name, Scheme: scheme.WTOP, Replications: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,6 @@ type CoordinatorConfig struct {
 type Coordinator struct {
 	cfg         CoordinatorConfig
 	fingerprint string
-	specJSON    [][]byte // pre-marshaled lease payload per point
 
 	mu       sync.Mutex
 	ledger   *sweep.Ledger
@@ -195,7 +194,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		fingerprint: sweep.GridFingerprint(cfg.Grid),
-		specJSON:    make([][]byte, len(pts)),
 		ledger:      sweep.NewLedger(pts, cfg.Cache),
 		leasedBy:    make([]string, len(pts)),
 		reissues:    make([]int, len(pts)),
@@ -203,13 +201,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		doneCh:      make(chan struct{}),
 	}
 	c.stats.Total = len(pts)
-	for i, pt := range pts {
-		data, err := json.Marshal(&pt.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("svc: marshal point %d spec: %w", i, err)
-		}
-		c.specJSON[i] = data
-	}
 
 	// Cache replay: the resume path. Every hit is a point no worker
 	// will ever see; every miss, quarantined entries included, queues.
@@ -427,25 +418,25 @@ func (c *Coordinator) lease(req *LeaseRequest) (*LeaseResponse, error) {
 		// Everything unfinished is leased out; the worker polls again.
 		return &LeaseResponse{}, nil
 	}
+	// A spec is marshalled when its point is leased, so the points a
+	// cache replay serves are never marshalled at all.
 	batch := append([]int(nil), c.pending[:n]...)
+	points := make([]LeasePoint, 0, len(batch))
+	for _, idx := range batch {
+		pt := c.ledger.Points()[idx]
+		spec, err := json.Marshal(&pt.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("svc: marshal point %d spec: %w", idx, err)
+		}
+		points = append(points, LeasePoint{Index: idx, Name: pt.Name, Key: pt.Key, Spec: spec})
+	}
 	c.pending = c.pending[n:]
 	l := c.leases.grant(req.WorkerID, batch, now)
 	c.stats.LeasesGranted++
-	resp := &LeaseResponse{
-		LeaseID: l.id,
-		TTLMS:   c.cfg.LeaseTTL.Milliseconds(),
-		Points:  make([]LeasePoint, 0, len(batch)),
-	}
 	for _, idx := range batch {
 		c.leasedBy[idx] = l.id
-		pt := c.ledger.Points()[idx]
-		resp.Points = append(resp.Points, LeasePoint{
-			Index: idx,
-			Name:  pt.Name,
-			Key:   pt.Key,
-			Spec:  c.specJSON[idx],
-		})
 	}
+	resp := &LeaseResponse{LeaseID: l.id, TTLMS: c.cfg.LeaseTTL.Milliseconds(), Points: points}
 	c.logf("wlansvc: lease %s granted to worker %s (%d points)", l.id, req.WorkerID, len(batch))
 	return resp, nil
 }

@@ -80,6 +80,7 @@ const (
 	FieldSeeds          = "seeds"            // replications per point (int)
 	FieldSeed           = "seed"             // base seed (int)
 	FieldUpdatePeriod   = "update_period"    // controller window Δ (duration)
+	FieldControl        = "control"          // fixed p or p0, no controller (float)
 )
 
 // Expansion ceilings. Grids come from files, so every dimension that
@@ -104,6 +105,9 @@ const (
 	boolKind
 	stringKind
 	durationKind
+	// ptrFloatKind is a float the spec holds by pointer, so omitempty
+	// drops no value of it, zero included.
+	ptrFloatKind
 )
 
 // fieldDef couples an axis field's value type with its spec setter.
@@ -176,6 +180,11 @@ var fieldDefs = map[string]fieldDef{
 		sp.UpdatePeriod = v.(scenario.Duration)
 		return nil
 	}, "update_period", func(sp *scenario.Spec, v any) bool { return sp.UpdatePeriod == v.(scenario.Duration) }},
+	FieldControl: {ptrFloatKind, func(sp *scenario.Spec, v any) error {
+		c := v.(float64)
+		sp.Control = &c
+		return nil
+	}, "control", func(sp *scenario.Spec, v any) bool { return sp.Control != nil && *sp.Control == v.(float64) }},
 }
 
 // Ints builds axis values from Go ints (programmatic grids).
@@ -230,6 +239,7 @@ func Durations(vs ...time.Duration) []json.RawMessage {
 // text, which must not depend on map iteration order.
 // TestFieldsMatchDefs pins it against the fieldDefs keys.
 var fieldNames = []string{
+	FieldControl,
 	FieldDuration,
 	FieldFrameErrorRate,
 	FieldNodes,
@@ -259,7 +269,7 @@ func decodeValue(kind valueKind, raw json.RawMessage) (any, error) {
 			return nil, fmt.Errorf("want an integer, got %s", raw)
 		}
 		return n, nil
-	case floatKind:
+	case floatKind, ptrFloatKind:
 		var f float64
 		if err := strictValue(raw, &f); err != nil {
 			return nil, fmt.Errorf("want a number, got %s", raw)
@@ -544,13 +554,15 @@ var spliceMarks = [...]any{
 	boolKind:     true,
 	stringKind:   "\x00",
 	durationKind: scenario.Duration(-987654321),
+	ptrFloatKind: -9.87654321e-300,
 }
 
-// memberSegment is what json.Marshal writes for a spec member holding
-// v after the member before it: `,"member":value`, or nothing for a
-// zero value, which omitempty drops (every spliced member has it). No
-// spliced member comes first in its object, which name and kind do.
-func memberSegment(member string, v any) []byte {
+// memberSegment is what json.Marshal writes for a spec member of kind
+// holding v after the member before it: `,"member":value`, or nothing
+// for a zero value, which omitempty drops (every spliced member has it)
+// unless the member is a pointer. No spliced member comes first in its
+// object, which name and kind do.
+func memberSegment(member string, kind valueKind, v any) []byte {
 	var zero bool
 	switch x := v.(type) {
 	case int64:
@@ -564,7 +576,7 @@ func memberSegment(member string, v any) []byte {
 	case scenario.Duration:
 		zero = x == 0
 	}
-	if zero {
+	if zero && kind != ptrFloatKind {
 		return []byte{}
 	}
 	enc, _ := json.Marshal(v) // axis values are finite scalars, which always marshal
@@ -591,7 +603,7 @@ func newKeyTemplate(base, sp *scenario.Spec, axes []gridAxis) *keyTemplate {
 	type cut struct{ at, end, axis int }
 	cuts := make([]cut, len(axes))
 	for ai, ax := range axes {
-		seg := memberSegment(ax.def.member, spliceMarks[ax.def.kind])
+		seg := memberSegment(ax.def.member, ax.def.kind, spliceMarks[ax.def.kind])
 		if bytes.Count(enc, seg) != 1 {
 			return nil
 		}
@@ -618,7 +630,7 @@ func newKeyTemplate(base, sp *scenario.Spec, axes []gridAxis) *keyTemplate {
 		ax := axes[c.axis]
 		s := splice{axis: c.axis, values: ax.values, segs: make([][]byte, len(ax.values)), holds: ax.def.holds}
 		for j, v := range ax.values {
-			s.segs[j] = memberSegment(ax.def.member, v)
+			s.segs[j] = memberSegment(ax.def.member, ax.def.kind, v)
 		}
 		t.splices = append(t.splices, s)
 		t.chunks = append(t.chunks, enc[c.end:next])
@@ -659,6 +671,10 @@ func cloneSpec(sp *scenario.Spec) scenario.Spec {
 	if sp.Warmup != nil {
 		w := *sp.Warmup
 		q.Warmup = &w
+	}
+	if sp.Control != nil {
+		c := *sp.Control
+		q.Control = &c
 	}
 	q.Weights = slices.Clone(sp.Weights)
 	q.Traffic = slices.Clone(sp.Traffic)

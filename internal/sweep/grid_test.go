@@ -306,7 +306,7 @@ func TestUnknownFieldErrorTextDeterministic(t *testing.T) {
 	const data = `{"base": {"topology": {"kind": "connected", "n": 3}},
 	  "axes": [{"field": "warp", "values": [1]}]}`
 	want := `invalid sweep grid: sweep: axis 0: unknown field "warp" (want one of ` +
-		"duration, frame_error_rate, nodes, radius, rate, rtscts, " +
+		"control, duration, frame_error_rate, nodes, radius, rate, rtscts, " +
 		"scheme, seed, seeds, separation, topology, update_period)"
 	for i := 0; i < 10; i++ {
 		g, err := Decode([]byte(data))

@@ -10,9 +10,10 @@ import (
 // spliceBases are grid bases that switch every coupling of spliceable
 // on and off: an unset warmup (duration), a capture with and without a
 // window (nodes), a traffic list (rate), each topology kind's radius
-// and separation defaults, custom points whose count overrides n, and
-// a topology seed equal to the int mark, which makes a seed axis
-// ambiguous to cut.
+// and separation defaults, custom points whose count overrides n, a
+// topology seed equal to the int mark, which makes a seed axis
+// ambiguous to cut, and the two schemes a fixed control suits, with and
+// without a control and per-run detail in the base.
 var spliceBases = []string{
 	`{"topology": {"kind": "connected", "n": 4}, "duration": "1s"}`,
 	`{"topology": {"kind": "disc", "n": 5}, "duration": "1s", "warmup": "100ms",
@@ -25,6 +26,8 @@ var spliceBases = []string{
 	`{"topology": {"n": 2}, "duration": "2s",
 	  "traffic": [{"model": "onoff", "rate": 5, "on_mean": "10ms", "off_mean": "20ms"}],
 	  "churn": [{"at": "0s", "active": 1}]}`,
+	`{"topology": {"kind": "disc", "n": 4}, "scheme": "TORA-CSMA", "duration": "1s", "warmup": "0s", "detail": true}`,
+	`{"topology": {"n": 3}, "scheme": "wTOP-CSMA", "control": 0.5, "duration": "1s", "warmup": "0s"}`,
 }
 
 // spliceValues are raw axis values per field: zeros that omitempty
@@ -43,6 +46,7 @@ var spliceValues = map[string][]string{
 	FieldSeeds:          {`0`, `1`, `3`},
 	FieldSeed:           {`0`, `1`, `7`, `-5`, `-987654321`, `1000000000000000`},
 	FieldUpdatePeriod:   {`"0s"`, `"100ms"`, `"250ms"`},
+	FieldControl:        {`0`, `-0`, `1e-9`, `0.0123`, `0.30000000000000004`, `1`, `2`},
 }
 
 // spliceGrid builds a grid of up to four axes from pick, which returns
@@ -129,6 +133,10 @@ func TestSplicedKeyMatchesSpecKey(t *testing.T) {
 		{"ambiguous seed", `{"base": {"topology": {"n": 4, "seed": -987654321}}, "axes": [
 		  {"field": "seed", "values": [1, 2]}]}`, false},
 		{"no axes", `{"base": {"topology": {"n": 4}}, "axes": []}`, true},
+		{"control", `{"base": {"topology": {"n": 2}, "scheme": "TORA-CSMA", "detail": true}, "axes": [
+		  {"field": "control", "values": [0, -0, 0.1, 0.30000000000000004, 1]}, {"field": "nodes", "values": [2, 3]}]}`, true},
+		{"control and scheme", `{"base": {"topology": {"n": 2}, "control": 0.25}, "axes": [
+		  {"field": "scheme", "values": ["wTOP-CSMA", "TORA-CSMA"]}, {"field": "control", "values": [0.5, 1]}]}`, true},
 	}
 	for _, tc := range named {
 		expanded, spliced := checkSplicedKeys(t, mustDecode(t, tc.grid))
@@ -158,7 +166,8 @@ func TestSplicedKeyMatchesSpecKey(t *testing.T) {
 // FuzzSplicedKey draws grids as TestSplicedKeyMatchesSpecKey's random
 // ones do, from the fuzzer's bytes.
 func FuzzSplicedKey(f *testing.F) {
-	for _, seed := range []string{"", "\x00\x04\x02\x01", "\x01\x03\x05\x02\x07\x01\x09\x02\x0b\x00", "\x04\x02\x0a\x02\x08\x00"} {
+	for _, seed := range []string{"", "\x00\x04\x02\x01", "\x01\x03\x05\x02\x07\x01\x09\x02\x0b\x00", "\x04\x02\x0a\x02\x08\x00",
+		"\x06\x02\x00\x02\x00\x01\x02\x02\x01\x01\x03", "\x07\x01\x00\x01\x04\x05"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

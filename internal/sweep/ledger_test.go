@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/scheme"
 )
 
 // The ledger's cursor moves past a row only once its emit succeeded: a
@@ -42,7 +43,7 @@ func TestLedgerRetriesFailedEmit(t *testing.T) {
 		return WriteRow(&rows, pr)
 	}
 	for _, i := range []int{1, 0} {
-		if err := l.Commit(i, &scenario.Summary{Scheme: scenario.SchemeDCF}); err != nil {
+		if err := l.Commit(i, &scenario.Summary{Scheme: scheme.DCF}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +56,7 @@ func TestLedgerRetriesFailedEmit(t *testing.T) {
 	if err := l.Commit(0, &scenario.Summary{}); err == nil {
 		t.Error("an emitted point was committed again")
 	}
-	if err := l.Commit(2, &scenario.Summary{Scheme: scenario.SchemeDCF}); err != nil {
+	if err := l.Commit(2, &scenario.Summary{Scheme: scheme.DCF}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Advance(emit); err != nil {
@@ -66,7 +67,7 @@ func TestLedgerRetriesFailedEmit(t *testing.T) {
 		if !l.Done(pt.Index) {
 			t.Errorf("point %d not done", pt.Index)
 		}
-		if err := WriteRow(&want, &PointResult{Point: pt, Summary: &scenario.Summary{Scheme: scenario.SchemeDCF}}); err != nil {
+		if err := WriteRow(&want, &PointResult{Point: pt, Summary: &scenario.Summary{Scheme: scheme.DCF}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -336,6 +336,7 @@ func TestSplicedRowMatchesMarshal(t *testing.T) {
 		FieldUpdatePeriod:   {`"2ms250µs"`},
 		FieldSeeds:          {`3`},
 		FieldSeed:           {`-9007199254740993`},
+		FieldControl:        {`0`, `-0`, `0.30000000000000004`},
 	}
 	for k := 0; k < 3; k++ {
 		var axes []AxisValue

@@ -36,6 +36,7 @@ const (
 	FieldSeeds          = sweep.FieldSeeds
 	FieldSeed           = sweep.FieldSeed
 	FieldUpdatePeriod   = sweep.FieldUpdatePeriod
+	FieldControl        = sweep.FieldControl
 )
 
 // SweepPoint is one completed grid cell: its expansion index, canonical
