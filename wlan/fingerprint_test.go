@@ -24,7 +24,7 @@ import (
 	"time"
 )
 
-var updateFingerprints = flag.Bool("update", false, "regenerate the facade fingerprint fixture")
+var updateFingerprints = flag.Bool("update", false, "regenerate the facade fingerprint fixture and the /metrics golden")
 
 const facadeFixture = "testdata/fingerprints.json"
 

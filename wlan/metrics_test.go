@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // scrape fetches the handler's exposition text and parses the sample
@@ -174,5 +177,70 @@ func TestMetricsFailedPointsBalance(t *testing.T) {
 	}
 	if s.PointsFailed == 0 {
 		t.Error("failed counter is 0 after an aborted sweep")
+	}
+}
+
+// goldenMetrics is the committed wlansim_* /metrics text that
+// TestMetricsGolden diffs against.
+const goldenMetrics = "testdata/lab.metrics"
+
+// TestMetricsGolden pins a Lab's /metrics exposition byte for byte
+// through a fixed script: a sweep of testGrid with half its points
+// served from a cache warmed beforehand, then one Lab.Run, which the
+// pool's counters do not see. The pool size is fixed so the workers
+// gauge does not follow the machine. The text is scraped after each
+// step. Run with -update after an intentional change to the metric
+// set.
+func TestMetricsGolden(t *testing.T) {
+	ctx := context.Background()
+	cacheDir := t.TempDir()
+	g := testGrid()
+	warm := NewLab()
+	defer warm.Close()
+	if _, err := warm.SweepStream(ctx, g, io.Discard, WithSweepCache(cacheDir), WithShard(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewMetrics()
+	lab := NewLab(WithMetrics(m), WithParallelism(2))
+	defer lab.Close()
+	var got bytes.Buffer
+	scrapeText := func(stage string) {
+		t.Helper()
+		fmt.Fprintf(&got, "--- %s ---\n", stage)
+		_, body := scrape(t, m)
+		for _, line := range strings.SplitAfter(body, "\n") {
+			if !strings.Contains(line, "wlansim_events_per_second") {
+				got.WriteString(line)
+			}
+		}
+	}
+
+	scrapeText("startup")
+	var st SweepStats
+	if _, err := lab.SweepStream(ctx, g, io.Discard, WithSweepCache(cacheDir), WithSweepStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cached == 0 || st.Simulated == 0 {
+		t.Fatalf("sweep was not a cached+simulated mix: %+v", st)
+	}
+	scrapeText("sweep half cached")
+	if _, err := lab.Run(ctx, Config{Topology: Connected(4), Scheme: DCF, Duration: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	scrapeText("one Lab.Run")
+
+	if *updateFingerprints {
+		if err := os.WriteFile(goldenMetrics, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenMetrics)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/metrics differs from %s:\ngot:\n%s\nwant:\n%s", goldenMetrics, got.Bytes(), want)
 	}
 }
