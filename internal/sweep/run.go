@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
@@ -78,6 +79,25 @@ type Stats struct {
 	Quarantined int `json:"quarantined,omitempty"`
 }
 
+// Counts is the live record of how sweep points were satisfied:
+// typed atomics that Runner.run adds to as points land, and that any
+// goroutine may read meanwhile. It sums every run of the Runners that
+// share it, where a run's Stats count that run alone; once the runs
+// have finished, Owned = Simulated + Cached + Failed.
+type Counts struct {
+	// Owned counts points in the runs' shards, added at expansion.
+	Owned atomic.Uint64
+	// Simulated counts points satisfied by simulation.
+	Simulated atomic.Uint64
+	// Cached counts points served from the result cache.
+	Cached atomic.Uint64
+	// Failed counts owned points an aborted run left unsatisfied: the
+	// failing point plus everything drained behind it.
+	Failed atomic.Uint64
+	// Rows counts rows handed to the consumer.
+	Rows atomic.Uint64
+}
+
 // String renders the one-line report the CLI prints (CI greps it to
 // prove cache hits, so keep the "N simulated" phrasing stable).
 func (st Stats) String() string {
@@ -126,9 +146,9 @@ type Runner struct {
 	// is closed when the sweep ends. The Runner never closes an external
 	// pool.
 	Scenarios *scenario.Runner
-	// Metrics, when non-nil, receives live point-satisfaction counters.
-	// Observation never affects execution or output bytes.
-	Metrics *Metrics
+	// Counts, when non-nil, is added to as points are satisfied. Nothing
+	// in the run reads it back.
+	Counts *Counts
 }
 
 // Run executes the grid and returns the shard's results in point
@@ -318,12 +338,16 @@ func summaryTail(sum []byte) (tail []byte, ok bool) {
 // the replay and after each simulated completion), so streamed output
 // survives interruption in whole rows without a write syscall per point.
 func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error, flush func() error) (st Stats, err error) {
+	c := r.Counts
+	if c == nil {
+		c = new(Counts)
+	}
 	// Owned points a failed run never satisfied — the erroring point
 	// plus everything drained behind it — are counted as failed, so the
-	// metric totals always obey Owned = Simulated + Cached + Failed.
+	// totals always obey Owned = Simulated + Cached + Failed.
 	defer func() {
-		if unsat := st.Owned - st.Simulated - st.Cached; err != nil && r.Metrics != nil && unsat > 0 {
-			r.Metrics.PointsFailed.Add(uint64(unsat))
+		if err != nil {
+			c.Failed.Add(uint64(st.Owned - st.Simulated - st.Cached))
 		}
 	}()
 	// Observe cancellation up front so an already-cancelled context
@@ -348,9 +372,7 @@ func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error
 		}
 	}
 	st.Owned = len(owned)
-	if r.Metrics != nil {
-		r.Metrics.PointsOwned.Add(uint64(st.Owned))
-	}
+	c.Owned.Add(uint64(st.Owned))
 
 	// The first emit error aborts the run, and it sticks: points already
 	// in flight still complete into the cache, but their rows must not
@@ -364,17 +386,13 @@ func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error
 		if emitErr = emit(pr); emitErr != nil {
 			return emitErr
 		}
-		if r.Metrics != nil {
-			r.Metrics.RowsEmitted.Inc()
-		}
+		c.Rows.Add(1)
 		return nil
 	}
 
 	missing, err := l.Replay(emitRow)
 	st.Cached, st.Quarantined = l.Cached(), l.Quarantined()
-	if r.Metrics != nil {
-		r.Metrics.PointsCached.Add(uint64(st.Cached))
-	}
+	c.Cached.Add(uint64(st.Cached))
 	if err == nil && flush != nil {
 		err = flush()
 	}
@@ -399,9 +417,7 @@ func (r *Runner) run(ctx context.Context, g *Grid, emit func(*PointResult) error
 			return err
 		}
 		st.Simulated++
-		if r.Metrics != nil {
-			r.Metrics.PointsSimulated.Inc()
-		}
+		c.Simulated.Add(1)
 		if err := l.Advance(emitRow); err != nil || flush == nil {
 			return err
 		}

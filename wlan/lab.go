@@ -75,6 +75,12 @@ func (l *Lab) guard() error {
 	return nil
 }
 
+// pool returns the Lab's worker pool for a run about to use it.
+func (l *Lab) pool() *scenario.Runner {
+	l.metrics.started()
+	return l.runner
+}
+
 // Run executes one simulation described by cfg and returns its Result.
 //
 // The engine comes from cfg.Engine: EngineEvent (default) supports
@@ -218,7 +224,7 @@ func (l *Lab) RunScenario(ctx context.Context, sc Scenario) (*Summary, error) {
 	if err := l.guard(); err != nil {
 		return nil, err
 	}
-	sum, err := l.runner.Run(ctx, &sc)
+	sum, err := l.pool().Run(ctx, &sc)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -232,7 +238,7 @@ func (l *Lab) RunSuite(ctx context.Context, su *Suite) ([]*Summary, error) {
 	if err := l.guard(); err != nil {
 		return nil, err
 	}
-	sums, err := l.runner.RunSuite(ctx, su)
+	sums, err := l.pool().RunSuite(ctx, su)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -337,9 +343,9 @@ func (l *Lab) sweepRunner(opts []SweepOption) (*sweep.Runner, *sweepConfig, erro
 	for _, o := range opts {
 		o(sc)
 	}
-	r := &sweep.Runner{Shard: sc.shard, Scenarios: l.runner}
+	r := &sweep.Runner{Shard: sc.shard, Scenarios: l.pool()}
 	if l.metrics != nil {
-		r.Metrics = l.metrics.sweep
+		r.Counts = &l.metrics.sweep
 	}
 	if sc.cacheDir != "" {
 		c, err := sweep.OpenCache(sc.cacheDir)

@@ -3,6 +3,8 @@ package wlan
 import (
 	"io"
 	"net/http"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -24,20 +26,37 @@ import (
 type Metrics struct {
 	reg   *metrics.Registry
 	scen  *scenario.Metrics
-	sweep *sweep.Metrics
+	sweep sweep.Counts
+
+	// now is the wall clock the events/s rate reads; tests replace it.
+	now func() time.Time
+	// start is now's UnixNano at the Lab's first run on its worker
+	// pool, 0 before it.
+	start atomic.Int64
 }
 
 // NewMetrics returns a fresh metric set. One Metrics belongs to one
 // Lab: attaching it to several Labs would sum their counters.
 func NewMetrics() *Metrics {
 	reg := metrics.NewRegistry()
-	m := &Metrics{
-		reg:   reg,
-		scen:  scenario.NewMetrics(reg),
-		sweep: sweep.NewMetrics(reg),
+	m := &Metrics{reg: reg, scen: scenario.NewMetrics(reg), now: time.Now}
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Uint64
+	}{
+		{"wlansim_sweep_points_owned_total", "Sweep points owned by this process's shard(s).", &m.sweep.Owned},
+		{"wlansim_sweep_points_simulated_total", "Sweep points satisfied by simulation.", &m.sweep.Simulated},
+		{"wlansim_sweep_points_cached_total", "Sweep points served from the result cache.", &m.sweep.Cached},
+		{"wlansim_sweep_points_failed_total", "Sweep points left unsatisfied by an aborted run.", &m.sweep.Failed},
+		{"wlansim_sweep_rows_emitted_total", "Sweep result rows emitted to the consumer.", &m.sweep.Rows},
+	} {
+		reg.CounterFunc(c.name, c.help, c.v.Load)
 	}
 	// The derived gauges are Snapshot's own formulas, evaluated at
 	// scrape time, so /metrics and Snapshot cannot disagree.
+	reg.GaugeFunc("wlansim_events_per_second",
+		"Kernel events fired per wall-clock second since the Lab's first pool run.",
+		func() float64 { return m.Snapshot().EventsPerSecond })
 	reg.GaugeFunc("wlansim_worker_utilization",
 		"Fraction of pool workers busy simulating (0..1).",
 		func() float64 { return m.Snapshot().Utilization })
@@ -53,6 +72,14 @@ func WithMetrics(m *Metrics) LabOption {
 	return func(l *Lab) {
 		l.metrics = m
 		l.runner.Metrics = m.scen
+	}
+}
+
+// started stamps the Lab's first run on its worker pool, which the
+// events/s rate measures from. A nil Metrics ignores it.
+func (m *Metrics) started() {
+	if m != nil && m.start.Load() == 0 {
+		m.start.CompareAndSwap(0, m.now().UnixNano())
 	}
 }
 
@@ -85,8 +112,8 @@ type MetricsSnapshot struct {
 	// Utilization is in-flight/workers clamped to [0,1].
 	Utilization float64
 
-	// Kernel events fired, and their wall-clock rate since the first
-	// replication.
+	// Kernel events fired, and their wall-clock rate since the Lab's
+	// first run on its worker pool.
 	Events          uint64
 	EventsPerSecond float64
 }
@@ -96,16 +123,20 @@ type MetricsSnapshot struct {
 // across metrics while each value is exact.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		PointsOwned:          m.sweep.PointsOwned.Value(),
-		PointsSimulated:      m.sweep.PointsSimulated.Value(),
-		PointsCached:         m.sweep.PointsCached.Value(),
-		PointsFailed:         m.sweep.PointsFailed.Value(),
-		RowsEmitted:          m.sweep.RowsEmitted.Value(),
+		PointsOwned:          m.sweep.Owned.Load(),
+		PointsSimulated:      m.sweep.Simulated.Load(),
+		PointsCached:         m.sweep.Cached.Load(),
+		PointsFailed:         m.sweep.Failed.Load(),
+		RowsEmitted:          m.sweep.Rows.Load(),
 		Replications:         m.scen.Replications.Value(),
 		ReplicationsInFlight: m.scen.InFlight.Value(),
 		Workers:              m.scen.Workers.Value(),
 		Events:               m.scen.Events.Value(),
-		EventsPerSecond:      m.scen.EventsPerSecond(),
+	}
+	if start := m.start.Load(); start != 0 {
+		if elapsed := m.now().Sub(time.Unix(0, start)).Seconds(); elapsed > 0 {
+			s.EventsPerSecond = float64(s.Events) / elapsed
+		}
 	}
 	if done := s.PointsCached + s.PointsSimulated; done > 0 {
 		s.CacheHitRate = float64(s.PointsCached) / float64(done)

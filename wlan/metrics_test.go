@@ -10,6 +10,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -188,9 +189,9 @@ const goldenMetrics = "testdata/lab.metrics"
 // through a fixed script: a sweep of testGrid with half its points
 // served from a cache warmed beforehand, then one Lab.Run, which the
 // pool's counters do not see. The pool size is fixed so the workers
-// gauge does not follow the machine. The text is scraped after each
-// step. Run with -update after an intentional change to the metric
-// set.
+// gauge does not follow the machine, and a fake clock, two seconds a
+// step, fixes the events/s rate. The text is scraped after each step.
+// Run with -update after an intentional change to the metric set.
 func TestMetricsGolden(t *testing.T) {
 	ctx := context.Background()
 	cacheDir := t.TempDir()
@@ -201,19 +202,19 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var clock atomic.Int64
+	clock.Store(time.Unix(1e6, 0).UnixNano())
 	m := NewMetrics()
+	m.now = func() time.Time { return time.Unix(0, clock.Load()) }
 	lab := NewLab(WithMetrics(m), WithParallelism(2))
 	defer lab.Close()
 	var got bytes.Buffer
 	scrapeText := func(stage string) {
 		t.Helper()
+		clock.Add(int64(2 * time.Second))
 		fmt.Fprintf(&got, "--- %s ---\n", stage)
 		_, body := scrape(t, m)
-		for _, line := range strings.SplitAfter(body, "\n") {
-			if !strings.Contains(line, "wlansim_events_per_second") {
-				got.WriteString(line)
-			}
-		}
+		got.WriteString(body)
 	}
 
 	scrapeText("startup")

@@ -63,7 +63,7 @@ func (l *Lab) ServeSweeps(ctx context.Context, coordinatorURL string, opts ...Se
 	w, err := svc.NewWorker(svc.WorkerConfig{
 		Client:   cl,
 		ID:       cfg.workerID,
-		Runner:   l.runner,
+		Runner:   l.pool(),
 		MaxBatch: cfg.maxBatch,
 		Logf:     cfg.logf,
 	})
