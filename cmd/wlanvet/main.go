@@ -10,7 +10,6 @@
 //	                 arithmetic (the PR 7 minCounter truncation class)
 //	hotpath        — //wlanvet:hotpath functions contain no closures,
 //	                 fmt calls, boxing conversions or unguarded appends
-//	observerpurity — metrics are write-only inside simulation code
 //	sentinelwrap   — errors crossing the wlan facade wrap a typed
 //	                 sentinel via %w
 //
@@ -41,7 +40,6 @@ import (
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/inttime"
-	"repro/internal/analysis/observerpurity"
 	"repro/internal/analysis/sentinelwrap"
 )
 
@@ -50,7 +48,6 @@ var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	hotpath.Analyzer,
 	inttime.Analyzer,
-	observerpurity.Analyzer,
 	sentinelwrap.Analyzer,
 }
 

@@ -88,8 +88,8 @@ func PkgBase(path string) string {
 // SimCritical is the set of package-path bases under the determinism
 // contract: everything that executes between a seed and an emitted
 // result row. Code here may not read wall clocks, global RNG state, or
-// leak map iteration order into results (see the determinism, inttime
-// and observerpurity analyzers).
+// leak map iteration order into results (see the determinism and
+// inttime analyzers).
 //
 // The wlan facade and the cmd binaries sit deliberately outside the
 // set: run stamps and progress tickers are facts about one execution,
@@ -119,8 +119,8 @@ var SimCritical = map[string]bool{
 
 // SimExempt names packages that sit deliberately OUTSIDE the
 // determinism boundary even though they move sim-critical results
-// around, each with the reason on record. The determinism, inttime and
-// observerpurity analyzers must never cover these: their job is
+// around, each with the reason on record. The determinism and inttime
+// analyzers must never cover these: their job is
 // distributed-systems plumbing, where wall clocks, timers, network
 // jitter and randomized backoff are the mechanism, not a leak. Nothing
 // in them touches physics — they shuttle opaque, already-deterministic
@@ -134,7 +134,7 @@ var SimExempt = map[string]string{
 	"svc":      "coordinator/worker control plane: lease TTLs, heartbeat timers and retry backoff legitimately read wall clocks",
 	"chaos":    "fault-injection transport: wall-clock-free but seeded-random by design, and its faults exist to disturb timing",
 	"analysis": "the static-analysis substrate itself: it shells out to the go command and reads the build cache, and it never executes between a seed and a result row",
-	"metrics":  "the observability registry: reading its own counters is its purpose (scrape, export, progress); observerpurity polices that sim code only ever writes to it",
+	"metrics":  "the observability registry: reading its own counters is its purpose (scrape, export, progress); TestOnlyScenarioImportsMetrics keeps sim code from importing it, scenario excepted (ROADMAP item 1)",
 }
 
 // SimCriticalPkg reports whether the pass's package is inside the

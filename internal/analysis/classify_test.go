@@ -1,8 +1,12 @@
 package analysis
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -52,8 +56,8 @@ func internalPackageDirs(t *testing.T) []string {
 // determinism boundary: every package under internal/ must be
 // explicitly inside (SimCritical) or outside (SimExempt, with a
 // reason), so adding a package without deciding its contract fails
-// here instead of silently escaping the determinism/inttime/
-// observerpurity analyzers. Subpackages of an exempt subtree inherit
+// here instead of silently escaping the determinism and inttime
+// analyzers. Subpackages of an exempt subtree inherit
 // the parent's exemption (SimCriticalPkg already treats them as
 // non-critical); subpackages of a critical package do NOT inherit and
 // must be classified on their own.
@@ -103,6 +107,59 @@ func TestSimClassificationDisjointAndLive(t *testing.T) {
 		}
 		if !bases[base] {
 			t.Errorf("SimExempt[%q] names no package under internal/ — stale entry?", base)
+		}
+	}
+}
+
+// metricsImporters are the sim-critical packages allowed to import
+// internal/metrics. Every other one can only hand its counts to a
+// caller outside the boundary, as sweep.Counts does, so no sim code
+// can read a metric back into a result. scenario keeps its write-only
+// Metrics because the benchmark reads the runner's InFlight and
+// Workers gauges; moving it off them and dropping this entry is part
+// of ROADMAP item 1.
+var metricsImporters = map[string]bool{"scenario": true}
+
+// TestOnlyScenarioImportsMetrics keeps metrics pure observers by the
+// package graph: it fails when a sim-critical package other than those
+// in metricsImporters imports internal/metrics from non-test code.
+func TestOnlyScenarioImportsMetrics(t *testing.T) {
+	const metricsPath = "repro/internal/metrics"
+	seen := map[string]bool{}
+	for _, dir := range internalPackageDirs(t) {
+		base := PkgBase(dir)
+		if !SimCritical[base] {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("..", filepath.FromSlash(dir), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == metricsPath {
+					seen[base] = true
+					if !metricsImporters[base] {
+						t.Errorf("%s imports %s: sim-critical code must hand its counts to a caller outside the boundary, not register metrics", name, metricsPath)
+					}
+				}
+			}
+		}
+	}
+	for base := range metricsImporters {
+		if !seen[base] {
+			t.Errorf("metricsImporters[%q] no longer imports %s: drop the entry", base, metricsPath)
 		}
 	}
 }
