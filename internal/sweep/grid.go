@@ -13,6 +13,7 @@ package sweep
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
@@ -472,11 +473,10 @@ func expand(g *Grid) ([]*Point, error) {
 			tokens[ai] = axes[ai].tokens[idx[ai]]
 		}
 		pt.Name = strings.Join(tokens, ",")
-		if g.Name != "" {
+		if pt.Name == "" { // the one point of a grid with no axes
+			pt.Name = cmp.Or(g.Name, "point")
+		} else if g.Name != "" {
 			pt.Name = g.Name + "/" + pt.Name
-		}
-		if pt.Name == "" {
-			pt.Name = "point"
 		}
 		sp.Name = pt.Name
 		if err := sp.Validate(); err != nil {

@@ -66,6 +66,24 @@ func TestExpandOrderAndNames(t *testing.T) {
 	if pts[0].Spec.Warmup == nil || *pts[0].Spec.Warmup != scenario.Duration(250*time.Millisecond) {
 		t.Errorf("defaults not applied to expanded spec: %+v", pts[0].Spec)
 	}
+
+	// A grid with no axes has one point, named after the grid alone, or
+	// "point" when the grid has no name either.
+	for grid, want := range map[string]string{
+		`{"name": "tab2", "base": {"topology": {"n": 4}}, "axes": []}`: "tab2",
+		`{"base": {"topology": {"n": 4}}, "axes": []}`:                 "point",
+	} {
+		pts, err := Expand(mustDecode(t, grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != 1 {
+			t.Fatalf("axis-free grid %s expanded to %d points, want 1", grid, len(pts))
+		}
+		if pts[0].Name != want || pts[0].Spec.Name != want {
+			t.Errorf("axis-free grid %s: point named %q (spec %q), want %q", grid, pts[0].Name, pts[0].Spec.Name, want)
+		}
+	}
 }
 
 // Two grids that describe the same physics — one spelling defaults out,
