@@ -156,7 +156,7 @@ func (s *Simulator) skipGap(w int, x uint64) {
 	for x != 0 {
 		st := s.stations[w<<6+bits.TrailingZeros64(x)]
 		x &= x - 1
-		if st.memoryless && st.state == stateContending && !st.armed {
+		if st.memoryless && st.state == stateContending && !s.ready.has(st.id) {
 			st.policy.NextBackoff(st.rng)
 		}
 	}

@@ -37,7 +37,6 @@ import "math/bits"
 //
 //wlanvet:hotpath
 func (s *Simulator) disarm(st *station) {
-	st.armed = false
 	s.ready.clear(st.id)
 	if s.candSt == st {
 		s.sched.ClearCandidate()
@@ -78,5 +77,5 @@ func (s *Simulator) rearm() {
 	}
 	st := s.stations[best]
 	s.candSt = st
-	s.sched.SetCandidate(st.due, st.vseq, s.txBeginFn, st)
+	s.sched.SetCandidate(s.dues[best], s.vseqs[best], s.txBeginFn, st)
 }

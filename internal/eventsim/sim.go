@@ -97,8 +97,11 @@ type Simulator struct {
 	// scheduler's candidate — the minimum (due, vseq) attempt — and
 	// contDirty marks that the candidate was withdrawn and the minimum
 	// must be re-established before the current event callback returns.
-	// dues/vseqs mirror the armed stations' (due, vseq) keys in flat
-	// arrays so the minimum scan walks memory linearly instead of
+	// dues/vseqs hold the armed stations' (due, vseq) keys: the instant
+	// each is due to transmit, and the scheduler sequence number
+	// reserved at arm time, which keeps the exact same-instant FIFO
+	// order eager per-station scheduling would have produced. They are
+	// flat arrays so the minimum scan walks memory linearly instead of
 	// chasing station pointers.
 	ready     bitset
 	candSt    *station
@@ -367,7 +370,6 @@ func (s *Simulator) activateNow(st *station) {
 	if !s.busy.has(st.id) {
 		st.idleSince = now
 		st.senseIdleOpen = true
-		st.senseIdleStart = now
 	}
 	if st.arr.Unsaturated() {
 		// Unsaturated sources start their arrival process and contend
@@ -515,18 +517,16 @@ func (s *Simulator) armCountdown(st *station) {
 	}
 	at := base.Add(sim.Duration(st.remaining) * s.cfg.PHY.Slot)
 	st.runStart = base
-	st.due = at
-	st.vseq = s.sched.TakeSeq()
-	st.armed = true
-	s.dues[st.id], s.vseqs[st.id] = st.due, st.vseq
+	vseq := s.sched.TakeSeq()
+	s.dues[st.id], s.vseqs[st.id] = at, vseq
 	s.ready.set(st.id)
 	// While the candidate is current it is the minimum armed attempt, and
 	// a fresh arm carries the newest vseq: it takes the candidate over iff
 	// it is due strictly earlier, with no scan. A withdrawn candidate is
 	// re-established by rearm's scan instead.
-	if !s.contDirty && (s.candSt == nil || at < s.candSt.due) {
+	if !s.contDirty && (s.candSt == nil || at < s.dues[s.candSt.id]) {
 		s.candSt = st
-		s.sched.SetCandidate(at, st.vseq, s.txBeginFn, st)
+		s.sched.SetCandidate(at, vseq, s.txBeginFn, st)
 	}
 }
 
@@ -542,10 +542,10 @@ func (s *Simulator) crossBusy(st *station) {
 		}
 		st.senseIdleOpen = false
 	}
-	if st.state != stateContending || !st.armed {
+	if st.state != stateContending || !s.ready.has(st.id) {
 		return
 	}
-	if st.due == now {
+	if s.dues[st.id] == now {
 		// The station's own attempt is due at this very instant: it is
 		// committed (carrier sense cannot act within the same slot
 		// boundary), so the events collide — exactly the synchronised
@@ -579,7 +579,7 @@ func (s *Simulator) observeIdleGap(st *station, now sim.Time) {
 	if st.observer == nil {
 		return
 	}
-	gap := now.Sub(st.senseIdleStart)
+	gap := now.Sub(st.idleSince)
 	if gap < s.cfg.PHY.DIFS {
 		return
 	}
@@ -593,8 +593,7 @@ func (s *Simulator) crossIdle(st *station) {
 	now := s.sched.Now()
 	st.idleSince = now
 	st.senseIdleOpen = true
-	st.senseIdleStart = now
-	if st.state == stateContending && !st.armed {
+	if st.state == stateContending && !s.ready.has(st.id) {
 		// p-persistent backoff has no memory across busy periods: the
 		// first slot after the resumption is an ordinary Bernoulli(p)
 		// slot, so redraw instead of resuming the frozen residual
@@ -638,7 +637,6 @@ func (s *Simulator) freeTransmission(rec *transmission) {
 //
 //wlanvet:hotpath
 func (s *Simulator) txBegin(st *station) {
-	st.armed = false
 	s.ready.clear(st.id)
 	s.candSt = nil
 	s.contDirty = true
@@ -724,7 +722,6 @@ func (s *Simulator) txComplete(rec *transmission) {
 	if !s.busy.has(st.id) {
 		st.idleSince = now
 		st.senseIdleOpen = true
-		st.senseIdleStart = now
 	}
 	if kind == kindRTS {
 		if s.cfg.Trace != nil {

@@ -79,24 +79,14 @@ type station struct {
 	remaining int
 	// runStart anchors the current countdown: the station transmits at
 	// runStart + remaining·σ unless the medium goes busy first. Valid
-	// while armed.
+	// while armed (the station's bit in Simulator.ready, with its due
+	// instant and sequence number in Simulator.dues and vseqs).
 	runStart sim.Time
-	// armed marks a virtually scheduled transmission attempt: the
-	// station is due to transmit at due, but holds no scheduler event of
-	// its own. Only the globally earliest armed contender is the
-	// scheduler's candidate (Simulator.candSt); everyone else is woken
-	// lazily when the minimum moves (see Simulator.rearm). vseq is the
-	// scheduler sequence number reserved at arm time, which preserves
-	// the exact same-instant FIFO order eager per-station scheduling
-	// would have produced.
-	armed bool
-	due   sim.Time
-	vseq  uint64
 
-	// senseIdleOpen/senseIdleStart track the idle gap this station
-	// observes between sensed transmissions (IdleSense's input).
-	senseIdleOpen  bool
-	senseIdleStart sim.Time
+	// senseIdleOpen marks an open idle gap, begun at idleSince, that
+	// this station observes between sensed transmissions (IdleSense's
+	// input).
+	senseIdleOpen bool
 
 	seq     uint16
 	retries uint8
