@@ -1,17 +1,15 @@
 // Command wlanvet is the repository's invariant checker: a multichecker
-// over the five project-specific analyzers that make the simulator's
-// load-bearing contracts structural instead of incidental to whichever
-// golden happened to exercise them. All five are single-function and
-// syntactic:
+// over the three project-specific analyzers whose bugs the tests, the
+// race detector and the allocation guardrails can miss (DESIGN.md
+// "Invariants as lint" has the mutation audit). All three are
+// single-function and syntactic:
 //
-//	determinism    — no wall clocks, global math/rand, or order-leaking
-//	                 map ranges in sim-critical packages
-//	inttime        — no narrowing conversions of int64 tick/expiry/slot
-//	                 arithmetic (the PR 7 minCounter truncation class)
-//	hotpath        — //wlanvet:hotpath functions contain no closures,
-//	                 fmt calls, boxing conversions or unguarded appends
-//	sentinelwrap   — errors crossing the wlan facade wrap a typed
-//	                 sentinel via %w
+//	determinism  — no wall clocks, global math/rand, or order-leaking
+//	               map ranges in sim-critical packages
+//	inttime      — no narrowing conversions of int64 tick/expiry/slot
+//	               arithmetic (the minCounter truncation class)
+//	sentinelwrap — errors crossing the wlan facade wrap a typed
+//	               sentinel via %w
 //
 // Usage:
 //
@@ -38,7 +36,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/inttime"
 	"repro/internal/analysis/sentinelwrap"
 )
@@ -46,7 +43,6 @@ import (
 // analyzers is the wlanvet suite, in diagnostic-prefix order.
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	hotpath.Analyzer,
 	inttime.Analyzer,
 	sentinelwrap.Analyzer,
 }

@@ -3,15 +3,15 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus a package loader and a
 // driver, built entirely on the standard library and the go command.
 //
-// It exists because the simulator's four load-bearing invariants —
-// bit-identical determinism, zero-allocation hot paths, metrics as pure
-// observers, and int64 tick arithmetic — were until now enforced only
-// dynamically, by goldens, allocation guardrails and fingerprint tests.
-// A violation ships silently and is caught only when a scale tier or
-// workload happens to exercise it (the PR 7 minCounter int truncation
-// is the canonical incident). The wlanvet analyzers in the sibling
-// packages make those invariants structural: they fail the build at the
-// offending line instead of failing a golden three layers away.
+// It exists for the invariants that goldens, allocation guardrails and
+// fingerprint tests enforce only when a test happens to drive the
+// breaking input: bit-identical determinism, int64 tick arithmetic and
+// the wlan facade's closed error taxonomy. A violation there ships
+// silently until a scale tier or workload exercises it (the minCounter
+// int truncation is the canonical incident). The wlanvet analyzers in
+// the sibling packages fail the build at the offending line instead.
+// Invariants that the tests or the package graph already enforce have
+// no analyzer.
 //
 // The API deliberately mirrors go/analysis so the analyzers can be
 // lifted onto the real x/tools multichecker unchanged if the module

@@ -11,7 +11,7 @@
 // testdata/src/<name> next to the analyzer; their package path is just
 // <name>, so a directory called "slotsim" falls under the sim-critical
 // scope exactly like the real package, and sibling directories are
-// importable by name (the stub "metrics" package, for example).
+// importable by name.
 // Suppression runs through the same //wlanvet:allow machinery as the
 // wlanvet driver, so the escape hatch is testable here too.
 package analyzertest

@@ -15,9 +15,10 @@
 //     order, which is fine for commutative folds but not for anything
 //     that appends, returns or sends what it saw.
 //
-// Legitimate observer uses — the run-stamp wall clock in
-// scenario.Metrics, a map drained into a slice that is sorted before
-// use — carry a //wlanvet:allow <reason> annotation instead.
+// Legitimate uses — a map drained into a slice that is sorted before
+// use — carry a //wlanvet:allow <reason> annotation instead. Wall-clock
+// stamps belong outside the boundary, in the wlan facade or the cmd
+// binaries.
 package determinism
 
 import (

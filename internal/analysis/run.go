@@ -14,14 +14,7 @@ import (
 //	                            the next; the reason is mandatory and
 //	                            should name why the invariant holds
 //	                            anyway (or why this use is outside it).
-//	//wlanvet:hotpath         — marks the following function as part of
-//	                            the zero-allocation contract checked by
-//	                            the hotpath analyzer and the runtime
-//	                            allocation guardrails.
-const (
-	allowPrefix   = "//wlanvet:allow"
-	hotpathMarker = "//wlanvet:hotpath"
-)
+const allowPrefix = "//wlanvet:allow"
 
 // Finding is one post-suppression diagnostic, resolved to a position.
 type Finding struct {
@@ -83,20 +76,6 @@ func scanAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Finding) {
 // directive.
 func (a allowSet) suppressed(pos token.Position) bool {
 	return a[pos.Filename][pos.Line]
-}
-
-// IsHotpath reports whether a function declaration carries the
-// //wlanvet:hotpath directive in its doc comment.
-func IsHotpath(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, hotpathMarker) {
-			return true
-		}
-	}
-	return false
 }
 
 // Run applies every analyzer to every package, resolves //wlanvet:allow

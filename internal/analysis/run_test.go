@@ -66,28 +66,3 @@ func f() {
 	check(6, true)  // trailing-comment directive suppresses its own line
 	check(8, false) // unrelated lines stay live
 }
-
-func TestIsHotpath(t *testing.T) {
-	_, files := parseOne(t, `package p
-
-//wlanvet:hotpath
-func hot() {}
-
-// doc comment without the marker.
-func cold() {}
-
-func bare() {}
-`)
-	got := map[string]bool{}
-	for _, d := range files[0].Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			got[fd.Name.Name] = IsHotpath(fd)
-		}
-	}
-	want := map[string]bool{"hot": true, "cold": false, "bare": false}
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("IsHotpath(%s) = %v, want %v", name, got[name], w)
-		}
-	}
-}

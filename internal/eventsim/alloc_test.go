@@ -140,6 +140,40 @@ func TestPerFramePathZeroAllocTraffic(t *testing.T) {
 	}
 }
 
+// On/off sources add phase flips, which start and silence the arrival
+// process, to the unsaturated path; it must stay allocation-free too.
+func TestPerFramePathZeroAllocOnOff(t *testing.T) {
+	const n = 10
+	policies := make([]mac.Policy, n)
+	arrivals := make([]traffic.Spec, n)
+	for i := range policies {
+		policies[i] = mac.NewStandardDCF(16, 1024)
+		arrivals[i] = traffic.Spec{Kind: traffic.OnOff, Rate: 300, QueueCap: 32,
+			OnMean: 30 * sim.Millisecond, OffMean: 30 * sim.Millisecond}
+	}
+	s, err := New(Config{
+		Topology:     topo.New(topo.Point{}, topo.CircleEdge(n, 8), topo.PaperRadii()),
+		Policies:     policies,
+		Arrivals:     arrivals,
+		UpdatePeriod: 1000 * sim.Second,
+		Seed:         5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2 * sim.Second)
+	next := s.sched.Now()
+	if avg := testing.AllocsPerRun(50, func() {
+		next = next.Add(20 * sim.Millisecond)
+		s.sched.RunUntil(next)
+	}); avg != 0 {
+		t.Errorf("on/off per-frame path allocates %.2f allocs per 20 ms, want 0", avg)
+	}
+	if s.totalArrivals == 0 || s.successes == 0 {
+		t.Fatal("traffic simulation made no progress")
+	}
+}
+
 // The controller-enabled path adds window closes, control broadcasts
 // and beacon frames. Window/series appends are amortised (power-of-two
 // growth), so the guardrail runs whole windows and requires the

@@ -37,13 +37,10 @@ func (b *bitset) grow(n int) {
 	}
 }
 
-//wlanvet:hotpath
 func (b *bitset) set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
-//wlanvet:hotpath
 func (b *bitset) clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 
-//wlanvet:hotpath
 func (b *bitset) has(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // senseRows holds every station's carrier-sense row — the stations
@@ -80,8 +77,6 @@ func (r *senseRows) build(t *topo.Topology) {
 }
 
 // busyRow marks busy every station that senses station j's frame.
-//
-//wlanvet:hotpath
 func (s *Simulator) busyRow(j int) {
 	r := &s.rows
 	for b := r.off[j]; b < r.off[j+1]; b++ {
@@ -90,8 +85,6 @@ func (s *Simulator) busyRow(j int) {
 }
 
 // busyAll marks every station busy: the AP is sending.
-//
-//wlanvet:hotpath
 func (s *Simulator) busyAll() {
 	for w, m := range s.all.words {
 		s.busyWord(w, m)
@@ -100,8 +93,6 @@ func (s *Simulator) busyAll() {
 
 // busyWord adds the stations of mask m in word w to the busy set and
 // runs crossBusy for each that was idle, in ascending id order.
-//
-//wlanvet:hotpath
 func (s *Simulator) busyWord(w int, m uint64) {
 	x := m &^ s.busy.words[w]
 	s.busy.words[w] |= m
@@ -116,8 +107,6 @@ func (s *Simulator) busyWord(w int, m uint64) {
 // has just left the air (and s.active). When the AP will answer the
 // frame after SIFS (answered), the stations stay busy through the gap
 // instead: see skipGap.
-//
-//wlanvet:hotpath
 func (s *Simulator) idleRow(j int, answered bool) {
 	if s.apTx {
 		return // the AP's frame keeps every station busy
@@ -150,8 +139,6 @@ func (s *Simulator) idleRow(j int, answered bool) {
 // backoff. Sequence numbers only order events, so the skipped arms
 // change no dispatch order. The redraw is kept, and discarded: it
 // advances the station's stream exactly as the crossing would have.
-//
-//wlanvet:hotpath
 func (s *Simulator) skipGap(w int, x uint64) {
 	for x != 0 {
 		st := s.stations[w<<6+bits.TrailingZeros64(x)]
@@ -165,8 +152,6 @@ func (s *Simulator) skipGap(w int, x uint64) {
 // idleScratch settles the candidates left in s.scratch by an AP frame
 // or a NAV ending, then leaves the scratch all-zero again. Candidates
 // in held (nil: none) stay busy and skip the idle window (skipGap).
-//
-//wlanvet:hotpath
 func (s *Simulator) idleScratch(held []uint64) {
 	s.uncover()
 	sc := s.scratch.words
@@ -183,8 +168,6 @@ func (s *Simulator) idleScratch(held []uint64) {
 }
 
 // idleAll settles every station once the AP's frame has left the air.
-//
-//wlanvet:hotpath
 func (s *Simulator) idleAll() {
 	s.idleCandidates()
 	s.idleScratch(nil)
@@ -192,8 +175,6 @@ func (s *Simulator) idleAll() {
 
 // idleCandidates puts every busy station that no NAV holds into
 // s.scratch.
-//
-//wlanvet:hotpath
 func (s *Simulator) idleCandidates() {
 	for w, m := range s.busy.words {
 		s.scratch.words[w] = m &^ s.nav.words[w]
@@ -202,8 +183,6 @@ func (s *Simulator) idleCandidates() {
 
 // uncover drops from the idle candidates in s.scratch every station
 // that still senses a frame in the air.
-//
-//wlanvet:hotpath
 func (s *Simulator) uncover() {
 	r := &s.rows
 	sc := s.scratch.words
@@ -217,8 +196,6 @@ func (s *Simulator) uncover() {
 
 // idleWord removes the stations of mask x in word w from the busy set
 // and runs crossIdle for each, in ascending id order.
-//
-//wlanvet:hotpath
 func (s *Simulator) idleWord(w int, x uint64) {
 	s.busy.words[w] &^= x
 	for x != 0 {
@@ -238,8 +215,6 @@ type navHold struct {
 // holdNAV sets the NAV of every station except target and those with a
 // frame in the air (half duplex: they cannot have decoded the CTS),
 // and returns the hold for navEnd to release.
-//
-//wlanvet:hotpath
 func (s *Simulator) holdNAV(target *station) *navHold {
 	var h *navHold
 	if n := len(s.navPool); n > 0 {
@@ -258,19 +233,17 @@ func (s *Simulator) holdNAV(target *station) *navHold {
 		s.nav.words[w] |= m
 		s.busyWord(w, m)
 	}
-	//wlanvet:allow amortised: the live list grows to the overlapping-NAV high-water mark, then every append reuses capacity
+	// Amortised: the live list grows to the overlapping-NAV high-water mark, then every append reuses capacity
 	s.navHolds = append(s.navHolds, h)
 	return h
 }
 
 // navEnd releases hold h: its stations go idle unless another hold, an
 // AP frame or a frame they sense keeps them busy.
-//
-//wlanvet:hotpath
 func (s *Simulator) navEnd(h *navHold) {
 	for i, x := range s.navHolds {
 		if x == h {
-			//wlanvet:allow in-place: the removal compacts s.navHolds over its own backing array, never growing it
+			// In place: the removal compacts s.navHolds over its own backing array, never growing it
 			s.navHolds = append(s.navHolds[:i], s.navHolds[i+1:]...)
 			break
 		}
@@ -288,6 +261,6 @@ func (s *Simulator) navEnd(h *navHold) {
 		}
 		s.idleScratch(nil)
 	}
-	//wlanvet:allow amortised: the pool grows to the overlapping-NAV high-water mark, then every append reuses capacity
+	// Amortised: the pool grows to the overlapping-NAV high-water mark, then every append reuses capacity
 	s.navPool = append(s.navPool, h)
 }

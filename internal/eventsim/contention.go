@@ -34,8 +34,6 @@ import "math/bits"
 // disarm retracts st's virtual attempt (frozen or deactivated). When st
 // holds the candidate, withdraw it and mark the system dirty so the
 // minimum is re-established after the current event.
-//
-//wlanvet:hotpath
 func (s *Simulator) disarm(st *station) {
 	s.ready.clear(st.id)
 	if s.candSt == st {
@@ -50,8 +48,6 @@ func (s *Simulator) disarm(st *station) {
 // the scheduler's after-dispatch hook — once per event, after the
 // callback's whole batch of transitions — and is O(armed stations)
 // when dirty and O(1) otherwise.
-//
-//wlanvet:hotpath
 func (s *Simulator) rearm() {
 	if !s.contDirty {
 		return

@@ -420,8 +420,6 @@ func (s *Simulator) deactivateNow(st *station) {
 
 // scheduleArrival arms the next packet-arrival event while the source is
 // emitting.
-//
-//wlanvet:hotpath
 func (s *Simulator) scheduleArrival(st *station) {
 	if !st.trafficOn {
 		return
@@ -431,8 +429,6 @@ func (s *Simulator) scheduleArrival(st *station) {
 
 // arrival delivers one packet to st's queue, dropping it when the queue
 // is at capacity, and wakes the station if it was idling.
-//
-//wlanvet:hotpath
 func (s *Simulator) arrival(st *station) {
 	st.nextArrival = sim.Ref{}
 	if st.state == stateInactive {
@@ -453,8 +449,6 @@ func (s *Simulator) arrival(st *station) {
 }
 
 // phaseFlip toggles an OnOff source between emitting and silent phases.
-//
-//wlanvet:hotpath
 func (s *Simulator) phaseFlip(st *station) {
 	st.phaseRef = sim.Ref{}
 	if st.state == stateInactive {
@@ -472,8 +466,6 @@ func (s *Simulator) phaseFlip(st *station) {
 
 // recordLatency accounts one delivered packet's arrival→ACK delay into
 // the per-station and aggregate latency/jitter statistics.
-//
-//wlanvet:hotpath
 func (s *Simulator) recordLatency(st *station, lat sim.Duration) {
 	s.latHist.Observe(lat)
 	st.latSum += lat
@@ -490,8 +482,6 @@ func (s *Simulator) recordLatency(st *station, lat sim.Duration) {
 }
 
 // startContention draws a fresh backoff and arms the countdown.
-//
-//wlanvet:hotpath
 func (s *Simulator) startContention(st *station) {
 	st.state = stateContending
 	st.remaining = st.policy.NextBackoff(st.rng)
@@ -503,8 +493,6 @@ func (s *Simulator) startContention(st *station) {
 // crossIdle re-arms it. Arming reserves the scheduler sequence number
 // the eager code would have consumed, but pushes no event: only the
 // minimum attempt is the scheduler's candidate.
-//
-//wlanvet:hotpath
 func (s *Simulator) armCountdown(st *station) {
 	if st.state != stateContending || s.busy.has(st.id) {
 		return
@@ -531,8 +519,6 @@ func (s *Simulator) armCountdown(st *station) {
 }
 
 // crossBusy runs when st starts sensing a busy medium.
-//
-//wlanvet:hotpath
 func (s *Simulator) crossBusy(st *station) {
 	now := s.sched.Now()
 	// Close the observed idle gap (IdleSense input).
@@ -573,8 +559,6 @@ func (s *Simulator) crossBusy(st *station) {
 // that just closed, using the 802.11 convention: gaps shorter than DIFS
 // belong to the ongoing frame exchange, and only time beyond the
 // mandatory DIFS counts as idle slots.
-//
-//wlanvet:hotpath
 func (s *Simulator) observeIdleGap(st *station, now sim.Time) {
 	if st.observer == nil {
 		return
@@ -587,8 +571,6 @@ func (s *Simulator) observeIdleGap(st *station, now sim.Time) {
 }
 
 // crossIdle runs when the medium st senses goes idle.
-//
-//wlanvet:hotpath
 func (s *Simulator) crossIdle(st *station) {
 	now := s.sched.Now()
 	st.idleSince = now
@@ -608,8 +590,6 @@ func (s *Simulator) crossIdle(st *station) {
 
 // newTransmission takes a recycled record from the pool, or allocates
 // while the pool warms up.
-//
-//wlanvet:hotpath
 func (s *Simulator) newTransmission() *transmission {
 	if n := len(s.txPool); n > 0 {
 		rec := s.txPool[n-1]
@@ -624,18 +604,14 @@ func (s *Simulator) newTransmission() *transmission {
 // freeTransmission recycles a record once txComplete has consumed it. No
 // reference survives: the record has been removed from s.active and its
 // scheduler event has already fired.
-//
-//wlanvet:hotpath
 func (s *Simulator) freeTransmission(rec *transmission) {
 	rec.st = nil
-	//wlanvet:allow amortised: the pool grows to the concurrent-transmission high-water mark, then every append reuses capacity
+	// Amortised: the pool grows to the concurrent-transmission high-water mark, then every append reuses capacity
 	s.txPool = append(s.txPool, rec)
 }
 
 // txBegin puts st's data frame on the air. It fires as the scheduler's
 // candidate, which firing withdrew.
-//
-//wlanvet:hotpath
 func (s *Simulator) txBegin(st *station) {
 	s.ready.clear(st.id)
 	s.candSt = nil
@@ -667,8 +643,6 @@ func (s *Simulator) txBegin(st *station) {
 // rule: any temporal overlap of two station frames destroys both, and a
 // frame overlapping an AP transmission is lost (the AP cannot receive
 // while sending).
-//
-//wlanvet:hotpath
 func (s *Simulator) launch(rec *transmission) {
 	now := s.sched.Now()
 	if s.apTx {
@@ -678,7 +652,7 @@ func (s *Simulator) launch(rec *transmission) {
 		other.collided = true
 		rec.collided = true
 	}
-	//wlanvet:allow amortised: active grows to the concurrent-transmission high-water mark, then every append reuses capacity
+	// Amortised: active grows to the concurrent-transmission high-water mark, then every append reuses capacity
 	s.active = append(s.active, rec)
 	if len(s.active) > s.maxConcurrent {
 		s.maxConcurrent = len(s.active)
@@ -690,14 +664,12 @@ func (s *Simulator) launch(rec *transmission) {
 
 // txComplete removes the frame from the air and routes to the ACK or
 // failure path.
-//
-//wlanvet:hotpath
 func (s *Simulator) txComplete(rec *transmission) {
 	st := rec.st
 	now := s.sched.Now()
 	for i, r := range s.active {
 		if r == rec {
-			//wlanvet:allow in-place: the removal compacts s.active over its own backing array, never growing it
+			// In place: the removal compacts s.active over its own backing array, never growing it
 			s.active = append(s.active[:i], s.active[i+1:]...)
 			break
 		}
@@ -767,8 +739,6 @@ func (s *Simulator) txComplete(rec *transmission) {
 func (s *Simulator) navDuration() sim.Duration { return s.tNAV }
 
 // ctsBegin starts the AP's clear-to-send answer to an uncollided RTS.
-//
-//wlanvet:hotpath
 func (s *Simulator) ctsBegin(target *station) {
 	now := s.sched.Now()
 	if s.apTx {
@@ -786,8 +756,6 @@ func (s *Simulator) ctsBegin(target *station) {
 // ctsEnd completes the CTS: every station that could decode it arms its
 // NAV for the rest of the exchange, and the reservation owner proceeds to
 // its data frame after SIFS.
-//
-//wlanvet:hotpath
 func (s *Simulator) ctsEnd(target *station) {
 	now := s.sched.Now()
 	s.apTx = false
@@ -814,8 +782,6 @@ func (s *Simulator) ctsEnd(target *station) {
 }
 
 // reservedData transmits the data frame inside an RTS/CTS reservation.
-//
-//wlanvet:hotpath
 func (s *Simulator) reservedData(st *station) {
 	if st.state != stateAwaiting {
 		return
@@ -829,8 +795,6 @@ func (s *Simulator) reservedData(st *station) {
 }
 
 // ackBegin starts the AP's acknowledgement.
-//
-//wlanvet:hotpath
 func (s *Simulator) ackBegin(target *station) {
 	now := s.sched.Now()
 	if s.apTx {
@@ -849,8 +813,6 @@ func (s *Simulator) ackBegin(target *station) {
 
 // ackEnd completes a successful exchange: deliver the ACK (with the
 // control broadcast) and restart contention at the transmitter.
-//
-//wlanvet:hotpath
 func (s *Simulator) ackEnd(target *station) {
 	now := s.sched.Now()
 	s.apTx = false
@@ -901,8 +863,6 @@ func (s *Simulator) ackEnd(target *station) {
 }
 
 // failTimeout fires when the transmitter concludes its frame was lost.
-//
-//wlanvet:hotpath
 func (s *Simulator) failTimeout(st *station) {
 	st.failures++
 	if st.retries < math.MaxUint8 {
@@ -919,8 +879,6 @@ func (s *Simulator) failTimeout(st *station) {
 
 // broadcastControl delivers the AP's current control block to every
 // active station.
-//
-//wlanvet:hotpath
 func (s *Simulator) broadcastControl() {
 	if s.cfg.Controller == nil {
 		return
@@ -934,8 +892,6 @@ func (s *Simulator) broadcastControl() {
 
 // apBusyStart/apBusyEnd maintain the AP-side medium view used for the
 // idle-slot statistic of Table III.
-//
-//wlanvet:hotpath
 func (s *Simulator) apBusyStart(now sim.Time) {
 	s.apBusy++
 	if s.apBusy == 1 {
@@ -945,7 +901,6 @@ func (s *Simulator) apBusyStart(now sim.Time) {
 	}
 }
 
-//wlanvet:hotpath
 func (s *Simulator) apBusyEnd(now sim.Time) {
 	s.apBusy--
 	if s.apBusy < 0 {
@@ -998,8 +953,6 @@ func (s *Simulator) beaconTick() {
 // priority over every station's backoff — real 802.11 beacon behaviour —
 // so control information keeps flowing even during collision collapse,
 // when no ACKs exist to carry it.
-//
-//wlanvet:hotpath
 func (s *Simulator) tryBeacon() {
 	if !s.beaconDue || s.beaconWait.Active() || s.apTx || s.ackPending || s.apBusy > 0 {
 		return
@@ -1008,8 +961,6 @@ func (s *Simulator) tryBeacon() {
 }
 
 // beaconTx puts the beacon on the air.
-//
-//wlanvet:hotpath
 func (s *Simulator) beaconTx() {
 	s.beaconWait = sim.Ref{}
 	s.beaconDue = false
@@ -1028,8 +979,6 @@ func (s *Simulator) beaconTx() {
 // beaconEnd completes the beacon. Beacons never overlap (tryBeacon bails
 // while apBusy > 0 and beaconDue stays false until the next tick), so
 // s.beaconSeq still identifies the frame that just finished.
-//
-//wlanvet:hotpath
 func (s *Simulator) beaconEnd() {
 	s.apTx = false
 	s.apBusyEnd(s.sched.Now())

@@ -35,13 +35,11 @@ type arrivalQueue struct {
 
 func (q *arrivalQueue) len() int { return len(q.buf) - q.head }
 
-//wlanvet:hotpath
 func (q *arrivalQueue) push(t sim.Time) {
-	//wlanvet:allow amortised: the backing array grows to the queue high-water mark, then push reuses capacity (pop compacts in place)
+	// Amortised: the backing array grows to the queue high-water mark, then push reuses capacity (pop compacts in place)
 	q.buf = append(q.buf, t)
 }
 
-//wlanvet:hotpath
 func (q *arrivalQueue) pop() sim.Time {
 	v := q.buf[q.head]
 	q.head++

@@ -39,8 +39,6 @@ func (r Ref) Active() bool { return r.e != nil && r.e.gen == r.gen && !r.e.dead 
 // (fired, recycled, or zero) is a no-op — the generation check guarantees
 // a stale handle can never kill an unrelated recycled event. Cancellation
 // is lazy: the entry stays in the heap and is recycled when popped.
-//
-//wlanvet:hotpath
 func (r Ref) Cancel() {
 	if r.e != nil && r.e.gen == r.gen {
 		r.e.dead = true
@@ -86,15 +84,13 @@ func (h *eventHeap) swap(i, j int) {
 	h.items[j].index = j
 }
 
-//wlanvet:hotpath
 func (h *eventHeap) push(e *Event) {
 	e.index = len(h.items)
-	//wlanvet:allow amortised: the backing array grows to the pending-event high-water mark, then every push reuses capacity
+	// Amortised: the backing array grows to the pending-event high-water mark, then every push reuses capacity
 	h.items = append(h.items, e)
 	h.up(e.index)
 }
 
-//wlanvet:hotpath
 func (h *eventHeap) pop() *Event {
 	n := len(h.items)
 	if n == 0 {
@@ -118,7 +114,6 @@ func (h *eventHeap) peek() *Event {
 	return h.items[0]
 }
 
-//wlanvet:hotpath
 func (h *eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -130,7 +125,6 @@ func (h *eventHeap) up(i int) {
 	}
 }
 
-//wlanvet:hotpath
 func (h *eventHeap) down(i int) {
 	n := len(h.items)
 	for {

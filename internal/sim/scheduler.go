@@ -75,8 +75,6 @@ func before(a, b *Event) bool {
 
 // enqueue inserts a pending event, keeping the fast slot the global
 // minimum.
-//
-//wlanvet:hotpath
 func (s *Scheduler) enqueue(e *Event) {
 	switch {
 	case s.next == nil:
@@ -93,8 +91,6 @@ func (s *Scheduler) enqueue(e *Event) {
 }
 
 // dequeue removes and returns the earliest pending event, or nil.
-//
-//wlanvet:hotpath
 func (s *Scheduler) dequeue() *Event {
 	if c := s.cand; c != nil {
 		if m := s.queueMin(); m == nil || before(c, m) {
@@ -110,8 +106,6 @@ func (s *Scheduler) dequeue() *Event {
 }
 
 // queueMin returns the earliest queued event, candidate aside.
-//
-//wlanvet:hotpath
 func (s *Scheduler) queueMin() *Event {
 	if s.next != nil {
 		return s.next
@@ -120,8 +114,6 @@ func (s *Scheduler) queueMin() *Event {
 }
 
 // peekMin returns the earliest pending event without removing it.
-//
-//wlanvet:hotpath
 func (s *Scheduler) peekMin() *Event {
 	m := s.queueMin()
 	if c := s.cand; c != nil && (m == nil || before(c, m)) {
@@ -134,8 +126,6 @@ func (s *Scheduler) peekMin() *Event {
 // cancelled ones from the front of the queue. RunUntil must bound on a
 // live event: a cancelled minimum inside the window followed by a live
 // event beyond it would otherwise make Step fire past the bound.
-//
-//wlanvet:hotpath
 func (s *Scheduler) peekLive() *Event {
 	for {
 		e := s.peekMin()
@@ -152,8 +142,6 @@ func (s *Scheduler) PoolSize() int { return len(s.free) }
 
 // alloc takes an event from the free list, falling back to the heap
 // only while the pool is still warming up.
-//
-//wlanvet:hotpath
 func (s *Scheduler) alloc() *Event {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
@@ -166,20 +154,16 @@ func (s *Scheduler) alloc() *Event {
 
 // release recycles a popped event. Bumping the generation expires every
 // outstanding Ref before the event can be reused.
-//
-//wlanvet:hotpath
 func (s *Scheduler) release(e *Event) {
 	e.gen++
 	e.fn, e.afn, e.arg = nil, nil, nil
 	e.dead = false
-	//wlanvet:allow amortised: the free list grows to the live-event high-water mark during warm-up, then every append reuses capacity
+	// Amortised: the free list grows to the live-event high-water mark during warm-up, then every append reuses capacity
 	s.free = append(s.free, e)
 }
 
 // schedule is the common entry behind At/AtArg: pool an event, stamp
 // it, enqueue it.
-//
-//wlanvet:hotpath
 func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any) Ref {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
@@ -194,15 +178,11 @@ func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any) Ref {
 
 // At schedules fn to run at instant t. Scheduling in the past panics: a
 // causality violation is always a programming error in the caller.
-//
-//wlanvet:hotpath
 func (s *Scheduler) At(t Time, fn func()) Ref {
 	return s.schedule(t, fn, nil, nil)
 }
 
 // After schedules fn to run d after the current time.
-//
-//wlanvet:hotpath
 func (s *Scheduler) After(d Duration, fn func()) Ref {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -214,15 +194,11 @@ func (s *Scheduler) After(d Duration, fn func()) Ref {
 // allocation-free when fn is a pre-bound function value and arg is a
 // pointer: neither boxes a fresh closure. Hot paths (per-frame, per-slot
 // timers) should prefer it.
-//
-//wlanvet:hotpath
 func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Ref {
 	return s.schedule(t, nil, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d after the current time.
-//
-//wlanvet:hotpath
 func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Ref {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -237,8 +213,6 @@ func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Ref {
 // defer the actual scheduling, and later submit it as the candidate
 // with its reserved position — so replacing eager scheduling with lazy
 // scheduling cannot reorder same-instant ties.
-//
-//wlanvet:hotpath
 func (s *Scheduler) TakeSeq() uint64 {
 	seq := s.seq
 	s.seq++
@@ -252,8 +226,6 @@ func (s *Scheduler) TakeSeq() uint64 {
 // reservation time. It lives outside the queue, so moving it costs no
 // heap traffic and leaves no cancelled entry behind. The candidate is
 // withdrawn by ClearCandidate, by firing or by Reset.
-//
-//wlanvet:hotpath
 func (s *Scheduler) SetCandidate(t Time, seq uint64, fn func(any), arg any) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling candidate at %v before now %v", t, s.now))
@@ -268,8 +240,6 @@ func (s *Scheduler) SetCandidate(t Time, seq uint64, fn func(any), arg any) {
 }
 
 // ClearCandidate withdraws the candidate, if any.
-//
-//wlanvet:hotpath
 func (s *Scheduler) ClearCandidate() {
 	if c := s.cand; c != nil {
 		s.cand = nil
@@ -307,8 +277,6 @@ func (s *Scheduler) SetAfterDispatch(fn func()) { s.afterDispatch = fn }
 
 // Step executes the single next live event and returns true, or returns
 // false when the queue holds no live events.
-//
-//wlanvet:hotpath
 func (s *Scheduler) Step() bool {
 	for {
 		e := s.dequeue()

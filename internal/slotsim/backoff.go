@@ -105,8 +105,6 @@ func (t *backoffTracker) reset(n int) {
 
 // insert registers station id with the given relative counter (slots
 // until expiry, ≥ 0). The station must not currently be tracked.
-//
-//wlanvet:hotpath
 func (t *backoffTracker) insert(id int, counter int) {
 	if counter >= trackerSpan {
 		e := t.base + int64(counter)
@@ -114,7 +112,7 @@ func (t *backoffTracker) insert(id int, counter int) {
 			t.overflowMin = e
 		}
 		t.overflowPos[id] = int32(len(t.overflow))
-		//wlanvet:allow amortised: overflow grows to its high-water mark (rare clamped geometric tails) and reset keeps the capacity
+		// Amortised: overflow grows to its high-water mark (rare clamped geometric tails) and reset keeps the capacity
 		t.overflow = append(t.overflow, overflowEntry{int32(id), e})
 		return
 	}
@@ -122,8 +120,6 @@ func (t *backoffTracker) insert(id int, counter int) {
 }
 
 // link prepends station id to the ring bucket at slot.
-//
-//wlanvet:hotpath
 func (t *backoffTracker) link(id, slot int) {
 	h := t.head[slot]
 	t.next[id], t.prev[id] = h, -1
@@ -140,8 +136,6 @@ func (t *backoffTracker) link(id, slot int) {
 // expiry delta, and overflow entries sit up to billions of slots out
 // (clamped geometric tails), the exact magnitude that wrapped negative
 // through int in the PR 7 minCounter bug.
-//
-//wlanvet:hotpath
 func (t *backoffTracker) remove(id int, counter int64) {
 	if counter >= trackerSpan {
 		i := t.overflowPos[id]
@@ -197,12 +191,10 @@ func (t *backoffTracker) currentOverflowMin() int64 {
 
 // takeExpired removes and appends to dst the ids whose counters have
 // reached zero (the bucket at the base slot).
-//
-//wlanvet:hotpath
 func (t *backoffTracker) takeExpired(dst []int) []int {
 	slot := t.baseIdx
 	for id := t.head[slot]; id >= 0; id = t.next[id] {
-		//wlanvet:allow amortised: dst is the caller's reused attacker scratch slice, grown once to the population high-water mark
+		// Amortised: dst is the caller's reused attacker scratch slice, grown once to the population high-water mark
 		dst = append(dst, int(id))
 		t.count--
 	}
@@ -220,8 +212,6 @@ func (t *backoffTracker) takeExpired(dst []int) []int {
 // negative on 32-bit platforms and stall the idle jump. The result is
 // clamped to maxInt on conversion; callers cap the jump at the window
 // and run-end boundaries anyway.
-//
-//wlanvet:hotpath
 func (t *backoffTracker) minCounter() int {
 	const maxInt = int(^uint(0) >> 1)
 	best := int64(maxInt)
@@ -244,8 +234,6 @@ func (t *backoffTracker) minCounter() int {
 
 // scan finds the distance in slots from the base to the first occupied
 // ring slot, wrapping around the ring.
-//
-//wlanvet:hotpath
 func (t *backoffTracker) scan() (int, bool) {
 	w := t.baseIdx >> 6
 	off := uint(t.baseIdx) & 63
@@ -266,8 +254,6 @@ func (t *backoffTracker) scan() (int, bool) {
 // advance moves the clock forward by jump slots (jump must not exceed
 // any tracked counter), migrating overflow entries that now fall inside
 // the ring horizon.
-//
-//wlanvet:hotpath
 func (t *backoffTracker) advance(jump int) {
 	t.base += int64(jump)
 	t.baseIdx = (t.baseIdx + jump) & trackerMask
@@ -283,7 +269,7 @@ func (t *backoffTracker) advance(jump int) {
 			t.link(int(e.id), (t.baseIdx+int(d))&trackerMask)
 		} else {
 			t.overflowPos[e.id] = int32(len(kept))
-			//wlanvet:allow amortised: kept compacts in place over t.overflow's own backing array, never growing it
+			// Amortised: kept compacts in place over t.overflow's own backing array, never growing it
 			kept = append(kept, e)
 		}
 	}

@@ -387,16 +387,12 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 }
 
 // track registers station i's freshly drawn counter with the tracker.
-//
-//wlanvet:hotpath
 func (s *Simulator) track(i, counter int) {
 	s.stations[i].expiry = s.tracker.base + int64(counter)
 	s.tracker.insert(i, counter)
 }
 
 // untrack removes station i from the tracker.
-//
-//wlanvet:hotpath
 func (s *Simulator) untrack(i int) {
 	s.tracker.remove(i, s.stations[i].expiry-s.tracker.base)
 }
@@ -411,8 +407,6 @@ func (s *Simulator) backlogged(i int) bool {
 // preceded the busy period just starting. The pass walks only the
 // observing stations (ascending, the same call order as the full scan it
 // replaces) and costs nothing when no policy observes the medium.
-//
-//wlanvet:hotpath
 func (s *Simulator) observe(idleRun int64) {
 	for _, o := range s.observers {
 		o.ObserveTransmission(float64(idleRun))
@@ -423,8 +417,6 @@ func (s *Simulator) observe(idleRun int64) {
 // been taken out of the tracker with the expired bucket) and re-tracks
 // it while it remains backlogged. The draw is consumed regardless — the
 // pre-tracker code drew unconditionally, and every draw is pinned.
-//
-//wlanvet:hotpath
 func (s *Simulator) redraw(i int) {
 	c := s.cfg.Policies[i].NextBackoff(&s.rngs[i])
 	if s.backlogged(i) {
@@ -438,8 +430,6 @@ func (s *Simulator) redraw(i int) {
 // their tracker position — untouched, making this pass free for DCF.
 // attackers lists the stations that transmitted (already redrawn by
 // their outcome paths), sorted ascending.
-//
-//wlanvet:hotpath
 func (s *Simulator) resume(attackers []int) {
 	k := 0
 	for _, i32 := range s.memorylessIdx {
@@ -465,8 +455,6 @@ func (s *Simulator) resume(attackers []int) {
 // unsaturated stations are visited (ascending — the admission order the
 // full scan produced), so a mostly saturated large-n population pays
 // nothing here.
-//
-//wlanvet:hotpath
 func (s *Simulator) admitArrivals() {
 	for k := range s.sources {
 		src := &s.sources[k]
@@ -491,8 +479,6 @@ func (s *Simulator) admitArrivals() {
 
 // slotsUntilArrival returns the number of whole slots from now until the
 // earliest pending arrival among unsaturated stations (minimum 1).
-//
-//wlanvet:hotpath
 func (s *Simulator) slotsUntilArrival() int {
 	earliest := sim.Time(int64(^uint64(0) >> 1))
 	found := false
