@@ -10,9 +10,9 @@ verify:
 test: verify
 
 # Static analysis: go vet plus the project's own wlanvet analyzers
-# (determinism, inttime, hotpath, observerpurity and sentinelwrap —
-# see internal/analysis). wlanvet exits non-zero on any
-# finding that does not carry a reasoned //wlanvet:allow annotation.
+# (determinism, inttime and sentinelwrap — see internal/analysis).
+# wlanvet exits non-zero on any finding that does not carry a reasoned
+# //wlanvet:allow annotation.
 lint:
 	go vet ./...
 	go run ./cmd/wlanvet ./...
