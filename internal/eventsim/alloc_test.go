@@ -106,71 +106,46 @@ func TestRTSCTSPathZeroAllocSteadyState(t *testing.T) {
 }
 
 // The unsaturated path adds arrival events, queue pushes/pops and the
-// latency/jitter accounting to the frame lifecycle; once the queue
-// backing arrays have reached their high-water mark it must be
+// latency/jitter accounting to the frame lifecycle, and on/off sources
+// add phase flips that start and silence the arrival process; once the
+// queue backing arrays have reached their high-water mark it must be
 // allocation-free too.
 func TestPerFramePathZeroAllocTraffic(t *testing.T) {
-	const n = 10
-	policies := make([]mac.Policy, n)
-	arrivals := make([]traffic.Spec, n)
-	for i := range policies {
-		policies[i] = mac.NewStandardDCF(16, 1024)
-		arrivals[i] = traffic.Spec{Kind: traffic.Poisson, Rate: 300, QueueCap: 32}
-	}
-	s, err := New(Config{
-		Topology:     topo.New(topo.Point{}, topo.CircleEdge(n, 8), topo.PaperRadii()),
-		Policies:     policies,
-		Arrivals:     arrivals,
-		UpdatePeriod: 1000 * sim.Second,
-		Seed:         5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(2 * sim.Second)
-	next := s.sched.Now()
-	if avg := testing.AllocsPerRun(50, func() {
-		next = next.Add(20 * sim.Millisecond)
-		s.sched.RunUntil(next)
-	}); avg != 0 {
-		t.Errorf("unsaturated per-frame path allocates %.2f allocs per 20 ms, want 0", avg)
-	}
-	if s.totalArrivals == 0 || s.successes == 0 {
-		t.Fatal("traffic simulation made no progress")
-	}
-}
-
-// On/off sources add phase flips, which start and silence the arrival
-// process, to the unsaturated path; it must stay allocation-free too.
-func TestPerFramePathZeroAllocOnOff(t *testing.T) {
-	const n = 10
-	policies := make([]mac.Policy, n)
-	arrivals := make([]traffic.Spec, n)
-	for i := range policies {
-		policies[i] = mac.NewStandardDCF(16, 1024)
-		arrivals[i] = traffic.Spec{Kind: traffic.OnOff, Rate: 300, QueueCap: 32,
-			OnMean: 30 * sim.Millisecond, OffMean: 30 * sim.Millisecond}
-	}
-	s, err := New(Config{
-		Topology:     topo.New(topo.Point{}, topo.CircleEdge(n, 8), topo.PaperRadii()),
-		Policies:     policies,
-		Arrivals:     arrivals,
-		UpdatePeriod: 1000 * sim.Second,
-		Seed:         5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(2 * sim.Second)
-	next := s.sched.Now()
-	if avg := testing.AllocsPerRun(50, func() {
-		next = next.Add(20 * sim.Millisecond)
-		s.sched.RunUntil(next)
-	}); avg != 0 {
-		t.Errorf("on/off per-frame path allocates %.2f allocs per 20 ms, want 0", avg)
-	}
-	if s.totalArrivals == 0 || s.successes == 0 {
-		t.Fatal("traffic simulation made no progress")
+	for name, spec := range map[string]traffic.Spec{
+		"poisson": {Kind: traffic.Poisson, Rate: 300, QueueCap: 32},
+		"onoff": {Kind: traffic.OnOff, Rate: 300, QueueCap: 32,
+			OnMean: 30 * sim.Millisecond, OffMean: 30 * sim.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			const n = 10
+			policies := make([]mac.Policy, n)
+			arrivals := make([]traffic.Spec, n)
+			for i := range policies {
+				policies[i] = mac.NewStandardDCF(16, 1024)
+				arrivals[i] = spec
+			}
+			s, err := New(Config{
+				Topology:     topo.New(topo.Point{}, topo.CircleEdge(n, 8), topo.PaperRadii()),
+				Policies:     policies,
+				Arrivals:     arrivals,
+				UpdatePeriod: 1000 * sim.Second,
+				Seed:         5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(2 * sim.Second)
+			next := s.sched.Now()
+			if avg := testing.AllocsPerRun(50, func() {
+				next = next.Add(20 * sim.Millisecond)
+				s.sched.RunUntil(next)
+			}); avg != 0 {
+				t.Errorf("unsaturated per-frame path allocates %.2f allocs per 20 ms, want 0", avg)
+			}
+			if s.totalArrivals == 0 || s.successes == 0 {
+				t.Fatal("traffic simulation made no progress")
+			}
+		})
 	}
 }
 
