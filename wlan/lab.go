@@ -75,7 +75,8 @@ func (l *Lab) guard() error {
 	return nil
 }
 
-// pool returns the Lab's worker pool for a run about to use it.
+// pool returns the Lab's worker pool for a run about to start on it;
+// the first such run starts the events/s clock.
 func (l *Lab) pool() *scenario.Runner {
 	l.metrics.started()
 	return l.runner
