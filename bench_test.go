@@ -350,32 +350,11 @@ func BenchmarkAblationUpdatePeriod(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueue measures the kernel's event scheduling throughput.
-// Steady state must report 0 allocs/op: events are pooled and the closure
-// is bound once (see the AllocsPerRun guardrails in internal/sim).
+// BenchmarkEventQueue measures the kernel's event scheduling throughput
+// on the AfterArg path the simulators' hot loops use: a pre-bound func
+// value plus a pointer argument, no closure per event. Steady state must
+// report 0 allocs/op (see the AllocsPerRun guardrails in internal/sim).
 func BenchmarkEventQueue(b *testing.B) {
-	s := sim.NewScheduler()
-	rng := sim.NewRNG(1)
-	count := 0
-	var reschedule func()
-	reschedule = func() {
-		count++
-		if count < b.N {
-			s.After(sim.Duration(rng.Intn(1000)+1), reschedule)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < 64 && i < b.N; i++ {
-		s.After(sim.Duration(rng.Intn(1000)+1), reschedule)
-	}
-	s.Run()
-}
-
-// BenchmarkEventQueueArg measures the allocation-free AfterArg path the
-// simulators' hot loops use: a pre-bound func value plus a pointer
-// argument instead of a fresh closure per event.
-func BenchmarkEventQueueArg(b *testing.B) {
 	s := sim.NewScheduler()
 	rng := sim.NewRNG(1)
 	type payload struct{ count int }
@@ -400,10 +379,10 @@ func BenchmarkEventQueueArg(b *testing.B) {
 // dominates frozen-backoff churn in eventsim.
 func BenchmarkEventCancel(b *testing.B) {
 	s := sim.NewScheduler()
-	noop := func() {}
+	noop := func(any) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := s.After(1, noop)
+		r := s.AfterArg(1, noop, nil)
 		r.Cancel()
 		s.Step()
 	}

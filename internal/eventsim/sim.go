@@ -87,6 +87,7 @@ type Simulator struct {
 	beaconEndFn    func(any)
 	arrivalFn      func(any)
 	phaseFn        func(any)
+	setActiveFn    func(any)
 
 	// txPool recycles transmission records so the steady-state frame
 	// lifecycle allocates nothing.
@@ -169,6 +170,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.beaconEndFn = func(any) { s.beaconEnd() }
 	s.arrivalFn = func(a any) { s.arrival(a.(*station)) }
 	s.phaseFn = func(a any) { s.phaseFlip(a.(*station)) }
+	s.setActiveFn = func(a any) { s.setActive(a.(int)) }
 	// rearm runs after every dispatched event, re-establishing a
 	// withdrawn lazy-wakeup candidate exactly once per event however
 	// many transitions the callback performed — one enforcement point
@@ -246,6 +248,7 @@ func (s *Simulator) init(cfg Config) {
 		beaconEndFn:      s.beaconEndFn,
 		arrivalFn:        s.arrivalFn,
 		phaseFn:          s.phaseFn,
+		setActiveFn:      s.setActiveFn,
 	}
 	if cfg.Controller != nil {
 		s.control = cfg.Controller.Control()
@@ -339,17 +342,19 @@ func (s *Simulator) SetActiveAt(t sim.Time, n int) error {
 	if n < 0 || n > len(s.stations) {
 		return fmt.Errorf("eventsim: SetActiveAt(%v, %d): count outside [0, %d]", t, n, len(s.stations))
 	}
-	s.sched.At(t, func() {
-		for i, st := range s.stations {
-			switch {
-			case i < n:
-				s.activateNow(st)
-			default:
-				s.deactivateNow(st)
-			}
-		}
-	})
+	s.sched.AtArg(t, s.setActiveFn, n)
 	return nil
+}
+
+// setActive makes exactly the first n stations active.
+func (s *Simulator) setActive(n int) {
+	for i, st := range s.stations {
+		if i < n {
+			s.activateNow(st)
+		} else {
+			s.deactivateNow(st)
+		}
+	}
 }
 
 func (s *Simulator) activateNow(st *station) {

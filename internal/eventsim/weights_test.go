@@ -21,7 +21,7 @@ func TestDynamicWeightChange(t *testing.T) {
 	s, _ := wtopSim(t, connectedTopo(n), nil, 83)
 	// Grab station 0's policy to mutate its weight at t = 60 s.
 	pp := s.stations[0].policy.(*mac.PPersistent)
-	s.Scheduler().At(sim.Time(60*sim.Second), func() { pp.Weight = 3 })
+	s.Scheduler().AtArg(sim.Time(60*sim.Second), func(any) { pp.Weight = 3 }, nil)
 
 	// Phase 1: equal weights.
 	res1 := s.Run(60 * sim.Second)

@@ -442,7 +442,7 @@ func (ts *TopologySpec) withDefaults() error {
 		}
 	case TopoCustom:
 		if len(ts.Points) == 0 {
-			return fmt.Errorf("topology: custom kind needs points")
+			return fmt.Errorf("topology: no stations (custom kind needs points)")
 		}
 		if ts.N != 0 && ts.N != len(ts.Points) {
 			return fmt.Errorf("topology: n=%d contradicts %d points", ts.N, len(ts.Points))

@@ -3,23 +3,25 @@ package sim
 import "testing"
 
 // The scheduler's contract is zero steady-state allocations: once the
-// event pool has warmed up, After/AtArg reuse recycled events and Step
+// event pool has warmed up, AtArg/AfterArg reuse recycled events and Step
 // returns them. These guardrails pin that property so a regression shows
 // up as a test failure, not a slow creep in GC pressure.
 
+// A closure made once and passed as the argument schedules without
+// allocating too: a func value boxes into an interface for free.
 func TestSchedulerAfterStepZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	var tick func()
-	tick = func() { s.After(100, tick) }
+	tick = func() { s.AfterArg(100, call, tick) }
 	for i := 0; i < 64; i++ {
-		s.After(Duration(i+1), tick)
+		s.AfterArg(Duration(i+1), call, tick)
 	}
 	// Warm up: grow the heap slice, the free list, and the pool.
 	for i := 0; i < 1024; i++ {
 		s.Step()
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.Step() }); avg != 0 {
-		t.Errorf("After/Step steady state allocates %.2f allocs/op, want 0", avg)
+		t.Errorf("AfterArg(closure)/Step steady state allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
@@ -50,12 +52,12 @@ func TestSchedulerCancelZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	noop := func() {}
 	for i := 0; i < 256; i++ {
-		s.After(Duration(i+1), noop)
+		s.AfterArg(Duration(i+1), call, noop)
 	}
 	for s.Step() {
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		r := s.After(10, noop)
+		r := s.AfterArg(10, call, noop)
 		r.Cancel()
 		s.Step()
 	}); avg != 0 {

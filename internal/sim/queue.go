@@ -8,12 +8,11 @@ type Event struct {
 	at  Time
 	seq uint64 // FIFO tie-breaker for equal timestamps
 
-	// Exactly one of fn/afn is set. afn carries an explicit argument so
-	// hot-path callers can schedule without allocating a closure per
-	// event (a func value plus a pointer boxed in an interface is
-	// allocation-free; a capturing closure is not).
-	fn  func()
-	afn func(any)
+	// fn(arg) is the dispatch. The explicit argument lets callers
+	// schedule without allocating a closure per event (a pre-bound func
+	// value plus a pointer boxed in an interface is allocation-free; a
+	// capturing closure is not).
+	fn  func(any)
 	arg any
 
 	dead  bool   // set via Ref.Cancel; popped dead events are recycled

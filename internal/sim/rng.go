@@ -51,7 +51,7 @@ func NewStream(seed, stream int64) *RNG {
 }
 
 // Reuse reseeds g to (seed, stream) and returns it, or returns a new
-// generator when g is nil: the arena idiom of the simulators' Reset,
+// generator when g is nil: the arena idiom of eventsim's Reset,
 // which keeps reseeding allocation-free once the arena is warm.
 func Reuse(g *RNG, seed, stream int64) *RNG {
 	if g == nil {

@@ -6,11 +6,12 @@ import "fmt"
 // events. The zero value is ready to use with the clock at time zero.
 //
 // The scheduler recycles Event objects through an internal free list, so
-// steady-state scheduling performs no heap allocations: After/At reuse a
-// pooled event, and Step returns it to the pool once the callback has been
-// dispatched. Callers interact with events only through generation-checked
-// Refs (see Ref), which makes holding a handle past the event's lifetime
-// safe. See DESIGN.md for the pooling and generation scheme.
+// steady-state scheduling performs no heap allocations: AtArg/AfterArg
+// reuse a pooled event, and Step returns it to the pool once the callback
+// has been dispatched. Callers interact with events only through
+// generation-checked Refs (see Ref), which makes holding a handle past
+// the event's lifetime safe. See DESIGN.md for the pooling and generation
+// scheme.
 //
 // Scheduler is not safe for concurrent use; a simulation is a single
 // logical thread of control. Run simulations in parallel by creating one
@@ -156,46 +157,26 @@ func (s *Scheduler) alloc() *Event {
 // outstanding Ref before the event can be reused.
 func (s *Scheduler) release(e *Event) {
 	e.gen++
-	e.fn, e.afn, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	e.dead = false
 	// Amortised: the free list grows to the live-event high-water mark during warm-up, then every append reuses capacity
 	s.free = append(s.free, e)
 }
 
-// schedule is the common entry behind At/AtArg: pool an event, stamp
-// it, enqueue it.
-func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any) Ref {
+// AtArg schedules fn(arg) to run at instant t. Scheduling in the past
+// panics: a causality violation is always a programming error in the
+// caller. The call is allocation-free when fn is a pre-bound function
+// value and arg is a pointer: neither boxes a fresh closure.
+func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Ref {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	e := s.alloc()
 	e.at, e.seq = t, s.seq
-	e.fn, e.afn, e.arg = fn, afn, arg
+	e.fn, e.arg = fn, arg
 	s.seq++
 	s.enqueue(e)
 	return Ref{e: e, gen: e.gen}
-}
-
-// At schedules fn to run at instant t. Scheduling in the past panics: a
-// causality violation is always a programming error in the caller.
-func (s *Scheduler) At(t Time, fn func()) Ref {
-	return s.schedule(t, fn, nil, nil)
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Duration, fn func()) Ref {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.At(s.now.Add(d), fn)
-}
-
-// AtArg schedules fn(arg) to run at instant t. Unlike At, this form is
-// allocation-free when fn is a pre-bound function value and arg is a
-// pointer: neither boxes a fresh closure. Hot paths (per-frame, per-slot
-// timers) should prefer it.
-func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Ref {
-	return s.schedule(t, nil, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d after the current time.
@@ -236,7 +217,7 @@ func (s *Scheduler) SetCandidate(t Time, seq uint64, fn func(any), arg any) {
 		s.cand = c
 	}
 	c.at, c.seq = t, seq
-	c.afn, c.arg = fn, arg
+	c.fn, c.arg = fn, arg
 }
 
 // ClearCandidate withdraws the candidate, if any.
@@ -291,13 +272,9 @@ func (s *Scheduler) Step() bool {
 		s.fired++
 		// Copy the dispatch fields and recycle before invoking, so the
 		// callback's own scheduling can reuse this very event.
-		fn, afn, arg := e.fn, e.afn, e.arg
+		fn, arg := e.fn, e.arg
 		s.release(e)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 		if s.afterDispatch != nil {
 			s.afterDispatch()
 		}

@@ -8,13 +8,18 @@ import (
 	"testing/quick"
 )
 
+// call runs a closure scheduled as the argument of AtArg or AfterArg.
+// The tests schedule closures for brevity; the engines schedule
+// callbacks bound once with pointer arguments.
+func call(fn any) { fn.(func())() }
+
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
 	times := []Time{500, 100, 300, 200, 400}
 	for _, at := range times {
 		at := at
-		s.At(at, func() { got = append(got, at) })
+		s.AtArg(at, call, func() { got = append(got, at) })
 	}
 	s.Run()
 	want := append([]Time(nil), times...)
@@ -37,7 +42,7 @@ func TestSchedulerFIFOForEqualTimestamps(t *testing.T) {
 	var order []int
 	for i := 0; i < 50; i++ {
 		i := i
-		s.At(1000, func() { order = append(order, i) })
+		s.AtArg(1000, call, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -50,19 +55,19 @@ func TestSchedulerFIFOForEqualTimestamps(t *testing.T) {
 func TestSchedulerAfterUsesCurrentTime(t *testing.T) {
 	s := NewScheduler()
 	var at Time
-	s.At(100, func() {
-		s.After(50, func() { at = s.Now() })
+	s.AtArg(100, call, func() {
+		s.AfterArg(50, call, func() { at = s.Now() })
 	})
 	s.Run()
 	if at != 150 {
-		t.Errorf("nested After fired at %v, want 150", at)
+		t.Errorf("nested AfterArg fired at %v, want 150", at)
 	}
 }
 
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.At(10, func() { fired = true })
+	e := s.AtArg(10, call, func() { fired = true })
 	e.Cancel()
 	if !e.Cancelled() {
 		t.Fatal("Cancelled() = false after Cancel")
@@ -86,7 +91,7 @@ func TestSchedulerCancel(t *testing.T) {
 func TestSchedulerStaleRefCannotCancelRecycledEvent(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
-	stale := s.At(10, func() { fired++ })
+	stale := s.AtArg(10, call, func() { fired++ })
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("first event fired %d times, want 1", fired)
@@ -95,7 +100,7 @@ func TestSchedulerStaleRefCannotCancelRecycledEvent(t *testing.T) {
 		t.Error("Ref still active after its event fired")
 	}
 	// The pool is LIFO, so this At reuses the event stale points at.
-	next := s.At(20, func() { fired++ })
+	next := s.AtArg(20, call, func() { fired++ })
 	stale.Cancel()
 	if !next.Active() {
 		t.Fatal("stale Cancel killed the recycled event")
@@ -114,7 +119,7 @@ func TestSchedulerStaleRefCannotCancelRecycledEvent(t *testing.T) {
 func TestSchedulerPoolRecycles(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 100; i++ {
-		r := s.At(Time(i), func() {})
+		r := s.AtArg(Time(i), call, func() {})
 		if i%3 == 0 {
 			r.Cancel()
 		}
@@ -124,7 +129,7 @@ func TestSchedulerPoolRecycles(t *testing.T) {
 		t.Errorf("pool holds %d events after drain, want 100", got)
 	}
 	for i := 0; i < 100; i++ {
-		s.At(s.Now().Add(1), func() {})
+		s.AtArg(s.Now().Add(1), call, func() {})
 	}
 	if got := s.PoolSize(); got != 0 {
 		t.Errorf("pool holds %d events while 100 are pending, want 0", got)
@@ -135,8 +140,8 @@ func TestSchedulerPoolRecycles(t *testing.T) {
 func TestSchedulerCancelFromEarlierEvent(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	later := s.At(20, func() { fired = true })
-	s.At(10, func() { later.Cancel() })
+	later := s.AtArg(20, call, func() { fired = true })
+	s.AtArg(10, call, func() { later.Cancel() })
 	s.Run()
 	if fired {
 		t.Error("event cancelled by an earlier event still fired")
@@ -147,7 +152,7 @@ func TestSchedulerHalt(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := Time(1); i <= 10; i++ {
-		s.At(i, func() {
+		s.AtArg(i, call, func() {
 			count++
 			if count == 3 {
 				s.Halt()
@@ -169,7 +174,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		s.At(at, func() { fired = append(fired, at) })
+		s.AtArg(at, call, func() { fired = append(fired, at) })
 	}
 	s.RunUntil(25)
 	if len(fired) != 2 {
@@ -191,9 +196,9 @@ func TestSchedulerRunUntil(t *testing.T) {
 // event beyond it: the bound is decided on the earliest LIVE event.
 func TestSchedulerRunUntilSkipsDeadMinimum(t *testing.T) {
 	s := NewScheduler()
-	r := s.At(10, func() { t.Error("cancelled event fired") })
+	r := s.AtArg(10, call, func() { t.Error("cancelled event fired") })
 	fired := false
-	s.At(20, func() { fired = true })
+	s.AtArg(20, call, func() { fired = true })
 	r.Cancel()
 	s.RunUntil(15)
 	if fired {
@@ -210,13 +215,13 @@ func TestSchedulerRunUntilSkipsDeadMinimum(t *testing.T) {
 
 func TestSchedulerPanicsOnPastEvent(t *testing.T) {
 	s := NewScheduler()
-	s.At(100, func() {
+	s.AtArg(100, call, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.At(50, func() {})
+		s.AtArg(50, call, func() {})
 	})
 	s.Run()
 }
@@ -225,10 +230,10 @@ func TestSchedulerPanicsOnNegativeDelay(t *testing.T) {
 	s := NewScheduler()
 	defer func() {
 		if recover() == nil {
-			t.Error("After with negative delay did not panic")
+			t.Error("AfterArg with negative delay did not panic")
 		}
 	}()
-	s.After(-1, func() {})
+	s.AfterArg(-1, call, func() {})
 }
 
 // Property: for any sequence of insertion timestamps, pops are sorted and
@@ -244,7 +249,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		for i, v := range raw {
 			at := Time(v % 64) // force many timestamp collisions
 			i := i
-			s.At(at, func() { fired = append(fired, rec{at, i}) })
+			s.AtArg(at, call, func() { fired = append(fired, rec{at, i}) })
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -276,7 +281,7 @@ func TestSchedulerCancelProperty(t *testing.T) {
 		for i, v := range raw {
 			at := Time(v % 32)
 			i := i
-			events[i] = s.At(at, func() {
+			events[i] = s.AtArg(at, call, func() {
 				if i < len(cancelMask) && cancelMask[i] {
 					firedCancelled = true
 				}
@@ -311,7 +316,7 @@ func TestHeapStress(t *testing.T) {
 			return
 		}
 		at := s.Now().Add(Duration(r.Intn(1000)))
-		s.At(at, func() {
+		s.AtArg(at, call, func() {
 			if s.Now() < last {
 				t.Errorf("time went backwards: %v after %v", s.Now(), last)
 			}
@@ -383,7 +388,7 @@ func TestSchedulerCandidateTiesFastSlot(t *testing.T) {
 		if candFirst {
 			seq = s.TakeSeq()
 		}
-		s.At(10, o.add("queued"))
+		s.AtArg(10, call, o.add("queued"))
 		if !candFirst {
 			seq = s.TakeSeq()
 		}
@@ -409,11 +414,11 @@ func TestSchedulerCandidateTiesHeap(t *testing.T) {
 		if candFirst {
 			seq = s.TakeSeq()
 		}
-		s.At(10, o.add("heap"))
+		s.AtArg(10, call, o.add("heap"))
 		if !candFirst {
 			seq = s.TakeSeq()
 		}
-		s.At(5, o.add("early")) // displaces the event at 10 into the heap
+		s.AtArg(5, call, o.add("early")) // displaces the event at 10 into the heap
 		s.SetCandidate(10, seq, o.addArg, label("cand"))
 		if s.heap.Len() != 1 || s.heap.peek().at != 10 {
 			t.Fatal("the event at 10 is not in the heap")
@@ -478,7 +483,7 @@ func TestSchedulerResetDropsCandidate(t *testing.T) {
 func TestSchedulerHaltKeepsCandidate(t *testing.T) {
 	s := NewScheduler()
 	o := &order{}
-	s.At(5, func() { o.got = append(o.got, "halt"); s.Halt() })
+	s.AtArg(5, call, func() { o.got = append(o.got, "halt"); s.Halt() })
 	s.SetCandidate(10, s.TakeSeq(), o.addArg, label("cand"))
 	s.Run()
 	o.want(t, "[halt]")

@@ -98,62 +98,6 @@ func TestSlotLoopControllerSteadyAllocBound(t *testing.T) {
 	}
 }
 
-// A warm arena's Reset must not scale with the station count: every
-// per-station table is reused in place, so re-initialising 4096 stations
-// costs the same allocations — and bytes — as 64. A per-Reset O(n)
-// scratch slice fails the byte check even when it is one allocation.
-// The population mixes window, memoryless and medium-observing policies
-// with saturated and Poisson stations, so every per-station table is
-// non-empty.
-func TestResetSteadyAllocBound(t *testing.T) {
-	measure := func(n int) (allocs float64, bytes uint64) {
-		policies := make([]mac.Policy, n)
-		arrivals := make([]traffic.Spec, n)
-		for i := range policies {
-			switch i % 3 {
-			case 0:
-				policies[i] = mac.NewStandardDCF(16, 1024)
-			case 1:
-				policies[i] = mac.NewPPersistent(1, 0.02)
-			default:
-				policies[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
-			}
-			if i%2 == 0 {
-				arrivals[i] = traffic.Spec{Kind: traffic.Poisson, Rate: 100, QueueCap: 8}
-			}
-		}
-		cfg := Config{Policies: policies, Arrivals: arrivals, Seed: 3}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run(100 * sim.Millisecond) // warm the run-time scratch too
-		reset := func() {
-			if err := s.Reset(cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reset()
-		allocs = testing.AllocsPerRun(20, reset)
-		const rounds = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range rounds {
-			reset()
-		}
-		runtime.ReadMemStats(&after)
-		return allocs, (after.TotalAlloc - before.TotalAlloc) / rounds
-	}
-	smallAllocs, smallBytes := measure(64)
-	largeAllocs, largeBytes := measure(4096)
-	if smallAllocs != largeAllocs {
-		t.Errorf("warm Reset allocates %.2f times at n=64 but %.2f at n=4096, want equal", smallAllocs, largeAllocs)
-	}
-	if largeBytes > smallBytes+1024 {
-		t.Errorf("warm Reset allocates %d B at n=64 but %d B at n=4096, want no growth with n", smallBytes, largeBytes)
-	}
-}
-
 // TestStationFootprint pins the slotted engine's per-station memory:
 // the 16-byte hot record, the 64-byte generator, the 8-byte delivered-
 // bits counter and the tracker's 12 bytes of links. The marginal bytes

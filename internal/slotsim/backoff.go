@@ -62,45 +62,27 @@ const (
 	// pass is O(len) — the quadratic-ish behaviour the ring exists to
 	// avoid. At 2¹⁷ slots every counter up to 131k stays in-ring and
 	// only unbounded geometric tails overflow. The ring costs 512 KB
-	// per arena; reset clears it through the occupancy bitmap, so the
-	// paper-scale per-replication cost does not grow with the span.
+	// per simulator.
 	trackerSpan = 1 << 17
 	trackerMask = trackerSpan - 1
 )
 
-// reset empties the tracker and sizes the link arrays for n stations,
-// keeping storage.
-func (t *backoffTracker) reset(n int) {
-	if t.head == nil {
-		t.head = make([]int32, trackerSpan)
-		for i := range t.head {
-			t.head[i] = -1
-		}
-		t.occupied = make([]uint64, trackerSpan/64)
-	} else {
-		// The ring is huge and mostly empty; clear only the buckets the
-		// occupancy bitmap says are live (link/remove keep the invariant
-		// "bit clear ⟹ head = -1"), so arena reset stays O(span/64 +
-		// occupied) instead of a full wipe of the span.
-		for w, word := range t.occupied {
-			if word == 0 {
-				continue
-			}
-			base := w << 6
-			for word != 0 {
-				t.head[base+bits.TrailingZeros64(word)] = -1
-				word &= word - 1
-			}
-			t.occupied[w] = 0
-		}
+// newBackoffTracker returns an empty tracker for n stations.
+func newBackoffTracker(n int) backoffTracker {
+	t := backoffTracker{
+		head:        make([]int32, trackerSpan),
+		next:        make([]int32, n),
+		prev:        make([]int32, n),
+		occupied:    make([]uint64, trackerSpan/64),
+		overflowPos: make([]int32, n),
 	}
-	t.next, t.prev, t.overflowPos = resize(t.next, n), resize(t.prev, n), resize(t.overflowPos, n)
+	for i := range t.head {
+		t.head[i] = -1
+	}
 	for i := range t.overflowPos {
 		t.overflowPos[i] = -1
 	}
-	t.base, t.baseIdx, t.count = 0, 0, 0
-	t.overflow = t.overflow[:0]
-	t.overflowMin, t.overflowMinStale = 0, false
+	return t
 }
 
 // insert registers station id with the given relative counter (slots
@@ -112,7 +94,7 @@ func (t *backoffTracker) insert(id int, counter int) {
 			t.overflowMin = e
 		}
 		t.overflowPos[id] = int32(len(t.overflow))
-		// Amortised: overflow grows to its high-water mark (rare clamped geometric tails) and reset keeps the capacity
+		// Amortised: overflow grows to its high-water mark (rare clamped geometric tails)
 		t.overflow = append(t.overflow, overflowEntry{int32(id), e})
 		return
 	}

@@ -51,9 +51,8 @@ func (n *naiveTracker) min() int {
 // counters) barely reach.
 func TestBackoffTrackerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var tr backoffTracker
 	const n = 48
-	tr.reset(n)
+	tr := newBackoffTracker(n)
 	model := &naiveTracker{counters: map[int]int{}}
 	relative := func(id int) int64 { return int64(model.counters[id]) }
 
@@ -123,8 +122,7 @@ func TestBackoffTrackerDifferential(t *testing.T) {
 // the fix, stalling the idle jump). The relative delta is also exercised
 // past 2³¹ against a ring entry, which must still win the comparison.
 func TestMinCounterLargeOverflowExpiry(t *testing.T) {
-	var tr backoffTracker
-	tr.reset(4)
+	tr := newBackoffTracker(4)
 
 	// Overflow-only: the delta IS the answer, even when it exceeds 2³¹.
 	const far = int64(1) << 33

@@ -5,7 +5,7 @@ package slotsim_test
 // window and memoryless policies, both controllers, Poisson arrivals,
 // Bianchi-regime station counts — hashed over the canonical Result
 // encoding and pinned by a committed fixture. Any refactor of the slot
-// loop (bucketed backoff tracking, arena reuse) must reproduce these
+// loop (bucketed backoff tracking, the idle jump) must reproduce these
 // bytes exactly.
 //
 // Regenerate ONLY on an intentional behaviour change:
@@ -42,17 +42,6 @@ func (fc *fingerprintCase) run(t *testing.T, seed int64) *slotsim.Result {
 	t.Helper()
 	s := mustSim(t, fc.build(seed))
 	return s.Run(fc.dur)
-}
-
-func (fc *fingerprintCase) runReset(t *testing.T, seed int64, arena **slotsim.Simulator) *slotsim.Result {
-	t.Helper()
-	cfg := fc.build(seed)
-	if *arena == nil {
-		*arena = mustSim(t, cfg)
-	} else if err := (*arena).Reset(cfg); err != nil {
-		t.Fatal(err)
-	}
-	return (*arena).Run(fc.dur)
 }
 
 func policySet(scheme string, n int, phy model.PHY) ([]mac.Policy, core.Controller) {
@@ -152,25 +141,6 @@ func fingerprintCases() []fingerprintCase {
 				return slotsim.Config{Policies: policies, Arrivals: arrivals, Seed: seed}
 			},
 		},
-	}
-}
-
-// TestResetMatchesNew drives one slotted arena through the whole
-// battery back to back — switching station counts, schemes and traffic
-// models between runs — and requires each Result to match the fresh
-// construction byte for byte. Results are compared (marshalled) before
-// the next Reset, which reuses their storage.
-func TestResetMatchesNew(t *testing.T) {
-	var arena *slotsim.Simulator
-	for _, fc := range fingerprintCases() {
-		for _, seed := range fc.seeds {
-			freshSHA, _ := fingerprint(fc.run(t, seed))
-			reusedSHA, _ := fingerprint(fc.runReset(t, seed, &arena))
-			if freshSHA != reusedSHA {
-				t.Errorf("%s seed %d: Reset diverges from New: %s vs %s",
-					fc.name, seed, reusedSHA, freshSHA)
-			}
-		}
 	}
 }
 

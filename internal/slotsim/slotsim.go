@@ -30,7 +30,7 @@ type Config struct {
 	PHY model.PHY
 	// Policies holds one contention policy per station. The simulator
 	// reads the slice for the whole run instead of copying it, so the
-	// caller must not modify it until the next Reset.
+	// caller must not modify it while the simulator is in use.
 	Policies []mac.Policy
 	// Controller optionally runs at the AP, exactly as in eventsim.
 	Controller core.Controller
@@ -81,9 +81,9 @@ func (r *Result) ThroughputMbps() float64 { return r.Throughput / 1e6 }
 type Simulator struct {
 	cfg      Config
 	stations []station
-	// rngs is the station-generator arena: station i draws from
-	// &rngs[i], reseeded in place by every init, so the 100k tier's
-	// generators are one allocation instead of one each.
+	// rngs holds the station generators: station i draws from
+	// &rngs[i], so the 100k tier's generators are one allocation
+	// instead of one each.
 	rngs []sim.RNG
 	// sources holds the finite-load stations' arrival state in ascending
 	// station order; a station's src field indexes it. Arrival admission
@@ -119,7 +119,7 @@ type Simulator struct {
 
 	// The per-busy-period passes never scan all N stations: each walks a
 	// flat array (the SoA idiom the calendar queue's bitmap established)
-	// listing exactly the stations it concerns, all fixed at init and
+	// listing exactly the stations it concerns, all fixed at New and
 	// ascending. memorylessIdx holds the policies that redraw at every
 	// busy-period boundary (the resume pass is free for DCF), observers
 	// the MediumObserver policies (IdleSense).
@@ -197,50 +197,13 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{}
-	s.init(cfg)
-	return s, nil
-}
-
-// Reset reinitialises the simulator in place for a fresh run of cfg,
-// reusing the warmed arenas — station storage, station RNGs, result
-// slices and scratch buffers — so a pooled simulator replays runs
-// without per-run allocation. Bit-identical to a fresh New(cfg);
-// TestResetMatchesNew pins it. Reset reuses the Result's storage, so a
-// *Result returned by an earlier Run is invalidated: callers that keep
-// results across runs must copy what they need first.
-func (s *Simulator) Reset(cfg Config) error {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return err
-	}
-	s.init(cfg)
-	return nil
-}
-
-// init builds run state for a validated cfg on top of s's arenas. The
-// wholesale struct assignment returns every non-arena field to its zero
-// value; arenas are carried explicitly.
-func (s *Simulator) init(cfg Config) {
 	n := len(cfg.Policies)
-	tracker := s.tracker
-	tracker.reset(n)
-	per := resize(s.res.PerStation, n)
-	clear(per)
-	// Series storage is deliberately NOT reused: Result marshals nil and
-	// empty slices differently, and a reused-but-empty series would make
-	// a Reset run's encoding observably differ from a fresh New run. The
-	// few per-window appends are noise next to the RNG/station arenas.
-	*s = Simulator{
-		cfg:           cfg,
-		stations:      resize(s.stations, n),
-		rngs:          resize(s.rngs, n),
-		sources:       s.sources[:0],
-		attackerIdx:   s.attackerIdx[:0],
-		tracker:       tracker,
-		memorylessIdx: s.memorylessIdx[:0],
-		observers:     s.observers[:0],
-		res:           Result{PerStation: per},
+	s := &Simulator{
+		cfg:      cfg,
+		stations: make([]station, n),
+		rngs:     make([]sim.RNG, n),
+		tracker:  newBackoffTracker(n),
+		res:      Result{PerStation: make([]int64, n)},
 	}
 	// One ascending pass: draw the initial counter, set up the arrival
 	// source, and register backlogged stations with the tracker.
@@ -259,8 +222,10 @@ func (s *Simulator) init(cfg Config) {
 		}
 		s.stations[i].src = -1
 		if cfg.Arrivals != nil && cfg.Arrivals[i].Unsaturated() {
+			src := source{station: i, arr: cfg.Arrivals[i], rng: sim.NewStream(cfg.Seed, sim.ArrivalStream(i))}
+			src.next = sim.Time(src.arr.NextInterArrival(src.rng))
 			s.stations[i].src = int32(len(s.sources))
-			s.addSource(i, cfg.Arrivals[i])
+			s.sources = append(s.sources, src)
 			continue
 		}
 		s.track(i, counter)
@@ -269,26 +234,7 @@ func (s *Simulator) init(cfg Config) {
 	if cfg.Controller != nil {
 		s.control = cfg.Controller.Control()
 	}
-}
-
-// addSource appends station i's source for arr, reseeding the generator
-// the arena slot already points at when there is one.
-func (s *Simulator) addSource(i int, arr traffic.Spec) {
-	var rng *sim.RNG
-	if k := len(s.sources); k < cap(s.sources) {
-		rng = s.sources[:k+1][k].rng
-	}
-	rng = sim.Reuse(rng, s.cfg.Seed, sim.ArrivalStream(i))
-	s.sources = append(s.sources, source{station: i, arr: arr, rng: rng, next: sim.Time(arr.NextInterArrival(rng))})
-}
-
-// resize returns a length-n slice, reusing b's storage when it is large
-// enough. Reused elements keep their old values.
-func resize[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
+	return s, nil
 }
 
 // Run advances the simulation until at least the given simulated duration

@@ -102,22 +102,21 @@ func ExampleLab_Run_weighted() {
 }
 
 // Node churn: the controller re-tracks the optimum as stations arrive.
-func ExampleSimulation_SetActiveAt() {
-	s, err := wlan.New(wlan.Config{
+func ExampleLab_Run_churn() {
+	lab := wlan.NewLab()
+	defer lab.Close()
+	res, err := lab.Run(context.Background(), wlan.Config{
 		Topology: wlan.Connected(20),
 		Scheme:   wlan.TORACSMA,
 		Duration: 10 * time.Second,
+		Churn: []wlan.ChurnStep{
+			{At: 0, Active: 5}, // start with 5 stations
+			{At: wlan.Duration(5 * time.Second), Active: 20}, // 15 more arrive
+		},
 	})
 	if err != nil {
 		panic(err)
 	}
-	if err := s.SetActiveAt(0, 5); err != nil { // start with 5 stations
-		panic(err)
-	}
-	if err := s.SetActiveAt(5*time.Second, 20); err != nil { // 15 more arrive
-		panic(err)
-	}
-	res := s.Run(10 * time.Second)
 	fmt.Printf("adaptation windows recorded: %v\n", res.ControlSeries.Len() > 0)
 	// Output: adaptation windows recorded: true
 }

@@ -1,6 +1,7 @@
 package wlan
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/eventsim"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/slotsim"
@@ -84,6 +86,11 @@ func (l *Lab) pool() *scenario.Runner {
 
 // Run executes one simulation described by cfg and returns its Result.
 //
+// cfg is judged by the Scenario rules: its run fields, with the
+// topology's stations as a custom layout, go through the validation
+// and the engine assembly every scenario replication takes. Rejections
+// wrap ErrInvalidConfig.
+//
 // The engine comes from cfg.Engine: EngineEvent (default) supports
 // every Config feature; EngineSlot accepts only fully connected
 // topologies without RTSCTS, frame errors, traces, churn or on-off
@@ -98,21 +105,65 @@ func (l *Lab) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := l.guard(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	switch cfg.Engine {
-	case EngineEvent:
-		s, err := newEventSim(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return stepRun(ctx, cfg.Duration, func(d time.Duration) *Result {
-			return s.Run(d)
-		})
-	case EngineSlot:
-		return runSlot(ctx, cfg)
-	default:
-		return nil, fmt.Errorf("%w: unknown engine %q (want %s or %s)", ErrInvalidConfig, cfg.Engine, EngineEvent, EngineSlot)
+	engine := cmp.Or(cfg.Engine, EngineEvent)
+	if engine != EngineEvent && engine != EngineSlot {
+		return nil, fmt.Errorf("%w: unknown engine %q (want %s or %s)", ErrInvalidConfig, engine, EngineEvent, EngineSlot)
 	}
+	sp, ec, err := assemble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if engine == EngineSlot {
+		return runSlot(ctx, cfg, sp, ec)
+	}
+	ec.Trace = cfg.Trace
+	s, err := eventsim.New(ec)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	for _, step := range sp.Churn {
+		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		}
+	}
+	return stepRun(ctx, time.Duration(sp.Duration), func(d time.Duration) *Result {
+		return s.Run(sim.Duration(d))
+	})
+}
+
+// assemble validates cfg as a Scenario — its run fields, with the
+// stations of cfg.Topology as a custom topology, so Spec.Validate
+// applies the scenario rules and defaults — and builds the engine
+// configuration on cfg.Topology through scenario.EngineConfigOn, the
+// assembly the scenario runner uses too.
+func assemble(cfg Config) (*Scenario, eventsim.Config, error) {
+	if cfg.Topology == nil {
+		return nil, eventsim.Config{}, fmt.Errorf("%w: Topology is required", ErrInvalidConfig)
+	}
+	pts := make([]ScenarioPoint, cfg.Topology.N())
+	for i, p := range cfg.Topology.Stations {
+		pts[i] = ScenarioPoint{X: p.X - cfg.Topology.AP.X, Y: p.Y - cfg.Topology.AP.Y}
+	}
+	sp := &Scenario{
+		Topology:       TopologySpec{Kind: TopoCustom, Points: pts},
+		Scheme:         string(cfg.Scheme),
+		Weights:        cfg.Weights,
+		Traffic:        cfg.Traffic,
+		Churn:          cfg.Churn,
+		Duration:       Duration(cfg.Duration),
+		Seed:           cfg.Seed,
+		UpdatePeriod:   Duration(cfg.UpdatePeriod),
+		RTSCTS:         cfg.RTSCTS,
+		FrameErrorRate: cfg.FrameErrorRate,
+	}
+	if err := sp.Validate(); err != nil {
+		return nil, eventsim.Config{}, wrapErr(err)
+	}
+	ec, err := scenario.EngineConfigOn(sp, cfg.Topology, sp.Seed)
+	if err != nil {
+		return nil, eventsim.Config{}, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	return sp, ec, nil
 }
 
 // stepRun advances a resumable simulation to total in chunks, polling
@@ -136,15 +187,12 @@ func stepRun[R any](ctx context.Context, total time.Duration, run func(time.Dura
 	return run(total), nil
 }
 
-// runSlot executes one slot-engine run.
-func runSlot(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("%w: Topology is required", ErrInvalidConfig)
-	}
-	if !cfg.Topology.FullyConnected() {
-		return nil, fmt.Errorf("%w: %s needs a fully connected topology (hidden pairs need %s)", ErrInvalidConfig, EngineSlot, EngineEvent)
-	}
+// runSlot executes one slot-engine run of a validated, assembled cfg,
+// refusing what the slotted abstraction cannot represent.
+func runSlot(ctx context.Context, cfg Config, sp *Scenario, ec eventsim.Config) (*Result, error) {
 	switch {
+	case !cfg.Topology.FullyConnected():
+		return nil, fmt.Errorf("%w: %s needs a fully connected topology (hidden pairs need %s)", ErrInvalidConfig, EngineSlot, EngineEvent)
 	case cfg.RTSCTS:
 		return nil, fmt.Errorf("%w: RTSCTS needs %s", ErrInvalidConfig, EngineEvent)
 	case cfg.FrameErrorRate != 0:
@@ -153,10 +201,6 @@ func runSlot(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: Trace needs %s", ErrInvalidConfig, EngineEvent)
 	case len(cfg.Churn) > 0:
 		return nil, fmt.Errorf("%w: Churn needs %s", ErrInvalidConfig, EngineEvent)
-	}
-	ec, err := engineConfig(cfg)
-	if err != nil {
-		return nil, err
 	}
 	s, err := slotsim.New(slotsim.Config{
 		PHY:          ec.PHY,
@@ -169,7 +213,7 @@ func runSlot(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	res, err := stepRun(ctx, cfg.Duration, func(d time.Duration) *slotsim.Result {
+	res, err := stepRun(ctx, time.Duration(sp.Duration), func(d time.Duration) *slotsim.Result {
 		return s.Run(sim.Duration(d))
 	})
 	if err != nil {

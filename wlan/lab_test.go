@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventsim"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -39,9 +41,30 @@ func testGrid() *Grid {
 	}
 }
 
-// Lab.Run must be bit-identical to a single uninterrupted
-// Simulation.Run call: the context-polling chunked stepping is
-// invisible in the Result.
+// oneShot is the reference for Lab.Run's chunked stepping: cfg on a
+// directly built event engine, churn scheduled, advanced by a single
+// uninterrupted Run call.
+func oneShot(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	sp, ec, err := assemble(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eventsim.New(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range sp.Churn {
+		if err := s.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.Run(sim.Duration(sp.Duration))
+}
+
+// Lab.Run must be bit-identical to a single uninterrupted engine Run
+// call: the context-polling chunked stepping is invisible in the
+// Result.
 func TestLabRunMatchesOneShot(t *testing.T) {
 	cfg := Config{
 		Topology: Connected(8),
@@ -55,13 +78,8 @@ func TestLabRunMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := oneShot.Run(cfg.Duration)
-	if !reflect.DeepEqual(viaLab, direct) {
-		t.Errorf("Lab.Run diverged from one-shot Simulation.Run:\n%+v\nvs\n%+v", viaLab, direct)
+	if direct := oneShot(t, cfg); !reflect.DeepEqual(viaLab, direct) {
+		t.Errorf("Lab.Run diverged from a one-shot engine run:\n%+v\nvs\n%+v", viaLab, direct)
 	}
 }
 
@@ -491,8 +509,46 @@ func TestLabRunRejectsStationlessTopology(t *testing.T) {
 			}
 		}
 	}
-	if _, err := New(Config{Topology: Connected(0)}); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("New: err = %v, want ErrInvalidConfig", err)
+}
+
+// Lab.Run judges a Config by the scenario rules on both engines. Each
+// config below is refused by every scenario, and each was once run by
+// the engines (a negative duration returned an empty Result). The
+// context is cancelled up front: a config let through fails with
+// ErrCanceled at once instead of simulating a day.
+func TestLabRunScenarioRules(t *testing.T) {
+	lab := NewLab()
+	defer lab.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		engines []Engine
+	}{
+		{"negative duration", Config{Duration: -time.Second}, nil},
+		{"duration over 24h", Config{Duration: 25 * time.Hour}, nil},
+		{"window under 1ms", Config{Scheme: WTOPCSMA, Duration: time.Second, UpdatePeriod: time.Microsecond}, nil},
+		{"window longer than the run", Config{Scheme: WTOPCSMA, Duration: time.Second, UpdatePeriod: 2 * time.Second}, nil},
+		// The slot engine refuses churn of any kind.
+		{"churn step after the end", Config{Duration: time.Second, Churn: []ChurnStep{{At: Duration(5 * time.Second), Active: 2}}}, []Engine{EngineEvent}},
+		// The event engine's topology check refuses it too.
+		{"station beyond 16 m", Config{Topology: Custom([]Point{{X: 17}}), Duration: time.Second}, []Engine{EngineSlot}},
+	} {
+		engines := tc.engines
+		if engines == nil {
+			engines = []Engine{EngineEvent, EngineSlot}
+		}
+		for _, engine := range engines {
+			cfg := tc.cfg
+			cfg.Engine = engine
+			if cfg.Topology == nil {
+				cfg.Topology = Connected(4)
+			}
+			if _, err := lab.Run(ctx, cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s on %s: err = %v, want ErrInvalidConfig", tc.name, engine, err)
+			}
+		}
 	}
 }
 
@@ -567,12 +623,7 @@ func TestLabRunChunkingInvisibleUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := s.Run(cfg.Duration)
-	if !reflect.DeepEqual(viaLab, direct) {
+	if direct := oneShot(t, cfg); !reflect.DeepEqual(viaLab, direct) {
 		t.Errorf("chunked run diverged from one-shot under traffic")
 	}
 }

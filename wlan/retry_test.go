@@ -2,6 +2,7 @@ package wlan_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -17,16 +18,16 @@ import (
 func TestRetryCounterSaturates(t *testing.T) {
 	var capture bytes.Buffer
 	w := wlan.NewTraceWriter(&capture)
-	s, err := wlan.New(wlan.Config{
+	lab := wlan.NewLab()
+	defer lab.Close()
+	if _, err := lab.Run(context.Background(), wlan.Config{
 		Topology: wlan.Connected(8),
 		Scheme:   wlan.WTOPCSMA,
 		Duration: 300 * time.Millisecond,
 		Trace:    w,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(300 * time.Millisecond)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wlan_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -30,17 +31,17 @@ func TestTracerImplementableOutsideModule(t *testing.T) {
 	var capture bytes.Buffer
 	w := wlan.NewTraceWriter(&capture)
 	c := &sourceCounter{next: w, ok: map[int]int{}}
-	s, err := wlan.New(wlan.Config{
+	lab := wlan.NewLab()
+	defer lab.Close()
+	if _, err := lab.Run(context.Background(), wlan.Config{
 		Topology:       wlan.HiddenDisc(8, 20, 7),
 		Scheme:         wlan.DCF,
 		FrameErrorRate: 0.1,
 		Duration:       300 * time.Millisecond,
 		Trace:          c,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(300 * time.Millisecond)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

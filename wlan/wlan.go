@@ -39,22 +39,21 @@
 // bit-identical outcomes whatever the parallelism, and a Lab reused
 // across calls returns exactly what one-shot calls would.
 //
-// wlan.New builds a Simulation for manual stepping (scheduled churn,
-// repeated Run calls) over the same construction/validation path.
+// A Config is judged by the same rules as a Scenario: Lab.Run turns
+// its run fields into one, with the topology's stations as a custom
+// layout, and validates it before either engine is built.
 //
 // See examples/ for weighted fairness, hidden-node comparisons and
 // dynamic node churn, and examples/sweeps/ for grid files.
 package wlan
 
 import (
-	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/eventsim"
 	"repro/internal/frame"
 	"repro/internal/model"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -126,7 +125,8 @@ func Custom(stations []Point) *Topology {
 	return topo.New(topo.Point{}, stations, topo.PaperRadii())
 }
 
-// Config describes one simulation run.
+// Config describes one simulation run. Lab.Run judges it by the
+// Scenario rules, which bound every field below.
 type Config struct {
 	// Topology fixes station placement. Required.
 	Topology *Topology
@@ -147,16 +147,15 @@ type Config struct {
 	Traffic []TrafficSpec
 	// Churn schedules active-station counts over simulated time: at
 	// each step's instant the first Active stations are active, the
-	// rest depart (finishing any exchange in flight). EngineEvent only.
+	// rest depart (finishing any exchange in flight). Instants lie in
+	// [0, Duration]. EngineEvent only.
 	Churn []ChurnStep
-	// Duration is the simulated time (default 30 s).
+	// Duration is the simulated time (default 30 s, at most 24 h).
 	Duration time.Duration
-	// Warmup is excluded by Result.ConvergedThroughputMbps (default
-	// Duration/2).
-	Warmup time.Duration
 	// Seed makes runs reproducible (default 1).
 	Seed int64
-	// UpdatePeriod is the controller window Δ (default 250 ms).
+	// UpdatePeriod is the controller window Δ (default 250 ms); an
+	// explicit window lies in [1 ms, Duration].
 	UpdatePeriod time.Duration
 	// RTSCTS enables the RTS/CTS exchange before every data frame:
 	// hidden-node collisions move onto the short control frames at the
@@ -168,27 +167,6 @@ type Config struct {
 	// Trace, when non-nil, receives every completed frame. Construct
 	// one with NewTraceWriter and analyse captures with AnalyzeTrace.
 	Trace Tracer
-}
-
-// withDefaults fills the config's defaults in place (the single
-// defaulting rule shared by every construction path).
-func (cfg Config) withDefaults() Config {
-	if cfg.Engine == "" {
-		cfg.Engine = EngineEvent
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = DCF
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 30 * time.Second
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = cfg.Duration / 2
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	return cfg
 }
 
 // Tracer is the frame-capture hook: the engine hands it every frame, as
@@ -240,82 +218,6 @@ type Result = eventsim.Result
 
 // StationStats re-exports the per-station slice element of Result.
 type StationStats = eventsim.StationStats
-
-// Simulation is a configured event-engine run that supports mid-run
-// node churn. Most callers want Lab.Run (context-aware, both engines)
-// or the Run shim; New remains for incremental stepping.
-type Simulation struct {
-	inner  *eventsim.Simulator
-	warmup sim.Duration
-}
-
-// New assembles an EngineEvent simulation without running it. Configs
-// naming EngineSlot are rejected: the slotted engine runs whole
-// durations through Lab.Run, not incrementally through a Simulation.
-func New(cfg Config) (*Simulation, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Engine != EngineEvent {
-		return nil, fmt.Errorf("%w: New assembles %s simulations; run %s configs through Lab.Run", ErrInvalidConfig, EngineEvent, cfg.Engine)
-	}
-	return newEventSim(cfg)
-}
-
-func newEventSim(cfg Config) (*Simulation, error) {
-	ec, err := engineConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ec.Trace = cfg.Trace
-	inner, err := eventsim.New(ec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	s := &Simulation{inner: inner, warmup: sim.Duration(cfg.Warmup)}
-	for _, step := range cfg.Churn {
-		if err := s.inner.SetActiveAt(sim.Time(step.At), step.Active); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-		}
-	}
-	return s, nil
-}
-
-// engineConfig assembles cfg's engine configuration through
-// scenario.EngineConfigOn — the one assembly the scenario runner and
-// the experiment harness use too — from a Scenario holding cfg's run
-// fields. Both engines start from it.
-func engineConfig(cfg Config) (eventsim.Config, error) {
-	if cfg.Topology == nil {
-		return eventsim.Config{}, fmt.Errorf("%w: Topology is required", ErrInvalidConfig)
-	}
-	ec, err := scenario.EngineConfigOn(&Scenario{
-		Scheme:         string(cfg.Scheme),
-		Weights:        cfg.Weights,
-		Traffic:        cfg.Traffic,
-		UpdatePeriod:   Duration(cfg.UpdatePeriod),
-		RTSCTS:         cfg.RTSCTS,
-		FrameErrorRate: cfg.FrameErrorRate,
-	}, cfg.Topology, cfg.Seed)
-	if err != nil {
-		return eventsim.Config{}, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	return ec, nil
-}
-
-// SetActiveAt schedules the active-station count to become exactly the
-// first n stations at simulated time t — node arrivals and departures.
-func (s *Simulation) SetActiveAt(t time.Duration, n int) error {
-	return s.inner.SetActiveAt(sim.Time(t), n)
-}
-
-// Run advances the simulation to the given simulated duration and
-// returns accumulated results; it may be called repeatedly with
-// increasing durations.
-func (s *Simulation) Run(d time.Duration) *Result {
-	return s.inner.Run(sim.Duration(d))
-}
-
-// Warmup returns the configured warmup used by converged averages.
-func (s *Simulation) Warmup() time.Duration { return time.Duration(s.warmup) }
 
 // OptimalAttemptProbability returns the analytic optimum p* of the
 // p-persistent throughput function (Theorem 2) for n equal-weight

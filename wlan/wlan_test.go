@@ -82,19 +82,20 @@ func TestCustomTopology(t *testing.T) {
 }
 
 func TestChurnThroughFacade(t *testing.T) {
-	s, err := New(Config{Topology: Connected(10), Scheme: WTOPCSMA, Duration: 6 * time.Second})
+	res, err := run(Config{
+		Topology: Connected(10),
+		Scheme:   WTOPCSMA,
+		Duration: 4 * time.Second,
+		Churn:    []ChurnStep{{At: Duration(2 * time.Second), Active: 4}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetActiveAt(2*time.Second, 4); err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run(4 * time.Second)
 	if res.Successes == 0 {
 		t.Error("no successes")
 	}
-	if s.Warmup() != 3*time.Second {
-		t.Errorf("Warmup = %v, want Duration/2", s.Warmup())
+	if n := res.ActiveSeries.Len(); n == 0 || res.ActiveSeries.Values[n-1] != 4 {
+		t.Errorf("active-station series %v, want it to end at 4", res.ActiveSeries.Values)
 	}
 }
 
