@@ -268,7 +268,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 // aggregate attempt rate near two per slot), every counter in the
 // tracker's widened ring, and a per-busy-period cost that no longer
 // depends on n. Most of the per-op cost is arena setup — allocating
-// 100k policies, station records and 64-byte RNGs; seeding each RNG is
+// 100k policies, station records and 16-byte RNGs; seeding each RNG is
 // ~5 ns — with the 2 simulated seconds a few milliseconds on top.
 func BenchmarkSlotSimScaleTier(b *testing.B) {
 	const n = 100_000

@@ -164,20 +164,27 @@ func main() {
 		fmt.Printf("trace       %d frames -> %s\n", traceWriter.Count(), *traceOut)
 	}
 
+	// The slot engine fires no kernel events, so it has no event counts.
+	events := cfg.Engine != wlan.EngineSlot
+	simulated := runDuration(cfg.Duration)
 	fmt.Printf("scheme      %s\n", *schemeName)
 	fmt.Printf("stations    %d (hidden pairs: %d)\n", tp.N(), tp.HiddenPairCount())
-	fmt.Printf("duration    %v simulated\n", *duration)
+	fmt.Printf("duration    %v simulated\n", simulated)
 	fmt.Printf("throughput  %.3f Mbps (converged %.3f Mbps)\n",
-		res.ThroughputMbps(), res.ConvergedThroughput(cfg.Duration/2)/1e6)
+		res.ThroughputMbps(), res.ConvergedThroughput(simulated/2)/1e6)
 	fmt.Printf("successes   %d\n", res.Successes)
 	fmt.Printf("collisions  %d (%.1f%%)\n", res.Collisions, 100*res.CollisionRate())
 	fmt.Printf("idle slots  %.2f per transmission\n", res.APIdleSlots)
 	fmt.Printf("fairness    Jain %.4f (weighted %.4f)\n", res.JainIndex(), res.WeightedJainIndex())
-	fmt.Printf("events      %d\n", res.EventsFired)
+	if events {
+		fmt.Printf("events      %d\n", res.EventsFired)
+	}
 	if *fast {
 		fmt.Printf("wall        %v\n", wall.Round(time.Microsecond))
-		fmt.Printf("events/sec  %.0f\n", float64(res.EventsFired)/wall.Seconds())
-		fmt.Printf("speedup     %.0fx real time\n", duration.Seconds()/wall.Seconds())
+		if events {
+			fmt.Printf("events/sec  %.0f\n", float64(res.EventsFired)/wall.Seconds())
+		}
+		fmt.Printf("speedup     %.0fx real time\n", simulated.Seconds()/wall.Seconds())
 	}
 
 	if *perNode {
@@ -478,6 +485,18 @@ func runScenario(ctx context.Context, lab *wlan.Lab, path string, quick bool, su
 		}
 		fmt.Printf("summaries -> %s\n", summaryPath)
 	}
+}
+
+// runDuration is the simulated time a successful Lab.Run of a Config
+// with Duration d ran for: d with the scenario rules' default applied.
+// Result.Duration is not it, because the slot engine stops on a slot
+// boundary.
+func runDuration(d time.Duration) time.Duration {
+	sp := wlan.Scenario{Topology: wlan.TopologySpec{N: 1}, Duration: wlan.Duration(d)}
+	if err := sp.Validate(); err != nil {
+		fatalf("%v", err) // unreachable: Lab.Run accepted d under the same rules
+	}
+	return time.Duration(sp.Duration)
 }
 
 func fatalf(format string, args ...any) {

@@ -144,7 +144,7 @@ func (s *Simulator) skipGap(w int, x uint64) {
 		st := s.stations[w<<6+bits.TrailingZeros64(x)]
 		x &= x - 1
 		if st.memoryless && st.state == stateContending && !s.ready.has(st.id) {
-			st.policy.NextBackoff(st.rng)
+			st.policy.NextBackoff(&st.rng)
 		}
 	}
 }

@@ -60,7 +60,7 @@ type Simulator struct {
 	apIdle      *stats.IdleSlotTracker
 	windowMeter *stats.ThroughputMeter
 	totalBits   int64
-	channelRNG  *sim.RNG // frame-error draws (sim.ChannelStream)
+	channelRNG  sim.RNG // frame-error draws (sim.ChannelStream)
 	frameErrors int64
 
 	control    frame.Control
@@ -217,7 +217,6 @@ func (s *Simulator) init(cfg Config) {
 		sched:            s.sched,
 		apIdle:           s.apIdle,
 		windowMeter:      s.windowMeter,
-		channelRNG:       sim.Reuse(s.channelRNG, cfg.Seed, sim.ChannelStream),
 		active:           s.active[:0],
 		txPool:           s.txPool,
 		rows:             s.rows,
@@ -250,6 +249,7 @@ func (s *Simulator) init(cfg Config) {
 		phaseFn:          s.phaseFn,
 		setActiveFn:      s.setActiveFn,
 	}
+	s.channelRNG.Reseed(cfg.Seed, sim.ChannelStream)
 	if cfg.Controller != nil {
 		s.control = cfg.Controller.Control()
 	}
@@ -274,11 +274,10 @@ func (s *Simulator) init(cfg Config) {
 			st = &station{}
 			stations[i] = st
 		}
-		rng, arrRNG, qbuf := st.rng, st.arrivalRNG, st.queue.buf[:0]
+		qbuf := st.queue.buf[:0]
 		*st = station{
 			id:            i,
 			policy:        cfg.Policies[i],
-			arrivalRNG:    arrRNG,
 			state:         stateInactive,
 			senseIdleOpen: true,
 		}
@@ -287,7 +286,7 @@ func (s *Simulator) init(cfg Config) {
 			st.memoryless = m.BackoffMemoryless()
 		}
 		st.queue.buf = qbuf
-		st.rng = sim.Reuse(rng, cfg.Seed, int64(i))
+		st.rng.Reseed(cfg.Seed, int64(i))
 	}
 	s.stations = stations
 	s.rows.build(cfg.Topology)
@@ -302,7 +301,7 @@ func (s *Simulator) init(cfg Config) {
 			st.arr = cfg.Arrivals[i]
 			if st.arr.Unsaturated() {
 				s.unsaturated = true
-				st.arrivalRNG = sim.Reuse(st.arrivalRNG, cfg.Seed, sim.ArrivalStream(i))
+				st.arrivalRNG.Reseed(cfg.Seed, sim.ArrivalStream(i))
 			}
 		}
 	}
@@ -398,7 +397,7 @@ func (s *Simulator) activateNow(st *station) {
 func (s *Simulator) startTrafficSource(st *station) {
 	st.trafficOn = true
 	if st.arr.Kind == traffic.OnOff {
-		st.phaseRef = s.sched.AfterArg(st.arr.NextPhase(true, st.arrivalRNG), s.phaseFn, st)
+		st.phaseRef = s.sched.AfterArg(st.arr.NextPhase(true, &st.arrivalRNG), s.phaseFn, st)
 	}
 	s.scheduleArrival(st)
 }
@@ -429,7 +428,7 @@ func (s *Simulator) scheduleArrival(st *station) {
 	if !st.trafficOn {
 		return
 	}
-	st.nextArrival = s.sched.AfterArg(st.arr.NextInterArrival(st.arrivalRNG), s.arrivalFn, st)
+	st.nextArrival = s.sched.AfterArg(st.arr.NextInterArrival(&st.arrivalRNG), s.arrivalFn, st)
 }
 
 // arrival delivers one packet to st's queue, dropping it when the queue
@@ -466,7 +465,7 @@ func (s *Simulator) phaseFlip(st *station) {
 		st.nextArrival.Cancel()
 		st.nextArrival = sim.Ref{}
 	}
-	st.phaseRef = s.sched.AfterArg(st.arr.NextPhase(st.trafficOn, st.arrivalRNG), s.phaseFn, st)
+	st.phaseRef = s.sched.AfterArg(st.arr.NextPhase(st.trafficOn, &st.arrivalRNG), s.phaseFn, st)
 }
 
 // recordLatency accounts one delivered packet's arrival→ACK delay into
@@ -489,7 +488,7 @@ func (s *Simulator) recordLatency(st *station, lat sim.Duration) {
 // startContention draws a fresh backoff and arms the countdown.
 func (s *Simulator) startContention(st *station) {
 	st.state = stateContending
-	st.remaining = st.policy.NextBackoff(st.rng)
+	st.remaining = st.policy.NextBackoff(&st.rng)
 	s.armCountdown(st)
 }
 
@@ -587,7 +586,7 @@ func (s *Simulator) crossIdle(st *station) {
 		// (which is conditioned ≥ 1 and would bias the idle-slot
 		// distribution away from Eq. (2)'s i.i.d. slots).
 		if st.memoryless {
-			st.remaining = st.policy.NextBackoff(st.rng)
+			st.remaining = st.policy.NextBackoff(&st.rng)
 		}
 		s.armCountdown(st)
 	}
@@ -839,7 +838,7 @@ func (s *Simulator) ackEnd(target *station) {
 		}, false)
 	}
 
-	target.policy.OnSuccess(target.rng)
+	target.policy.OnSuccess(&target.rng)
 	// All stations hear AP transmissions (system model), so the control
 	// broadcast reaches everyone, as wTOP-CSMA requires.
 	s.broadcastControl()
@@ -873,7 +872,7 @@ func (s *Simulator) failTimeout(st *station) {
 	if st.retries < math.MaxUint8 {
 		st.retries++ // saturates: a wrapped counter would read as a first attempt
 	}
-	st.policy.OnFailure(st.rng)
+	st.policy.OnFailure(&st.rng)
 	if st.deferredStop {
 		st.deferredStop = false
 		st.state = stateInactive

@@ -66,7 +66,7 @@ type station struct {
 	// costs more than the transitions themselves.
 	observer   mac.MediumObserver
 	memoryless bool
-	rng        *sim.RNG
+	rng        sim.RNG
 	state      stationState
 
 	// idleSince is when the medium this station senses last went idle
@@ -95,7 +95,7 @@ type station struct {
 	// of waiting packets (unsaturated only — a saturated backlog is
 	// conceptually infinite and tracks only holSince).
 	arr         traffic.Spec
-	arrivalRNG  *sim.RNG
+	arrivalRNG  sim.RNG
 	queue       arrivalQueue
 	nextArrival sim.Ref
 	phaseRef    sim.Ref

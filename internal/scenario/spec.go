@@ -198,9 +198,9 @@ type Suite struct {
 const (
 	// MaxStations bounds the station count. Per-station state no longer
 	// binds: topologies are grid-indexed (O(n) to build, no n×n
-	// matrices) and a slotted DCF station costs 100 B — its 16-byte
-	// record, tracker links, delivered-bits counter and 64-byte PCG
-	// stream — so ≈ 10 MB at the cap. Two
+	// matrices) and a slotted DCF station costs 52 B — its 16-byte
+	// record, tracker links, delivered-bits counter and 16-byte PCG
+	// stream — so ≈ 5 MB at the cap. Two
 	// constraints bind instead. Dense layouts that would need more than
 	// topo.DefaultAdjacencyBudget materialised neighbour entries are
 	// refused by the event engine at build time, so a hostile spec stays

@@ -99,3 +99,23 @@ func TestRNGReseedZeroAlloc(t *testing.T) {
 		t.Errorf("Reseed allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// Every variate method wraps the generator's state in a rand.Rand that
+// must stay on the stack.
+func TestRNGDrawsZeroAlloc(t *testing.T) {
+	g := NewRNG(1)
+	swap := func(i, j int) {}
+	if avg := testing.AllocsPerRun(1000, func() {
+		g.Float64()
+		g.Intn(7)
+		g.Int63()
+		g.Bernoulli(0.5)
+		g.Geometric(0.1)
+		g.UniformWindow(32)
+		g.Shuffle(4, swap)
+		g.NormFloat64()
+		g.Exp()
+	}); avg != 0 {
+		t.Errorf("draws allocate %.2f allocs/op, want 0", avg)
+	}
+}

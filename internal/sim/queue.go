@@ -15,9 +15,8 @@ type Event struct {
 	fn  func(any)
 	arg any
 
-	dead  bool   // set via Ref.Cancel; popped dead events are recycled
-	gen   uint32 // incremented on every recycle; Refs must match to act
-	index int    // position in the heap, maintained by eventHeap
+	dead bool   // set via Ref.Cancel; popped dead events are recycled
+	gen  uint32 // incremented on every recycle; Refs must match to act
 }
 
 // Ref is a generation-checked handle to a scheduled event. The zero Ref
@@ -79,15 +78,12 @@ func (h *eventHeap) less(i, j int) bool {
 
 func (h *eventHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
 }
 
 func (h *eventHeap) push(e *Event) {
-	e.index = len(h.items)
 	// Amortised: the backing array grows to the pending-event high-water mark, then every push reuses capacity
 	h.items = append(h.items, e)
-	h.up(e.index)
+	h.up(len(h.items) - 1)
 }
 
 func (h *eventHeap) pop() *Event {
@@ -102,7 +98,6 @@ func (h *eventHeap) pop() *Event {
 	if len(h.items) > 0 {
 		h.down(0)
 	}
-	top.index = -1
 	return top
 }
 

@@ -8,18 +8,15 @@ import (
 // RNG is a seeded PCG-DXSM generator (math/rand/v2's PCG: a 128-bit LCG
 // with a DXSM output permutation) plus the variate helpers the MAC layer
 // needs. Every generator is a pure function of a (seed, stream) pair, so
-// runs are reproducible, every consumer of a simulation owns a stream
-// that no other consumer's draws can perturb, and a generator is one
-// 64-byte allocation however it was derived.
+// runs are reproducible, and every consumer of a simulation owns a stream
+// that no other consumer's draws can perturb.
 //
-// An RNG must not be copied: its rand.Rand refers to its own PCG.
+// An RNG is its 16 bytes of PCG state and nothing else, so it is a plain
+// value: a copy continues the same stream independently of the
+// original. Each variate method wraps the state in a rand.Rand that is
+// inlined and stays on the stack, so every variate is the stdlib's.
 type RNG struct {
 	src rand.PCG
-	r   rand.Rand
-	// The padding fills a 64-byte allocation, which the runtime aligns to
-	// a cache line: every draw writes src, and simulations running on
-	// different cores must not share a line between their generators.
-	_ [32]byte
 }
 
 // Stream identifiers partition the stream space of one seed among a
@@ -50,17 +47,6 @@ func NewStream(seed, stream int64) *RNG {
 	return g
 }
 
-// Reuse reseeds g to (seed, stream) and returns it, or returns a new
-// generator when g is nil: the arena idiom of eventsim's Reset,
-// which keeps reseeding allocation-free once the arena is warm.
-func Reuse(g *RNG, seed, stream int64) *RNG {
-	if g == nil {
-		return NewStream(seed, stream)
-	}
-	g.Reseed(seed, stream)
-	return g
-}
-
 // golden is the SplitMix64 increment, 2⁶⁴/φ rounded to odd.
 const golden uint64 = 0x9e3779b97f4a7c15
 
@@ -82,17 +68,16 @@ func mix64(z uint64) uint64 {
 func (g *RNG) Reseed(seed, stream int64) {
 	x := mix64(uint64(seed)) + uint64(stream)*2*golden + golden
 	g.src.Seed(mix64(x), mix64(x+golden))
-	g.r = *rand.New(&g.src)
 }
 
 // Float64 returns a uniform draw in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return rand.New(&g.src).Float64() }
 
 // Intn returns a uniform draw in [0,n). n must be positive.
-func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
+func (g *RNG) Intn(n int) int { return rand.New(&g.src).IntN(n) }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int64() }
+func (g *RNG) Int63() int64 { return rand.New(&g.src).Int64() }
 
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool {
@@ -102,7 +87,7 @@ func (g *RNG) Bernoulli(p float64) bool {
 	case p >= 1:
 		return true
 	default:
-		return g.r.Float64() < p
+		return rand.New(&g.src).Float64() < p
 	}
 }
 
@@ -119,7 +104,7 @@ func (g *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		return math.MaxInt32 // effectively never; callers clamp p away from 0
 	}
-	return GeometricFromUniform(g.r.Float64(), p)
+	return GeometricFromUniform(rand.New(&g.src).Float64(), p)
 }
 
 // GeometricFromUniform maps one uniform draw u ∈ [0,1) to a Geometric(p)
@@ -226,16 +211,16 @@ func (g *RNG) UniformWindow(cw int) int {
 	if cw <= 1 {
 		return 0
 	}
-	return g.r.IntN(cw)
+	return rand.New(&g.src).IntN(cw)
 }
 
 // Shuffle pseudo-randomly permutes n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { rand.New(&g.src).Shuffle(n, swap) }
 
 // NormFloat64 returns a standard normal draw (used by tests to synthesise
 // noisy throughput observations).
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+func (g *RNG) NormFloat64() float64 { return rand.New(&g.src).NormFloat64() }
 
 // Exp returns an exponentially distributed draw with rate 1 (mean 1).
 // Scale by 1/λ for rate λ — the inter-arrival gap of a Poisson process.
-func (g *RNG) Exp() float64 { return g.r.ExpFloat64() }
+func (g *RNG) Exp() float64 { return rand.New(&g.src).ExpFloat64() }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGeometricMean(t *testing.T) {
@@ -122,8 +123,35 @@ func TestReseedMatchesFresh(t *testing.T) {
 			t.Fatalf("draw %d after reseed: %v vs %v", i, a, b)
 		}
 	}
-	if got := Reuse(g, 3, 4); got != g {
-		t.Fatal("Reuse replaced a non-nil generator")
+}
+
+// A generator is its PCG state and nothing else: the simulators embed
+// one per station, so every extra byte is paid per station.
+func TestRNGSize(t *testing.T) {
+	if got := unsafe.Sizeof(RNG{}); got != 16 {
+		t.Errorf("sizeof(RNG) = %d B, want 16", got)
+	}
+}
+
+// A copy continues the original's stream from the point of the copy,
+// and draws from the original leave the copy untouched.
+func TestRNGCopyContinuesStream(t *testing.T) {
+	orig := NewStream(21, 3)
+	for i := 0; i < 17; i++ {
+		orig.Float64()
+	}
+	cp := *orig
+	want := make([]float64, 64)
+	for i := range want {
+		want[i] = orig.Float64()
+	}
+	for i := 0; i < 1000; i++ {
+		orig.Float64() // must not advance the copy
+	}
+	for i, w := range want {
+		if got := cp.Float64(); got != w {
+			t.Fatalf("draw %d of the copy: %v, want %v", i, got, w)
+		}
 	}
 }
 

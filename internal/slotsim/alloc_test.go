@@ -99,9 +99,9 @@ func TestSlotLoopControllerSteadyAllocBound(t *testing.T) {
 }
 
 // TestStationFootprint pins the slotted engine's per-station memory:
-// the 16-byte hot record, the 64-byte generator, the 8-byte delivered-
+// the 16-byte hot record, the 16-byte generator, the 8-byte delivered-
 // bits counter and the tracker's 12 bytes of links. The marginal bytes
-// New allocates per extra DCF station must stay within 112; the ring and
+// New allocates per extra DCF station must stay within 64; the ring and
 // other fixed costs cancel in the difference between two population
 // sizes. The policies are the caller's and are built outside the
 // measurement.
@@ -128,7 +128,7 @@ func TestStationFootprint(t *testing.T) {
 	const small, large = 8192, 16384
 	perStation := float64(newBytes(large)-newBytes(small)) / (large - small)
 	t.Logf("New allocates %.1f B per extra station", perStation)
-	if perStation > 112 {
-		t.Errorf("New allocates %.1f B per extra station, want ≤ 112", perStation)
+	if perStation > 64 {
+		t.Errorf("New allocates %.1f B per extra station, want ≤ 64", perStation)
 	}
 }

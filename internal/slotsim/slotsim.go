@@ -82,8 +82,8 @@ type Simulator struct {
 	cfg      Config
 	stations []station
 	// rngs holds the station generators: station i draws from
-	// &rngs[i], so the 100k tier's generators are one allocation
-	// instead of one each.
+	// &rngs[i], so the 100k tier's generators are one dense 16-byte-
+	// per-station allocation instead of one each.
 	rngs []sim.RNG
 	// sources holds the finite-load stations' arrival state in ascending
 	// station order; a station's src field indexes it. Arrival admission
@@ -126,6 +126,11 @@ type Simulator struct {
 	memorylessIdx []int32
 	observers     []mac.MediumObserver
 
+	// ts and tc are the PHY's success and collision busy-period
+	// durations, computed once in New: Run spends one per busy period,
+	// and the float maths behind TxTime is not free.
+	ts, tc sim.Duration
+
 	res Result
 }
 
@@ -148,7 +153,7 @@ type station struct {
 type source struct {
 	station int
 	arr     traffic.Spec
-	rng     *sim.RNG
+	rng     sim.RNG
 	next    sim.Time
 	qlen    int
 }
@@ -203,6 +208,8 @@ func New(cfg Config) (*Simulator, error) {
 		stations: make([]station, n),
 		rngs:     make([]sim.RNG, n),
 		tracker:  newBackoffTracker(n),
+		ts:       cfg.PHY.Ts(),
+		tc:       cfg.PHY.Tc(),
 		res:      Result{PerStation: make([]int64, n)},
 	}
 	// One ascending pass: draw the initial counter, set up the arrival
@@ -222,10 +229,11 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.stations[i].src = -1
 		if cfg.Arrivals != nil && cfg.Arrivals[i].Unsaturated() {
-			src := source{station: i, arr: cfg.Arrivals[i], rng: sim.NewStream(cfg.Seed, sim.ArrivalStream(i))}
-			src.next = sim.Time(src.arr.NextInterArrival(src.rng))
 			s.stations[i].src = int32(len(s.sources))
-			s.sources = append(s.sources, src)
+			s.sources = append(s.sources, source{station: i, arr: cfg.Arrivals[i]})
+			src := &s.sources[len(s.sources)-1]
+			src.rng.Reseed(cfg.Seed, sim.ArrivalStream(i))
+			src.next = sim.Time(src.arr.NextInterArrival(&src.rng))
 			continue
 		}
 		s.track(i, counter)
@@ -287,7 +295,7 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 			winner := s.attackerIdx[0]
 			s.observe(s.idleRun)
 			s.idleRun = 0
-			s.now = s.now.Add(s.cfg.PHY.Ts())
+			s.now = s.now.Add(s.ts)
 			s.res.Successes++
 			payload := int64(s.cfg.PHY.Payload)
 			s.res.PerStation[winner] += payload
@@ -302,7 +310,7 @@ func (s *Simulator) Run(duration sim.Duration) *Result {
 		default:
 			s.observe(s.idleRun)
 			s.idleRun = 0
-			s.now = s.now.Add(s.cfg.PHY.Tc())
+			s.now = s.now.Add(s.tc)
 			s.res.Collisions++
 			// Each station must be drawn exactly once per busy period:
 			// attackers through the failure path, the rest through
@@ -418,7 +426,7 @@ func (s *Simulator) admitArrivals() {
 					s.track(i, s.cfg.Policies[i].NextBackoff(&s.rngs[i]))
 				}
 			}
-			src.next = src.next.Add(src.arr.NextInterArrival(src.rng))
+			src.next = src.next.Add(src.arr.NextInterArrival(&src.rng))
 		}
 	}
 }
