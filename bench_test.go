@@ -372,7 +372,8 @@ func BenchmarkEventQueue(b *testing.B) {
 	for i := 0; i < 64 && i < b.N; i++ {
 		s.AfterArg(sim.Duration(rng.Intn(1000)+1), reschedule, arg)
 	}
-	s.Run()
+	for s.Step() {
+	}
 }
 
 // BenchmarkEventCancel measures the schedule→cancel→collect cycle that

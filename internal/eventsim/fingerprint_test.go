@@ -36,7 +36,7 @@ var updateFingerprints = flag.Bool("update", false, "regenerate the engine finge
 // fingerprintCase is one seeded configuration of the battery. build
 // returns the config plus an optional post-construction setup hook
 // (node churn); run executes it on a fresh simulator, runReset on a
-// shared arena via Reset — both must produce identical Results.
+// reused one via Reset — both must produce identical Results.
 type fingerprintCase struct {
 	name  string
 	seeds []int64
@@ -59,24 +59,18 @@ func (fc *fingerprintCase) run(t *testing.T, seed int64) *eventsim.Result {
 	return s.Run(fc.dur)
 }
 
-func (fc *fingerprintCase) runReset(t *testing.T, seed int64, arena **eventsim.Simulator) *eventsim.Result {
+func (fc *fingerprintCase) runReset(t *testing.T, seed int64, s *eventsim.Simulator) *eventsim.Result {
 	t.Helper()
 	cfg, setup := fc.build(t, seed)
-	if *arena == nil {
-		s, err := eventsim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*arena = s
-	} else if err := (*arena).Reset(cfg); err != nil {
+	if err := s.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if setup != nil {
-		if err := setup(*arena); err != nil {
+		if err := setup(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return (*arena).Run(fc.dur)
+	return s.Run(fc.dur)
 }
 
 // policySet builds n fresh policies for the named scheme plus its

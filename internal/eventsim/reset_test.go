@@ -38,11 +38,11 @@ func resultBytes(t *testing.T, res *eventsim.Result) []byte {
 // RTS/CTS between runs — and requires each Result to equal the fresh
 // New construction bit for bit.
 func TestResetMatchesNew(t *testing.T) {
-	var arena *eventsim.Simulator
+	arena := new(eventsim.Simulator)
 	for _, fc := range fingerprintCases() {
 		for _, seed := range fc.seeds {
 			fresh := fc.run(t, seed)
-			reused := fc.runReset(t, seed, &arena)
+			reused := fc.runReset(t, seed, arena)
 			got, want := resultBytes(t, reused), resultBytes(t, fresh)
 			if string(got) != string(want) {
 				t.Errorf("%s seed %d: Reset diverges from New:\n reset %s\n fresh %s",
@@ -53,18 +53,53 @@ func TestResetMatchesNew(t *testing.T) {
 }
 
 // TestResetValidates confirms Reset applies the same validation as New
-// and leaves no half-initialised state behind on error.
+// and leaves no half-initialised state behind on error: first on a zero
+// Simulator, then on one that has run.
 func TestResetValidates(t *testing.T) {
 	fc := fingerprintCases()[0]
-	var arena *eventsim.Simulator
-	fc.runReset(t, 1, &arena) // materialise the arena
-	if err := arena.Reset(eventsim.Config{}); err == nil {
-		t.Fatal("Reset accepted a config without a topology")
+	want := string(resultBytes(t, fc.run(t, 1)))
+	var s eventsim.Simulator
+	for pass := 0; pass < 2; pass++ {
+		if err := s.Reset(eventsim.Config{}); err == nil {
+			t.Fatal("Reset accepted a config without a topology")
+		}
+		// The simulator must still be fully usable for a valid config.
+		if got := string(resultBytes(t, fc.runReset(t, 1, &s))); got != want {
+			t.Fatalf("pass %d: diverges from fresh construction after a failed Reset", pass)
+		}
 	}
-	// The arena must still be fully usable for a valid config.
-	res := fc.runReset(t, 1, &arena)
-	if string(resultBytes(t, res)) != string(resultBytes(t, fc.run(t, 1))) {
-		t.Fatal("arena diverges from fresh construction after a failed Reset")
+}
+
+// TestResetSteadyAllocBound pins what a warm Reset+Run allocates: the
+// Result with its station slice and cloned series, plus a pool record
+// or two, none of the run's own storage. A field dropped from the arena
+// is rebuilt per run and breaks the bound (New+Run of the same run
+// allocates 100–106).
+func TestResetSteadyAllocBound(t *testing.T) {
+	for _, tc := range []struct {
+		scheme string
+		max    float64
+	}{{"dcf", 7}, {"wtop", 8}, {"tora", 8}} {
+		// One policy set serves every run: rebuilding it per run would
+		// count its allocations, and only the count is checked here.
+		policies, controller := policySet(tc.scheme, 20, phyForBench)
+		cfg := eventsim.Config{
+			Topology:   benchTopology(20),
+			Policies:   policies,
+			Controller: controller,
+			Seed:       1,
+		}
+		s := new(eventsim.Simulator)
+		run := func() {
+			if err := s.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			s.Run(300 * sim.Millisecond)
+		}
+		run() // warm the arena
+		if avg := testing.AllocsPerRun(10, run); avg > tc.max {
+			t.Errorf("%s: warm Reset+Run allocates %.1f, want ≤ %.0f", tc.scheme, avg, tc.max)
+		}
 	}
 }
 
@@ -94,15 +129,9 @@ func BenchmarkSimulatorReuse(b *testing.B) {
 	})
 	b.Run("reset", func(b *testing.B) {
 		b.ReportAllocs()
-		var s *eventsim.Simulator
+		s := new(eventsim.Simulator)
 		for i := 0; i < b.N; i++ {
-			c := cfg(int64(i + 1))
-			if s == nil {
-				var err error
-				if s, err = eventsim.New(c); err != nil {
-					b.Fatal(err)
-				}
-			} else if err := s.Reset(c); err != nil {
+			if err := s.Reset(cfg(int64(i + 1))); err != nil {
 				b.Fatal(err)
 			}
 			s.Run(dur)

@@ -28,37 +28,21 @@ type transmission struct {
 	collided bool
 }
 
-// Simulator is a single WLAN run: N stations, one AP, one channel.
-// Create with New, drive with Run; a Simulator is single-use per Run
-// sequence and not safe for concurrent use (run parallel instances for
-// parallel experiments).
+// Simulator is a single WLAN run: N stations, one AP, one channel. The
+// zero value is ready: Reset builds a run of a Config in it (New is Reset
+// on a new Simulator) and Run drives it. A Simulator is not safe for
+// concurrent use (run parallel instances for parallel experiments).
 type Simulator struct {
-	cfg   Config
-	sched *sim.Scheduler
-
-	stations []*station
-
-	// Carrier sense (see busy.go): rows are the stations' sense rows,
-	// busy the stations that sense a busy medium, nav the stations a
-	// live NAV hold covers, all every station, and scratch the idle
-	// candidates of one settling pass (all-zero between passes).
-	// navHolds are the live NAV holds, navPool the recycled ones.
-	rows     senseRows
-	busy     bitset
-	nav      bitset
-	all      bitset
-	scratch  bitset
-	navHolds []*navHold
-	navPool  []*navHold
+	arena
+	cfg Config
 
 	// Air state at the AP.
-	active     []*transmission // data frames currently in the air
-	apTx       bool            // AP is transmitting (ACK or beacon)
-	apBusy     int             // transmissions audible at the AP (incl. its own)
-	ackPending bool            // an ACK is scheduled (SIFS gap in progress)
+	apTx       bool // AP is transmitting (ACK or beacon)
+	apBusy     int  // transmissions audible at the AP (incl. its own)
+	ackPending bool // an ACK is scheduled (SIFS gap in progress)
 
-	apIdle      *stats.IdleSlotTracker
-	windowMeter *stats.ThroughputMeter
+	apIdle      stats.IdleSlotTracker
+	windowMeter stats.ThroughputMeter
 	totalBits   int64
 	channelRNG  sim.RNG // frame-error draws (sim.ChannelStream)
 	frameErrors int64
@@ -68,47 +52,13 @@ type Simulator struct {
 	beaconDue  bool
 	beaconWait sim.Ref // pending PIFS countdown to a beacon
 
-	// Pre-bound event callbacks. Binding once in New and scheduling via
-	// AtArg/AfterArg keeps the per-frame path free of closure
-	// allocations: each schedule passes an existing func value plus a
-	// pointer argument, neither of which escapes to the heap.
-	txBeginFn      func(any)
-	txCompleteFn   func(any)
-	failTimeoutFn  func(any)
-	ctsBeginFn     func(any)
-	ctsEndFn       func(any)
-	navEndFn       func(any)
-	reservedDataFn func(any)
-	ackBeginFn     func(any)
-	ackEndFn       func(any)
-	windowFn       func(any)
-	beaconTickFn   func(any)
-	beaconTxFn     func(any)
-	beaconEndFn    func(any)
-	arrivalFn      func(any)
-	phaseFn        func(any)
-	setActiveFn    func(any)
-
-	// txPool recycles transmission records so the steady-state frame
-	// lifecycle allocates nothing.
-	txPool []*transmission
-
-	// Lazy contention wake-up state (see contention.go): ready is the
-	// bitmap of armed stations, candSt the armed station holding the
-	// scheduler's candidate — the minimum (due, vseq) attempt — and
-	// contDirty marks that the candidate was withdrawn and the minimum
-	// must be re-established before the current event callback returns.
-	// dues/vseqs hold the armed stations' (due, vseq) keys: the instant
-	// each is due to transmit, and the scheduler sequence number
-	// reserved at arm time, which keeps the exact same-instant FIFO
-	// order eager per-station scheduling would have produced. They are
-	// flat arrays so the minimum scan walks memory linearly instead of
-	// chasing station pointers.
-	ready     bitset
+	// Lazy contention wake-up state (see contention.go): candSt is the
+	// armed station holding the scheduler's candidate — the minimum
+	// (due, vseq) attempt — and contDirty marks that the candidate was
+	// withdrawn and the minimum must be re-established before the
+	// current event callback returns.
 	candSt    *station
 	contDirty bool
-	dues      []sim.Time
-	vseqs     []uint64
 
 	// PHY-derived durations, computed once at init: the per-frame paths
 	// consume these constantly and the float maths behind TxTime is not
@@ -120,10 +70,6 @@ type Simulator struct {
 	tACKTimeout sim.Duration
 	tPIFS       sim.Duration
 	tNAV        sim.Duration
-
-	throughputSeries stats.TimeSeries
-	controlSeries    stats.TimeSeries
-	activeSeries     stats.TimeSeries
 
 	successes  int64
 	collisions int64
@@ -144,17 +90,101 @@ type Simulator struct {
 	maxConcurrent int
 }
 
+// arena is the storage a Simulator carries from one run to the next.
+// init trims it in place and zeroes every other field, so a field
+// outside arena is fresh per run by construction.
+type arena struct {
+	sched *sim.Scheduler
+
+	stations []*station
+
+	// Carrier sense (see busy.go): rows are the stations' sense rows,
+	// busy the stations that sense a busy medium, nav the stations a
+	// live NAV hold covers, all every station, and scratch the idle
+	// candidates of one settling pass (all-zero between passes).
+	// navHolds are the live NAV holds, navPool the recycled ones.
+	rows     senseRows
+	busy     bitset
+	nav      bitset
+	all      bitset
+	scratch  bitset
+	navHolds []*navHold
+	navPool  []*navHold
+
+	active []*transmission // data frames currently in the air
+
+	// txPool recycles transmission records so the steady-state frame
+	// lifecycle allocates nothing.
+	txPool []*transmission
+
+	// Lazy contention keys (see contention.go): ready is the bitmap of
+	// armed stations, and dues/vseqs hold their (due, vseq) keys — the
+	// instant each is due to transmit, and the scheduler sequence number
+	// reserved at arm time, which keeps the exact same-instant FIFO
+	// order eager per-station scheduling would have produced. They are
+	// flat arrays so the minimum scan walks memory linearly instead of
+	// chasing station pointers.
+	ready bitset
+	dues  []sim.Time
+	vseqs []uint64
+
+	throughputSeries stats.TimeSeries
+	controlSeries    stats.TimeSeries
+	activeSeries     stats.TimeSeries
+
+	// Pre-bound event callbacks. Binding once and scheduling via
+	// AtArg/AfterArg keeps the per-frame path free of closure
+	// allocations: each schedule passes an existing func value plus a
+	// pointer argument, neither of which escapes to the heap.
+	txBeginFn      func(any)
+	txCompleteFn   func(any)
+	failTimeoutFn  func(any)
+	ctsBeginFn     func(any)
+	ctsEndFn       func(any)
+	navEndFn       func(any)
+	reservedDataFn func(any)
+	ackBeginFn     func(any)
+	ackEndFn       func(any)
+	windowFn       func(any)
+	beaconTickFn   func(any)
+	beaconTxFn     func(any)
+	beaconEndFn    func(any)
+	arrivalFn      func(any)
+	phaseFn        func(any)
+	setActiveFn    func(any)
+}
+
 // New validates cfg and assembles a simulator.
 func New(cfg Config) (*Simulator, error) {
+	s := new(Simulator)
+	return s, s.Reset(cfg)
+}
+
+// Reset validates cfg and builds a fresh run of it in s, leaving s
+// untouched on error. It reuses the arena of earlier runs — the
+// scheduler's event pool, station records, transmission pool, series
+// and queue storage — so a pooled simulator replays replication after
+// replication without the allocations of a first build. The result is
+// bit-identical to New(cfg): TestResetMatchesNew pins Result equality
+// byte for byte.
+func (s *Simulator) Reset(cfg Config) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &Simulator{
-		sched:       sim.NewScheduler(),
-		apIdle:      stats.NewIdleSlotTracker(cfg.PHY.Slot, cfg.PHY.DIFS),
-		windowMeter: stats.NewThroughputMeter(0),
+	if s.sched == nil {
+		s.bind()
+	} else {
+		s.sched.Reset()
 	}
+	s.init(cfg)
+	return nil
+}
+
+// bind creates the scheduler and binds the event callbacks to s, on the
+// first Reset.
+func (s *Simulator) bind() {
+	s.sched = sim.NewScheduler()
 	s.txBeginFn = func(a any) { s.txBegin(a.(*station)) }
 	s.txCompleteFn = func(a any) { s.txComplete(a.(*transmission)) }
 	s.failTimeoutFn = func(a any) { s.failTimeout(a.(*station)) }
@@ -176,78 +206,22 @@ func New(cfg Config) (*Simulator, error) {
 	// many transitions the callback performed — one enforcement point
 	// instead of a rearm call at every callback return site.
 	s.sched.SetAfterDispatch(func() { s.rearm() })
-	s.init(cfg)
-	return s, nil
 }
 
-// Reset reinitialises the simulator in place for a fresh run of cfg,
-// reusing every warmed arena — the scheduler's event pool, station
-// objects and their RNGs, the transmission pool, series and queue
-// storage — so a pooled simulator can replay replication after
-// replication without the per-run allocation storm of building a new
-// one. The reset simulator is bit-identical to a fresh New(cfg):
-// TestResetMatchesNew pins Result equality byte for byte.
-func (s *Simulator) Reset(cfg Config) error {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return err
-	}
-	s.sched.Reset()
-	s.apIdle.Rebind(cfg.PHY.Slot, cfg.PHY.DIFS)
-	s.windowMeter.Reset(0)
-	s.init(cfg)
-	return nil
-}
-
-// init builds run state for a validated cfg on top of s's arenas. The
-// wholesale struct assignment returns every non-arena field to its zero
-// value — a new field is fresh-per-run by default — while arenas and the
-// pre-bound callbacks are carried explicitly.
+// init builds run state for a validated cfg on top of s's arena.
 func (s *Simulator) init(cfg Config) {
-	tSeries, cSeries, aSeries := s.throughputSeries, s.controlSeries, s.activeSeries
-	tSeries.Reset("throughput")
-	cSeries.Reset("control")
-	aSeries.Reset("active")
-	stations := s.stations
+	s.throughputSeries.Reset("throughput")
+	s.controlSeries.Reset("control")
+	s.activeSeries.Reset("active")
+	s.active = s.active[:0]
 	// A Reset scheduler dropped the release events of live NAV holds:
 	// recycle the holds.
-	navPool := append(s.navPool, s.navHolds...)
+	s.navPool = append(s.navPool, s.navHolds...)
+	s.navHolds = s.navHolds[:0]
 	*s = Simulator{
-		cfg:              cfg,
-		sched:            s.sched,
-		apIdle:           s.apIdle,
-		windowMeter:      s.windowMeter,
-		active:           s.active[:0],
-		txPool:           s.txPool,
-		rows:             s.rows,
-		busy:             s.busy,
-		nav:              s.nav,
-		all:              s.all,
-		scratch:          s.scratch,
-		navHolds:         s.navHolds[:0],
-		navPool:          navPool,
-		ready:            s.ready,
-		dues:             s.dues,
-		vseqs:            s.vseqs,
-		throughputSeries: tSeries,
-		controlSeries:    cSeries,
-		activeSeries:     aSeries,
-		txBeginFn:        s.txBeginFn,
-		txCompleteFn:     s.txCompleteFn,
-		failTimeoutFn:    s.failTimeoutFn,
-		ctsBeginFn:       s.ctsBeginFn,
-		ctsEndFn:         s.ctsEndFn,
-		navEndFn:         s.navEndFn,
-		reservedDataFn:   s.reservedDataFn,
-		ackBeginFn:       s.ackBeginFn,
-		ackEndFn:         s.ackEndFn,
-		windowFn:         s.windowFn,
-		beaconTickFn:     s.beaconTickFn,
-		beaconTxFn:       s.beaconTxFn,
-		beaconEndFn:      s.beaconEndFn,
-		arrivalFn:        s.arrivalFn,
-		phaseFn:          s.phaseFn,
-		setActiveFn:      s.setActiveFn,
+		arena:  s.arena,
+		cfg:    cfg,
+		apIdle: stats.NewIdleSlotTracker(cfg.PHY.Slot, cfg.PHY.DIFS),
 	}
 	s.channelRNG.Reseed(cfg.Seed, sim.ChannelStream)
 	if cfg.Controller != nil {
@@ -261,18 +235,18 @@ func (s *Simulator) init(cfg Config) {
 	s.tPIFS = cfg.PHY.PIFS()
 	s.tNAV = cfg.PHY.SIFS + s.tData + cfg.PHY.SIFS + s.tACK
 	n := cfg.Topology.N()
-	if cap(stations) < n {
+	if cap(s.stations) < n {
 		grown := make([]*station, n)
-		copy(grown, stations[:cap(stations)])
-		stations = grown
+		copy(grown, s.stations[:cap(s.stations)])
+		s.stations = grown
 	} else {
-		stations = stations[:n]
+		s.stations = s.stations[:n]
 	}
 	for i := 0; i < n; i++ {
-		st := stations[i]
+		st := s.stations[i]
 		if st == nil {
 			st = &station{}
-			stations[i] = st
+			s.stations[i] = st
 		}
 		qbuf := st.queue.buf[:0]
 		*st = station{
@@ -288,7 +262,6 @@ func (s *Simulator) init(cfg Config) {
 		st.queue.buf = qbuf
 		st.rng.Reseed(cfg.Seed, int64(i))
 	}
-	s.stations = stations
 	s.rows.build(cfg.Topology)
 	if cap(s.dues) < n {
 		s.dues = make([]sim.Time, n)
@@ -1018,8 +991,8 @@ func (s *Simulator) result() *Result {
 		FrameErrors:   s.frameErrors,
 		APIdleSlots:   s.apIdle.Average(),
 		MaxConcurrent: s.maxConcurrent,
-		// The series are cloned so the Result stays valid after this
-		// simulator is Reset for its next run (arena reuse).
+		// The series are cloned: their storage is the arena's, which
+		// the next Reset reuses.
 		ThroughputSeries: s.throughputSeries.Clone(),
 		ControlSeries:    s.controlSeries.Clone(),
 		ActiveSeries:     s.activeSeries.Clone(),

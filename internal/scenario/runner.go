@@ -19,17 +19,18 @@ var ErrClosed = errors.New("scenario: runner is closed")
 
 // Runner executes scenario replications across a persistent worker
 // pool. Workers start lazily on the first run and live until Close;
-// each worker owns one reusable simulator arena that is Reset — not
-// rebuilt — per replication, so steady-state sweep execution performs
-// no per-replication construction allocations and no goroutine churn.
+// each worker owns one eventsim.Simulator that it Resets per
+// replication, reusing the simulator's arena, so steady-state sweep
+// execution performs no per-replication construction allocations and
+// no goroutine churn.
 //
 // Determinism contract: replication r of a spec always runs with seed
 // Seed+r and its own RNG substreams — no state is shared between
 // replications (Simulator.Reset is bit-identical to a fresh build) —
 // and aggregation folds replication results in index order. The
 // aggregate Summary is therefore bit-identical for any Parallelism
-// setting and any worker/arena assignment, a property the golden tests
-// pin.
+// setting and any worker/simulator assignment, a property the golden
+// tests pin.
 type Runner struct {
 	// Parallelism bounds concurrently running replications
 	// (0 = GOMAXPROCS). Fixed once the first run starts the pool.
@@ -57,46 +58,25 @@ type Runner struct {
 }
 
 // workerPool is the persistent executor: long-lived workers pulling
-// tasks from one channel, each holding a private simulator arena.
+// tasks from one channel, each holding a private simulator.
 type workerPool struct {
 	jobs    chan task
 	workers int
 	wg      sync.WaitGroup
 }
 
-// task is one job for a pool worker: run(ar, i) on the worker's arena.
+// task is one job for a pool worker: run(ev, i) on the worker's
+// simulator.
 type task struct {
-	run func(ar *arena, i int)
+	run func(ev *eventsim.Simulator, i int)
 	i   int
 }
 
-// arena is one worker's reusable simulation state.
-type arena struct {
-	ev *eventsim.Simulator
-}
-
-// simulator returns a simulator for cfg: the arena's instance reset in
-// place, or a fresh build the first time.
-func (ar *arena) simulator(cfg eventsim.Config) (*eventsim.Simulator, error) {
-	if ar.ev == nil {
-		s, err := eventsim.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ar.ev = s
-		return s, nil
-	}
-	if err := ar.ev.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return ar.ev, nil
-}
-
-func (r *Runner) runOne(sp *Spec, rep int, ar *arena) (*replication, error) {
+func (r *Runner) runOne(sp *Spec, rep int, ev *eventsim.Simulator) (*replication, error) {
 	if r.runRep != nil {
 		return r.runRep(sp, rep)
 	}
-	return runReplication(sp, rep, ar)
+	return runReplication(sp, rep, ev)
 }
 
 // ensurePool starts the worker pool on first use.
@@ -113,9 +93,9 @@ func (r *Runner) ensurePool() *workerPool {
 		for w := 0; w < p.workers; w++ {
 			go func() {
 				defer p.wg.Done()
-				ar := &arena{}
+				ev := new(eventsim.Simulator)
 				for t := range p.jobs {
-					t.run(ar, t.i)
+					t.run(ev, t.i)
 				}
 			}()
 		}
@@ -124,7 +104,7 @@ func (r *Runner) ensurePool() *workerPool {
 	return r.pool
 }
 
-// Close stops the worker pool and releases its arenas. The contract —
+// Close stops the worker pool and releases its simulators. The contract —
 // relied on by the public wlan.Lab facade, which exposes it directly:
 //
 //   - Idempotent: any number of Close calls, from any goroutines, are
@@ -260,10 +240,10 @@ func (r *Runner) RunBatchFunc(ctx context.Context, specs []*Spec, done func(i in
 	// At most one job per worker is in flight, so with a slot per
 	// worker a worker's send never blocks.
 	outcomes := make(chan outcome, pool.workers)
-	simulate := func(ar *arena, ji int) {
+	simulate := func(ev *eventsim.Simulator, ji int) {
 		j := jobs[ji]
 		r.Metrics.begin()
-		rep, err := r.runOne(specs[j.si], j.rep, ar)
+		rep, err := r.runOne(specs[j.si], j.rep, ev)
 		var events uint64
 		if err == nil && rep != nil && rep.res != nil {
 			events = rep.res.EventsFired
@@ -350,12 +330,12 @@ type replication struct {
 	stJain      float64 // capture only
 }
 
-// runReplication executes one seeded simulation on the worker's arena
-// and reduces it to what the summary needs: EngineConfig for seed
+// runReplication resets the worker's simulator for one seeded run and
+// reduces it to what the summary needs: EngineConfig for seed
 // sp.Seed+rep, the frame tracer of a capture, the churn schedule
 // through SetActiveAt (a step at t=0 included), then sp.Duration of
 // simulated time.
-func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
+func runReplication(sp *Spec, rep int, s *eventsim.Simulator) (*replication, error) {
 	cfg, err := EngineConfig(sp, sp.Seed+int64(rep))
 	if err != nil {
 		return nil, err
@@ -365,8 +345,7 @@ func runReplication(sp *Spec, rep int, ar *arena) (*replication, error) {
 		capture = &captureTracer{}
 		cfg.Trace = capture
 	}
-	s, err := ar.simulator(cfg)
-	if err != nil {
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
 	for _, step := range sp.Churn {

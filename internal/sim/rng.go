@@ -70,8 +70,10 @@ func (g *RNG) Reseed(seed, stream int64) {
 	g.src.Seed(mix64(x), mix64(x+golden))
 }
 
-// Float64 returns a uniform draw in [0,1).
-func (g *RNG) Float64() float64 { return rand.New(&g.src).Float64() }
+// Float64 returns a uniform draw in [0,1). It is the body of
+// rand.Rand.Float64 on the PCG itself, so the draw is the stdlib's and
+// the PCG's Uint64 is inlined instead of called through rand.Source.
+func (g *RNG) Float64() float64 { return float64(g.src.Uint64()<<11>>11) / (1 << 53) }
 
 // Intn returns a uniform draw in [0,n). n must be positive.
 func (g *RNG) Intn(n int) int { return rand.New(&g.src).IntN(n) }
@@ -87,7 +89,7 @@ func (g *RNG) Bernoulli(p float64) bool {
 	case p >= 1:
 		return true
 	default:
-		return rand.New(&g.src).Float64() < p
+		return g.Float64() < p
 	}
 }
 
@@ -104,7 +106,7 @@ func (g *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		return math.MaxInt32 // effectively never; callers clamp p away from 0
 	}
-	return GeometricFromUniform(rand.New(&g.src).Float64(), p)
+	return GeometricFromUniform(g.Float64(), p)
 }
 
 // GeometricFromUniform maps one uniform draw u ∈ [0,1) to a Geometric(p)

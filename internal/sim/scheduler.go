@@ -31,11 +31,10 @@ type Scheduler struct {
 	// event the owner moves or withdraws in place, compared with the
 	// queue minimum by (at, seq) at every dequeue, so moving it leaves
 	// no cancelled entry behind in the heap.
-	cand   *Event
-	seq    uint64
-	fired  uint64
-	halted bool
-	free   []*Event // recycled events, LIFO for cache warmth
+	cand  *Event
+	seq   uint64
+	fired uint64
+	free  []*Event // recycled events, LIFO for cache warmth
 
 	// afterDispatch, when set, runs after every dispatched callback —
 	// the hook lazy-wakeup engines use to re-establish their candidate
@@ -242,17 +241,12 @@ func (s *Scheduler) Reset() {
 		}
 		s.release(e)
 	}
-	s.now, s.seq, s.fired, s.halted = 0, 0, 0, false
+	s.now, s.seq, s.fired = 0, 0, 0
 }
-
-// Halt stops the event loop after the currently executing event returns.
-// Remaining events stay queued; Run and RunUntil may be called again to
-// resume.
-func (s *Scheduler) Halt() { s.halted = true }
 
 // SetAfterDispatch installs fn to run after every dispatched event
 // callback (nil uninstalls). The hook may schedule events; it must not
-// call Step/Run itself. Reset leaves the hook installed — it is
+// call Step/RunUntil itself. Reset leaves the hook installed — it is
 // configuration, not run state.
 func (s *Scheduler) SetAfterDispatch(fn func()) { s.afterDispatch = fn }
 
@@ -282,18 +276,10 @@ func (s *Scheduler) Step() bool {
 	}
 }
 
-// Run executes events until the queue is empty or Halt is called.
-func (s *Scheduler) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
-	}
-}
-
 // RunUntil executes events with timestamps ≤ end, then advances the clock
 // to exactly end. Events scheduled after end remain queued.
 func (s *Scheduler) RunUntil(end Time) {
-	s.halted = false
-	for !s.halted {
+	for {
 		e := s.peekLive()
 		if e == nil || e.at > end {
 			break

@@ -13,6 +13,12 @@ import (
 // callbacks bound once with pointer arguments.
 func call(fn any) { fn.(func())() }
 
+// drain dispatches events until the queue holds no live one.
+func drain(s *Scheduler) {
+	for s.Step() {
+	}
+}
+
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
@@ -21,7 +27,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 		at := at
 		s.AtArg(at, call, func() { got = append(got, at) })
 	}
-	s.Run()
+	drain(s)
 	want := append([]Time(nil), times...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(got) != len(want) {
@@ -44,7 +50,7 @@ func TestSchedulerFIFOForEqualTimestamps(t *testing.T) {
 		i := i
 		s.AtArg(1000, call, func() { order = append(order, i) })
 	}
-	s.Run()
+	drain(s)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d; equal-timestamp events must fire FIFO", i, v)
@@ -58,7 +64,7 @@ func TestSchedulerAfterUsesCurrentTime(t *testing.T) {
 	s.AtArg(100, call, func() {
 		s.AfterArg(50, call, func() { at = s.Now() })
 	})
-	s.Run()
+	drain(s)
 	if at != 150 {
 		t.Errorf("nested AfterArg fired at %v, want 150", at)
 	}
@@ -72,7 +78,7 @@ func TestSchedulerCancel(t *testing.T) {
 	if !e.Cancelled() {
 		t.Fatal("Cancelled() = false after Cancel")
 	}
-	s.Run()
+	drain(s)
 	if fired {
 		t.Error("cancelled event fired")
 	}
@@ -92,7 +98,7 @@ func TestSchedulerStaleRefCannotCancelRecycledEvent(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
 	stale := s.AtArg(10, call, func() { fired++ })
-	s.Run()
+	drain(s)
 	if fired != 1 {
 		t.Fatalf("first event fired %d times, want 1", fired)
 	}
@@ -108,7 +114,7 @@ func TestSchedulerStaleRefCannotCancelRecycledEvent(t *testing.T) {
 	if stale.At() != 0 {
 		t.Errorf("stale At() = %v, want 0", stale.At())
 	}
-	s.Run()
+	drain(s)
 	if fired != 2 {
 		t.Fatalf("fired %d events, want 2 (stale Cancel must be a no-op)", fired)
 	}
@@ -124,7 +130,7 @@ func TestSchedulerPoolRecycles(t *testing.T) {
 			r.Cancel()
 		}
 	}
-	s.Run()
+	drain(s)
 	if got := s.PoolSize(); got != 100 {
 		t.Errorf("pool holds %d events after drain, want 100", got)
 	}
@@ -134,7 +140,7 @@ func TestSchedulerPoolRecycles(t *testing.T) {
 	if got := s.PoolSize(); got != 0 {
 		t.Errorf("pool holds %d events while 100 are pending, want 0", got)
 	}
-	s.Run()
+	drain(s)
 }
 
 func TestSchedulerCancelFromEarlierEvent(t *testing.T) {
@@ -142,30 +148,9 @@ func TestSchedulerCancelFromEarlierEvent(t *testing.T) {
 	fired := false
 	later := s.AtArg(20, call, func() { fired = true })
 	s.AtArg(10, call, func() { later.Cancel() })
-	s.Run()
+	drain(s)
 	if fired {
 		t.Error("event cancelled by an earlier event still fired")
-	}
-}
-
-func TestSchedulerHalt(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		s.AtArg(i, call, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("fired %d events before halt, want 3", count)
-	}
-	s.Run() // resume
-	if count != 10 {
-		t.Fatalf("fired %d events total after resume, want 10", count)
 	}
 }
 
@@ -223,7 +208,7 @@ func TestSchedulerPanicsOnPastEvent(t *testing.T) {
 		}()
 		s.AtArg(50, call, func() {})
 	})
-	s.Run()
+	drain(s)
 }
 
 func TestSchedulerPanicsOnNegativeDelay(t *testing.T) {
@@ -251,7 +236,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 			i := i
 			s.AtArg(at, call, func() { fired = append(fired, rec{at, i}) })
 		}
-		s.Run()
+		drain(s)
 		if len(fired) != len(raw) {
 			return false
 		}
@@ -296,7 +281,7 @@ func TestSchedulerCancelProperty(t *testing.T) {
 				e.Cancel()
 			}
 		}
-		s.Run()
+		drain(s)
 		return !firedCancelled
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -330,7 +315,7 @@ func TestHeapStress(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		insert(1)
 	}
-	s.Run()
+	drain(s)
 	if fired < n {
 		t.Fatalf("fired %d events, want ≥ %d", fired, n)
 	}
@@ -396,7 +381,7 @@ func TestSchedulerCandidateTiesFastSlot(t *testing.T) {
 		if s.next == nil || s.heap.Len() != 0 {
 			t.Fatal("the queued event is not in the fast slot")
 		}
-		s.Run()
+		drain(s)
 		if candFirst {
 			o.want(t, "[cand queued]")
 		} else {
@@ -423,7 +408,7 @@ func TestSchedulerCandidateTiesHeap(t *testing.T) {
 		if s.heap.Len() != 1 || s.heap.peek().at != 10 {
 			t.Fatal("the event at 10 is not in the heap")
 		}
-		s.Run()
+		drain(s)
 		if candFirst {
 			o.want(t, "[early cand heap]")
 		} else {
@@ -458,7 +443,7 @@ func TestSchedulerCandidateMoveAndClear(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("pending %d after moving the candidate, want 1", s.Pending())
 	}
-	s.Run()
+	drain(s)
 	o.want(t, "[moved]")
 	s.SetCandidate(40, s.TakeSeq(), o.addArg, label("withdrawn"))
 	s.ClearCandidate()
@@ -477,21 +462,7 @@ func TestSchedulerResetDropsCandidate(t *testing.T) {
 	if s.Pending() != 0 || s.PoolSize() != pool+1 {
 		t.Fatalf("after Reset: pending %d, pool %d; want 0, %d", s.Pending(), s.PoolSize(), pool+1)
 	}
-	s.Run()
-}
-
-func TestSchedulerHaltKeepsCandidate(t *testing.T) {
-	s := NewScheduler()
-	o := &order{}
-	s.AtArg(5, call, func() { o.got = append(o.got, "halt"); s.Halt() })
-	s.SetCandidate(10, s.TakeSeq(), o.addArg, label("cand"))
-	s.Run()
-	o.want(t, "[halt]")
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d after Halt, want the candidate", s.Pending())
-	}
-	s.Run()
-	o.want(t, "[halt cand]")
+	drain(s)
 }
 
 func TestSchedulerCandidatePanicsInPast(t *testing.T) {

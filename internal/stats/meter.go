@@ -7,24 +7,16 @@ import (
 )
 
 // ThroughputMeter counts delivered payload bits and converts them to
-// bits/second over arbitrary intervals. The AP owns one global meter plus
-// one per station.
+// bits/second over arbitrary intervals. The zero value is a meter whose
+// window starts at time zero. The AP owns one, closed every
+// UPDATE_PERIOD for the controller.
 type ThroughputMeter struct {
 	bits      int64
-	start     sim.Time
 	lastReset sim.Time
-}
-
-// NewThroughputMeter returns a meter whose epoch starts at now.
-func NewThroughputMeter(now sim.Time) *ThroughputMeter {
-	return &ThroughputMeter{start: now, lastReset: now}
 }
 
 // Account adds bits delivered payload bits.
 func (m *ThroughputMeter) Account(bits int) { m.bits += int64(bits) }
-
-// Bits returns the bits accumulated since the last window reset.
-func (m *ThroughputMeter) Bits() int64 { return m.bits }
 
 // Rate returns the average bits/second since the last window reset.
 func (m *ThroughputMeter) Rate(now sim.Time) float64 {
@@ -40,16 +32,6 @@ func (m *ThroughputMeter) Rate(now sim.Time) float64 {
 func (m *ThroughputMeter) ResetWindow(now sim.Time) {
 	m.bits = 0
 	m.lastReset = now
-}
-
-// WindowStart returns the start of the current window.
-func (m *ThroughputMeter) WindowStart() sim.Time { return m.lastReset }
-
-// Reset reinitialises the meter with its epoch at now, equivalent to
-// constructing it afresh — the arena-reuse counterpart of
-// NewThroughputMeter.
-func (m *ThroughputMeter) Reset(now sim.Time) {
-	*m = ThroughputMeter{start: now, lastReset: now}
 }
 
 // Reset empties the series in place, keeping the sample storage for
@@ -145,14 +127,14 @@ type IdleSlotTracker struct {
 
 // NewIdleSlotTracker returns a tracker for the given slot and DIFS
 // durations.
-func NewIdleSlotTracker(slot, difs sim.Duration) *IdleSlotTracker {
+func NewIdleSlotTracker(slot, difs sim.Duration) IdleSlotTracker {
 	if slot <= 0 {
 		panic(fmt.Sprintf("stats: non-positive slot %v", slot))
 	}
 	if difs < 0 {
 		panic(fmt.Sprintf("stats: negative DIFS %v", difs))
 	}
-	return &IdleSlotTracker{slot: slot, difs: difs}
+	return IdleSlotTracker{slot: slot, difs: difs}
 }
 
 // MediumIdle records that the medium became idle at t.
@@ -185,23 +167,4 @@ func (k *IdleSlotTracker) Average() float64 {
 		return 0
 	}
 	return k.idleSlots / float64(k.busyPeriods)
-}
-
-// Reset zeroes the accumulators but keeps the current idle/busy phase.
-func (k *IdleSlotTracker) Reset() {
-	k.idleSlots = 0
-	k.busyPeriods = 0
-}
-
-// Rebind fully reinitialises the tracker for new slot/DIFS parameters —
-// accumulators, phase and epoch — so a pooled simulator arena can reuse
-// it across runs exactly as if freshly constructed.
-func (k *IdleSlotTracker) Rebind(slot, difs sim.Duration) {
-	if slot <= 0 {
-		panic(fmt.Sprintf("stats: non-positive slot %v", slot))
-	}
-	if difs < 0 {
-		panic(fmt.Sprintf("stats: negative DIFS %v", difs))
-	}
-	*k = IdleSlotTracker{slot: slot, difs: difs}
 }
