@@ -271,7 +271,7 @@ func runCoordinator(cf coordFlags) {
 	}
 	fmt.Fprintf(statsOut, "campaign %s: %s in %v\n", name, st, wall.Round(time.Millisecond))
 	if !cf.runOnce {
-		fmt.Fprintln(os.Stderr, "wlansvc: campaign done; control plane stays up for /v1/rows and /v1/status (signal to exit)")
+		fmt.Fprintln(os.Stderr, "wlansvc: campaign done; control plane stays up for /v1/status and /metrics (signal to exit)")
 		<-ctx.Done()
 	}
 }

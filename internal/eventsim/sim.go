@@ -213,9 +213,12 @@ func (s *Simulator) init(cfg Config) {
 	s.throughputSeries.Reset("throughput")
 	s.controlSeries.Reset("control")
 	s.activeSeries.Reset("active")
+	// A Reset scheduler dropped the completions of the frames still in
+	// the air and the release events of live NAV holds: recycle both.
+	for _, rec := range s.active {
+		s.freeTransmission(rec)
+	}
 	s.active = s.active[:0]
-	// A Reset scheduler dropped the release events of live NAV holds:
-	// recycle the holds.
 	s.navPool = append(s.navPool, s.navHolds...)
 	s.navHolds = s.navHolds[:0]
 	*s = Simulator{

@@ -123,58 +123,39 @@ func (c *Client) Complete(ctx context.Context, req *CompleteRequest) (*CompleteR
 // Status fetches the campaign snapshot.
 func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
 	resp := &StatusResponse{}
-	if err := c.get(ctx, "/v1/status", func(body []byte) error {
-		return json.Unmarshal(body, resp)
-	}); err != nil {
+	if err := c.call(ctx, "/v1/status", nil, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// Rows fetches the canonical JSONL prefix emitted so far (the full
-// merged output once Status reports done).
-func (c *Client) Rows(ctx context.Context) ([]byte, error) {
-	var rows []byte
-	err := c.get(ctx, "/v1/rows", func(body []byte) error {
-		rows = body
-		return nil
-	})
-	return rows, err
-}
-
-// call POSTs one JSON request with the retry policy.
+// call sends one request with the retry policy — a POST of in as JSON,
+// or a GET when in is nil — and decodes the JSON response into out.
 func (c *Client) call(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("svc: marshal %s request: %w", path, err)
+	method, body := http.MethodGet, []byte(nil)
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("svc: marshal %s request: %w", path, err)
+		}
+		method = http.MethodPost
 	}
 	return c.retry(ctx, path, func(actx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, strings.TrimRight(c.BaseURL, "/")+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(actx, method, strings.TrimRight(c.BaseURL, "/")+path, bytes.NewReader(body))
 		if err != nil {
 			return false, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		return c.roundTrip(req, func(respBody []byte) error {
-			return json.Unmarshal(respBody, out)
-		})
-	})
-}
-
-// get GETs one path with the retry policy.
-func (c *Client) get(ctx context.Context, path string, decode func(body []byte) error) error {
-	return c.retry(ctx, path, func(actx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, strings.TrimRight(c.BaseURL, "/")+path, nil)
-		if err != nil {
-			return false, err
+		if in != nil {
+			req.Header.Set("Content-Type", "application/json")
 		}
-		return c.roundTrip(req, decode)
+		return c.roundTrip(req, out)
 	})
 }
 
 // roundTrip performs one attempt and classifies the outcome:
 // (retryable, error). Transport failures are retryable; a decoded error
 // envelope is retryable exactly when its wireErrors row says so.
-func (c *Client) roundTrip(req *http.Request, decode func(body []byte) error) (bool, error) {
+func (c *Client) roundTrip(req *http.Request, out any) (bool, error) {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return true, err
@@ -185,7 +166,7 @@ func (c *Client) roundTrip(req *http.Request, decode func(body []byte) error) (b
 		return true, err
 	}
 	if resp.StatusCode == http.StatusOK {
-		if err := decode(respBody); err != nil {
+		if err := json.Unmarshal(respBody, out); err != nil {
 			return true, fmt.Errorf("svc: undecodable %s response: %w", req.URL.Path, err)
 		}
 		return false, nil

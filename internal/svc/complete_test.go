@@ -51,9 +51,8 @@ func (f *failOnce) Write(p []byte) (int, error) {
 	return f.Buffer.Write(p)
 }
 
-// A failed Out write must not leave its row behind in the stream: the
-// worker's retransmit emits it once, and both the in-memory rows and
-// Out equal a single-machine run.
+// A row Out refuses is not emitted: the worker's retransmit emits it
+// once, and Out equals a single-machine run.
 func TestCoordinatorOutWriteErrorEmitsEachRowOnce(t *testing.T) {
 	g := testGrid("svc-out-error", 2, 3)
 	ref := coldRows(t, g)
@@ -72,8 +71,8 @@ func TestCoordinatorOutWriteErrorEmitsEachRowOnce(t *testing.T) {
 	if _, err := c.complete(req); err == nil {
 		t.Fatal("completion succeeded although Out refused the row")
 	}
-	if got := c.RowsSnapshot(); len(got) != 0 {
-		t.Fatalf("a row Out refused stayed in the stream:\n%s", got)
+	if st := c.Stats(); out.Len() != 0 || st.RowsEmitted != 0 {
+		t.Fatalf("a row Out refused counts as emitted: %d row(s), %q", st.RowsEmitted, out.Bytes())
 	}
 	resp, err := c.complete(req)
 	if err != nil {
@@ -81,9 +80,6 @@ func TestCoordinatorOutWriteErrorEmitsEachRowOnce(t *testing.T) {
 	}
 	if resp.Duplicates != 2 || !resp.Done {
 		t.Fatalf("retransmit: %+v", resp)
-	}
-	if got := c.RowsSnapshot(); !bytes.Equal(got, ref) {
-		t.Errorf("RowsSnapshot after a failed Out write:\n%s\nwant:\n%s", got, ref)
 	}
 	if !bytes.Equal(out.Bytes(), ref) {
 		t.Errorf("Out after a failed write:\n%s\nwant:\n%s", out.Bytes(), ref)
@@ -145,8 +141,8 @@ func TestCompleteRejectsSummaryNotDescribingPoint(t *testing.T) {
 			if _, ok := cache.Get(pts[0].Key); ok {
 				t.Error("the rejected summary reached the cache")
 			}
-			if rows := c.RowsSnapshot(); len(rows) != 0 || out.Len() != 0 {
-				t.Errorf("the rejected summary was emitted: %q, %q", rows, out.Bytes())
+			if out.Len() != 0 {
+				t.Errorf("the rejected summary was emitted: %q", out.Bytes())
 			}
 			if st := c.Stats(); st.Completed != 0 {
 				t.Errorf("stats: %+v", st)
@@ -181,11 +177,8 @@ func TestCoordinatorResumesUnderAnotherGridName(t *testing.T) {
 	if st := c.Stats(); st.Cached != 3 || st.Completed != 0 {
 		t.Fatalf("resume stats: %+v", st)
 	}
-	if got := c.RowsSnapshot(); !bytes.Equal(got, ref) {
-		t.Errorf("resumed rows:\n%s\nwant a cold run of the resuming grid:\n%s", got, ref)
-	}
 	if !bytes.Equal(out.Bytes(), ref) {
-		t.Errorf("resumed Out differs from a cold run of the resuming grid")
+		t.Errorf("resumed rows:\n%s\nwant a cold run of the resuming grid:\n%s", out.Bytes(), ref)
 	}
 }
 
@@ -245,12 +238,13 @@ func FuzzCompleteRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache, Now: newFakeClock().Now})
+		var out bytes.Buffer
+		c, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache, Out: &out, Now: newFakeClock().Now})
 		if err != nil {
 			t.Fatal(err)
 		}
 		code := postComplete(c, []byte(expand.Replace(string(body))))
-		rows := c.RowsSnapshot()
+		rows := out.Bytes()
 		if code != http.StatusOK && (c.Stats().Completed != 0 || len(rows) != 0) {
 			t.Fatalf("status %d, yet %d point(s) completed and %d row byte(s) emitted", code, c.Stats().Completed, len(rows))
 		}

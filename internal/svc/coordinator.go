@@ -79,7 +79,9 @@ type CoordinatorConfig struct {
 	// that touches them (default 50).
 	MaxReissues int
 	// Out, when non-nil, receives the canonical JSONL rows as their
-	// contiguous prefix completes (the same bytes /v1/rows serves).
+	// contiguous prefix completes, one Write per row. The coordinator
+	// keeps no copy: a row Out refuses is retried whole at the next
+	// advance, and without Out the rows are discarded.
 	Out io.Writer
 	// StatePath, when non-empty, is where Drain persists the queue
 	// snapshot for post-mortem inspection. Resume correctness never
@@ -105,7 +107,7 @@ type Coordinator struct {
 	reissues []int    // lease reissue count per point
 	pending  []int    // queued point indexes, ascending
 	leases   *leaseTable
-	rows     bytes.Buffer // canonical JSONL prefix
+	row      bytes.Buffer // the row being emitted, reused per row
 	stats    CampaignStats
 	draining bool
 	failure  error
@@ -220,17 +222,16 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// emitLocked is the ledger's emit: one row to the in-memory stream and
-// the same bytes to Out. A row Out refuses is taken back out, and the
-// ledger retries it at the next advance.
+// emitLocked is the ledger's emit: one row encoded into the reused
+// row buffer and written to Out. A row Out refuses is not counted, and
+// the ledger retries it at the next advance.
 func (c *Coordinator) emitLocked(pr *sweep.PointResult) error {
-	n := c.rows.Len()
-	err := sweep.WriteRow(&c.rows, pr)
+	c.row.Reset()
+	err := sweep.WriteRow(&c.row, pr)
 	if err == nil && c.cfg.Out != nil {
-		_, err = c.cfg.Out.Write(c.rows.Bytes()[n:])
+		_, err = c.cfg.Out.Write(c.row.Bytes())
 	}
 	if err != nil {
-		c.rows.Truncate(n)
 		return err
 	}
 	c.stats.RowsEmitted++
@@ -262,14 +263,6 @@ func (c *Coordinator) Stats() CampaignStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// RowsSnapshot returns a copy of the canonical JSONL prefix emitted so
-// far (the full merged output once the campaign is done).
-func (c *Coordinator) RowsSnapshot() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]byte(nil), c.rows.Bytes()...)
 }
 
 // requeueLocked returns a point to the pending queue in ascending
@@ -622,14 +615,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		resp, err := c.complete(&req)
 		writeResult(w, resp, err)
-	})
-	mux.HandleFunc("GET /v1/rows", func(w http.ResponseWriter, r *http.Request) {
-		st := c.status()
-		rows := c.RowsSnapshot()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Wlansvc-Rows", fmt.Sprint(st.RowsEmitted))
-		w.Header().Set("X-Wlansvc-Done", fmt.Sprint(st.Done))
-		w.Write(rows)
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, c.status(), nil)

@@ -133,7 +133,8 @@ func TestCoordinatorMergeMatchesSingleMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 2, Now: newFakeClock().Now})
+	var out bytes.Buffer
+	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 2, Out: &out, Now: newFakeClock().Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +147,48 @@ func TestCoordinatorMergeMatchesSingleMachine(t *testing.T) {
 	default:
 		t.Fatal("campaign drained but Done() is not closed")
 	}
-	if got := c.RowsSnapshot(); !bytes.Equal(got, ref.Bytes()) {
-		t.Errorf("merged rows differ from single-machine run:\ncoordinator:\n%s\nsingle-machine:\n%s", got, ref.Bytes())
+	if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+		t.Errorf("merged rows differ from single-machine run:\ncoordinator:\n%s\nsingle-machine:\n%s", out.Bytes(), ref.Bytes())
 	}
 	st := c.Stats()
 	if st.Completed != 5 || st.RowsEmitted != 5 || st.Duplicates != 0 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestCoordinatorRowFootprint pins that the coordinator streams its
+// rows: a 200-point campaign reaches Out byte for byte as a
+// single-machine run, while the coordinator keeps room for about one
+// row, not the campaign's output.
+func TestCoordinatorRowFootprint(t *testing.T) {
+	seeds := make([]int, 20)
+	for i := range seeds {
+		seeds[i] = i + 1
+	}
+	g := testGrid("svc-footprint", 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	g.Base.Duration = scenario.Duration(2e6)
+	g.Axes = append(g.Axes, sweep.Axis{Field: sweep.FieldSeed, Values: sweep.Ints(seeds...)})
+	ref := coldRows(t, g)
+
+	var out bytes.Buffer
+	c, err := NewCoordinator(CoordinatorConfig{Grid: g, Out: &out, Now: newFakeClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &scenario.Runner{}
+	defer r.Close()
+	drainCampaign(t, c, r)
+
+	if st := c.Stats(); st.Total != 200 || st.RowsEmitted != 200 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if !bytes.Equal(out.Bytes(), ref) {
+		t.Errorf("Out differs from a single-machine run (%d vs %d bytes)", out.Len(), len(ref))
+	}
+	// Row buffer growth at most doubles past the longest row, which is
+	// under 1 KB here; the campaign's output is about 180 KB.
+	if held := c.row.Cap(); held > 4<<10 {
+		t.Errorf("coordinator holds %d bytes of rows after %d bytes of output, want ≤ 4 KB", held, out.Len())
 	}
 }
 
@@ -160,7 +197,8 @@ func TestCoordinatorMergeMatchesSingleMachine(t *testing.T) {
 // double-counted.
 func TestCoordinatorCompletionsAreIdempotent(t *testing.T) {
 	g := testGrid("svc-idem", 2, 3)
-	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 2, Now: newFakeClock().Now})
+	var out bytes.Buffer
+	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 2, Out: &out, Now: newFakeClock().Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +216,7 @@ func TestCoordinatorCompletionsAreIdempotent(t *testing.T) {
 	if first.Accepted != 2 || first.Duplicates != 0 || !first.Done {
 		t.Fatalf("first completion: %+v", first)
 	}
-	rows := c.RowsSnapshot()
+	rows := bytes.Clone(out.Bytes())
 	again, err := c.complete(req)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +224,7 @@ func TestCoordinatorCompletionsAreIdempotent(t *testing.T) {
 	if again.Accepted != 0 || again.Duplicates != 2 {
 		t.Fatalf("replayed completion: %+v", again)
 	}
-	if !bytes.Equal(rows, c.RowsSnapshot()) {
+	if !bytes.Equal(rows, out.Bytes()) {
 		t.Error("replayed completion changed the output stream")
 	}
 	if st := c.Stats(); st.Completed != 2 || st.Duplicates != 2 || st.RowsEmitted != 2 {
@@ -572,20 +610,20 @@ func TestCoordinatorResumesFromCacheWithoutResimulating(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := testGrid("svc-resume", 2, 3, 4)
-	c1, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache, MaxBatch: 2, Now: newFakeClock().Now})
+	var out1, out2 bytes.Buffer
+	c1, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache, MaxBatch: 2, Out: &out1, Now: newFakeClock().Now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &scenario.Runner{}
 	defer r.Close()
 	drainCampaign(t, c1, r)
-	rows := c1.RowsSnapshot()
 
 	cache2, err := sweep.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache2, Now: newFakeClock().Now})
+	c2, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache2, Out: &out2, Now: newFakeClock().Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +640,7 @@ func TestCoordinatorResumesFromCacheWithoutResimulating(t *testing.T) {
 	if err != nil || !l.Done || len(l.Points) != 0 {
 		t.Fatalf("lease on finished campaign: %+v, %v", l, err)
 	}
-	if !bytes.Equal(rows, c2.RowsSnapshot()) {
+	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 		t.Error("resumed campaign's rows differ from the original run")
 	}
 }

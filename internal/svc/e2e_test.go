@@ -130,9 +130,11 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	}
 	warmRunner.Close()
 
+	var out bytes.Buffer // written under the coordinator's lock; read after Done
 	c, err := NewCoordinator(CoordinatorConfig{
 		Grid:     g,
 		Cache:    cache,
+		Out:      &out,
 		LeaseTTL: 600 * time.Millisecond,
 		MaxBatch: 6,
 		Logf:     t.Logf,
@@ -249,8 +251,8 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	}
 
 	// The tentpole claim: bytes identical to the single-machine run.
-	if got := c.RowsSnapshot(); !bytes.Equal(got, ref.Bytes()) {
-		t.Errorf("chaos campaign rows differ from single-machine run (%d vs %d bytes)", len(got), ref.Len())
+	if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+		t.Errorf("chaos campaign rows differ from single-machine run (%d vs %d bytes)", out.Len(), ref.Len())
 	}
 
 	st := c.Stats()

@@ -17,9 +17,10 @@ import (
 //	POST /v1/lease      LeaseRequest      -> LeaseResponse
 //	POST /v1/heartbeat  HeartbeatRequest  -> HeartbeatResponse
 //	POST /v1/complete   CompleteRequest   -> CompleteResponse
-//	GET  /v1/rows                         -> canonical JSONL prefix
 //	GET  /v1/status                       -> StatusResponse
 //	GET  /metrics                         -> Prometheus text format
+//
+// The merged rows are not served: they go to CoordinatorConfig.Out.
 //
 // Errors travel as an errorResponse envelope with a machine-readable
 // code. One table, wireErrors, fixes each code's sentinel, HTTP status
