@@ -29,13 +29,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/sweep"
 	"repro/wlan"
 )
 
@@ -343,60 +343,30 @@ func runSweep(ctx context.Context, lab *wlan.Lab, path, outPath, shardSpec, cach
 	if cacheDir != "" {
 		opts = append(opts, wlan.WithSweepCache(cacheDir))
 	}
-	out := os.Stdout
-	statsOut := os.Stdout
-	var tmp *os.File
-	if outPath != "" {
-		// A stale sidecar from an earlier run must not survive next to
-		// rows it does not describe: drop it before simulating, so even
-		// an interrupted run leaves no misleading provenance.
-		if err := os.Remove(wlan.SweepMetaPath(outPath)); err != nil && !os.IsNotExist(err) {
-			fatalf("%v", err)
-		}
-		// Stream rows into a temp file beside the target and rename it
-		// into place only once the sweep completes: a failed or killed
-		// run can never leave a truncated JSONL at outPath.
-		tmp, err = os.CreateTemp(filepath.Dir(outPath), filepath.Base(outPath)+".tmp-*")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := tmp.Chmod(0o644); err != nil {
-			fatalf("%v", err)
-		}
-		out = tmp
-	} else {
-		statsOut = os.Stderr
-	}
 	name := g.Name
 	if name == "" {
 		name = path
 	}
 	start := time.Now()
-	st, err := lab.SweepStream(ctx, g, out, opts...)
+	var st wlan.SweepStats
+	rows := func(w io.Writer) (*sweep.Meta, error) {
+		var err error
+		if st, err = lab.SweepStream(ctx, g, w, opts...); err != nil {
+			return nil, fmt.Errorf("sweep %s: %w", name, err)
+		}
+		// Stamp the run in a sidecar meta file, next to — never inside —
+		// the JSONL rows, which must stay byte-identical across runs.
+		return wlan.NewSweepMeta(g, sh, st, start, time.Since(start)), nil
+	}
+	statsOut := os.Stdout
+	if outPath == "" {
+		statsOut = os.Stderr
+		_, err = rows(os.Stdout)
+	} else {
+		err = sweep.WriteOutput(outPath, rows)
+	}
 	if err != nil {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-		fatalf("sweep %s: %v", name, err)
-	}
-	if tmp != nil {
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			fatalf("%v", err)
-		}
-		if err := os.Rename(tmp.Name(), outPath); err != nil {
-			os.Remove(tmp.Name())
-			fatalf("%v", err)
-		}
-	}
-	// Stamp the run in a sidecar meta file, next to — never inside —
-	// the JSONL rows, which must stay byte-identical across runs.
-	if outPath != "" {
-		meta := wlan.NewSweepMeta(g, sh, st, start, time.Since(start))
-		if err := meta.WriteFile(wlan.SweepMetaPath(outPath)); err != nil {
-			fatalf("%v", err)
-		}
+		fatalf("%v", err)
 	}
 	fmt.Fprintf(statsOut, "sweep %s: %s in %v\n", name, st, time.Since(start).Round(time.Millisecond))
 }
@@ -422,16 +392,15 @@ func runMerge(outPath string, shardPaths []string) {
 		readers = append(readers, f)
 		inputs = append(inputs, f)
 	}
-	out, err := os.Create(outPath)
+	// Shards are validated as they merge, so a failed merge must not
+	// touch an earlier good file at outPath.
+	var n int
+	err := sweep.WriteOutput(outPath, func(w io.Writer) (*sweep.Meta, error) {
+		var err error
+		n, err = wlan.MergeSweeps(w, inputs...)
+		return nil, err
+	})
 	if err != nil {
-		fatalf("%v", err)
-	}
-	n, err := wlan.MergeSweeps(out, inputs...)
-	if err != nil {
-		out.Close()
-		fatalf("%v", err)
-	}
-	if err := out.Close(); err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Printf("merged %d points from %d shard(s) -> %s\n", n, len(shardPaths), outPath)

@@ -7,15 +7,15 @@
 // changes an output byte (see internal/svc for the fault model).
 //
 // The first SIGINT/SIGTERM drains the coordinator gracefully: no new
-// leases, in-flight leases complete or expire, the queue snapshot is
-// persisted. A second signal exits immediately. Either way the campaign
+// leases, in-flight leases complete or expire. A second signal exits
+// immediately. Either way the campaign
 // resumes later from the cache alone: restart with the same -manifest
 // and -cache and committed points are never re-simulated.
 //
 // Examples:
 //
 //	wlansvc -coordinator -manifest examples/sweeps/svc-chaos.json -cache /shared/cache -out merged.jsonl -run-once
-//	wlansvc -coordinator -manifest grid.json -cache /shared/cache -listen :8630 -lease-ttl 30s -state drained.json
+//	wlansvc -coordinator -manifest grid.json -cache /shared/cache -listen :8630 -lease-ttl 30s
 //	wlansvc -worker -join http://127.0.0.1:8630 -parallel 4 -batch 8
 //	wlansvc -worker -join http://coordinator:8630 -worker-id rack3-7
 package main
@@ -30,12 +30,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/svc"
 	"repro/internal/sweep"
 	"repro/wlan"
@@ -54,7 +52,6 @@ func main() {
 	flag.DurationVar(&cf.leaseTTL, "lease-ttl", 15*time.Second, "with -coordinator: how long a lease survives without a heartbeat before its points are reissued")
 	flag.IntVar(&cf.maxBatch, "max-batch", 8, "with -coordinator: maximum points per lease")
 	flag.IntVar(&cf.maxReissues, "max-reissues", 50, "with -coordinator: per-point reissue budget before the campaign is declared failed")
-	flag.StringVar(&cf.state, "state", "", "with -coordinator: write the drained queue snapshot to this file on graceful shutdown (post-mortem record; resume needs only the cache)")
 	flag.BoolVar(&cf.runOnce, "run-once", false, "with -coordinator: exit when the campaign completes instead of keeping the control plane up")
 	var (
 		join     = flag.String("join", "", "with -worker: coordinator base URL to lease points from (required)")
@@ -88,7 +85,7 @@ func validateFlagModes(coordMode, workerMode bool) {
 		usageExit("one of -coordinator or -worker is required")
 	}
 	workerFlags := []string{"join", "worker-id", "parallel", "batch"}
-	coordOnly := []string{"manifest", "listen", "cache", "out", "lease-ttl", "max-batch", "max-reissues", "state", "run-once"}
+	coordOnly := []string{"manifest", "listen", "cache", "out", "lease-ttl", "max-batch", "max-reissues", "run-once"}
 	if coordMode {
 		if !set["manifest"] {
 			usageExit("-coordinator requires -manifest")
@@ -124,10 +121,10 @@ func usageExit(msg string) {
 }
 
 type coordFlags struct {
-	manifest, listen, cache, out, state string
-	leaseTTL                            time.Duration
-	maxBatch, maxReissues               int
-	runOnce                             bool
+	manifest, listen, cache, out string
+	leaseTTL                     time.Duration
+	maxBatch, maxReissues        int
+	runOnce                      bool
 }
 
 // runCoordinator owns the campaign end to end: manifest in, control
@@ -158,118 +155,88 @@ func runCoordinator(cf coordFlags) {
 		fmt.Fprintln(os.Stderr, "wlansvc: warning: no -cache; a coordinator crash loses all campaign progress")
 	}
 
-	out := io.Writer(os.Stdout)
-	statsOut := io.Writer(os.Stdout)
-	var tmp *os.File
-	if cf.out != "" {
-		// A stale sidecar from an earlier run must not survive next to
-		// rows it does not describe; and rows stream into a temp file
-		// renamed into place only on completion, so a drained or killed
-		// coordinator never leaves a truncated JSONL at -out.
-		if err := os.Remove(wlan.SweepMetaPath(cf.out)); err != nil && !os.IsNotExist(err) {
-			fatalf("%v", err)
-		}
-		tmp, err = os.CreateTemp(filepath.Dir(cf.out), filepath.Base(cf.out)+".tmp-*")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := tmp.Chmod(0o644); err != nil {
-			fatalf("%v", err)
-		}
-		out = tmp
-	} else {
-		statsOut = os.Stderr
-	}
-	discardTmp := func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}
-
-	c, err := svc.NewCoordinator(svc.CoordinatorConfig{
-		Grid:        g,
-		Cache:       cache,
-		LeaseTTL:    cf.leaseTTL,
-		MaxBatch:    cf.maxBatch,
-		MaxReissues: cf.maxReissues,
-		Out:         out,
-		StatePath:   cf.state,
-		Logf:        logf,
-	})
-	if err != nil {
-		discardTmp()
-		fatalf("%v", err)
-	}
-
-	reg := metrics.NewRegistry()
-	c.RegisterMetrics(reg)
-	mux := http.NewServeMux()
-	mux.Handle("/", c.Handler())
-	mux.Handle("GET /metrics", reg.Handler())
-	ln, err := net.Listen("tcp", cf.listen)
-	if err != nil {
-		discardTmp()
-		fatalf("%v", err)
-	}
-	go func() {
-		if err := http.Serve(ln, mux); err != nil && !errors.Is(err, net.ErrClosed) {
-			fmt.Fprintf(os.Stderr, "wlansvc: control plane: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "wlansvc: coordinator serving campaign %s (%d points) on http://%s\n",
-		name, c.Stats().Total, ln.Addr())
-
 	// First signal drains: no new leases, in-flight leases finish or
-	// expire, queue snapshot persisted, then the run loop is released.
-	// A second signal abandons the drain and exits immediately.
+	// expire, then the run loop is released. A second signal abandons
+	// the drain and exits immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "wlansvc: signal received, draining (signal again to exit immediately)")
+	var (
+		c    *svc.Coordinator
+		wall time.Duration
+	)
+	campaign := func(out io.Writer) (*sweep.Meta, error) {
+		var err error
+		c, err = svc.NewCoordinator(svc.CoordinatorConfig{
+			Grid:        g,
+			Cache:       cache,
+			LeaseTTL:    cf.leaseTTL,
+			MaxBatch:    cf.maxBatch,
+			MaxReissues: cf.maxReissues,
+			Out:         out,
+			Logf:        logf,
+		})
+		if err != nil {
+			return nil, err
+		}
+		ln, err := net.Listen("tcp", cf.listen)
+		if err != nil {
+			return nil, err
+		}
 		go func() {
-			dctx, dcancel := context.WithTimeout(context.Background(), 2*cf.leaseTTL+time.Second)
-			defer dcancel()
-			if err := c.Drain(dctx); err != nil {
-				fmt.Fprintf(os.Stderr, "wlansvc: drain: %v\n", err)
+			if err := http.Serve(ln, c.Handler()); err != nil && !errors.Is(err, net.ErrClosed) {
+				fmt.Fprintf(os.Stderr, "wlansvc: control plane: %v\n", err)
 			}
-			cancel()
 		}()
-		<-sig
-		fatalf("second signal, exiting without drain")
-	}()
+		fmt.Fprintf(os.Stderr, "wlansvc: coordinator serving campaign %s (%d points) on http://%s\n",
+			name, c.Stats().Total, ln.Addr())
 
-	start := time.Now()
-	runErr := c.Run(ctx)
-	wall := time.Since(start)
-	st := c.Stats()
+		sig := make(chan os.Signal, 2)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		go func() {
+			<-sig
+			fmt.Fprintln(os.Stderr, "wlansvc: signal received, draining (signal again to exit immediately)")
+			go func() {
+				dctx, dcancel := context.WithTimeout(context.Background(), 2*cf.leaseTTL+time.Second)
+				defer dcancel()
+				if err := c.Drain(dctx); err != nil {
+					fmt.Fprintf(os.Stderr, "wlansvc: drain: %v\n", err)
+				}
+				cancel()
+			}()
+			<-sig
+			fatalf("second signal, exiting without drain")
+		}()
+
+		start := time.Now()
+		err = c.Run(ctx)
+		wall = time.Since(start)
+		switch {
+		case errors.Is(err, context.Canceled):
+			return nil, err
+		case err != nil:
+			return nil, fmt.Errorf("campaign %s: %w (%s)", name, err, c.Stats())
+		}
+		return sweep.NewMeta(g, sweep.Shard{}, c.Stats().SweepStats(), start, wall), nil
+	}
+
+	// Rows stream to -out through a temp file renamed into place only
+	// when the campaign finishes, so a drained or killed coordinator
+	// never leaves a truncated JSONL there.
+	statsOut := os.Stdout
+	if cf.out == "" {
+		statsOut = os.Stderr
+		_, err = campaign(os.Stdout)
+	} else {
+		err = sweep.WriteOutput(cf.out, campaign)
+	}
 	switch {
-	case errors.Is(runErr, context.Canceled):
-		discardTmp()
-		fmt.Fprintf(statsOut, "campaign %s drained: %s in %v\n", name, st, wall.Round(time.Millisecond))
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(statsOut, "campaign %s drained: %s in %v\n", name, c.Stats(), wall.Round(time.Millisecond))
 		return
-	case runErr != nil:
-		discardTmp()
-		fatalf("campaign %s: %v (%s)", name, runErr, st)
+	case err != nil:
+		fatalf("%v", err)
 	}
-	if tmp != nil {
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			fatalf("%v", err)
-		}
-		if err := os.Rename(tmp.Name(), cf.out); err != nil {
-			os.Remove(tmp.Name())
-			fatalf("%v", err)
-		}
-		meta := wlan.NewSweepMeta(g, wlan.Shard{}, st.SweepStats(), start, wall)
-		if err := meta.WriteFile(wlan.SweepMetaPath(cf.out)); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	fmt.Fprintf(statsOut, "campaign %s: %s in %v\n", name, st, wall.Round(time.Millisecond))
+	fmt.Fprintf(statsOut, "campaign %s: %s in %v\n", name, c.Stats(), wall.Round(time.Millisecond))
 	if !cf.runOnce {
 		fmt.Fprintln(os.Stderr, "wlansvc: campaign done; control plane stays up for /v1/status and /metrics (signal to exit)")
 		<-ctx.Done()

@@ -140,12 +140,3 @@ type StationStats struct {
 	// head-of-line instant) to ACK completion, 0 with no deliveries.
 	MeanLatency sim.Duration
 }
-
-// attemptProbability reports the policy's current attempt probability if
-// it exposes one, else 0.
-func (s *station) attemptProbability() float64 {
-	if r, ok := s.policy.(mac.AttemptReporter); ok {
-		return r.AttemptProbability()
-	}
-	return 0
-}

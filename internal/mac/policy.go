@@ -1,7 +1,7 @@
 // Package mac implements the contention-resolution policies of Section II
 // as pure, simulator-independent state machines: the standard 802.11
 // exponential backoff (DCF), p-persistent CSMA, the paper's RandomReset
-// backoff, IdleSense's AIMD, and a fixed-window reference policy.
+// backoff and IdleSense's AIMD.
 //
 // A policy answers exactly one question — how many idle slots to wait
 // before the next transmission attempt — and is notified of the outcome of
@@ -290,35 +290,3 @@ func (r *RandomReset) Name() string { return "RandomReset" }
 // AttemptProbability implements AttemptReporter with the stage-wise
 // 2/CW approximation used by the paper's analysis (κ_i).
 func (r *RandomReset) AttemptProbability() float64 { return 2 / float64(r.CW()) }
-
-// FixedWindow always draws from the same contention window regardless of
-// outcomes — a reference policy for calibration tests and ablations.
-type FixedWindow struct {
-	Window int
-}
-
-// NewFixedWindow returns the policy with the given constant window.
-func NewFixedWindow(cw int) *FixedWindow {
-	if cw < 1 {
-		panic(fmt.Sprintf("mac: invalid fixed window %d", cw))
-	}
-	return &FixedWindow{Window: cw}
-}
-
-// NextBackoff implements Policy.
-func (f *FixedWindow) NextBackoff(rng *sim.RNG) int { return rng.UniformWindow(f.Window) }
-
-// OnSuccess implements Policy.
-func (f *FixedWindow) OnSuccess(*sim.RNG) {}
-
-// OnFailure implements Policy.
-func (f *FixedWindow) OnFailure(*sim.RNG) {}
-
-// OnControl implements Policy.
-func (f *FixedWindow) OnControl(frame.Control) {}
-
-// Name implements Policy.
-func (f *FixedWindow) Name() string { return "fixed-window" }
-
-// AttemptProbability implements AttemptReporter.
-func (f *FixedWindow) AttemptProbability() float64 { return 2 / float64(f.Window+1) }

@@ -323,48 +323,15 @@ func TestIdleSensePanicsOnBadConfig(t *testing.T) {
 	NewIdleSense(IdleSenseConfig{Alpha: 1.5})
 }
 
-func TestFixedWindow(t *testing.T) {
-	rng := sim.NewRNG(9)
-	f := NewFixedWindow(32)
-	for i := 0; i < 100; i++ {
-		b := f.NextBackoff(rng)
-		if b < 0 || b >= 32 {
-			t.Fatalf("backoff %d outside window", b)
-		}
-	}
-	f.OnSuccess(rng)
-	f.OnFailure(rng)
-	f.OnControl(frame.Control{})
-	if f.Window != 32 {
-		t.Error("fixed window changed")
-	}
-	if f.Name() != "fixed-window" {
-		t.Error("name wrong")
-	}
-	if got := f.AttemptProbability(); math.Abs(got-2.0/33) > 1e-12 {
-		t.Errorf("AttemptProbability = %v", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("window 0 accepted")
-			}
-		}()
-		NewFixedWindow(0)
-	}()
-}
-
 // Interface conformance checks.
 var (
 	_ Policy          = (*StandardDCF)(nil)
 	_ Policy          = (*PPersistent)(nil)
 	_ Policy          = (*RandomReset)(nil)
 	_ Policy          = (*IdleSense)(nil)
-	_ Policy          = (*FixedWindow)(nil)
 	_ AttemptReporter = (*StandardDCF)(nil)
 	_ AttemptReporter = (*PPersistent)(nil)
 	_ AttemptReporter = (*RandomReset)(nil)
 	_ AttemptReporter = (*IdleSense)(nil)
-	_ AttemptReporter = (*FixedWindow)(nil)
 	_ MediumObserver  = (*IdleSense)(nil)
 )

@@ -45,9 +45,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds n (negative n subtracts).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

@@ -19,10 +19,11 @@ func TestCounterGaugeOps(t *testing.T) {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 	g.Set(7)
-	g.Add(5)
+	g.Inc()
 	g.Dec()
-	if got := g.Value(); got != 11 {
-		t.Fatalf("gauge = %d, want 11", got)
+	g.Dec()
+	if got := g.Value(); got != 6 {
+		t.Fatalf("gauge = %d, want 6", got)
 	}
 }
 
@@ -122,7 +123,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				g.Dec()
 			}
 		}()

@@ -216,9 +216,6 @@ func (g *RNG) UniformWindow(cw int) int {
 	return rand.New(&g.src).IntN(cw)
 }
 
-// Shuffle pseudo-randomly permutes n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { rand.New(&g.src).Shuffle(n, swap) }
-
 // NormFloat64 returns a standard normal draw (used by tests to synthesise
 // noisy throughput observations).
 func (g *RNG) NormFloat64() float64 { return rand.New(&g.src).NormFloat64() }

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates a running mean and variance using Welford's
@@ -49,22 +48,6 @@ func (w *Welford) StdErr() float64 {
 		return 0
 	}
 	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// Merge folds another accumulator into w (Chan et al. parallel update).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
 }
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) for the given
@@ -112,39 +95,4 @@ func WeightedJainIndex(xs, weights []float64) (float64, error) {
 		norm[i] = xs[i] / weights[i]
 	}
 	return JainIndex(norm), nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Mean returns the arithmetic mean of xs, NaN when empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

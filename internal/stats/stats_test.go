@@ -31,44 +31,6 @@ func TestWelfordBasics(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	prop := func(a, b []float64) bool {
-		var all, left, right Welford
-		for _, x := range a {
-			clean := math.Mod(x, 1e6)
-			if math.IsNaN(clean) {
-				clean = 0
-			}
-			all.Add(clean)
-			left.Add(clean)
-		}
-		for _, x := range b {
-			clean := math.Mod(x, 1e6)
-			if math.IsNaN(clean) {
-				clean = 0
-			}
-			all.Add(clean)
-			right.Add(clean)
-		}
-		left.Merge(&right)
-		if left.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		if math.Abs(left.Mean()-all.Mean()) > 1e-6*scale {
-			return false
-		}
-		vscale := math.Max(1, all.Variance())
-		return math.Abs(left.Variance()-all.Variance()) < 1e-6*vscale
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJainIndex(t *testing.T) {
 	if got := JainIndex([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
 		t.Errorf("equal allocations: %v, want 1", got)
@@ -122,38 +84,6 @@ func TestWeightedJainIndex(t *testing.T) {
 	}
 	if _, err := WeightedJainIndex([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero weight accepted")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q=0: %v", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q=1: %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("median: %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q1: %v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile not NaN")
-	}
-	// Input must not be mutated (sorted copy).
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("empty mean not NaN")
 	}
 }
 

@@ -100,8 +100,8 @@ func (c *Client) Lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, 
 	return resp, nil
 }
 
-// Heartbeat renews a lease. ErrLeaseExpired or ErrUnknownLease means the
-// coordinator no longer counts on this worker for the lease's points.
+// Heartbeat renews a lease. ErrLeaseExpired means the coordinator no
+// longer counts on this worker for the lease's points.
 func (c *Client) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
 	resp := &HeartbeatResponse{}
 	if err := c.call(ctx, "/v1/heartbeat", req, resp); err != nil {

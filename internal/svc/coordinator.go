@@ -31,8 +31,8 @@
 //     re-simulated, uncommitted ones are simply leased again.
 //
 // The coordinator keeps every campaign counter in one record,
-// CampaignStats: Stats returns it, /v1/status embeds it, and the
-// /metrics series RegisterMetrics adds read it at scrape time. A worker
+// CampaignStats: Stats returns it, and /v1/status and /metrics render
+// it from one snapshot taken under the coordinator's lock. A worker
 // keeps no state beyond its lease; cancelling its context is how it is
 // stopped, in production and in the chaos tests alike.
 //
@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -83,11 +82,6 @@ type CoordinatorConfig struct {
 	// keeps no copy: a row Out refuses is retried whole at the next
 	// advance, and without Out the rows are discarded.
 	Out io.Writer
-	// StatePath, when non-empty, is where Drain persists the queue
-	// snapshot for post-mortem inspection. Resume correctness never
-	// depends on it — the cache is the durable truth — but the stamp
-	// records what a drained coordinator still owed.
-	StatePath string
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Now overrides the clock in tests (default time.Now).
@@ -116,8 +110,7 @@ type Coordinator struct {
 }
 
 // CampaignStats is the campaign's one record of progress counters:
-// Stats returns it, /v1/status embeds it, and the /metrics series that
-// RegisterMetrics adds read it at scrape time.
+// Stats returns it, and /v1/status and /metrics render it.
 type CampaignStats struct {
 	// Total is the expanded grid size.
 	Total int `json:"total"`
@@ -326,10 +319,10 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	}
 }
 
-// Drain performs a graceful shutdown: refuse new leases, keep serving
-// heartbeats and completions until every in-flight lease completes or
-// expires (bounded by ctx), then persist the queue snapshot. The
-// campaign can resume later from the cache alone.
+// Drain performs a graceful shutdown: refuse new leases, and keep
+// serving heartbeats and completions until every in-flight lease
+// completes or expires (bounded by ctx). The campaign can resume later
+// from the cache alone.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.draining = true
@@ -341,7 +334,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		active := c.leases.activeCount()
 		c.mu.Unlock()
 		if active == 0 {
-			break
+			return nil
 		}
 		select {
 		case <-ctx.Done():
@@ -349,40 +342,6 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	return c.persistState()
-}
-
-// campaignState is the drained-queue snapshot. It is a post-mortem
-// record, not a recovery input: resume replays the cache, which is the
-// only durable truth.
-type campaignState struct {
-	Fingerprint string        `json:"fingerprint"`
-	Stats       CampaignStats `json:"stats"`
-	Pending     []int         `json:"pending"`
-	DrainedAt   string        `json:"drained_at"`
-}
-
-func (c *Coordinator) persistState() error {
-	if c.cfg.StatePath == "" {
-		return nil
-	}
-	c.mu.Lock()
-	st := campaignState{
-		Fingerprint: c.fingerprint,
-		Stats:       c.stats,
-		Pending:     append([]int(nil), c.pending...),
-		DrainedAt:   c.cfg.Now().UTC().Format(time.RFC3339),
-	}
-	c.mu.Unlock()
-	data, err := json.MarshalIndent(&st, "", "  ")
-	if err != nil {
-		return fmt.Errorf("svc: marshal state: %w", err)
-	}
-	if err := os.WriteFile(c.cfg.StatePath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("svc: persist state: %w", err)
-	}
-	c.logf("wlansvc: queue state persisted to %s (%d pending)", c.cfg.StatePath, len(st.Pending))
-	return nil
 }
 
 // lease grants a batch of pending points.
@@ -440,7 +399,7 @@ func (c *Coordinator) heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, erro
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	if _, err := c.leases.heartbeat(req.LeaseID, now); err != nil {
+	if err := c.leases.heartbeat(req.LeaseID, now); err != nil {
 		return nil, err
 	}
 	return &HeartbeatResponse{TTLMS: c.cfg.LeaseTTL.Milliseconds()}, nil
@@ -505,9 +464,9 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 		c.stats.Completed++
 		resp.Accepted++
 	}
-	// Transition the lease; any of its points the request did not cover
+	// End the lease; any of its points the request did not cover
 	// go back to the queue rather than dangling until TTL expiry.
-	if l, wasActive := c.leases.complete(req.LeaseID); wasActive {
+	if l := c.leases.complete(req.LeaseID); l != nil {
 		for _, idx := range l.points {
 			if !c.ledger.Done(idx) && c.leasedBy[idx] == l.id {
 				c.leasedBy[idx] = ""
@@ -525,8 +484,10 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 	return resp, nil
 }
 
-// status snapshots the campaign for /v1/status.
-func (c *Coordinator) status() *StatusResponse {
+// status snapshots the campaign under one lock: the /v1/status body,
+// and the count of distinct workers holding a live lease, which
+// /metrics adds to it.
+func (c *Coordinator) status() (*StatusResponse, int) {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -540,56 +501,36 @@ func (c *Coordinator) status() *StatusResponse {
 		Draining:      c.draining,
 		Done:          c.stats.Satisfied() == c.stats.Total,
 		Failed:        c.failure != nil,
-	}
+	}, c.leases.activeWorkers()
 }
 
-// RegisterMetrics adds the campaign's /metrics series to reg. Each
-// reads the campaign record or the lease table under the coordinator's
-// lock when the registry renders. Each series takes the lock on its
-// own, so one scrape is not one view: a scrape racing completions can
-// show rows emitted above completed + cached. Stats and /v1/status read
-// the whole record under one lock and are the consistent snapshot.
-// Register a coordinator once per registry.
-func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
-	locked := func(read func() int) func() int {
-		return func() int {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return read()
-		}
+// writeMetrics renders one status snapshot as the Prometheus text
+// exposition, so every series of a scrape comes from the same view.
+// The gauges go through GaugeFunc, which formats them as floats, as
+// the exposition always has.
+func writeMetrics(w http.ResponseWriter, r *http.Request, st *StatusResponse, workers int) {
+	reg := metrics.NewRegistry()
+	gauge := func(name, help string, v int) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(v) })
 	}
-	gauge := func(name, help string, read func() int) {
-		read = locked(read)
-		reg.GaugeFunc(name, help, func() float64 { return float64(read()) })
+	counter := func(name, help string, v int) {
+		reg.CounterFunc(name, help, func() uint64 { return uint64(v) })
 	}
-	counter := func(name, help string, read func() int) {
-		read = locked(read)
-		reg.CounterFunc(name, help, func() uint64 { return uint64(read()) })
-	}
-	st := &c.stats
-	gauge("wlansvc_leases_active", "Point leases currently held by workers.", c.leases.activeCount)
-	gauge("wlansvc_workers_active", "Distinct workers holding at least one active lease.", c.leases.activeWorkers)
-	gauge("wlansvc_points_pending", "Campaign points queued, not yet leased or satisfied.",
-		func() int { return len(c.pending) })
-	counter("wlansvc_leases_granted_total", "Point leases granted to workers.",
-		func() int { return st.LeasesGranted })
-	counter("wlansvc_leases_expired_total", "Leases that expired before their worker completed them.",
-		func() int { return st.LeasesExpired })
-	counter("wlansvc_points_reissued_total", "Points reclaimed from expired leases and requeued.",
-		func() int { return st.Reissued })
-	counter("wlansvc_points_completed_total", "Points newly satisfied by worker completions.",
-		func() int { return st.Completed })
-	counter("wlansvc_points_cached_total", "Points satisfied from the content-addressed cache at startup.",
-		func() int { return st.Cached })
-	counter("wlansvc_duplicate_completions_total", "Late or repeated point completions absorbed idempotently.",
-		func() int { return st.Duplicates })
-	counter("wlansvc_rows_emitted_total", "Canonical result rows released to the output stream.",
-		func() int { return st.RowsEmitted })
+	gauge("wlansvc_leases_active", "Point leases currently held by workers.", st.Leased)
+	gauge("wlansvc_workers_active", "Distinct workers holding at least one active lease.", workers)
+	gauge("wlansvc_points_pending", "Campaign points queued, not yet leased or satisfied.", st.Pending)
+	counter("wlansvc_leases_granted_total", "Point leases granted to workers.", st.LeasesGranted)
+	counter("wlansvc_leases_expired_total", "Leases that expired before their worker completed them.", st.LeasesExpired)
+	counter("wlansvc_points_reissued_total", "Points reclaimed from expired leases and requeued.", st.Reissued)
+	counter("wlansvc_points_completed_total", "Points newly satisfied by worker completions.", st.Completed)
+	counter("wlansvc_points_cached_total", "Points satisfied from the content-addressed cache at startup.", st.Cached)
+	counter("wlansvc_duplicate_completions_total", "Late or repeated point completions absorbed idempotently.", st.Duplicates)
+	counter("wlansvc_rows_emitted_total", "Canonical result rows released to the output stream.", st.RowsEmitted)
+	reg.Handler().ServeHTTP(w, r)
 }
 
-// Handler returns the coordinator's HTTP control plane mux (the /v1/*
-// endpoints). Mount a metrics registry's Handler beside it for a
-// /metrics endpoint, after RegisterMetrics — see cmd/wlansvc.
+// Handler returns the coordinator's HTTP surface: the /v1 control
+// plane and GET /metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -617,7 +558,12 @@ func (c *Coordinator) Handler() http.Handler {
 		writeResult(w, resp, err)
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeResult(w, c.status(), nil)
+		st, _ := c.status()
+		writeResult(w, st, nil)
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		st, workers := c.status()
+		writeMetrics(w, r, st, workers)
 	})
 	return mux
 }

@@ -9,15 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
@@ -54,23 +51,6 @@ func testGrid(name string, nodes ...int) *sweep.Grid {
 		},
 		Axes: []sweep.Axis{{Field: sweep.FieldNodes, Values: sweep.Ints(nodes...)}},
 	}
-}
-
-// newMeteredCoordinator builds a coordinator and the mux cmd/wlansvc
-// serves for it: the /v1 control plane beside the metrics registry's
-// /metrics.
-func newMeteredCoordinator(t *testing.T, cfg CoordinatorConfig) (*Coordinator, http.Handler) {
-	t.Helper()
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	c.RegisterMetrics(reg)
-	mux := http.NewServeMux()
-	mux.Handle("/", c.Handler())
-	mux.Handle("GET /metrics", reg.Handler())
-	return c, mux
 }
 
 // simulateLease runs a leased batch exactly like a worker would and
@@ -286,11 +266,12 @@ func TestHandlersConcurrentLeases(t *testing.T) {
 
 // TestMetricsScrapeDuringLeases scrapes /metrics and /v1/status while
 // several clients lease and complete through the HTTP handlers. Run
-// under -race it catches a series or a status read that touches the
-// campaign record without holding c.mu. Each series reads under the
-// lock on its own, so a scrape is not one atomic view; but no counter
-// may fall between scrapes or pass the campaign size, and once the
-// campaign is done /metrics and /v1/status must both equal Stats().
+// under -race it catches a scrape or a status read that touches the
+// campaign record without holding c.mu. Every scrape is one view of the
+// campaign: no counter may fall between scrapes or pass the campaign
+// size, no row may be emitted before its point is satisfied, and no
+// worker may be active without a lease; once the campaign is done
+// /metrics and /v1/status must both equal Stats().
 func TestMetricsScrapeDuringLeases(t *testing.T) {
 	const workers = 3
 	g := testGrid("svc-scrape", 2, 3, 4, 5, 6, 7, 8, 9)
@@ -311,8 +292,11 @@ func TestMetricsScrapeDuringLeases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, h := newMeteredCoordinator(t, CoordinatorConfig{Grid: g, MaxBatch: 2, Now: newFakeClock().Now})
-	srv := httptest.NewServer(h)
+	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 2, Now: newFakeClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
 	ctx := context.Background()
@@ -364,9 +348,13 @@ func TestMetricsScrapeDuringLeases(t *testing.T) {
 					return
 				}
 			}
-			if m["wlansvc_points_completed_total"]+m["wlansvc_points_cached_total"] > uint64(len(pts)) ||
-				m["wlansvc_rows_emitted_total"] > uint64(len(pts)) {
+			satisfied := m["wlansvc_points_completed_total"] + m["wlansvc_points_cached_total"]
+			if satisfied > uint64(len(pts)) {
 				errs <- fmt.Errorf("scrape counts more points than the campaign has: %v", m)
+				return
+			}
+			if m["wlansvc_rows_emitted_total"] > satisfied || m["wlansvc_workers_active"] > m["wlansvc_leases_active"] {
+				errs <- fmt.Errorf("scrape is not one view of the campaign: %v", m)
 				return
 			}
 			last = m
@@ -546,12 +534,12 @@ func TestCoordinatorReissueBudgetFailsCampaign(t *testing.T) {
 
 // TestCoordinatorDrainRefusesLeasesAndPersistsState covers graceful
 // shutdown: draining refuses new leases with the typed sentinel, honors
-// in-flight completions, and persists the queue snapshot.
+// in-flight completions, and leaves the queue it still owes in the
+// campaign state /v1/status reports.
 func TestCoordinatorDrainRefusesLeasesAndPersistsState(t *testing.T) {
 	clock := newFakeClock()
-	statePath := filepath.Join(t.TempDir(), "state.json")
 	g := testGrid("svc-drain", 2, 3, 4)
-	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 1, LeaseTTL: time.Second, Now: clock.Now, StatePath: statePath})
+	c, err := NewCoordinator(CoordinatorConfig{Grid: g, MaxBatch: 1, LeaseTTL: time.Second, Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +558,7 @@ func TestCoordinatorDrainRefusesLeasesAndPersistsState(t *testing.T) {
 	// check that new leases are refused while the in-flight one can
 	// still complete.
 	deadline := time.Now().Add(5 * time.Second)
-	for !c.status().Draining {
+	for st, _ := c.status(); !st.Draining; st, _ = c.status() {
 		if time.Now().After(deadline) {
 			t.Fatal("coordinator never started draining")
 		}
@@ -586,16 +574,9 @@ func TestCoordinatorDrainRefusesLeasesAndPersistsState(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	data, err := os.ReadFile(statePath)
-	if err != nil {
-		t.Fatalf("drain did not persist state: %v", err)
-	}
-	var st campaignState
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Fingerprint != sweep.GridFingerprint(g) || len(st.Pending) != 2 {
-		t.Errorf("persisted state: %+v", st)
+	st, _ := c.status()
+	if !st.Draining || st.Pending != 2 || st.Leased != 0 || st.Completed != 1 || st.Done {
+		t.Errorf("drained status: %+v, want draining with 2 pending, none leased, 1 completed", st)
 	}
 }
 
@@ -642,5 +623,51 @@ func TestCoordinatorResumesFromCacheWithoutResimulating(t *testing.T) {
 	}
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 		t.Error("resumed campaign's rows differ from the original run")
+	}
+}
+
+// TestLeaseIDsFreshAcrossRestart restarts a coordinator over the same
+// cache while a worker of the first run still holds a lease. That
+// worker's late completion names a lease the restarted coordinator
+// never granted: it must commit its point without ending the lease the
+// restarted coordinator granted to another worker, whose heartbeat
+// still renews and whose uncovered point stays leased.
+func TestLeaseIDsFreshAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	g := testGrid("svc-restart", 2, 3, 4)
+	start := func() *Coordinator {
+		cache, err := sweep.OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCoordinator(CoordinatorConfig{Grid: g, Cache: cache, MaxBatch: 2, Now: newFakeClock().Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	r := &scenario.Runner{}
+	defer r.Close()
+
+	stale, err := start().lease(&LeaseRequest{WorkerID: "outlived", MaxPoints: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := start()
+	held, err := c.lease(&LeaseRequest{WorkerID: "current"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held.Points) != 2 {
+		t.Fatalf("restarted coordinator granted %d point(s), want 2", len(held.Points))
+	}
+	if resp, err := c.complete(simulateLease(t, r, stale)); err != nil || resp.Accepted != 1 {
+		t.Fatalf("late completion from before the restart: %+v, %v", resp, err)
+	}
+	if _, err := c.heartbeat(&HeartbeatRequest{LeaseID: held.LeaseID}); err != nil {
+		t.Fatalf("heartbeat of the live lease after a stale completion: %v", err)
+	}
+	if st, _ := c.status(); st.Leased != 1 || st.Pending != 1 || st.Completed != 1 {
+		t.Errorf("status after the stale completion: %+v, want 1 leased, 1 pending, 1 completed", st)
 	}
 }

@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -142,7 +143,30 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	// Record every point a /v1/lease response grants, at the HTTP
+	// boundary, for the "committed points are never leased" oracle.
+	var leasedMu sync.Mutex
+	leased := map[int]string{} // point index -> a lease ID that granted it
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/lease" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var l LeaseResponse
+		if json.Unmarshal(rec.Body.Bytes(), &l) == nil {
+			leasedMu.Lock()
+			for _, lp := range l.Points {
+				leased[lp.Index] = l.LeaseID
+			}
+			leasedMu.Unlock()
+		}
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -266,20 +290,16 @@ func TestChaosCampaignMergesByteIdentical(t *testing.T) {
 		t.Errorf("RowsEmitted = %d, want %d", st.RowsEmitted, len(pts))
 	}
 	// Zero re-simulation of committed points: they were never leased.
-	// The lease table keeps every lease ever granted.
-	committed := map[int]bool{}
+	leasedMu.Lock()
 	for _, idx := range warm {
-		committed[idx] = true
-	}
-	c.mu.Lock()
-	for _, l := range c.leases.leases {
-		for _, idx := range l.points {
-			if committed[idx] {
-				t.Errorf("cache-committed point %d was leased to a worker in %s", idx, l.id)
-			}
+		if id, ok := leased[idx]; ok {
+			t.Errorf("cache-committed point %d was leased to a worker in %s", idx, id)
 		}
 	}
-	c.mu.Unlock()
+	if len(leased) != len(pts)-len(warm) {
+		t.Errorf("%d distinct points leased, want the %d uncommitted ones", len(leased), len(pts)-len(warm))
+	}
+	leasedMu.Unlock()
 	// The failure schedule really fired: both dead workers' leases
 	// expired and their points were reissued; the scripted lost
 	// completion forced at least one idempotent duplicate.

@@ -9,16 +9,14 @@ import "errors"
 // facade re-wraps ErrLeaseExpired and ErrCoordinatorUnavailable onto
 // its public sentinel surface.
 var (
-	// ErrLeaseExpired marks operations on a lease whose TTL lapsed (or
-	// that already completed): the coordinator has reclaimed the lease's
-	// points and may have reissued them. Completions are NOT subject to
-	// it — a late completion after reissue is accepted idempotently —
-	// only heartbeats and other lease-keyed operations are.
+	// ErrLeaseExpired marks operations on a lease that is not live: its
+	// TTL lapsed, it already completed, or this coordinator never
+	// granted it (a lease from before a restart). The coordinator no
+	// longer counts on the lease's holder, and any of its points may be
+	// reissued; the worker recovers by requesting a fresh lease.
+	// Completions are NOT subject to it — a late completion after
+	// reissue is accepted idempotently — only heartbeats are.
 	ErrLeaseExpired = errors.New("svc: lease expired")
-	// ErrUnknownLease marks operations naming a lease ID the
-	// coordinator never granted (or has forgotten after a restart —
-	// workers recover by requesting a fresh lease).
-	ErrUnknownLease = errors.New("svc: unknown lease")
 	// ErrDraining marks lease requests refused because the coordinator
 	// is shutting down gracefully: in-flight leases may still complete,
 	// but no new work leaves the queue.

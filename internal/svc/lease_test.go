@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestLeaseFSM walks the lease state machine through every legal (and
+// TestLeaseFSM walks the lease lifecycle through every legal (and
 // illegal) transition as a table: grant → heartbeat-renew → expire →
 // reissue under a fresh lease → late completion of the stale lease.
 // Time is a plain value threaded through each step, so the table runs
@@ -19,7 +19,7 @@ func TestLeaseFSM(t *testing.T) {
 
 	// Each step advances the clock by dt, applies op, and checks the
 	// outcome. lease selects the op's target by grant order (1-based);
-	// id overrides it for unknown-lease probes.
+	// id overrides it for never-granted probes.
 	type step struct {
 		name        string
 		dt          time.Duration
@@ -27,9 +27,8 @@ func TestLeaseFSM(t *testing.T) {
 		lease       int
 		id          string
 		wantErr     error
-		wantState   LeaseState
-		wantActive  bool // complete: reported wasActive
-		wantExpired int  // expire: leases transitioned this call
+		wantLive    bool // complete: the lease was live
+		wantExpired int  // expire: leases that lapsed this call
 	}
 	cases := []struct {
 		name  string
@@ -38,7 +37,7 @@ func TestLeaseFSM(t *testing.T) {
 		{
 			name: "granted lease expires one tick past its TTL, not at it",
 			steps: []step{
-				{name: "grant", op: "grant", lease: 1, wantState: LeaseActive},
+				{name: "grant", op: "grant", lease: 1},
 				{name: "at deadline", dt: ttl, op: "expire", wantExpired: 0},
 				{name: "past deadline", dt: time.Nanosecond, op: "expire", wantExpired: 1},
 				{name: "expired stays expired", op: "expire", wantExpired: 0},
@@ -47,8 +46,8 @@ func TestLeaseFSM(t *testing.T) {
 		{
 			name: "heartbeat renews the deadline",
 			steps: []step{
-				{name: "grant", op: "grant", lease: 1, wantState: LeaseActive},
-				{name: "renew before deadline", dt: ttl * 2 / 3, op: "heartbeat", lease: 1, wantState: LeaseActive},
+				{name: "grant", op: "grant", lease: 1},
+				{name: "renew before deadline", dt: ttl * 2 / 3, op: "heartbeat", lease: 1},
 				{name: "old deadline passes harmlessly", dt: ttl * 2 / 3, op: "expire", wantExpired: 0},
 				{name: "renewed deadline lapses", dt: ttl, op: "expire", wantExpired: 1},
 			},
@@ -58,23 +57,26 @@ func TestLeaseFSM(t *testing.T) {
 			steps: []step{
 				{name: "grant first", op: "grant", lease: 1},
 				{name: "grant second", op: "grant", lease: 2},
-				{name: "complete second", op: "complete", lease: 2, wantActive: true, wantState: LeaseCompleted},
+				{name: "complete second", op: "complete", lease: 2, wantLive: true},
 				{name: "first lapses", dt: ttl + time.Millisecond, op: "expire", wantExpired: 1},
 				{name: "heartbeat expired", op: "heartbeat", lease: 1, wantErr: ErrLeaseExpired},
 				{name: "heartbeat completed", op: "heartbeat", lease: 2, wantErr: ErrLeaseExpired},
 			},
 		},
 		{
-			name: "unknown lease IDs are distinguishable from expired ones",
+			name: "never-granted lease IDs reject heartbeats with ErrLeaseExpired",
 			steps: []step{
-				{name: "heartbeat nothing", op: "heartbeat", id: "lease-99", wantErr: ErrUnknownLease},
+				{name: "heartbeat nothing", op: "heartbeat", id: "lease-99", wantErr: ErrLeaseExpired},
+				{name: "grant", op: "grant", lease: 1},
+				{name: "heartbeat another table's first lease", op: "heartbeat", id: newLeaseTable(ttl).grant("w1", nil, base).id, wantErr: ErrLeaseExpired},
+				{name: "complete nothing", op: "complete", id: "lease-99", wantLive: false},
 			},
 		},
 		{
 			name: "completion in time beats the deadline",
 			steps: []step{
 				{name: "grant", op: "grant", lease: 1},
-				{name: "complete", dt: ttl / 2, op: "complete", lease: 1, wantActive: true, wantState: LeaseCompleted},
+				{name: "complete", dt: ttl / 2, op: "complete", lease: 1, wantLive: true},
 				{name: "deadline passes, nothing to expire", dt: ttl, op: "expire", wantExpired: 0},
 			},
 		},
@@ -83,11 +85,11 @@ func TestLeaseFSM(t *testing.T) {
 			steps: []step{
 				{name: "grant original", op: "grant", lease: 1},
 				{name: "original lapses", dt: ttl + time.Millisecond, op: "expire", wantExpired: 1},
-				{name: "reissue as new lease", op: "grant", lease: 2, wantState: LeaseActive},
-				{name: "late complete of original", op: "complete", lease: 1, wantActive: false, wantState: LeaseExpired},
-				{name: "late complete again (retransmit)", op: "complete", lease: 1, wantActive: false, wantState: LeaseExpired},
-				{name: "new lease completes normally", op: "complete", lease: 2, wantActive: true, wantState: LeaseCompleted},
-				{name: "completing twice is inert", op: "complete", lease: 2, wantActive: false, wantState: LeaseCompleted},
+				{name: "reissue as new lease", op: "grant", lease: 2},
+				{name: "late complete of original", op: "complete", lease: 1, wantLive: false},
+				{name: "late complete again (retransmit)", op: "complete", lease: 1, wantLive: false},
+				{name: "new lease completes normally", op: "complete", lease: 2, wantLive: true},
+				{name: "completing twice is inert", op: "complete", lease: 2, wantLive: false},
 			},
 		},
 	}
@@ -105,23 +107,19 @@ func TestLeaseFSM(t *testing.T) {
 				}
 				switch s.op {
 				case "grant":
-					l := lt.grant("w1", []int{len(granted)}, now)
-					granted = append(granted, l)
-					if l.state != s.wantState {
-						t.Fatalf("%s: state %v, want %v", s.name, l.state, s.wantState)
-					}
+					granted = append(granted, lt.grant("w1", []int{len(granted)}, now))
 				case "heartbeat":
-					_, err := lt.heartbeat(target, now)
+					err := lt.heartbeat(target, now)
 					if !errors.Is(err, s.wantErr) {
 						t.Fatalf("%s: err %v, want %v", s.name, err, s.wantErr)
 					}
 				case "complete":
-					l, active := lt.complete(target)
-					if active != s.wantActive {
-						t.Fatalf("%s: wasActive %v, want %v", s.name, active, s.wantActive)
+					l := lt.complete(target)
+					if live := l != nil; live != s.wantLive {
+						t.Fatalf("%s: live %v, want %v", s.name, live, s.wantLive)
 					}
-					if l != nil && l.state != s.wantState {
-						t.Fatalf("%s: state %v, want %v", s.name, l.state, s.wantState)
+					if l != nil && l.id != target {
+						t.Fatalf("%s: completed %s, want %s", s.name, l.id, target)
 					}
 				case "expire":
 					got := lt.expire(now)
@@ -136,43 +134,38 @@ func TestLeaseFSM(t *testing.T) {
 	}
 }
 
-// TestLeaseStateString pins the log rendering of every state.
-func TestLeaseStateString(t *testing.T) {
-	for want, s := range map[string]LeaseState{
-		"active": LeaseActive, "expired": LeaseExpired, "completed": LeaseCompleted,
-	} {
-		if got := s.String(); got != want {
-			t.Errorf("%v.String() = %q, want %q", int(s), got, want)
-		}
-	}
-	if got := LeaseState(7).String(); got != "LeaseState(7)" {
-		t.Errorf("out-of-range state rendered %q", got)
-	}
-}
-
 // TestLeaseTableTracksLiveLeases runs a long campaign's worth of
-// grant/complete cycles and checks that the table's scan set holds the
-// live leases only, while the terminal records still answer: a
-// heartbeat on an old lease is ErrLeaseExpired, an ID never granted is
-// ErrUnknownLease, and expiry reclaims in grant order.
+// grant/complete cycles and checks that the table holds the live
+// leases only: every ID is fresh, a settled lease and an ID never
+// granted both answer ErrLeaseExpired, and expiry reclaims in grant
+// order.
 func TestLeaseTableTracksLiveLeases(t *testing.T) {
 	const ttl = 10 * time.Second
 	now := time.Unix(1_700_000_000, 0)
 	lt := newLeaseTable(ttl)
+	ids := map[string]bool{}
+	var first string
 	for i := 0; i < 1000; i++ {
 		l := lt.grant(fmt.Sprintf("w%d", i%4), []int{i}, now)
-		if _, wasActive := lt.complete(l.id); !wasActive {
-			t.Fatalf("cycle %d: fresh lease %s not active at completion", i, l.id)
+		if ids[l.id] {
+			t.Fatalf("cycle %d: lease ID %s granted twice", i, l.id)
+		}
+		ids[l.id] = true
+		if i == 0 {
+			first = l.id
+		}
+		if lt.complete(l.id) != l {
+			t.Fatalf("cycle %d: fresh lease %s not live at completion", i, l.id)
 		}
 	}
 	if n := lt.activeCount(); n != 0 || len(lt.active) != 0 {
-		t.Fatalf("after 1000 completed cycles: activeCount %d, %d scanned leases, want 0", n, len(lt.active))
+		t.Fatalf("after 1000 completed cycles: activeCount %d, %d live leases, want 0", n, len(lt.active))
 	}
-	if _, err := lt.heartbeat("lease-1", now); !errors.Is(err, ErrLeaseExpired) {
+	if err := lt.heartbeat(first, now); !errors.Is(err, ErrLeaseExpired) {
 		t.Errorf("heartbeat on a completed lease: err %v, want ErrLeaseExpired", err)
 	}
-	if _, err := lt.heartbeat("lease-100000", now); !errors.Is(err, ErrUnknownLease) {
-		t.Errorf("heartbeat on a lease never granted: err %v, want ErrUnknownLease", err)
+	if err := lt.heartbeat(lt.prefix+"-100000", now); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("heartbeat on a lease never granted: err %v, want ErrLeaseExpired", err)
 	}
 
 	a := lt.grant("wa", []int{1000}, now)
@@ -186,15 +179,15 @@ func TestLeaseTableTracksLiveLeases(t *testing.T) {
 		t.Fatalf("expired %v, want [%s %s] in grant order", got, a.id, b.id)
 	}
 	if n := lt.activeCount(); n != 1 || len(lt.active) != 1 {
-		t.Fatalf("after expiry: activeCount %d, %d scanned leases, want 1", n, len(lt.active))
+		t.Fatalf("after expiry: activeCount %d, %d live leases, want 1", n, len(lt.active))
 	}
-	if _, err := lt.heartbeat(a.id, now.Add(ttl)); !errors.Is(err, ErrLeaseExpired) {
+	if err := lt.heartbeat(a.id, now.Add(ttl)); !errors.Is(err, ErrLeaseExpired) {
 		t.Errorf("heartbeat on an expired lease: err %v, want ErrLeaseExpired", err)
 	}
-	if _, wasActive := lt.complete(c.id); !wasActive {
-		t.Fatalf("live lease %s not active at completion", c.id)
+	if lt.complete(c.id) != c {
+		t.Fatalf("live lease %s not live at completion", c.id)
 	}
 	if n := lt.activeCount(); n != 0 || len(lt.active) != 0 {
-		t.Errorf("all leases settled: activeCount %d, %d scanned leases, want 0", n, len(lt.active))
+		t.Errorf("all leases settled: activeCount %d, %d live leases, want 0", n, len(lt.active))
 	}
 }

@@ -52,10 +52,13 @@ func TestCampaignMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, h := newMeteredCoordinator(t, CoordinatorConfig{
+	c, err := NewCoordinator(CoordinatorConfig{
 		Grid: g, Cache: cache, MaxBatch: 2, LeaseTTL: 10 * time.Second, Now: clock.Now,
 	})
-	srv := httptest.NewServer(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
 	var got bytes.Buffer

@@ -160,11 +160,12 @@ type wireError struct {
 var wireInternal = wireError{code: "internal", status: http.StatusInternalServerError, retryable: true}
 
 // wireErrors is the whole envelope vocabulary; adding a wire code means
-// adding a row. Client-side sentinels (ErrCoordinatorUnavailable) and
+// adding a row. lease_expired answers a heartbeat for any lease that is
+// not live, whether it expired, completed or was never granted.
+// Client-side sentinels (ErrCoordinatorUnavailable) and
 // ErrCampaignFailed, which travels as LeaseResponse.Failed, have none.
 var wireErrors = []wireError{
 	{"lease_expired", ErrLeaseExpired, http.StatusGone, false},
-	{"unknown_lease", ErrUnknownLease, http.StatusNotFound, false},
 	{"draining", ErrDraining, http.StatusServiceUnavailable, false},
 	{"bad_request", errBadRequest, http.StatusBadRequest, false},
 	wireInternal,

@@ -129,7 +129,7 @@ func (w *Worker) processLease(ctx context.Context, l *LeaseResponse) (done bool,
 				return
 			case <-t.C:
 				if _, err := w.cfg.Client.Heartbeat(batchCtx, &HeartbeatRequest{LeaseID: l.LeaseID}); err != nil {
-					if errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrUnknownLease) {
+					if errors.Is(err, ErrLeaseExpired) {
 						endBatch(err)
 						return
 					}

@@ -4,8 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -64,6 +68,41 @@ func (m *Meta) WriteFile(path string) error {
 
 // MetaPath is the canonical sidecar location for a JSONL output file.
 func MetaPath(outPath string) string { return outPath + ".meta.json" }
+
+// WriteOutput writes a JSONL output file whole or not at all. It drops
+// a stale sidecar at path first, so no run leaves provenance beside rows
+// it did not write. write streams the rows into a temp file beside path,
+// which is renamed over path only when write succeeds: a failed run
+// leaves path as it was and no temp file behind, and a killed one
+// leaves path as it was. The meta write returns, when non-nil, then
+// goes to path's sidecar.
+func WriteOutput(path string, write func(io.Writer) (*Meta, error)) error {
+	if err := os.Remove(MetaPath(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	var meta *Meta
+	if err = tmp.Chmod(0o644); err == nil {
+		meta, err = write(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if meta == nil {
+		return nil
+	}
+	return meta.WriteFile(MetaPath(path))
+}
 
 // GridFingerprint is the content address of a whole grid: a SHA-256
 // over the engine version and the grid's canonical JSON (name and

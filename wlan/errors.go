@@ -54,7 +54,7 @@ func wrapErr(err error) error {
 		return &wrappedErr{sentinel: ErrInvalidConfig, err: err}
 	case errors.Is(err, scenario.ErrClosed):
 		return &wrappedErr{sentinel: ErrClosed, err: err}
-	case errors.Is(err, svc.ErrLeaseExpired), errors.Is(err, svc.ErrUnknownLease):
+	case errors.Is(err, svc.ErrLeaseExpired):
 		return &wrappedErr{sentinel: ErrLeaseExpired, err: err}
 	case errors.Is(err, svc.ErrCoordinatorUnavailable):
 		return &wrappedErr{sentinel: ErrCoordinatorUnavailable, err: err}

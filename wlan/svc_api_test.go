@@ -76,7 +76,6 @@ func TestServeSweepsSentinels(t *testing.T) {
 		want error
 	}{
 		{svc.ErrLeaseExpired, ErrLeaseExpired},
-		{svc.ErrUnknownLease, ErrLeaseExpired},
 		{svc.ErrCoordinatorUnavailable, ErrCoordinatorUnavailable},
 	}
 	for _, m := range mappings {
