@@ -50,6 +50,21 @@ func TestWTOPPanicsOnEmptyInterval(t *testing.T) {
 	NewWTOP(WTOPConfig{MinP: 0.9, MaxP: 0.5})
 }
 
+// TestWTOPFloorsAtMinP pins the 1e-4 floor on the broadcast p: under
+// sustained dead air the collapse escape drives pval down to the floor
+// and the minus probe is broadcast at exactly it.
+func TestWTOPFloorsAtMinP(t *testing.T) {
+	w := NewWTOP(WTOPConfig{Scale: 1})
+	for i := 0; i < 400; i++ {
+		w.OnWindowEnd(0)
+	}
+	w.OnWindowEnd(0) // plus window: the next broadcast is the minus probe
+	floor := math.Exp(math.Log(1e-4))
+	if w.PVal() != floor || w.Control().P != floor {
+		t.Errorf("pval %v, minus probe %v after dead air, want the floor %v", w.PVal(), w.Control().P, floor)
+	}
+}
+
 // analyticThroughput builds a measurement function from the paper's
 // Eq. (3) model plus relative Gaussian noise — the cleanest closed-loop
 // test of wTOP-CSMA short of the full simulator.
@@ -140,6 +155,29 @@ func TestTORAStageSwitchDownAndBoundary(t *testing.T) {
 	}
 	if c.P0Val() < 0.9 {
 		t.Errorf("at the boundary p0 should pin high, got %v", c.P0Val())
+	}
+}
+
+// TestTORASwitchesAtExactThresholds pins δl = 0.05 and δh = 0.95: an
+// equal-measurement pair leaves p0 where Reset put it, so the stage
+// walks exactly when p0 sits on a threshold and not one ulp inside it.
+func TestTORASwitchesAtExactThresholds(t *testing.T) {
+	for _, c := range []struct {
+		p0    float64
+		wantJ int
+	}{
+		{0.05, 2},
+		{math.Nextafter(0.05, 1), 1},
+		{0.95, 0},
+		{math.Nextafter(0.95, 0), 1},
+	} {
+		tora := NewTORA(TORAConfig{M: 7, InitialJ: 1})
+		tora.kw.Reset(c.p0)
+		tora.OnWindowEnd(1)
+		tora.OnWindowEnd(1)
+		if tora.J() != c.wantJ {
+			t.Errorf("p0 = %v: stage %d after an equal pair, want %d", c.p0, tora.J(), c.wantJ)
+		}
 	}
 }
 

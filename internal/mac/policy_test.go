@@ -278,6 +278,25 @@ func TestIdleSenseBounds(t *testing.T) {
 	}
 }
 
+// TestIdleSenseClampsAtPaperWindow pins the published window bounds:
+// a persistently idle medium shrinks CW to exactly 4, a persistently
+// busy one grows it to exactly 4096.
+func TestIdleSenseClampsAtPaperWindow(t *testing.T) {
+	is := NewIdleSense(IdleSenseConfig{})
+	for i := 0; i < 5000; i++ {
+		is.ObserveTransmission(1000)
+	}
+	if is.CW() != 4 {
+		t.Errorf("CW %v on an idle medium, want the floor 4", is.CW())
+	}
+	for i := 0; i < 5000; i++ {
+		is.ObserveTransmission(0)
+	}
+	if is.CW() != 4096 {
+		t.Errorf("CW %v on a busy medium, want the cap 4096", is.CW())
+	}
+}
+
 func TestIdleSenseConvergesTowardTarget(t *testing.T) {
 	// Closed loop against a toy medium model: with n stations each using
 	// attempt probability 2/(CW+1), mean idle slots between transmissions
