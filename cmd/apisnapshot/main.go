@@ -10,6 +10,11 @@
 // retyped field — fails the build. Regenerate deliberately with
 // `make api` after an intentional surface change.
 //
+// An alias to a type of another package in the same module is part of
+// the surface too: its entry carries the target's declaration and the
+// target's exported methods, indented under the alias line, so a field
+// or method removed from the aliased type drifts the snapshot as well.
+//
 //	apisnapshot                  # rewrite wlan/api.txt
 //	apisnapshot -check           # exit 1 if wlan/api.txt is stale
 //	apisnapshot -dir ./internal/sweep -snapshot /tmp/sweep.txt
@@ -24,6 +29,7 @@ import (
 	"go/printer"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -70,28 +76,28 @@ func main() {
 // surface.
 func render(dir string) ([]byte, error) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	pkgName, files, err := parsePackage(fset, dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	var pkgName string
-	for name, pkg := range pkgs {
-		pkgName = name
-		for _, f := range pkg.Files {
-			files = append(files, f)
-		}
-	}
-	if len(pkgs) != 1 {
-		return nil, fmt.Errorf("apisnapshot: %d packages in %s, want exactly 1", len(pkgs), dir)
+	mod, err := findModule(dir)
+	if err != nil {
+		return nil, err
 	}
 
 	var entries []string
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			entries = append(entries, renderDecl(fset, decl)...)
+			for _, e := range renderDecl(fset, decl) {
+				if e.alias != nil {
+					target, err := mod.renderAlias(fset, f, e.alias)
+					if err != nil {
+						return nil, err
+					}
+					e.text += target
+				}
+				entries = append(entries, e.text)
+			}
 		}
 	}
 	sort.Strings(entries)
@@ -107,29 +113,62 @@ func render(dir string) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
+// parsePackage parses the non-test Go files of the one package in dir.
+func parsePackage(fset *token.FileSet, dir string) (string, []*ast.File, error) {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return "", nil, err
+	}
+	if len(pkgs) != 1 {
+		return "", nil, fmt.Errorf("apisnapshot: %d packages in %s, want exactly 1", len(pkgs), dir)
+	}
+	var files []*ast.File
+	var pkgName string
+	for name, pkg := range pkgs {
+		pkgName = name
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return pkgName, files, nil
+}
+
+// entry is one rendered declaration; alias is the target of a type
+// alias to another package's type (pkg.Name), whose declaration the
+// entry still has to carry.
+type entry struct {
+	text  string
+	alias *ast.SelectorExpr
+}
+
 // renderDecl returns the snapshot entries (zero or more) of one
 // top-level declaration.
-func renderDecl(fset *token.FileSet, decl ast.Decl) []string {
+func renderDecl(fset *token.FileSet, decl ast.Decl) []entry {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
 		if !d.Name.IsExported() || !exportedReceiver(d) {
 			return nil
 		}
-		fn := *d
-		fn.Doc = nil
-		fn.Body = nil
-		return []string{printNode(fset, &fn)}
+		return []entry{{text: renderFunc(fset, d)}}
 	case *ast.GenDecl:
-		var out []string
+		var out []entry
 		for _, spec := range d.Specs {
 			switch sp := spec.(type) {
 			case *ast.ValueSpec:
-				out = append(out, renderValues(fset, d.Tok, sp)...)
+				for _, v := range renderValues(fset, d.Tok, sp) {
+					out = append(out, entry{text: v})
+				}
 			case *ast.TypeSpec:
 				if !sp.Name.IsExported() {
 					continue
 				}
-				out = append(out, renderType(fset, sp))
+				e := entry{text: renderType(fset, sp)}
+				if sel, ok := sp.Type.(*ast.SelectorExpr); ok && sp.Assign != token.NoPos {
+					e.alias = sel
+				}
+				out = append(out, e)
 			}
 		}
 		return out
@@ -137,11 +176,125 @@ func renderDecl(fset *token.FileSet, decl ast.Decl) []string {
 	return nil
 }
 
+func renderFunc(fset *token.FileSet, d *ast.FuncDecl) string {
+	fn := *d
+	fn.Doc = nil
+	fn.Body = nil
+	return printNode(fset, &fn)
+}
+
+// module is the Go module enclosing the snapshotted package; alias
+// targets inside it are parsed from source.
+type module struct {
+	root, path string
+	pkgs       map[string][]*ast.File // parsed packages by import path
+}
+
+// findModule walks up from dir to the nearest go.mod.
+func findModule(dir string) (*module, error) {
+	d, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
+		if err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return &module{root: d, path: strings.Trim(strings.TrimSpace(rest), `"`), pkgs: map[string][]*ast.File{}}, nil
+				}
+			}
+			return nil, fmt.Errorf("apisnapshot: no module line in %s", filepath.Join(d, "go.mod"))
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return nil, fmt.Errorf("apisnapshot: no go.mod above %s", dir)
+		}
+		d = parent
+	}
+}
+
+// renderAlias renders the target of the alias sel, written in file f,
+// as indented lines to append to the alias entry: the target's
+// declaration, then its exported methods sorted. Targets outside the
+// module render as nothing.
+func (m *module) renderAlias(fset *token.FileSet, f *ast.File, sel *ast.SelectorExpr) (string, error) {
+	x, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", nil
+	}
+	var importPath string
+	for _, imp := range f.Imports {
+		p := strings.Trim(imp.Path.Value, `"`)
+		if (imp.Name != nil && imp.Name.Name == x.Name) || (imp.Name == nil && path.Base(p) == x.Name) {
+			importPath = p
+		}
+	}
+	rel, ok := strings.CutPrefix(importPath, m.path+"/")
+	if !ok {
+		return "", nil
+	}
+	files, ok := m.pkgs[importPath]
+	if !ok {
+		var err error
+		if _, files, err = parsePackage(fset, filepath.Join(m.root, filepath.FromSlash(rel))); err != nil {
+			return "", err
+		}
+		m.pkgs[importPath] = files
+	}
+
+	var decl string
+	var methods []string
+	for _, tf := range files {
+		for _, d := range tf.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && receiverName(d) == sel.Sel.Name {
+					methods = append(methods, renderFunc(fset, d))
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.Name == sel.Sel.Name {
+						decl = renderType(fset, sp)
+						if inner, ok := sp.Type.(*ast.SelectorExpr); ok && sp.Assign != token.NoPos {
+							more, err := m.renderAlias(fset, tf, inner)
+							if err != nil {
+								return "", err
+							}
+							decl += more
+						}
+					}
+				}
+			}
+		}
+	}
+	if decl == "" {
+		return "", fmt.Errorf("apisnapshot: alias target %s.%s not found in %s", x.Name, sel.Sel.Name, importPath)
+	}
+	sort.Strings(methods)
+	var b strings.Builder
+	for _, s := range append([]string{decl}, methods...) {
+		for _, line := range strings.Split(s, "\n") {
+			if line != "" { // blank lines left where field docs were
+				b.WriteString("\n\t")
+				b.WriteString(line)
+			}
+		}
+	}
+	return b.String(), nil
+}
+
 // exportedReceiver reports whether a declaration is a plain function or
 // a method on an exported type.
 func exportedReceiver(d *ast.FuncDecl) bool {
+	return d.Recv == nil || ast.IsExported(receiverName(d))
+}
+
+// receiverName returns the base type name of a method's receiver, or ""
+// for a plain function.
+func receiverName(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
+		return ""
 	}
 	t := d.Recv.List[0].Type
 	for {
@@ -153,9 +306,9 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 		case *ast.IndexListExpr:
 			t = x.X
 		case *ast.Ident:
-			return x.IsExported()
+			return x.Name
 		default:
-			return false
+			return ""
 		}
 	}
 }
