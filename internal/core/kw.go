@@ -16,19 +16,10 @@ import (
 	"math"
 )
 
-// GainSchedule supplies the Kiefer–Wolfowitz gain sequences. The classic
-// convergence conditions require b_k → 0, Σ a_k = ∞, Σ a_k·b_k < ∞ and
-// Σ (a_k/b_k)² < ∞.
-type GainSchedule interface {
-	// A returns the step gain a_k for iteration k ≥ 1.
-	A(k int) float64
-	// B returns the probe offset b_k for iteration k ≥ 1.
-	B(k int) float64
-}
-
-// PowerGains is the standard polynomial schedule a_k = A0/k^AExp,
-// b_k = B0/k^BExp. The paper uses a_k = 1/k, b_k = 1/k^(1/3), which
-// satisfies all four summability conditions.
+// PowerGains is the Kiefer–Wolfowitz gain schedule a_k = A0/k^AExp,
+// b_k = B0/k^BExp. The classic convergence conditions require b_k → 0,
+// Σ a_k = ∞, Σ a_k·b_k < ∞ and Σ (a_k/b_k)² < ∞; the paper's a_k = 1/k,
+// b_k = 1/k^(1/3) satisfies all four.
 type PowerGains struct {
 	A0, AExp float64
 	B0, BExp float64
@@ -39,10 +30,10 @@ func PaperGains() PowerGains {
 	return PowerGains{A0: 1, AExp: 1, B0: 1, BExp: 1.0 / 3}
 }
 
-// A implements GainSchedule.
+// A returns the step gain a_k for iteration k ≥ 1.
 func (g PowerGains) A(k int) float64 { return g.A0 / math.Pow(float64(k), g.AExp) }
 
-// B implements GainSchedule.
+// B returns the probe offset b_k for iteration k ≥ 1.
 func (g PowerGains) B(k int) float64 { return g.B0 / math.Pow(float64(k), g.BExp) }
 
 // Validate checks the Kiefer–Wolfowitz summability conditions for a
@@ -90,49 +81,41 @@ func (p Phase) String() string {
 // optimiser of Section III-B, maximising an unknown function S(x) from
 // noisy paired measurements:
 //
-//	x_{k+1} = x_k + a_k · (y_plus − y_minus) / b_k
+//	x_{k+1} = x_k + a_k · (y_plus − y_minus) / (m · b_k)
 //
-// where y_plus and y_minus estimate S(x_k + b_k) and S(x_k − b_k). The
-// iterate is projected onto [Lo, Hi] after every update, matching the
-// clamping in Algorithm 1 (p kept within [0, 0.9]).
+// where y_plus and y_minus estimate S(x_k + b_k) and S(x_k − b_k) and m
+// is their mean. The iterate is projected onto [lo, hi] after every
+// update, matching the clamping in Algorithm 1 (p kept within [0, 0.9]).
+//
+// Dividing by m makes the update estimate d(ln S)/dx rather than dS/dx
+// (the paper divides by nothing and measures in bytes per period). The
+// step is then scale-free, large on the exponential collision-collapse
+// tail where S decays by orders of magnitude, and small near the
+// optimum. Since ln is a strictly monotone transform, quasi-concavity —
+// and hence the Kiefer–Wolfowitz convergence point — is unchanged. The
+// gradient magnitude is bounded by 2/b_k because |y⁺−y⁻| ≤ y⁺+y⁻ for
+// non-negative measurements.
 type KieferWolfowitz struct {
-	Gains GainSchedule
-	// Lo and Hi bound the probe points (projection interval).
-	Lo, Hi float64
-	// Scale divides the measurement difference to non-dimensionalise the
-	// gradient: with throughput measured in bits/second the raw gradient
-	// would dwarf a_k. Algorithm 1 sidesteps this by measuring in
-	// bytes/period; Scale makes the normalisation explicit. Zero means 1.
-	Scale float64
-	// Relative, when true, normalises each finite difference by the mean
-	// of the probe pair, so the update estimates d(ln S)/dx rather than
-	// dS/dx. This makes the step size scale-free (no Scale tuning), large
-	// on the exponential collision-collapse tail where S decays by
-	// orders of magnitude, and small near the optimum. Since ln is a
-	// strictly monotone transform, quasi-concavity — and hence the
-	// Kiefer–Wolfowitz convergence point — is unchanged. The gradient
-	// magnitude is bounded by 2/b_k because |y⁺−y⁻| ≤ y⁺+y⁻ for
-	// non-negative measurements.
-	Relative bool
+	gains  PowerGains
+	lo, hi float64 // projection interval of the iterate and the probes
 
-	x      float64
-	k      int
-	phase  Phase
-	yPlus  float64
-	probes int
+	x     float64
+	k     int
+	phase Phase
+	yPlus float64
 }
 
 // NewKieferWolfowitz returns an optimiser starting at x0 with the given
 // projection interval. It starts at iteration k = 2 as Algorithm 1 does
 // (avoiding the overly aggressive a_1 = 1, b_1 = 1 first step).
-func NewKieferWolfowitz(x0, lo, hi float64, gains GainSchedule) *KieferWolfowitz {
+func NewKieferWolfowitz(x0, lo, hi float64, gains PowerGains) *KieferWolfowitz {
 	if lo >= hi {
 		panic(fmt.Sprintf("core: projection interval [%v, %v] empty", lo, hi))
 	}
 	if x0 < lo || x0 > hi {
 		panic(fmt.Sprintf("core: x0=%v outside [%v, %v]", x0, lo, hi))
 	}
-	return &KieferWolfowitz{Gains: gains, Lo: lo, Hi: hi, x: x0, k: 2}
+	return &KieferWolfowitz{gains: gains, lo: lo, hi: hi, x: x0, k: 2}
 }
 
 // X returns the current iterate x_k (the candidate optimum).
@@ -147,9 +130,9 @@ func (kw *KieferWolfowitz) Phase() Phase { return kw.phase }
 
 // Probe returns the control value to apply during the upcoming
 // measurement window: x + b_k in the plus phase, x − b_k in the minus
-// phase, projected onto [Lo, Hi].
+// phase, projected onto [lo, hi].
 func (kw *KieferWolfowitz) Probe() float64 {
-	b := kw.Gains.B(kw.k)
+	b := kw.gains.B(kw.k)
 	if kw.phase == PhasePlus {
 		return kw.clamp(kw.x + b)
 	}
@@ -161,20 +144,16 @@ func (kw *KieferWolfowitz) Probe() float64 {
 // the Kiefer–Wolfowitz update and returns true; the new iterate is then
 // available from X.
 func (kw *KieferWolfowitz) Measure(y float64) (updated bool) {
-	kw.probes++
 	if kw.phase == PhasePlus {
 		kw.yPlus = y
 		kw.phase = PhaseMinus
 		return false
 	}
-	den := kw.Scale
-	if kw.Relative {
-		den = (kw.yPlus + y) / 2
-	}
+	den := (kw.yPlus + y) / 2
 	if den <= 0 {
 		den = 1 // degenerate pair (both zero): gradient carries no signal
 	}
-	a, b := kw.Gains.A(kw.k), kw.Gains.B(kw.k)
+	a, b := kw.gains.A(kw.k), kw.gains.B(kw.k)
 	grad := (kw.yPlus - y) / den / b
 	kw.x = kw.clamp(kw.x + a*grad)
 	kw.k++
@@ -200,23 +179,12 @@ func (kw *KieferWolfowitz) RewindIteration() {
 	}
 }
 
-// Restart re-centres the iterate and rewinds the gain schedule to k = 2,
-// regaining large step sizes — useful after a detected regime change
-// (node churn) when the schedule has annealed too far.
-func (kw *KieferWolfowitz) Restart(x0 float64) {
-	kw.Reset(x0)
-	kw.k = 2
-}
-
-// Probes returns the total number of measurement windows consumed.
-func (kw *KieferWolfowitz) Probes() int { return kw.probes }
-
 func (kw *KieferWolfowitz) clamp(x float64) float64 {
 	switch {
-	case x < kw.Lo:
-		return kw.Lo
-	case x > kw.Hi:
-		return kw.Hi
+	case x < kw.lo:
+		return kw.lo
+	case x > kw.hi:
+		return kw.hi
 	default:
 		return x
 	}

@@ -38,7 +38,6 @@ func TestKWIterateStaysProjected(t *testing.T) {
 func TestKWRelativeStepBounded(t *testing.T) {
 	prop := func(yPlusRaw, yMinusRaw uint32) bool {
 		kw := NewKieferWolfowitz(0.5, 0, 1, PaperGains())
-		kw.Relative = true
 		a, b := PaperGains().A(2), PaperGains().B(2)
 		before := kw.X()
 		kw.Measure(float64(yPlusRaw))
@@ -58,7 +57,6 @@ func TestKWUpdateDirection(t *testing.T) {
 	prop := func(aRaw, bRaw uint16) bool {
 		yPlus, yMinus := float64(aRaw)+1, float64(bRaw)+1
 		kw := NewKieferWolfowitz(0.5, 0, 1, PaperGains())
-		kw.Relative = true
 		kw.Measure(yPlus)
 		kw.Measure(yMinus)
 		switch {
@@ -80,7 +78,7 @@ func TestKWUpdateDirection(t *testing.T) {
 func TestTORAStageStaysInRange(t *testing.T) {
 	prop := func(measurements []uint16, mRaw uint8) bool {
 		m := 2 + int(mRaw%7)
-		c := NewTORA(TORAConfig{M: m})
+		c := NewTORA(m)
 		for _, v := range measurements {
 			c.OnWindowEnd(float64(v))
 			if c.J() < 0 || c.J() > m-1 {
@@ -97,7 +95,7 @@ func TestTORAStageStaysInRange(t *testing.T) {
 	}
 }
 
-// Property: wTOP's broadcast probability stays within (0, MaxP] for any
+// Property: wTOP's broadcast probability stays within (0, maxP] for any
 // measurement stream, including adversarial all-zero ones.
 func TestWTOPBroadcastStaysInRange(t *testing.T) {
 	prop := func(measurements []uint8) bool {
@@ -126,7 +124,7 @@ func TestCollapseEscapeInertOnHealthyStreams(t *testing.T) {
 		w.OnWindowEnd(0.3 + 0.1*rng.Float64()) // 30–40% utilisation
 	}
 	// After 100 healthy pairs the iterate must be strictly inside the
-	// interval (escape would pin it near MinP).
+	// interval (escape would pin it near minP).
 	if w.PVal() <= 2e-4 {
 		t.Errorf("healthy stream drove pval to the floor: %v", w.PVal())
 	}

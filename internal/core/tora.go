@@ -6,23 +6,14 @@ import (
 	"repro/internal/frame"
 )
 
-// TORAConfig parameterises the TORA-CSMA controller of Algorithm 2.
-// Zero-valued fields assume the paper's defaults.
-type TORAConfig struct {
-	// M is the highest backoff stage (CWmax = 2^M·CWmin).
-	M int
-	// InitialP0 is the starting reset probability pval (0.5).
-	InitialP0 float64
-	// InitialJ is the starting reset stage (0).
-	InitialJ int
-	// DeltaLow and DeltaHigh are the stage-switch thresholds δl ≈ 0 and
-	// δh ≈ 1. Defaults 0.05 and 0.95.
-	DeltaLow, DeltaHigh float64
-	// Gains is the Kiefer–Wolfowitz schedule.
-	Gains GainSchedule
-	// Scale normalises throughput measurements (set to the bit rate).
-	Scale float64
-}
+// Algorithm 2's constants: pval starts at and re-centres to p0Centre on
+// every stage switch, and the stage walks when the tuned p0 reaches the
+// thresholds δl ≈ 0 (deltaLow) or δh ≈ 1 (deltaHigh).
+const (
+	p0Centre  = 0.5
+	deltaLow  = 0.05
+	deltaHigh = 0.95
+)
 
 // TORA is the TORA-CSMA access-point controller: Kiefer–Wolfowitz on the
 // RandomReset reset probability p0 for a fixed stage j, plus the stage
@@ -31,49 +22,18 @@ type TORAConfig struct {
 // aggressive reset (j−1). On a stage switch pval re-centres at 0.5 and,
 // exactly as in Algorithm 2, the iteration counter k is *not* advanced.
 type TORA struct {
-	kw        *KieferWolfowitz
-	m         int
-	j         int
-	deltaLow  float64
-	deltaHigh float64
-	switches  int
+	kw *KieferWolfowitz
+	m  int // highest backoff stage (CWmax = 2^m·CWmin); j stays in {0..m−1}
+	j  int
 }
 
-// NewTORA builds the controller, applying defaults for zero fields.
-func NewTORA(cfg TORAConfig) *TORA {
-	if cfg.M == 0 {
-		cfg.M = 7
+// NewTORA builds the controller for stations whose highest backoff
+// stage is m, starting at stage j = 0 with pval 0.5.
+func NewTORA(m int) *TORA {
+	if m < 1 {
+		panic(fmt.Sprintf("core: TORA needs M ≥ 1, got %d", m))
 	}
-	if cfg.M < 1 {
-		panic(fmt.Sprintf("core: TORA needs M ≥ 1, got %d", cfg.M))
-	}
-	if cfg.InitialP0 == 0 {
-		cfg.InitialP0 = 0.5
-	}
-	if cfg.DeltaLow == 0 {
-		cfg.DeltaLow = 0.05
-	}
-	if cfg.DeltaHigh == 0 {
-		cfg.DeltaHigh = 0.95
-	}
-	if cfg.Gains == nil {
-		cfg.Gains = PaperGains()
-	}
-	if cfg.InitialJ < 0 || cfg.InitialJ > cfg.M-1 {
-		panic(fmt.Sprintf("core: initial stage %d outside {0..%d}", cfg.InitialJ, cfg.M-1))
-	}
-	if cfg.DeltaLow < 0 || cfg.DeltaHigh > 1 || cfg.DeltaLow >= cfg.DeltaHigh {
-		panic(fmt.Sprintf("core: thresholds (%v, %v) invalid", cfg.DeltaLow, cfg.DeltaHigh))
-	}
-	kw := NewKieferWolfowitz(cfg.InitialP0, 0, 1, cfg.Gains)
-	kw.Relative = true // self-normalising gradient; see KieferWolfowitz.Relative
-	return &TORA{
-		kw:        kw,
-		m:         cfg.M,
-		j:         cfg.InitialJ,
-		deltaLow:  cfg.DeltaLow,
-		deltaHigh: cfg.DeltaHigh,
-	}
+	return &TORA{kw: NewKieferWolfowitz(p0Centre, 0, 1, PaperGains()), m: m}
 }
 
 // Control implements Controller: broadcast the probe p0 and the stage j.
@@ -92,17 +52,15 @@ func (t *TORA) OnWindowEnd(throughput float64) {
 		return // only the plus window consumed; no update yet
 	}
 	switch {
-	case t.kw.X() <= t.deltaLow && t.j < t.m-1:
+	case t.kw.X() <= deltaLow && t.j < t.m-1:
 		t.j++
-		t.kw.Reset(0.5)
-		t.kw.RewindIteration()
-		t.switches++
-	case t.kw.X() >= t.deltaHigh && t.j > 0:
+	case t.kw.X() >= deltaHigh && t.j > 0:
 		t.j--
-		t.kw.Reset(0.5)
-		t.kw.RewindIteration()
-		t.switches++
+	default:
+		return
 	}
+	t.kw.Reset(p0Centre)
+	t.kw.RewindIteration()
 }
 
 // J returns the current reset stage j.
@@ -110,12 +68,3 @@ func (t *TORA) J() int { return t.j }
 
 // P0Val returns the current candidate optimum reset probability.
 func (t *TORA) P0Val() float64 { return t.kw.X() }
-
-// Iteration returns the Kiefer–Wolfowitz iteration index k.
-func (t *TORA) Iteration() int { return t.kw.K() }
-
-// StageSwitches returns how many times the controller walked j.
-func (t *TORA) StageSwitches() int { return t.switches }
-
-// Name implements Controller.
-func (t *TORA) Name() string { return "TORA-CSMA" }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/frame"
@@ -17,42 +16,42 @@ type Controller interface {
 	// OnWindowEnd feeds the throughput (bits/second) measured over the
 	// window that just closed.
 	OnWindowEnd(throughput float64)
-	// Name identifies the controller in reports.
-	Name() string
 }
+
+// The broadcast p stays within [minP, maxP]. Algorithm 1 clamps to
+// [0, 0.9]; the floor is a small ε > 0 so stations never freeze.
+const (
+	minP = 1e-4
+	maxP = 0.9
+)
 
 // WTOPConfig parameterises the wTOP-CSMA controller of Algorithm 1.
 // Zero-valued fields assume the defaults described below.
 type WTOPConfig struct {
 	// InitialP is the starting pval (0.5, as in Algorithm 1).
 	InitialP float64
-	// MinP/MaxP bound the broadcast probe values. Algorithm 1 clamps to
-	// [0, 0.9]; we floor at a small ε > 0 so stations never freeze.
-	MinP, MaxP float64
 	// Gains is the Kiefer–Wolfowitz schedule (a_k = 1/k, b_k = k^(−1/3)).
-	Gains GainSchedule
+	Gains PowerGains
 	// Scale normalises throughput measurements; set it to the channel
 	// bit rate so measured values lie in [0, 1]. Zero means 1.
 	Scale float64
-	// LinearSpace, when true, runs the iteration on p directly as the
-	// paper's pseudo-code is written. The default (false) iterates on
-	// ln p: the optimal p scales as Θ(1/N) (Eq. 8), so a fixed additive
-	// probe offset b_k spans many octaves of p for large N, while a
-	// multiplicative probe keeps the finite-difference window matched to
-	// the curvature of S at every scale. The paper's own convergence
-	// plots (Figs. 2, 4, 9) are drawn against log p for the same reason.
-	// Quasi-concavity and the KW regularity conditions survive the
-	// monotone reparametrisation, so Theorem 2's guarantee carries over.
-	LinearSpace bool
 }
 
 // WTOP is the wTOP-CSMA access-point controller: Kiefer–Wolfowitz on the
 // common control variable p, broadcast to stations which then apply their
 // weight mapping locally (Lemma 1). The AP needs no knowledge of the
 // stations' weights — the property the paper highlights.
+//
+// The iteration runs on ln p rather than on p as the paper's pseudo-code
+// is written: the optimal p scales as Θ(1/N) (Eq. 8), so a fixed
+// additive probe offset b_k spans many octaves of p for large N, while a
+// multiplicative probe keeps the finite-difference window matched to the
+// curvature of S at every scale. The paper's own convergence plots
+// (Figs. 2, 4, 9) are drawn against log p for the same reason.
+// Quasi-concavity and the KW regularity conditions survive the monotone
+// reparametrisation, so Theorem 2's guarantee carries over.
 type WTOP struct {
-	kw       *KieferWolfowitz
-	log      bool
+	kw       *KieferWolfowitz // iterate x = ln p
 	scale    float64
 	lastPlus float64
 }
@@ -63,51 +62,21 @@ func NewWTOP(cfg WTOPConfig) *WTOP {
 	if cfg.InitialP == 0 {
 		cfg.InitialP = 0.5
 	}
-	if cfg.MaxP == 0 {
-		cfg.MaxP = 0.9
-	}
-	if cfg.MinP == 0 {
-		cfg.MinP = 1e-4
-	}
-	if cfg.Gains == nil {
+	if cfg.Gains == (PowerGains{}) {
 		cfg.Gains = PaperGains()
 	}
-	if cfg.MinP >= cfg.MaxP {
-		panic(fmt.Sprintf("core: wTOP probe interval [%v, %v] empty", cfg.MinP, cfg.MaxP))
+	if cfg.Scale == 0 {
+		cfg.Scale = 1
 	}
-	w := &WTOP{log: !cfg.LinearSpace, scale: cfg.Scale}
-	if w.scale == 0 {
-		w.scale = 1
+	return &WTOP{
+		kw:    NewKieferWolfowitz(math.Log(cfg.InitialP), math.Log(minP), math.Log(maxP), cfg.Gains),
+		scale: cfg.Scale,
 	}
-	if w.log {
-		w.kw = NewKieferWolfowitz(math.Log(cfg.InitialP), math.Log(cfg.MinP), math.Log(cfg.MaxP), cfg.Gains)
-	} else {
-		w.kw = NewKieferWolfowitz(cfg.InitialP, cfg.MinP, cfg.MaxP, cfg.Gains)
-	}
-	// Controllers always use the self-normalising relative gradient; the
-	// Scale field is kept for expressing the dead-air threshold in
-	// absolute units.
-	w.kw.Relative = true
-	return w
-}
-
-func (w *WTOP) fromIterate(x float64) float64 {
-	if w.log {
-		return math.Exp(x)
-	}
-	return x
-}
-
-func (w *WTOP) toIterate(p float64) float64 {
-	if w.log {
-		return math.Log(p)
-	}
-	return p
 }
 
 // Control implements Controller: broadcast the current probe value of p.
 func (w *WTOP) Control() frame.Control {
-	return frame.Control{Scheme: frame.ControlWTOP, P: w.fromIterate(w.kw.Probe())}
+	return frame.Control{Scheme: frame.ControlWTOP, P: math.Exp(w.kw.Probe())}
 }
 
 // deadThreshold is the normalised throughput below which a measurement
@@ -121,7 +90,7 @@ const deadThreshold = 1e-3
 // throughput, the channel is in collision collapse and the local gradient
 // carries no information, so the iterate drifts one probe-width toward
 // smaller p. The rule is sound because the saturated system always has
-// S(MinP) > 0 — dead air at the current probes can only mean p is far too
+// S(minP) > 0 — dead air at the current probes can only mean p is far too
 // high. (In the paper's ns-3 runs residual measurement noise performs
 // this escape implicitly; making it explicit keeps convergence
 // deterministic for any starting point.)
@@ -134,21 +103,10 @@ func (w *WTOP) OnWindowEnd(throughput float64) {
 	bothDead := w.lastPlus/w.scale < deadThreshold && throughput/w.scale < deadThreshold
 	w.kw.Measure(throughput)
 	if bothDead {
-		w.kw.Reset(w.kw.X() - w.kw.Gains.B(w.kw.K()))
+		w.kw.Reset(w.kw.X() - w.kw.gains.B(w.kw.K()))
 	}
 }
 
 // PVal returns the current candidate optimum pval (distinct from the
 // probe value, which carries the ±b_k perturbation).
-func (w *WTOP) PVal() float64 { return w.fromIterate(w.kw.X()) }
-
-// Iteration returns the Kiefer–Wolfowitz iteration index k.
-func (w *WTOP) Iteration() int { return w.kw.K() }
-
-// Restart re-centres the controller at p0 and rewinds the gain schedule;
-// an operator can invoke it after a known regime change (e.g. a large
-// batch of arrivals) to recover fast adaptation.
-func (w *WTOP) Restart(p0 float64) { w.kw.Restart(w.toIterate(p0)) }
-
-// Name implements Controller.
-func (w *WTOP) Name() string { return "wTOP-CSMA" }
+func (w *WTOP) PVal() float64 { return math.Exp(w.kw.X()) }

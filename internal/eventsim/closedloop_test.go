@@ -58,7 +58,7 @@ func toraSim(t *testing.T, tp *topo.Topology, seed int64) (*Simulator, *core.TOR
 	t.Helper()
 	phy := model.PaperPHY()
 	back := model.PaperBackoff()
-	ctl := core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+	ctl := core.NewTORA(back.M)
 	ps := make([]mac.Policy, tp.N())
 	for i := range ps {
 		ps[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)

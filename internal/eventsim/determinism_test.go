@@ -34,7 +34,7 @@ func buildDeterminismSim(t *testing.T, scheme string, seed int64) *Simulator {
 		for i := range policies {
 			policies[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)
 		}
-		controller = core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+		controller = core.NewTORA(back.M)
 	}
 	s, err := New(Config{
 		PHY:        phy,

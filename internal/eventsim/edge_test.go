@@ -63,7 +63,6 @@ func TestBeaconsDoNotCorruptThroughputWithoutController(t *testing.T) {
 func TestTORAWithRTSCTSRuns(t *testing.T) {
 	// Controller + RTS/CTS compose: TORA tunes the backoff that gates
 	// RTS attempts.
-	phy := model.PaperPHY()
 	back := model.PaperBackoff()
 	ps := make([]mac.Policy, 10)
 	for i := range ps {
@@ -72,7 +71,7 @@ func TestTORAWithRTSCTSRuns(t *testing.T) {
 	s, err := New(Config{
 		Topology:   hiddenTopo(10),
 		Policies:   ps,
-		Controller: core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate}),
+		Controller: core.NewTORA(back.M),
 		Seed:       47,
 		RTSCTS:     true,
 	})

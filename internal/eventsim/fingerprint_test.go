@@ -93,7 +93,7 @@ func policySet(scheme string, n int, phy model.PHY) ([]mac.Policy, core.Controll
 		for i := range policies {
 			policies[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)
 		}
-		controller = core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+		controller = core.NewTORA(back.M)
 	default:
 		panic("unknown scheme " + scheme)
 	}

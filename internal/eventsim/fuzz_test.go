@@ -41,7 +41,7 @@ func TestRandomConfigurationsNeverMisbehave(t *testing.T) {
 			case 2:
 				policies[i] = mac.NewRandomReset(8, 7, i%7, float64(i%11)/10)
 			case 3:
-				policies[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
+				policies[i] = mac.NewIdleSense()
 			default:
 				policies[i] = mac.NewSlowDecrease(8, 1024, 0.5)
 			}

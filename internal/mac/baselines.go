@@ -59,9 +59,6 @@ func (sd *SlowDecrease) OnFailure(*sim.RNG) {
 // OnControl implements Policy; the scheme is fully distributed.
 func (sd *SlowDecrease) OnControl(frame.Control) {}
 
-// Name implements Policy.
-func (sd *SlowDecrease) Name() string { return "SlowDecrease" }
-
 // AttemptProbability implements AttemptReporter.
 func (sd *SlowDecrease) AttemptProbability() float64 { return 2 / (sd.cw + 1) }
 
@@ -153,9 +150,6 @@ func (e *EstimateN) OnFailure(*sim.RNG) {}
 
 // OnControl implements Policy; the scheme is fully distributed.
 func (e *EstimateN) OnControl(frame.Control) {}
-
-// Name implements Policy.
-func (e *EstimateN) Name() string { return "EstimateN" }
 
 // AttemptProbability implements AttemptReporter.
 func (e *EstimateN) AttemptProbability() float64 { return e.p }

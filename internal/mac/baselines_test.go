@@ -42,9 +42,6 @@ func TestSlowDecreaseWindowDynamics(t *testing.T) {
 		t.Errorf("backoff %d outside window", b)
 	}
 	sd.OnControl(frame.Control{Scheme: frame.ControlWTOP, P: 0.5})
-	if sd.Name() != "SlowDecrease" {
-		t.Error("name wrong")
-	}
 	if got := sd.AttemptProbability(); math.Abs(got-2.0/1025) > 1e-9 {
 		t.Errorf("attempt probability %v", got)
 	}
@@ -113,9 +110,6 @@ func TestEstimateNRobustness(t *testing.T) {
 	e.OnSuccess(rng)
 	e.OnFailure(rng)
 	e.OnControl(frame.Control{})
-	if e.Name() != "EstimateN" {
-		t.Error("name wrong")
-	}
 	if !e.BackoffMemoryless() {
 		t.Error("EstimateN must be memoryless")
 	}

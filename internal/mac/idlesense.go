@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/frame"
@@ -20,8 +19,8 @@ type MediumObserver interface {
 // IdleSense is the Heusse et al. (SIGCOMM 2005) algorithm, the paper's
 // strongest fully-connected baseline. Every station measures n_i, the
 // mean number of idle slots between consecutive transmissions on the
-// medium, and drives it to a fixed target by AIMD on its contention
-// window:
+// medium, over idleMaxTrans observed transmissions, and drives it to a
+// fixed target by AIMD on its contention window:
 //
 //	n_i ≥ target ⇒ CW ← α·CW   (channel too idle: be more aggressive)
 //	n_i < target ⇒ CW ← CW + ε (too many collisions: back off)
@@ -30,91 +29,47 @@ type MediumObserver interface {
 // and its Table III shows precisely why a fixed target fails with hidden
 // nodes: the optimal value becomes configuration-dependent.
 type IdleSense struct {
-	// Target is the desired mean idle slots per transmission.
-	Target float64
-	// Alpha is the multiplicative decrease factor applied to CW.
-	Alpha float64
-	// Epsilon is the additive increase applied to CW.
-	Epsilon float64
-	// MaxTrans is the number of observed transmissions per estimation
-	// window.
-	MaxTrans int
-	// CWMin and CWMax bound the continuous contention window.
-	CWMin, CWMax float64
-
 	cw       float64
 	idleSum  float64
 	observed int
 }
 
-// IdleSenseConfig carries the tunables; zero fields take the published
-// defaults (target 3.1 per the paper, α = 1/1.0666, ε = 6.0, 5
-// transmissions per window).
-type IdleSenseConfig struct {
-	Target   float64
-	Alpha    float64
-	Epsilon  float64
-	MaxTrans int
-	CWMin    float64
-	CWMax    float64
-}
+// IdleSense's published constants: the target n_i (3.1, per the paper),
+// α = 1/1.0666, ε = 6.0, 5 transmissions per estimation window, and the
+// bounds of the continuous contention window.
+const (
+	idleTarget   = 3.1
+	idleAlpha    = 1 / 1.0666
+	idleEpsilon  = 6.0
+	idleMaxTrans = 5
+	idleCWMin    = 4
+	idleCWMax    = 4096
+)
 
-// NewIdleSense returns an IdleSense policy with defaults applied.
-func NewIdleSense(cfg IdleSenseConfig) *IdleSense {
-	is := &IdleSense{
-		Target:   cfg.Target,
-		Alpha:    cfg.Alpha,
-		Epsilon:  cfg.Epsilon,
-		MaxTrans: cfg.MaxTrans,
-		CWMin:    cfg.CWMin,
-		CWMax:    cfg.CWMax,
-	}
-	if is.Target == 0 {
-		is.Target = 3.1
-	}
-	if is.Alpha == 0 {
-		is.Alpha = 1 / 1.0666
-	}
-	if is.Epsilon == 0 {
-		is.Epsilon = 6.0
-	}
-	if is.MaxTrans == 0 {
-		is.MaxTrans = 5
-	}
-	if is.CWMin == 0 {
-		is.CWMin = 4
-	}
-	if is.CWMax == 0 {
-		is.CWMax = 4096
-	}
-	if is.Target <= 0 || is.Alpha <= 0 || is.Alpha >= 1 || is.Epsilon <= 0 ||
-		is.CWMin < 1 || is.CWMax < is.CWMin {
-		panic(fmt.Sprintf("mac: invalid IdleSense config %+v", cfg))
-	}
-	is.cw = 64 // neutral starting window; AIMD converges from anywhere
-	return is
-}
+// NewIdleSense returns an IdleSense policy at a neutral starting window
+// of 64; AIMD converges from anywhere.
+func NewIdleSense() *IdleSense { return &IdleSense{cw: 64} }
 
 // CW returns the current (continuous) contention window.
 func (is *IdleSense) CW() float64 { return is.cw }
 
 // ObserveTransmission implements MediumObserver: fold in one observed
 // busy period preceded by idleSlots idle slots, and run the AIMD update
-// once MaxTrans observations have accumulated.
+// once idleMaxTrans observations have accumulated.
 func (is *IdleSense) ObserveTransmission(idleSlots float64) {
 	is.idleSum += idleSlots
 	is.observed++
-	if is.observed < is.MaxTrans {
+	if is.observed < idleMaxTrans {
 		return
 	}
 	ni := is.idleSum / float64(is.observed)
 	is.idleSum, is.observed = 0, 0
-	if ni >= is.Target {
-		is.cw *= is.Alpha
+	if ni >= idleTarget {
+		is.cw *= idleAlpha
 	} else {
-		is.cw += is.Epsilon
+		is.cw += idleEpsilon
 	}
-	is.cw = math.Min(math.Max(is.cw, is.CWMin), is.CWMax)
+	is.cw = math.Min(math.Max(is.cw, idleCWMin), idleCWMax)
 }
 
 // NextBackoff implements Policy: uniform over the current window.
@@ -131,9 +86,6 @@ func (is *IdleSense) OnFailure(*sim.RNG) {}
 
 // OnControl implements Policy; IdleSense is fully distributed.
 func (is *IdleSense) OnControl(frame.Control) {}
-
-// Name implements Policy.
-func (is *IdleSense) Name() string { return "IdleSense" }
 
 // AttemptProbability implements AttemptReporter.
 func (is *IdleSense) AttemptProbability() float64 { return 2 / (is.cw + 1) }

@@ -43,8 +43,6 @@ type Policy interface {
 	// OnControl delivers an AP control broadcast. Policies ignore blocks
 	// for schemes other than their own.
 	OnControl(ctrl frame.Control)
-	// Name identifies the policy in reports.
-	Name() string
 }
 
 // AttemptReporter is implemented by policies whose current per-slot
@@ -114,9 +112,6 @@ func (d *StandardDCF) OnFailure(*sim.RNG) {
 // OnControl implements Policy; the standard DCF has no tunables.
 func (d *StandardDCF) OnControl(frame.Control) {}
 
-// Name implements Policy.
-func (d *StandardDCF) Name() string { return "802.11-DCF" }
-
 // AttemptProbability implements AttemptReporter using the 2/(CW+1)
 // approximation for a uniform [0, CW−1] draw.
 func (d *StandardDCF) AttemptProbability() float64 { return 2 / float64(d.CW()+1) }
@@ -185,9 +180,6 @@ func (p *PPersistent) OnControl(ctrl frame.Control) {
 	mapped := p.Weight * ctrl.P / (1 + (p.Weight-1)*ctrl.P)
 	p.p = clampProb(mapped, p.MinP)
 }
-
-// Name implements Policy.
-func (p *PPersistent) Name() string { return "p-persistent" }
 
 // BackoffMemoryless implements Memoryless: the geometric counter may be
 // redrawn at any idle resumption (memorylessness of the geometric law).
@@ -283,9 +275,6 @@ func (r *RandomReset) OnControl(ctrl frame.Control) {
 	}
 	r.SetReset(int(ctrl.Stage), ctrl.P0)
 }
-
-// Name implements Policy.
-func (r *RandomReset) Name() string { return "RandomReset" }
 
 // AttemptProbability implements AttemptReporter with the stage-wise
 // 2/CW approximation used by the paper's analysis (κ_i).

@@ -40,9 +40,6 @@ func TestStandardDCFBackoffInWindow(t *testing.T) {
 	if got := d.AttemptProbability(); math.Abs(got-2.0/9) > 1e-12 {
 		t.Errorf("AttemptProbability = %v, want 2/9", got)
 	}
-	if d.Name() != "802.11-DCF" {
-		t.Error("name wrong")
-	}
 	d.OnControl(frame.Control{Scheme: frame.ControlWTOP, P: 0.5}) // must be ignored
 	if d.CW() != 8 {
 		t.Error("DCF reacted to a control broadcast")
@@ -203,9 +200,6 @@ func TestRandomResetControl(t *testing.T) {
 	if j, _ := r.Reset(); j != 3 {
 		t.Error("RandomReset adopted a wTOP broadcast")
 	}
-	if r.Name() != "RandomReset" {
-		t.Error("name wrong")
-	}
 	if got := r.CW(); got != 8<<3 {
 		// Stage was left at 0; CW uses the *stage*, not j.
 		t.Logf("CW = %d (stage %d)", got, r.Stage())
@@ -228,10 +222,10 @@ func TestRandomResetBackoffInWindow(t *testing.T) {
 }
 
 func TestIdleSenseAIMD(t *testing.T) {
-	is := NewIdleSense(IdleSenseConfig{})
+	is := NewIdleSense()
 	start := is.CW()
 	// Far too many idle slots observed → multiplicative decrease.
-	for i := 0; i < is.MaxTrans; i++ {
+	for i := 0; i < idleMaxTrans; i++ {
 		is.ObserveTransmission(50)
 	}
 	if is.CW() >= start {
@@ -239,7 +233,7 @@ func TestIdleSenseAIMD(t *testing.T) {
 	}
 	// Too few idle slots → additive increase.
 	low := is.CW()
-	for i := 0; i < is.MaxTrans; i++ {
+	for i := 0; i < idleMaxTrans; i++ {
 		is.ObserveTransmission(0)
 	}
 	if is.CW() <= low {
@@ -248,33 +242,39 @@ func TestIdleSenseAIMD(t *testing.T) {
 }
 
 func TestIdleSenseUpdatesOnlyPerWindow(t *testing.T) {
-	is := NewIdleSense(IdleSenseConfig{MaxTrans: 5})
+	is := NewIdleSense()
 	start := is.CW()
 	for i := 0; i < 4; i++ {
 		is.ObserveTransmission(100)
 	}
 	if is.CW() != start {
-		t.Error("CW changed before MaxTrans observations")
+		t.Error("CW changed before idleMaxTrans observations")
 	}
 	is.ObserveTransmission(100)
 	if is.CW() == start {
-		t.Error("CW unchanged after MaxTrans observations")
+		t.Error("CW unchanged after idleMaxTrans observations")
 	}
 }
 
+// Property: the window stays within [idleCWMin, idleCWMax] under any
+// stream of observations. Each draw is a run of up to 1023 estimation
+// windows, idle or busy by its top bit, so streams reach both bounds.
 func TestIdleSenseBounds(t *testing.T) {
-	is := NewIdleSense(IdleSenseConfig{CWMin: 4, CWMax: 64})
-	for i := 0; i < 1000; i++ {
-		is.ObserveTransmission(1000)
+	prop := func(runs []uint16) bool {
+		is := NewIdleSense()
+		for _, r := range runs {
+			idle := float64(r>>15) * 1000
+			for i := 0; i < idleMaxTrans*int(r%1024); i++ {
+				is.ObserveTransmission(idle)
+				if is.CW() < idleCWMin || is.CW() > idleCWMax {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if is.CW() < 4 {
-		t.Errorf("CW %v fell below CWMin", is.CW())
-	}
-	for i := 0; i < 1000; i++ {
-		is.ObserveTransmission(0)
-	}
-	if is.CW() > 64 {
-		t.Errorf("CW %v exceeded CWMax", is.CW())
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -282,7 +282,7 @@ func TestIdleSenseBounds(t *testing.T) {
 // a persistently idle medium shrinks CW to exactly 4, a persistently
 // busy one grows it to exactly 4096.
 func TestIdleSenseClampsAtPaperWindow(t *testing.T) {
-	is := NewIdleSense(IdleSenseConfig{})
+	is := NewIdleSense()
 	for i := 0; i < 5000; i++ {
 		is.ObserveTransmission(1000)
 	}
@@ -303,7 +303,7 @@ func TestIdleSenseConvergesTowardTarget(t *testing.T) {
 	// is (1−q)/q with q = 1−(1−τ)^n. IdleSense should drive this near its
 	// target.
 	const n = 20
-	is := NewIdleSense(IdleSenseConfig{})
+	is := NewIdleSense()
 	for iter := 0; iter < 5000; iter++ {
 		tau := is.AttemptProbability()
 		q := 1 - math.Pow(1-tau, n)
@@ -313,33 +313,21 @@ func TestIdleSenseConvergesTowardTarget(t *testing.T) {
 	tau := is.AttemptProbability()
 	q := 1 - math.Pow(1-tau, n)
 	idle := (1 - q) / q
-	if math.Abs(idle-is.Target) > 1.2 {
-		t.Errorf("converged idle slots %v, want near target %v", idle, is.Target)
+	if math.Abs(idle-idleTarget) > 1.2 {
+		t.Errorf("converged idle slots %v, want near target %v", idle, idleTarget)
 	}
 }
 
 func TestIdleSenseMisc(t *testing.T) {
-	is := NewIdleSense(IdleSenseConfig{})
+	is := NewIdleSense()
 	rng := sim.NewRNG(8)
 	is.OnSuccess(rng)
 	is.OnFailure(rng)
 	is.OnControl(frame.Control{Scheme: frame.ControlWTOP, P: 0.5})
-	if is.Name() != "IdleSense" {
-		t.Error("name wrong")
-	}
 	b := is.NextBackoff(rng)
 	if b < 0 || b >= int(math.Round(is.CW())) {
 		t.Errorf("backoff %d outside window %v", b, is.CW())
 	}
-}
-
-func TestIdleSensePanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("alpha ≥ 1 accepted")
-		}
-	}()
-	NewIdleSense(IdleSenseConfig{Alpha: 1.5})
 }
 
 // Interface conformance checks.

@@ -99,7 +99,7 @@ func Build(scheme string, weights []float64, n int) ([]mac.Policy, core.Controll
 		}
 	case IdleSense:
 		for i := range policies {
-			policies[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
+			policies[i] = mac.NewIdleSense()
 		}
 	case WTOP:
 		for i := range policies {
@@ -114,7 +114,7 @@ func Build(scheme string, weights []float64, n int) ([]mac.Policy, core.Controll
 		for i := range policies {
 			policies[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)
 		}
-		controller = core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+		controller = core.NewTORA(back.M)
 	case SlowDecrease:
 		for i := range policies {
 			policies[i] = mac.NewSlowDecrease(back.CWMin, back.CWMax(), 0.5)

@@ -58,7 +58,7 @@ func policySet(scheme string, n int, phy model.PHY) ([]mac.Policy, core.Controll
 		}
 	case "idlesense":
 		for i := range policies {
-			policies[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
+			policies[i] = mac.NewIdleSense()
 		}
 	case "wtop":
 		for i := range policies {
@@ -70,7 +70,7 @@ func policySet(scheme string, n int, phy model.PHY) ([]mac.Policy, core.Controll
 		for i := range policies {
 			policies[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)
 		}
-		controller = core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+		controller = core.NewTORA(back.M)
 	default:
 		panic("unknown scheme " + scheme)
 	}

@@ -164,7 +164,7 @@ func TestTORAConvergesInSlotSim(t *testing.T) {
 	n := 20
 	phy := model.PaperPHY()
 	back := model.PaperBackoff()
-	ctl := core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+	ctl := core.NewTORA(back.M)
 	ps := make([]mac.Policy, n)
 	for i := range ps {
 		ps[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)
@@ -189,7 +189,7 @@ func TestIdleSenseRegulatesIdleSlots(t *testing.T) {
 	n := 20
 	ps := make([]mac.Policy, n)
 	for i := range ps {
-		ps[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
+		ps[i] = mac.NewIdleSense()
 	}
 	s, err := New(Config{Policies: ps, Seed: 11})
 	if err != nil {
@@ -232,7 +232,7 @@ func TestRunIncrementalMatchesOneShot(t *testing.T) {
 		n := 10
 		idle := make([]mac.Policy, n)
 		for i := range idle {
-			idle[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
+			idle[i] = mac.NewIdleSense()
 		}
 		poisson := make([]traffic.Spec, n)
 		for i := range poisson {
