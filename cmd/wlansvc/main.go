@@ -7,8 +7,8 @@
 // changes an output byte (see internal/svc for the fault model).
 //
 // The first SIGINT/SIGTERM drains the coordinator gracefully: no new
-// leases, in-flight leases complete or expire. A second signal exits
-// immediately. Either way the campaign
+// leases, in-flight leases complete or expire. A second signal exits 1
+// at once, leaving no partial -out file. Either way the campaign
 // resumes later from the cache alone: restart with the same -manifest
 // and -cache and committed points are never re-simulated.
 //
@@ -120,6 +120,9 @@ func usageExit(msg string) {
 	os.Exit(2)
 }
 
+// errAbandoned ends a coordinator run on the second signal.
+var errAbandoned = errors.New("second signal, exiting without drain")
+
 type coordFlags struct {
 	manifest, listen, cache, out string
 	leaseTTL                     time.Duration
@@ -157,9 +160,10 @@ func runCoordinator(cf coordFlags) {
 
 	// First signal drains: no new leases, in-flight leases finish or
 	// expire, then the run loop is released. A second signal abandons
-	// the drain and exits immediately.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// the drain: it cancels the run with errAbandoned, so the campaign
+	// fails, -out's temp file is removed and the process exits 1.
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
 	var (
 		c    *svc.Coordinator
 		wall time.Duration
@@ -201,16 +205,18 @@ func runCoordinator(cf coordFlags) {
 				if err := c.Drain(dctx); err != nil {
 					fmt.Fprintf(os.Stderr, "wlansvc: drain: %v\n", err)
 				}
-				cancel()
+				cancel(nil)
 			}()
 			<-sig
-			fatalf("second signal, exiting without drain")
+			cancel(errAbandoned)
 		}()
 
 		start := time.Now()
 		err = c.Run(ctx)
 		wall = time.Since(start)
 		switch {
+		case errors.Is(context.Cause(ctx), errAbandoned):
+			return nil, errAbandoned
 		case errors.Is(err, context.Canceled):
 			return nil, err
 		case err != nil:
