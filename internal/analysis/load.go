@@ -43,16 +43,12 @@ type listPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	ImportMap  map[string]string
 	Error      *listError
-	DepsErrors []*listError
 }
 
 type listError struct {
-	Pos string
 	Err string
 }
 

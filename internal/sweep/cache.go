@@ -81,8 +81,7 @@ var crc32c = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.C
 // layout, is a clean miss: it is stale, not damaged, and the
 // re-simulated point's Put replaces it.
 type Cache struct {
-	dir         string
-	prefix      string // dir cleaned, with a trailing separator
+	prefix      string // the directory cleaned, with a trailing separator
 	quarantined atomic.Int32
 }
 
@@ -98,13 +97,10 @@ func OpenCache(dir string) (*Cache, error) {
 	if !os.IsPathSeparator(prefix[len(prefix)-1]) { // only a root ends in one
 		prefix += string(filepath.Separator)
 	}
-	return &Cache{dir: dir, prefix: prefix}, nil
+	return &Cache{prefix: prefix}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
-// path is filepath.Join(c.dir, key[:2], key+".json") without the
+// path is filepath.Join(dir, key[:2], key+".json") without the
 // per-call Clean: the prefix is clean and a key is hex.
 func (c *Cache) path(key string) string {
 	return c.prefix + key[:2] + string(filepath.Separator) + key + ".json"
