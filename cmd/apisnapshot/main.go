@@ -256,13 +256,6 @@ func (m *module) renderAlias(fset *token.FileSet, f *ast.File, sel *ast.Selector
 				for _, spec := range d.Specs {
 					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.Name == sel.Sel.Name {
 						decl = renderType(fset, sp)
-						if inner, ok := sp.Type.(*ast.SelectorExpr); ok && sp.Assign != token.NoPos {
-							more, err := m.renderAlias(fset, tf, inner)
-							if err != nil {
-								return "", err
-							}
-							decl += more
-						}
 					}
 				}
 			}
