@@ -28,10 +28,11 @@ import (
 // from a decoded ACK or beacon.
 //
 // A policy must not retain the *sim.RNG it is handed beyond the call.
-// The engines reuse station generators across runs, and slotsim keeps
-// them in one arena whose backing array is replaced when a Reset grows
-// the station count, so a retained pointer ends up on a reseeded or
-// abandoned generator.
+// Each engine owns its station generators as values inside the
+// simulation: eventsim keeps them in the station records that Reset
+// reseeds in place, slotsim in one dense slice that New allocates. A
+// retained pointer therefore ends up on a reseeded or abandoned
+// generator.
 type Policy interface {
 	// NextBackoff draws the number of idle slots to wait before the next
 	// transmission attempt.
