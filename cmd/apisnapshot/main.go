@@ -1,7 +1,6 @@
 // Command apisnapshot renders the exported surface of a Go package as a
-// deterministic, sorted text snapshot — one declaration per entry, doc
-// comments and unexported details elided — and either writes it or
-// diffs it against the committed copy.
+// deterministic, sorted text snapshot and either writes it or diffs it
+// against the committed copy.
 //
 // It is the repository's API-compatibility gate: wlan/api.txt is the
 // committed snapshot of the public wlan package, CI runs
@@ -10,10 +9,14 @@
 // retyped field — fails the build. Regenerate deliberately with
 // `make api` after an intentional surface change.
 //
-// An alias to a type of another package in the same module is part of
-// the surface too: its entry carries the target's declaration and the
-// target's exported methods, indented under the alias line, so a field
-// or method removed from the aliased type drifts the snapshot as well.
+// The surface is analysis.Surface, computed on the type-checked
+// package: its exported objects plus every module type they reach —
+// through an alias target, a field, a parameter, a result or a method
+// signature, at any depth. Each type entry lists its exported fields
+// (with tags) and the exported method set of *T, so removing a field or
+// a method of, say, stats.TimeSeries behind wlan.Result drifts the
+// snapshot. Unexported struct fields never appear; an interface's
+// unexported methods appear only as a count.
 //
 //	apisnapshot                  # rewrite wlan/api.txt
 //	apisnapshot -check           # exit 1 if wlan/api.txt is stale
@@ -24,15 +27,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/printer"
-	"go/token"
+	"go/types"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+
+	"repro/internal/analysis"
 )
 
 func main() {
@@ -72,38 +74,32 @@ func main() {
 	os.Exit(1)
 }
 
-// render parses the package in dir and returns its sorted exported
-// surface.
+// render returns the sorted surface of the package in dir (see
+// analysis.Surface): one entry per exported object of the package and
+// per module type it reaches, the package's own names unqualified and
+// the others qualified by package name.
 func render(dir string) ([]byte, error) {
-	fset := token.NewFileSet()
-	pkgName, files, err := parsePackage(fset, dir)
+	s, err := analysis.LoadSurface(dir)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
-
-	var entries []string
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			for _, e := range renderDecl(fset, decl) {
-				if e.alias != nil {
-					target, err := mod.renderAlias(fset, f, e.alias)
-					if err != nil {
-						return nil, err
-					}
-					e.text += target
-				}
-				entries = append(entries, e.text)
-			}
+	qual := func(p *types.Package) string {
+		if p == s.Pkg {
+			return ""
 		}
+		return p.Name()
+	}
+	var entries []string
+	for _, obj := range s.Objects {
+		entries = append(entries, renderObject(obj, qual))
+	}
+	for _, tn := range s.Reached {
+		entries = append(entries, renderObject(tn, qual))
 	}
 	sort.Strings(entries)
 
 	var out bytes.Buffer
-	fmt.Fprintf(&out, "# Exported API of package %s.\n", pkgName)
+	fmt.Fprintf(&out, "# Exported API of package %s.\n", s.Pkg.Name())
 	fmt.Fprintf(&out, "# Generated by `make api` (cmd/apisnapshot); diffed in CI. Do not edit.\n")
 	for _, e := range entries {
 		out.WriteString("\n")
@@ -113,348 +109,90 @@ func render(dir string) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// parsePackage parses the non-test Go files of the one package in dir.
-func parsePackage(fset *token.FileSet, dir string) (string, []*ast.File, error) {
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		return "", nil, err
-	}
-	if len(pkgs) != 1 {
-		return "", nil, fmt.Errorf("apisnapshot: %d packages in %s, want exactly 1", len(pkgs), dir)
-	}
-	var files []*ast.File
-	var pkgName string
-	for name, pkg := range pkgs {
-		pkgName = name
-		for _, f := range pkg.Files {
-			files = append(files, f)
+// renderObject renders one entry: a constant with its value, a defined
+// type with its exported members, anything else as types.ObjectString
+// prints it.
+func renderObject(obj types.Object, qual types.Qualifier) string {
+	switch obj := obj.(type) {
+	case *types.Const:
+		return types.ObjectString(obj, qual) + " = " + obj.Val().ExactString()
+	case *types.TypeName:
+		if named, ok := obj.Type().(*types.Named); ok {
+			return renderNamed(named, qual)
 		}
 	}
-	return pkgName, files, nil
+	return types.ObjectString(obj, qual)
 }
 
-// entry is one rendered declaration; alias is the target of a type
-// alias to another package's type (pkg.Name), whose declaration the
-// entry still has to carry.
-type entry struct {
-	text  string
-	alias *ast.SelectorExpr
-}
-
-// renderDecl returns the snapshot entries (zero or more) of one
-// top-level declaration.
-func renderDecl(fset *token.FileSet, decl ast.Decl) []entry {
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if !d.Name.IsExported() || !exportedReceiver(d) {
-			return nil
-		}
-		return []entry{{text: renderFunc(fset, d)}}
-	case *ast.GenDecl:
-		var out []entry
-		for _, spec := range d.Specs {
-			switch sp := spec.(type) {
-			case *ast.ValueSpec:
-				for _, v := range renderValues(fset, d.Tok, sp) {
-					out = append(out, entry{text: v})
-				}
-			case *ast.TypeSpec:
-				if !sp.Name.IsExported() {
-					continue
-				}
-				e := entry{text: renderType(fset, sp)}
-				if sel, ok := sp.Type.(*ast.SelectorExpr); ok && sp.Assign != token.NoPos {
-					e.alias = sel
-				}
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-func renderFunc(fset *token.FileSet, d *ast.FuncDecl) string {
-	fn := *d
-	fn.Doc = nil
-	fn.Body = nil
-	return printNode(fset, &fn)
-}
-
-// module is the Go module enclosing the snapshotted package; alias
-// targets inside it are parsed from source.
-type module struct {
-	root, path string
-	pkgs       map[string][]*ast.File // parsed packages by import path
-}
-
-// findModule walks up from dir to the nearest go.mod.
-func findModule(dir string) (*module, error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return &module{root: d, path: strings.Trim(strings.TrimSpace(rest), `"`), pkgs: map[string][]*ast.File{}}, nil
-				}
-			}
-			return nil, fmt.Errorf("apisnapshot: no module line in %s", filepath.Join(d, "go.mod"))
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return nil, fmt.Errorf("apisnapshot: no go.mod above %s", dir)
-		}
-		d = parent
-	}
-}
-
-// renderAlias renders the target of the alias sel, written in file f,
-// as indented lines to append to the alias entry: the target's
-// declaration, then its exported methods sorted. Targets outside the
-// module render as nothing.
-func (m *module) renderAlias(fset *token.FileSet, f *ast.File, sel *ast.SelectorExpr) (string, error) {
-	x, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", nil
-	}
-	var importPath string
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if (imp.Name != nil && imp.Name.Name == x.Name) || (imp.Name == nil && path.Base(p) == x.Name) {
-			importPath = p
-		}
-	}
-	rel, ok := strings.CutPrefix(importPath, m.path+"/")
-	if !ok {
-		return "", nil
-	}
-	files, ok := m.pkgs[importPath]
-	if !ok {
-		var err error
-		if _, files, err = parsePackage(fset, filepath.Join(m.root, filepath.FromSlash(rel))); err != nil {
-			return "", err
-		}
-		m.pkgs[importPath] = files
-	}
-
-	var decl string
-	var methods []string
-	for _, tf := range files {
-		for _, d := range tf.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Name.IsExported() && receiverName(d) == sel.Sel.Name {
-					methods = append(methods, renderFunc(fset, d))
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.Name == sel.Sel.Name {
-						decl = renderType(fset, sp)
-					}
-				}
-			}
-		}
-	}
-	if decl == "" {
-		return "", fmt.Errorf("apisnapshot: alias target %s.%s not found in %s", x.Name, sel.Sel.Name, importPath)
-	}
-	sort.Strings(methods)
+// renderNamed renders a defined type, one member a line: a struct's
+// exported fields with their tags, an interface's exported methods with
+// a count of its unexported ones (they keep it from being implemented
+// outside its package), then the exported methods of *T. Unexported
+// struct fields are left out, so adding or removing one changes
+// nothing.
+func renderNamed(named *types.Named, qual types.Qualifier) string {
 	var b strings.Builder
-	for _, s := range append([]string{decl}, methods...) {
-		for _, line := range strings.Split(s, "\n") {
-			if line != "" { // blank lines left where field docs were
-				b.WriteString("\n\t")
-				b.WriteString(line)
+	b.WriteString("type " + types.TypeString(named, qual))
+	switch u := named.Underlying().(type) {
+	case *types.Struct:
+		var fields []string
+		for i := range u.NumFields() {
+			f := u.Field(i)
+			if !f.Exported() {
+				continue
 			}
-		}
-	}
-	return b.String(), nil
-}
-
-// exportedReceiver reports whether a declaration is a plain function or
-// a method on an exported type.
-func exportedReceiver(d *ast.FuncDecl) bool {
-	return d.Recv == nil || ast.IsExported(receiverName(d))
-}
-
-// receiverName returns the base type name of a method's receiver, or ""
-// for a plain function.
-func receiverName(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return ""
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr: // generic receiver
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// renderValues emits one "const Name Type = Value" (or var) entry per
-// exported name of a value spec.
-func renderValues(fset *token.FileSet, tok token.Token, sp *ast.ValueSpec) []string {
-	var out []string
-	for i, name := range sp.Names {
-		if !name.IsExported() {
-			continue
-		}
-		var b strings.Builder
-		b.WriteString(tok.String())
-		b.WriteString(" ")
-		b.WriteString(name.Name)
-		if sp.Type != nil {
-			b.WriteString(" ")
-			b.WriteString(printNode(fset, sp.Type))
-		}
-		if i < len(sp.Values) {
-			b.WriteString(" = ")
-			b.WriteString(printNode(fset, sp.Values[i]))
-		}
-		out = append(out, b.String())
-	}
-	return out
-}
-
-// renderType prints a type declaration with unexported struct fields
-// and interface methods elided (a count marker keeps the existence of
-// unexported interface methods, but not their shape, in the snapshot).
-func renderType(fset *token.FileSet, sp *ast.TypeSpec) string {
-	cp := *sp
-	cp.Doc = nil
-	cp.Comment = nil
-	cp.Type = elide(cp.Type)
-	assign := " "
-	if sp.Assign != token.NoPos {
-		assign = " = "
-	}
-	// TypeSpec carries Assign as a position; print manually so the "="
-	// of aliases survives the position-free re-print.
-	return "type " + cp.Name.Name + printTypeParams(fset, cp.TypeParams) + assign + printNode(fset, cp.Type)
-}
-
-func printTypeParams(fset *token.FileSet, fl *ast.FieldList) string {
-	if fl == nil || len(fl.List) == 0 {
-		return ""
-	}
-	var parts []string
-	for _, f := range fl.List {
-		var names []string
-		for _, n := range f.Names {
-			names = append(names, n.Name)
-		}
-		parts = append(parts, strings.Join(names, ", ")+" "+printNode(fset, f.Type))
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-// elide strips unexported members from struct and interface types.
-func elide(t ast.Expr) ast.Expr {
-	switch x := t.(type) {
-	case *ast.StructType:
-		cp := *x
-		cp.Fields = elideFields(x.Fields, false)
-		return &cp
-	case *ast.InterfaceType:
-		cp := *x
-		cp.Methods = elideFields(x.Methods, true)
-		return &cp
-	}
-	return t
-}
-
-func elideFields(fl *ast.FieldList, iface bool) *ast.FieldList {
-	if fl == nil {
-		return nil
-	}
-	out := &ast.FieldList{Opening: token.Pos(1), Closing: token.Pos(2)}
-	hidden := 0
-	for _, f := range fl.List {
-		if len(f.Names) == 0 {
-			// Embedded field or embedded interface: keep if its base
-			// name is exported.
-			if embeddedExported(f.Type) {
-				out.List = append(out.List, cleanField(f))
-			} else {
-				hidden++
+			line := types.TypeString(f.Type(), qual)
+			if !f.Embedded() {
+				line = f.Name() + " " + line
 			}
-			continue
+			if tag := u.Tag(i); tag != "" {
+				line += " " + quoteTag(tag)
+			}
+			fields = append(fields, line)
 		}
-		var kept []*ast.Ident
-		for _, n := range f.Names {
-			if n.IsExported() {
-				kept = append(kept, n)
+		members(&b, "struct", fields)
+	case *types.Interface:
+		var methods []string
+		hidden := 0
+		for i := range u.NumMethods() {
+			if m := u.Method(i); m.Exported() {
+				methods = append(methods, m.Name()+strings.TrimPrefix(types.TypeString(m.Type(), qual), "func"))
 			} else {
 				hidden++
 			}
 		}
-		if len(kept) > 0 {
-			cf := cleanField(f)
-			cf.Names = kept
-			out.List = append(out.List, cf)
+		if hidden > 0 {
+			methods = append(methods, fmt.Sprintf("// %d unexported methods", hidden))
 		}
+		members(&b, "interface", methods)
+	default:
+		b.WriteString(" " + types.TypeString(u, qual))
 	}
-	if iface && hidden > 0 {
-		// A synthetic marker: an interface with unexported methods
-		// cannot be implemented outside its package, which users see.
-		// Unexported struct fields are not marked, so adding or removing
-		// one leaves the snapshot as it is.
-		out.List = append(out.List, &ast.Field{
-			Names: []*ast.Ident{{Name: "_"}},
-			Type:  &ast.Ident{Name: fmt.Sprintf("[%d unexportedMethods]", hidden)},
-		})
+	for _, m := range analysis.Methods(named) {
+		b.WriteString("\n" + types.ObjectString(m, qual))
 	}
-	return out
+	return b.String()
 }
 
-func cleanField(f *ast.Field) *ast.Field {
-	cf := *f
-	cf.Doc = nil
-	cf.Comment = nil
-	return &cf
+// members writes a struct or interface body, one member a line.
+func members(b *strings.Builder, kind string, lines []string) {
+	if len(lines) == 0 {
+		b.WriteString(" " + kind + "{}")
+		return
+	}
+	b.WriteString(" " + kind + " {")
+	for _, l := range lines {
+		b.WriteString("\n\t" + l)
+	}
+	b.WriteString("\n}")
 }
 
-// embeddedExported reports whether an embedded field's type name is
-// exported (selector expressions — pkg.Type — always are).
-func embeddedExported(t ast.Expr) bool {
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.SelectorExpr:
-			return x.Sel.IsExported()
-		case *ast.Ident:
-			return x.IsExported()
-		default:
-			return false
-		}
+// quoteTag writes a struct tag the way it is written in source.
+func quoteTag(tag string) string {
+	if strconv.CanBackquote(tag) {
+		return "`" + tag + "`"
 	}
-}
-
-// printNode renders an AST node through go/printer with gofmt-like
-// settings, normalising position-dependent spacing.
-func printNode(fset *token.FileSet, node any) string {
-	var buf bytes.Buffer
-	cfg := printer.Config{Mode: printer.UseSpaces | printer.TabIndent, Tabwidth: 8}
-	if err := cfg.Fprint(&buf, fset, node); err != nil {
-		fatalf("print: %v", err)
-	}
-	return buf.String()
+	return strconv.Quote(tag)
 }
 
 // diff prints a minimal line diff (removed/added) between two

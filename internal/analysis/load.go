@@ -23,6 +23,8 @@ import (
 type Package struct {
 	// Path is the package's import path ("repro/internal/slotsim").
 	Path string
+	// Module is the path of the module that holds the package.
+	Module string
 	// Dir is the directory holding the package's sources.
 	Dir string
 	// Fset maps token positions for Files (shared across a Load call).
@@ -45,6 +47,7 @@ type listPackage struct {
 	GoFiles    []string
 	DepOnly    bool
 	ImportMap  map[string]string
+	Module     *struct{ Path string }
 	Error      *listError
 }
 
@@ -269,6 +272,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			errs = append(errs, err.Error())
 			continue
+		}
+		if lp.Module != nil {
+			p.Module = lp.Module.Path
 		}
 		pkgs = append(pkgs, p)
 	}
