@@ -2,11 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/frame"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 func TestWTOPControlBlock(t *testing.T) {
@@ -56,7 +56,7 @@ func TestWTOPFloorsAtMinP(t *testing.T) {
 // analyticThroughput builds a measurement function from the paper's
 // Eq. (3) model plus relative Gaussian noise — the cleanest closed-loop
 // test of wTOP-CSMA short of the full simulator.
-func analyticThroughput(n int, noise float64, rng *sim.RNG) (measure func(p float64) float64, pstar float64, m model.PPersistent) {
+func analyticThroughput(n int, noise float64, rng *rand.Rand) (measure func(p float64) float64, pstar float64, m model.PPersistent) {
 	m = model.PPersistent{PHY: model.PaperPHY()}
 	w := model.UnitWeights(n)
 	pstar = m.OptimalP(w)
@@ -69,7 +69,7 @@ func analyticThroughput(n int, noise float64, rng *sim.RNG) (measure func(p floa
 
 func TestWTOPConvergesOnAnalyticModel(t *testing.T) {
 	for _, n := range []int{10, 40} {
-		rng := sim.NewRNG(int64(n))
+		rng := newNoise(int64(n))
 		measure, pstar, m := analyticThroughput(n, 0.05, rng)
 		w := NewWTOP(WTOPConfig{Scale: m.PHY.BitRate})
 		for i := 0; i < 3000; i++ {
@@ -181,7 +181,7 @@ func TestTORAConvergesOnAnalyticRandomReset(t *testing.T) {
 	// come from RandomReset throughput at the broadcast (j, p0). The
 	// controller must reach a near-optimal operating point.
 	rr := model.RandomReset{PHY: model.PaperPHY(), Backoff: model.PaperBackoff(), N: 20}
-	rng := sim.NewRNG(77)
+	rng := newNoise(77)
 	c := NewTORA(rr.Backoff.M)
 	for i := 0; i < 3000; i++ {
 		ctrl := c.Control()

@@ -2,9 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestPaperGainsSatisfyConditions(t *testing.T) {
@@ -108,10 +107,13 @@ func TestKWConstructorPanics(t *testing.T) {
 	}
 }
 
+// newNoise returns the seeded source of the tests' measurement noise.
+func newNoise(seed int64) *rand.Rand { return rand.New(rand.NewPCG(uint64(seed), 0)) }
+
 // noisyObjective simulates measuring a quasi-concave function with
 // additive noise — the synthetic stand-in for a throughput measurement
 // window.
-func noisyObjective(f func(float64) float64, noise float64, rng *sim.RNG) func(float64) float64 {
+func noisyObjective(f func(float64) float64, noise float64, rng *rand.Rand) func(float64) float64 {
 	return func(x float64) float64 {
 		return f(x) + noise*rng.NormFloat64()
 	}
@@ -119,7 +121,7 @@ func noisyObjective(f func(float64) float64, noise float64, rng *sim.RNG) func(f
 
 func TestKWConvergesOnQuadratic(t *testing.T) {
 	// S(x) = 1 − 4(x−0.3)², optimum at 0.3, measured with σ = 0.02 noise.
-	rng := sim.NewRNG(11)
+	rng := newNoise(11)
 	measure := noisyObjective(func(x float64) float64 {
 		return 1 - 4*(x-0.3)*(x-0.3)
 	}, 0.02, rng)
@@ -135,7 +137,7 @@ func TestKWConvergesOnQuadratic(t *testing.T) {
 func TestKWConvergesOnAsymmetricBellCurve(t *testing.T) {
 	// A skewed quasi-concave objective shaped like the throughput curves
 	// of Fig. 2: sharp rise, long decay. Optimum at 0.1.
-	rng := sim.NewRNG(13)
+	rng := newNoise(13)
 	f := func(x float64) float64 {
 		if x <= 0 {
 			return 0
@@ -156,7 +158,7 @@ func TestKWConvergenceFromManyStarts(t *testing.T) {
 	// Regardless of the starting point, the iterate must approach the
 	// optimum of a clean quasi-concave objective.
 	for _, x0 := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
-		rng := sim.NewRNG(int64(100 * x0))
+		rng := newNoise(int64(100 * x0))
 		measure := noisyObjective(func(x float64) float64 {
 			return -math.Abs(x - 0.6)
 		}, 0.01, rng)

@@ -62,9 +62,3 @@ func (t *TORA) OnWindowEnd(throughput float64) {
 	t.kw.Reset(p0Centre)
 	t.kw.RewindIteration()
 }
-
-// J returns the current reset stage j.
-func (t *TORA) J() int { return t.j }
-
-// P0Val returns the current candidate optimum reset probability.
-func (t *TORA) P0Val() float64 { return t.kw.X() }

@@ -106,7 +106,3 @@ func (w *WTOP) OnWindowEnd(throughput float64) {
 		w.kw.Reset(w.kw.X() - w.kw.gains.B(w.kw.K()))
 	}
 }
-
-// PVal returns the current candidate optimum pval (distinct from the
-// probe value, which carries the ±b_k perturbation).
-func (w *WTOP) PVal() float64 { return math.Exp(w.kw.X()) }

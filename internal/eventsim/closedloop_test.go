@@ -81,8 +81,8 @@ func TestWTOPConvergesFullyConnected(t *testing.T) {
 	opt := mdl.MaxThroughput(model.UnitWeights(n))
 	converged := res.ConvergedThroughput(45 * sim.Second)
 	if converged < 0.88*opt {
-		t.Errorf("wTOP converged to %.2f Mbps < 88%% of optimum %.2f Mbps (pval %.4f, p* %.4f)",
-			converged/1e6, opt/1e6, ctl.PVal(), mdl.OptimalP(model.UnitWeights(n)))
+		t.Errorf("wTOP converged to %.2f Mbps < 88%% of optimum %.2f Mbps (probe p %.4f, p* %.4f)",
+			converged/1e6, opt/1e6, ctl.Control().P, mdl.OptimalP(model.UnitWeights(n)))
 	}
 }
 
@@ -143,8 +143,8 @@ func TestTORAConvergesFullyConnected(t *testing.T) {
 	_, _, best := rr.OptimalJP(0.05)
 	converged := res.ConvergedThroughput(45 * sim.Second)
 	if converged < 0.85*best {
-		t.Errorf("TORA converged to %.2f Mbps < 85%% of best RandomReset %.2f Mbps (j=%d, p0=%.3f)",
-			converged/1e6, best/1e6, ctl.J(), ctl.P0Val())
+		t.Errorf("TORA converged to %.2f Mbps < 85%% of best RandomReset %.2f Mbps (j=%d, probe p0=%.3f)",
+			converged/1e6, best/1e6, ctl.Control().Stage, ctl.Control().P0)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestWTOPAdaptsToNodeChurn(t *testing.T) {
 		got := sum / float64(count)
 		opt := mdl.MaxThroughput(model.UnitWeights(ph.n))
 		if got < 0.8*opt {
-			t.Errorf("churn phase N=%d: %.2f Mbps < 80%% of optimum %.2f Mbps (pval %.4f)",
-				ph.n, got/1e6, opt/1e6, ctl.PVal())
+			t.Errorf("churn phase N=%d: %.2f Mbps < 80%% of optimum %.2f Mbps (probe p %.4f)",
+				ph.n, got/1e6, opt/1e6, ctl.Control().P)
 		}
 	}
 }

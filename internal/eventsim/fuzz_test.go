@@ -43,7 +43,7 @@ func TestRandomConfigurationsNeverMisbehave(t *testing.T) {
 			case 3:
 				policies[i] = mac.NewIdleSense()
 			default:
-				policies[i] = mac.NewSlowDecrease(8, 1024, 0.5)
+				policies[i] = mac.NewSlowDecrease(8, 1024)
 			}
 		}
 		s, err := New(Config{

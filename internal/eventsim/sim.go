@@ -295,10 +295,6 @@ func (s *Simulator) init(cfg Config) {
 	}
 }
 
-// Scheduler exposes the event clock, mainly for tests and custom
-// scenario scripting.
-func (s *Simulator) Scheduler() *sim.Scheduler { return s.sched }
-
 // ActiveStations returns how many stations currently contend.
 func (s *Simulator) ActiveStations() int {
 	count := 0

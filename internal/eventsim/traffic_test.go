@@ -128,7 +128,9 @@ func TestOnOffDutyCycleLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := s.Run(duration)
-	want := float64(n) * spec.MeanRate() * duration.Seconds()
+	on := spec.OnMean.Seconds()
+	meanRate := spec.Rate * on / (on + spec.OffMean.Seconds())
+	want := float64(n) * meanRate * duration.Seconds()
 	got := float64(res.PacketsArrived)
 	// Phase-level variance dominates: each station sees ~37 cycles, so
 	// allow 15%.

@@ -60,7 +60,7 @@ func TestEstimateNBreaksWithHiddenNodes(t *testing.T) {
 	mkEst := func() []mac.Policy {
 		ps := make([]mac.Policy, tp.N())
 		for i := range ps {
-			ps[i] = mac.NewEstimateN(phy.TcSlots(), 10)
+			ps[i] = mac.NewEstimateN(phy.TcSlots())
 		}
 		return ps
 	}

@@ -16,28 +16,20 @@ import (
 // on the standard DCF without reaching the optimum (the paper's point:
 // the throughput still degrades with N).
 type SlowDecrease struct {
-	CWMin, CWMax int
-	// Delta is the multiplicative decrease factor applied to CW on
-	// success (0 < Delta < 1; the published value is 0.5… per window
-	// halving — we default to 0.5).
-	Delta float64
-
-	cw float64
+	cwMin, cwMax int
+	cw           float64
 }
 
-// NewSlowDecrease returns the policy with the given window bounds and
-// decrease factor (0 means the default 0.5).
-func NewSlowDecrease(cwMin, cwMax int, delta float64) *SlowDecrease {
+// slowDecreaseDelta is the multiplicative decrease applied to CW on
+// success: the published window halving.
+const slowDecreaseDelta = 0.5
+
+// NewSlowDecrease returns the policy with the given window bounds.
+func NewSlowDecrease(cwMin, cwMax int) *SlowDecrease {
 	if cwMin < 1 || cwMax < cwMin {
 		panic(fmt.Sprintf("mac: invalid CW bounds [%d, %d]", cwMin, cwMax))
 	}
-	if delta == 0 {
-		delta = 0.5
-	}
-	if delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("mac: SlowDecrease delta %v outside (0,1)", delta))
-	}
-	return &SlowDecrease{CWMin: cwMin, CWMax: cwMax, Delta: delta, cw: float64(cwMin)}
+	return &SlowDecrease{cwMin: cwMin, cwMax: cwMax, cw: float64(cwMin)}
 }
 
 // CW returns the current contention window.
@@ -48,12 +40,12 @@ func (sd *SlowDecrease) NextBackoff(rng *sim.RNG) int { return rng.UniformWindow
 
 // OnSuccess implements Policy: multiplicative slow decrease.
 func (sd *SlowDecrease) OnSuccess(*sim.RNG) {
-	sd.cw = math.Max(float64(sd.CWMin), sd.cw*sd.Delta)
+	sd.cw = math.Max(float64(sd.cwMin), sd.cw*slowDecreaseDelta)
 }
 
 // OnFailure implements Policy: standard doubling.
 func (sd *SlowDecrease) OnFailure(*sim.RNG) {
-	sd.cw = math.Min(float64(sd.CWMax), sd.cw*2)
+	sd.cw = math.Min(float64(sd.cwMax), sd.cw*2)
 }
 
 // OnControl implements Policy; the scheme is fully distributed.
@@ -72,13 +64,9 @@ func (sd *SlowDecrease) AttemptProbability() float64 { return 2 / (sd.cw + 1) }
 // wrong under hidden nodes, where the observed idle statistics no longer
 // identify N.
 type EstimateN struct {
-	// TcStar is the collision duration in slot units (T*c), the only
+	// tcStar is the collision duration in slot units (T*c), the only
 	// PHY constant the closed form needs.
-	TcStar float64
-	// Window is the number of observed transmissions per estimate.
-	Window int
-	// MaxN caps the estimate to keep p* bounded away from zero.
-	MaxN float64
+	tcStar float64
 
 	p        float64
 	idleSum  float64
@@ -86,25 +74,21 @@ type EstimateN struct {
 	nHat     float64
 }
 
+const (
+	// estimateWindow is the number of observed transmissions per
+	// estimate.
+	estimateWindow = 10
+	// estimateMaxN caps the estimate to keep p* bounded away from zero.
+	estimateMaxN = 1000
+)
+
 // NewEstimateN returns the policy for the given T*c.
-func NewEstimateN(tcStar float64, window int) *EstimateN {
+func NewEstimateN(tcStar float64) *EstimateN {
 	if tcStar <= 1 {
 		panic(fmt.Sprintf("mac: T*c %v must exceed 1 slot", tcStar))
 	}
-	if window <= 0 {
-		window = 10
-	}
-	return &EstimateN{
-		TcStar: tcStar,
-		Window: window,
-		MaxN:   1000,
-		p:      0.05,
-		nHat:   2,
-	}
+	return &EstimateN{tcStar: tcStar, p: 0.05, nHat: 2}
 }
-
-// NHat returns the current estimate of the number of contenders.
-func (e *EstimateN) NHat() float64 { return e.nHat }
 
 // ObserveTransmission implements MediumObserver: fold one busy period
 // preceded by idleSlots idle slots into the estimator. With every
@@ -114,7 +98,7 @@ func (e *EstimateN) NHat() float64 { return e.nHat }
 func (e *EstimateN) ObserveTransmission(idleSlots float64) {
 	e.idleSum += idleSlots
 	e.observed++
-	if e.observed < e.Window {
+	if e.observed < estimateWindow {
 		return
 	}
 	meanIdle := e.idleSum / float64(e.observed)
@@ -128,12 +112,12 @@ func (e *EstimateN) ObserveTransmission(idleSlots float64) {
 	if n < 1 {
 		n = 1
 	}
-	if n > e.MaxN {
-		n = e.MaxN
+	if n > estimateMaxN {
+		n = estimateMaxN
 	}
 	// Exponential smoothing keeps the estimate stable across windows.
 	e.nHat = 0.8*e.nHat + 0.2*n
-	e.p = 1 / (e.nHat * math.Sqrt(e.TcStar/2))
+	e.p = 1 / (e.nHat * math.Sqrt(e.tcStar/2))
 	if e.p > 0.5 {
 		e.p = 0.5
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestSlowDecreaseWindowDynamics(t *testing.T) {
 	rng := sim.NewRNG(1)
-	sd := NewSlowDecrease(8, 1024, 0.5)
+	sd := NewSlowDecrease(8, 1024)
 	if sd.CW() != 8 {
 		t.Fatalf("initial CW = %d", sd.CW())
 	}
@@ -48,21 +48,14 @@ func TestSlowDecreaseWindowDynamics(t *testing.T) {
 }
 
 func TestSlowDecreaseDefaultsAndPanics(t *testing.T) {
-	sd := NewSlowDecrease(8, 1024, 0)
-	if sd.Delta != 0.5 {
-		t.Errorf("default delta %v", sd.Delta)
-	}
-	for _, c := range []struct {
-		min, max int
-		delta    float64
-	}{{0, 8, 0.5}, {16, 8, 0.5}, {8, 1024, 1.5}} {
+	for _, c := range []struct{ min, max int }{{0, 8}, {16, 8}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("config %+v accepted", c)
 				}
 			}()
-			NewSlowDecrease(c.min, c.max, c.delta)
+			NewSlowDecrease(c.min, c.max)
 		}()
 	}
 }
@@ -72,7 +65,7 @@ func TestEstimateNConvergesOnSyntheticChannel(t *testing.T) {
 	// N; N̂ must converge near N and p near the closed-form optimum.
 	const trueN = 25
 	tcStar := 23.0
-	e := NewEstimateN(tcStar, 10)
+	e := NewEstimateN(tcStar)
 	for iter := 0; iter < 3000; iter++ {
 		p := e.AttemptProbability()
 		q := 1 - math.Pow(1-p, trueN)
@@ -88,7 +81,7 @@ func TestEstimateNConvergesOnSyntheticChannel(t *testing.T) {
 }
 
 func TestEstimateNRobustness(t *testing.T) {
-	e := NewEstimateN(23, 5)
+	e := NewEstimateN(23)
 	rng := sim.NewRNG(2)
 	// Degenerate observations must not wedge the estimator.
 	for i := 0; i < 100; i++ {
@@ -100,7 +93,7 @@ func TestEstimateNRobustness(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.ObserveTransmission(1e9)
 	}
-	if e.NHat() > e.MaxN {
+	if e.NHat() > estimateMaxN {
 		t.Errorf("N̂ exceeded cap: %v", e.NHat())
 	}
 	b := e.NextBackoff(rng)
@@ -121,7 +114,7 @@ func TestEstimateNPanicsOnBadTc(t *testing.T) {
 			t.Error("T*c ≤ 1 accepted")
 		}
 	}()
-	NewEstimateN(0.5, 10)
+	NewEstimateN(0.5)
 }
 
 var (

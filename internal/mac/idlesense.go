@@ -50,9 +50,6 @@ const (
 // of 64; AIMD converges from anywhere.
 func NewIdleSense() *IdleSense { return &IdleSense{cw: 64} }
 
-// CW returns the current (continuous) contention window.
-func (is *IdleSense) CW() float64 { return is.cw }
-
 // ObserveTransmission implements MediumObserver: fold in one observed
 // busy period preceded by idleSlots idle slots, and run the AIMD update
 // once idleMaxTrans observations have accumulated.

@@ -72,9 +72,8 @@ type Memoryless interface {
 // window doubles per failure up to CWmax and resets to CWmin on success.
 // The backoff counter is drawn uniformly from [0, CW−1].
 type StandardDCF struct {
-	CWMin int
-	CWMax int
-	stage int
+	cwMin, cwMax int
+	stage        int
 }
 
 // NewStandardDCF returns the standard policy with the given window bounds.
@@ -82,20 +81,17 @@ func NewStandardDCF(cwMin, cwMax int) *StandardDCF {
 	if cwMin < 1 || cwMax < cwMin {
 		panic(fmt.Sprintf("mac: invalid CW bounds [%d, %d]", cwMin, cwMax))
 	}
-	return &StandardDCF{CWMin: cwMin, CWMax: cwMax}
+	return &StandardDCF{cwMin: cwMin, cwMax: cwMax}
 }
 
 // CW returns the current contention window.
 func (d *StandardDCF) CW() int {
-	cw := d.CWMin << uint(d.stage)
-	if cw > d.CWMax {
-		return d.CWMax
+	cw := d.cwMin << uint(d.stage)
+	if cw > d.cwMax {
+		return d.cwMax
 	}
 	return cw
 }
-
-// Stage returns the current backoff stage.
-func (d *StandardDCF) Stage() int { return d.stage }
 
 // NextBackoff implements Policy.
 func (d *StandardDCF) NextBackoff(rng *sim.RNG) int { return rng.UniformWindow(d.CW()) }
@@ -105,7 +101,7 @@ func (d *StandardDCF) OnSuccess(*sim.RNG) { d.stage = 0 }
 
 // OnFailure implements Policy: double the window up to CWmax.
 func (d *StandardDCF) OnFailure(*sim.RNG) {
-	if d.CWMin<<uint(d.stage+1) <= d.CWMax {
+	if d.cwMin<<uint(d.stage+1) <= d.cwMax {
 		d.stage++
 	}
 }
@@ -125,9 +121,6 @@ type PPersistent struct {
 	// Weight is the station's fairness weight w_t (≥ 1 nominally, any
 	// positive value accepted).
 	Weight float64
-	// MinP floors the attempt probability so a station never starves
-	// (Algorithm 1 initialises stations at 0.1 before the first ACK).
-	MinP float64
 
 	p float64 // station attempt probability p_t
 
@@ -137,19 +130,23 @@ type PPersistent struct {
 	logQFor float64
 }
 
+// minP floors a p-persistent station's attempt probability so it never
+// starves (Algorithm 1 initialises stations at 0.1 before the first ACK).
+const minP = 1e-5
+
 // NewPPersistent returns a p-persistent policy with the given weight and
 // initial attempt probability.
 func NewPPersistent(weight, initial float64) *PPersistent {
 	if weight <= 0 {
 		panic(fmt.Sprintf("mac: non-positive weight %v", weight))
 	}
-	return &PPersistent{Weight: weight, MinP: 1e-5, p: clampProb(initial, 1e-5)}
+	return &PPersistent{Weight: weight, p: clampProb(initial, minP)}
 }
 
 // SetAttemptProbability overrides the station attempt probability
 // directly, bypassing the weight mapping — used by open-loop sweeps
 // (Figs. 2 and 4).
-func (p *PPersistent) SetAttemptProbability(v float64) { p.p = clampProb(v, p.MinP) }
+func (p *PPersistent) SetAttemptProbability(v float64) { p.p = clampProb(v, minP) }
 
 // AttemptProbability implements AttemptReporter.
 func (p *PPersistent) AttemptProbability() float64 { return p.p }
@@ -179,7 +176,7 @@ func (p *PPersistent) OnControl(ctrl frame.Control) {
 		return
 	}
 	mapped := p.Weight * ctrl.P / (1 + (p.Weight-1)*ctrl.P)
-	p.p = clampProb(mapped, p.MinP)
+	p.p = clampProb(mapped, minP)
 }
 
 // BackoffMemoryless implements Memoryless: the geometric counter may be
@@ -202,8 +199,7 @@ func clampProb(v, min float64) float64 {
 // drawn uniformly from {j+1, …, m} (Definition 4). With p0 = 1, j = 0 it
 // degenerates to the standard DCF.
 type RandomReset struct {
-	CWMin int
-	M     int
+	cwMin, m int
 
 	j     int
 	p0    float64
@@ -215,7 +211,7 @@ func NewRandomReset(cwMin, m, j int, p0 float64) *RandomReset {
 	if cwMin < 1 || m < 1 {
 		panic(fmt.Sprintf("mac: invalid RandomReset params CWmin=%d m=%d", cwMin, m))
 	}
-	r := &RandomReset{CWMin: cwMin, M: m}
+	r := &RandomReset{cwMin: cwMin, m: m}
 	r.SetReset(j, p0)
 	return r
 }
@@ -225,8 +221,8 @@ func (r *RandomReset) SetReset(j int, p0 float64) {
 	if j < 0 {
 		j = 0
 	}
-	if j > r.M-1 {
-		j = r.M - 1
+	if j > r.m-1 {
+		j = r.m - 1
 	}
 	if p0 < 0 {
 		p0 = 0
@@ -237,34 +233,25 @@ func (r *RandomReset) SetReset(j int, p0 float64) {
 	r.j, r.p0 = j, p0
 }
 
-// Reset returns the current (j, p0).
-func (r *RandomReset) Reset() (j int, p0 float64) { return r.j, r.p0 }
-
-// Stage returns the current backoff stage.
-func (r *RandomReset) Stage() int { return r.stage }
-
 // CW returns the current contention window 2^stage · CWmin.
-func (r *RandomReset) CW() int { return r.CWMin << uint(r.stage) }
+func (r *RandomReset) CW() int { return r.cwMin << uint(r.stage) }
 
 // NextBackoff implements Policy.
 func (r *RandomReset) NextBackoff(rng *sim.RNG) int { return rng.UniformWindow(r.CW()) }
 
-// OnSuccess implements Policy: apply the reset distribution.
+// OnSuccess implements Policy: apply the reset distribution. SetReset
+// keeps j ≤ m−1, so {j+1, …, m} is never empty.
 func (r *RandomReset) OnSuccess(rng *sim.RNG) {
 	if rng.Bernoulli(r.p0) {
 		r.stage = r.j
 		return
 	}
-	if r.j+1 > r.M {
-		r.stage = r.M
-		return
-	}
-	r.stage = r.j + 1 + rng.Intn(r.M-r.j)
+	r.stage = r.j + 1 + rng.Intn(r.m-r.j)
 }
 
 // OnFailure implements Policy: double up to stage M.
 func (r *RandomReset) OnFailure(*sim.RNG) {
-	if r.stage < r.M {
+	if r.stage < r.m {
 		r.stage++
 	}
 }

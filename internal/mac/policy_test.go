@@ -110,8 +110,8 @@ func TestPPersistentClamping(t *testing.T) {
 		t.Error("p not capped below 1")
 	}
 	p.OnControl(frame.Control{Scheme: frame.ControlWTOP, P: 0})
-	if p.AttemptProbability() < p.MinP {
-		t.Error("control broadcast drove p below MinP")
+	if p.AttemptProbability() < minP {
+		t.Error("control broadcast drove p below minP")
 	}
 }
 

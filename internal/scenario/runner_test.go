@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/eventsim"
 	"repro/internal/mac"
+	"repro/internal/model"
 	"repro/internal/scheme"
 )
 
@@ -538,21 +539,20 @@ func TestBuildSimAllSchemes(t *testing.T) {
 		if cfg.Controller != nil {
 			t.Errorf("%s control %v: the controller still runs", tc.scheme, *tc.control)
 		}
+		back := model.PaperBackoff()
 		for i, p := range cfg.Policies {
-			var got float64
 			switch p := p.(type) {
 			case *mac.PPersistent:
-				got = p.AttemptProbability()
+				if got := p.AttemptProbability(); got != *tc.control {
+					t.Errorf("%s: station %d control %v, want %v", tc.scheme, i, got, *tc.control)
+				}
 			case *mac.RandomReset:
-				var j int
-				if j, got = p.Reset(); j != 0 {
-					t.Errorf("%s: station %d resets to stage %d, want 0", tc.scheme, i, j)
+				// A fresh policy with reset stage 0 and p0 = control.
+				if want := mac.NewRandomReset(back.CWMin, back.M, 0, *tc.control); *p != *want {
+					t.Errorf("%s: station %d runs %+v, want %+v", tc.scheme, i, *p, *want)
 				}
 			default:
 				t.Fatalf("%s: station %d runs %T", tc.scheme, i, p)
-			}
-			if got != *tc.control {
-				t.Errorf("%s: station %d control %v, want %v", tc.scheme, i, got, *tc.control)
 			}
 		}
 	}

@@ -117,11 +117,11 @@ func Build(scheme string, weights []float64, n int) ([]mac.Policy, core.Controll
 		controller = core.NewTORA(back.M)
 	case SlowDecrease:
 		for i := range policies {
-			policies[i] = mac.NewSlowDecrease(back.CWMin, back.CWMax(), 0.5)
+			policies[i] = mac.NewSlowDecrease(back.CWMin, back.CWMax())
 		}
 	case EstimateN:
 		for i := range policies {
-			policies[i] = mac.NewEstimateN(phy.TcSlots(), 10)
+			policies[i] = mac.NewEstimateN(phy.TcSlots())
 		}
 	default:
 		return nil, nil, Check(scheme)

@@ -43,19 +43,6 @@ func (r Ref) Cancel() {
 	}
 }
 
-// Cancelled reports whether the event was cancelled and its heap slot has
-// not yet been collected. Expired Refs report false.
-func (r Ref) Cancelled() bool { return r.e != nil && r.e.gen == r.gen && r.e.dead }
-
-// At returns the instant the event is scheduled for, or 0 if the Ref has
-// expired. Callers that need the distinction should check Active first.
-func (r Ref) At() Time {
-	if r.e != nil && r.e.gen == r.gen {
-		return r.e.at
-	}
-	return 0
-}
-
 // eventHeap is a four-ary min-heap ordered by (at, seq). Four-ary halves
 // the tree depth of a binary heap, so sift-down touches half as many
 // cache lines per pop; the extra sibling comparisons are cheap because
@@ -65,8 +52,6 @@ func (r Ref) At() Time {
 type eventHeap struct {
 	items []*Event
 }
-
-func (h *eventHeap) Len() int { return len(h.items) }
 
 func (h *eventHeap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]

@@ -78,9 +78,6 @@ func (g *RNG) Float64() float64 { return float64(g.src.Uint64()<<11>>11) / (1 <<
 // Intn returns a uniform draw in [0,n). n must be positive.
 func (g *RNG) Intn(n int) int { return rand.New(&g.src).IntN(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return rand.New(&g.src).Int64() }
-
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool {
 	switch {
@@ -215,10 +212,6 @@ func (g *RNG) UniformWindow(cw int) int {
 	}
 	return rand.New(&g.src).IntN(cw)
 }
-
-// NormFloat64 returns a standard normal draw (used by tests to synthesise
-// noisy throughput observations).
-func (g *RNG) NormFloat64() float64 { return rand.New(&g.src).NormFloat64() }
 
 // Exp returns an exponentially distributed draw with rate 1 (mean 1).
 // Scale by 1/λ for rate λ — the inter-arrival gap of a Poisson process.

@@ -52,19 +52,6 @@ func (s *Scheduler) Now() Time { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events in the queue, including lazily
-// cancelled ones that have not yet been discarded.
-func (s *Scheduler) Pending() int {
-	n := s.heap.Len()
-	if s.next != nil {
-		n++
-	}
-	if s.cand != nil {
-		n++
-	}
-	return n
-}
-
 // before reports whether a fires before b under the (at, seq) order.
 func before(a, b *Event) bool {
 	if a.at != b.at {
@@ -135,10 +122,6 @@ func (s *Scheduler) peekLive() *Event {
 		s.release(s.dequeue())
 	}
 }
-
-// PoolSize returns the number of recycled events currently in the free
-// list. Exposed for allocation-regression tests.
-func (s *Scheduler) PoolSize() int { return len(s.free) }
 
 // alloc takes an event from the free list, falling back to the heap
 // only while the pool is still warming up.

@@ -378,7 +378,7 @@ func TestSchedulerCandidateTiesFastSlot(t *testing.T) {
 			seq = s.TakeSeq()
 		}
 		s.SetCandidate(10, seq, o.addArg, label("cand"))
-		if s.next == nil || s.heap.Len() != 0 {
+		if s.next == nil || len(s.heap.items) != 0 {
 			t.Fatal("the queued event is not in the fast slot")
 		}
 		drain(s)
@@ -405,7 +405,7 @@ func TestSchedulerCandidateTiesHeap(t *testing.T) {
 		}
 		s.AtArg(5, call, o.add("early")) // displaces the event at 10 into the heap
 		s.SetCandidate(10, seq, o.addArg, label("cand"))
-		if s.heap.Len() != 1 || s.heap.peek().at != 10 {
+		if len(s.heap.items) != 1 || s.heap.peek().at != 10 {
 			t.Fatal("the event at 10 is not in the heap")
 		}
 		drain(s)

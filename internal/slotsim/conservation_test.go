@@ -115,7 +115,7 @@ func TestSlowDecreaseBeatsDCFConnected(t *testing.T) {
 		return s.Run(20 * sim.Second).Throughput
 	}
 	dcf := run(func() mac.Policy { return mac.NewStandardDCF(8, 1024) })
-	slow := run(func() mac.Policy { return mac.NewSlowDecrease(8, 1024, 0.5) })
+	slow := run(func() mac.Policy { return mac.NewSlowDecrease(8, 1024) })
 	opt := model.PPersistent{PHY: phy}.MaxThroughput(model.UnitWeights(n))
 	if slow <= dcf {
 		t.Errorf("SlowDecrease %.2f Mbps not above DCF %.2f Mbps", slow/1e6, dcf/1e6)
@@ -134,7 +134,7 @@ func TestEstimateNNearOptimalConnected(t *testing.T) {
 	phy := model.PaperPHY()
 	policies := make([]mac.Policy, n)
 	for i := range policies {
-		policies[i] = mac.NewEstimateN(phy.TcSlots(), 10)
+		policies[i] = mac.NewEstimateN(phy.TcSlots())
 	}
 	s, err := New(Config{Policies: policies, Seed: 12, PHY: phy})
 	if err != nil {

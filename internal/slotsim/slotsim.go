@@ -74,9 +74,6 @@ type Result struct {
 	PacketsArrived, PacketsDropped int64
 }
 
-// ThroughputMbps returns the run throughput in Mbit/s.
-func (r *Result) ThroughputMbps() float64 { return r.Throughput / 1e6 }
-
 // Simulator is the slot-synchronous engine.
 type Simulator struct {
 	cfg      Config

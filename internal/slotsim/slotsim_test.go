@@ -155,8 +155,8 @@ func TestWTOPConvergesInSlotSim(t *testing.T) {
 	opt := mdl.MaxThroughput(model.UnitWeights(n))
 	converged := res.ThroughputSeries.MeanAfter(sim.Time(60 * sim.Second))
 	if converged < 0.9*opt {
-		t.Errorf("wTOP converged to %.2f Mbps < 90%% of optimum %.2f Mbps (pval %.4f, p* %.4f)",
-			converged/1e6, opt/1e6, ctl.PVal(), mdl.OptimalP(model.UnitWeights(n)))
+		t.Errorf("wTOP converged to %.2f Mbps < 90%% of optimum %.2f Mbps (probe p %.4f, p* %.4f)",
+			converged/1e6, opt/1e6, ctl.Control().P, mdl.OptimalP(model.UnitWeights(n)))
 	}
 }
 
@@ -178,8 +178,8 @@ func TestTORAConvergesInSlotSim(t *testing.T) {
 	_, _, best := rr.OptimalJP(0.05)
 	converged := res.ThroughputSeries.MeanAfter(sim.Time(60 * sim.Second))
 	if converged < 0.88*best {
-		t.Errorf("TORA converged to %.2f Mbps < 88%% of best RandomReset %.2f Mbps (j=%d p0=%.3f)",
-			converged/1e6, best/1e6, ctl.J(), ctl.P0Val())
+		t.Errorf("TORA converged to %.2f Mbps < 88%% of best RandomReset %.2f Mbps (j=%d probe p0=%.3f)",
+			converged/1e6, best/1e6, ctl.Control().Stage, ctl.Control().P0)
 	}
 }
 

@@ -120,15 +120,6 @@ func (c *Client) Complete(ctx context.Context, req *CompleteRequest) (*CompleteR
 	return resp, nil
 }
 
-// Status fetches the campaign snapshot.
-func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
-	resp := &StatusResponse{}
-	if err := c.call(ctx, "/v1/status", nil, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // call sends one request with the retry policy — a POST of in as JSON,
 // or a GET when in is nil — and decodes the JSON response into out.
 func (c *Client) call(ctx context.Context, path string, in, out any) error {

@@ -18,6 +18,15 @@ import (
 	"repro/internal/sweep"
 )
 
+// row is a sweep JSONL row as WriteRow encodes it.
+type row struct {
+	Index   int               `json:"index"`
+	Name    string            `json:"name"`
+	Axes    map[string]any    `json:"axes"`
+	Key     string            `json:"key"`
+	Summary *scenario.Summary `json:"summary"`
+}
+
 // coldRows is a single-machine, uncached Stream of g: the bytes every
 // coordinator output must equal.
 func coldRows(t testing.TB, g *sweep.Grid) []byte {
@@ -271,7 +280,7 @@ func FuzzCompleteRequest(f *testing.F) {
 			if line == coldLines[n] {
 				continue
 			}
-			var got, want sweep.Row
+			var got, want row
 			if err := json.Unmarshal([]byte(line), &got); err != nil || got.Summary == nil {
 				t.Fatalf("row %d does not decode to a summary (%v): %s", n, err, line)
 			}

@@ -121,17 +121,6 @@ type PointResult struct {
 	summaryJSON []byte
 }
 
-// Row is the JSONL record streamed per point. Its byte encoding is
-// deterministic (sorted map keys, shortest round-trip floats), which
-// is what makes shard merges and golden diffs exact.
-type Row struct {
-	Index   int               `json:"index"`
-	Name    string            `json:"name"`
-	Axes    map[string]any    `json:"axes"`
-	Key     string            `json:"key"`
-	Summary *scenario.Summary `json:"summary"`
-}
-
 // Runner executes sweep grids.
 type Runner struct {
 	// Cache, when non-nil, is consulted before and written after every
@@ -208,8 +197,11 @@ func (r *Runner) Stream(ctx context.Context, g *Grid, w io.Writer) (Stats, error
 }
 
 // WriteRow writes one point result's canonical JSONL row in one Write:
-// the bytes json.Marshal(&Row{...}) gives, with the summary under the
-// point's name. It appends the Row head field by field — the axes
+// the object {"index", "name", "axes", "key", "summary"} exactly as
+// json.Marshal encodes it, with the summary under the point's name.
+// The encoding is deterministic (sorted map keys, shortest round-trip
+// floats), which is what makes shard merges and golden diffs exact. It
+// appends the row head field by field — the axes
 // sorted by field name, as a map encodes — and splices the summary's
 // canonical bytes (marshalled first for a bare Summary) after it, so
 // every emitter — the Runner and the svc coordinator alike — writes
