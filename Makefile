@@ -42,12 +42,13 @@ golden:
 	go test -count=1 ./internal/trace -run '^TestCaptureGolden$$' -update
 
 # Regenerate the committed public-API snapshot after an intentional
-# surface change (CI diffs it; see cmd/apisnapshot).
+# surface change (CI diffs it; see cmd/apisnapshot). The snapshot holds
+# wlan's exported surface and every module type reachable from it.
 api:
 	go run ./cmd/apisnapshot
 
-# The CI gate: fail if the exported wlan surface drifted from the
-# committed snapshot.
+# The CI gate: fail if the exported surface of wlan, or of any module
+# type reachable from it, drifted from the committed snapshot.
 api-check:
 	go run ./cmd/apisnapshot -check
 

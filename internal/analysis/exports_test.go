@@ -135,10 +135,8 @@ func testOnlyExports(t *testing.T, dir, surfaceDir string, allowed map[string]bo
 	// package from source but imports it elsewhere from export data.
 	// A method declaration names its receiver type, which is no use of
 	// the type.
-	used := maps.Clone(allowed)
-	if used == nil {
-		used = map[string]bool{}
-	}
+	used := map[string]bool{}
+	maps.Copy(used, allowed)
 	recvs := map[*ast.Ident]bool{}
 	var called []*types.Func
 	for _, p := range pkgs {
@@ -284,18 +282,14 @@ func implementsUsed(t *types.Named, m *types.Func, ifaces []*types.Interface) bo
 	}
 	ms := types.NewMethodSet(types.NewPointer(t))
 	for _, it := range ifaces {
-		ok := false
+		declared, implemented := false, true
 		for i := range it.NumMethods() {
-			if it.Method(i).Name() == m.Name() {
-				ok = true
-			}
-		}
-		for i := 0; ok && i < it.NumMethods(); i++ {
 			im := it.Method(i)
+			declared = declared || im.Name() == m.Name()
 			sel := ms.Lookup(im.Pkg(), im.Name())
-			ok = sel != nil && signature(sel.Obj().Type()) == signature(im.Type())
+			implemented = implemented && sel != nil && signature(sel.Obj().Type()) == signature(im.Type())
 		}
-		if ok {
+		if declared && implemented {
 			return true
 		}
 	}

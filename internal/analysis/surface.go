@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -20,7 +19,7 @@ type Surface struct {
 	// Objects are Pkg's exported package-level objects, sorted by name.
 	Objects []types.Object
 	// Reached are the module's exported named types outside Pkg that
-	// Objects reach, sorted by package path and name.
+	// Objects reach, in the order a walk from Objects first meets them.
 	Reached []*types.TypeName
 }
 
@@ -44,13 +43,6 @@ func LoadSurface(dir string) (*Surface, error) {
 			w.typ(obj.Type())
 		}
 	}
-	sort.Slice(w.reached, func(i, j int) bool {
-		a, b := w.reached[i], w.reached[j]
-		if a.Pkg().Path() != b.Pkg().Path() {
-			return a.Pkg().Path() < b.Pkg().Path()
-		}
-		return a.Name() < b.Name()
-	})
 	s.Reached = w.reached
 	return s, nil
 }
